@@ -53,7 +53,6 @@ from .model import (
     mu_from_density,
     objective,
     save_model,
-    weight_objective,
 )
 from .learner import (
     DivergenceError,

@@ -3,8 +3,9 @@
 Subcommands: validate, similarity, train, evaluate, benchmark, predict.
 Every subcommand accepts ``--config <file.json>`` supplying defaults for
 its flags; explicit flags override the config file.  Exit codes:
-0 success, 2 invalid input (files, schema, paths, arguments),
-3 numerical failure (divergence or non-finite objective).
+0 success, 2 invalid input (files, schema, paths, arguments, model
+files), 3 numerical failure (divergence or non-finite objective).  Any
+other exception is an internal error and propagates.
 
 Output artifacts (model files, caches, CSVs) are written atomically via
 a temporary file and rename.
@@ -15,7 +16,6 @@ import json
 import logging
 import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -29,7 +29,14 @@ from .graph import (
     derive_ratings,
     load_graph,
 )
-from .model import Hyperparams, NumericalError, load_model, save_model
+from .model import (
+    Hyperparams,
+    ModelFormatError,
+    NumericalError,
+    atomic_write_bytes,
+    load_model,
+    save_model,
+)
 
 log = logging.getLogger("hetecf")
 
@@ -43,30 +50,17 @@ _INPUT_ERRORS = (
     RatingMatrixError,
     metapath.PathError,
     metapath.PathSpecError,
+    ModelFormatError,
     FileNotFoundError,
     IsADirectoryError,
     PermissionError,
     json.JSONDecodeError,
-    KeyError,
-    ValueError,
+    UnicodeDecodeError,
 )
 
 
 class CliError(ValueError):
     """Bad command-line usage not caught by argparse."""
-
-
-def _atomic_write_text(path, text):
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory)
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _load_config(path):
@@ -102,24 +96,36 @@ def _load_graph_from(args, cfg):
     )
 
 
-def _hyperparams(args, cfg, d=None):
-    base = dict(cfg.get("hyperparams", {}))
-    for key in ("d", "lam", "mu", "learn_rate", "inner_tol", "outer_tol",
-                "max_inner", "max_outer", "seed"):
-        value = getattr(args, key, None)
-        if value is not None:
-            base[key] = value
-    if d is not None:
-        base["d"] = d
-    return Hyperparams(**base)
+def _hyperparams(args, cfg):
+    try:
+        base = dict(cfg.get("hyperparams", {}))
+        for key in ("d", "lam", "mu", "learn_rate", "inner_tol", "outer_tol",
+                    "max_inner", "max_outer", "seed"):
+            value = getattr(args, key, None)
+            if value is not None:
+                base[key] = value
+        return Hyperparams(**base)
+    except (TypeError, ValueError) as exc:
+        raise CliError(f"invalid hyperparameters: {exc}") from None
 
 
-def _float_list(text):
-    return [float(x) for x in str(text).split(",") if str(x).strip()]
+def _number(value, kind, name, minimum=None):
+    """``value`` as an int or float (``kind``), at least ``minimum``."""
+    try:
+        number = kind(value)
+    except (TypeError, ValueError):
+        raise CliError(f"{name}: {value!r} is not a valid {kind.__name__}") from None
+    if minimum is not None and not number >= minimum:
+        raise CliError(f"{name}: {value!r} is below {minimum}")
+    return number
 
 
-def _int_list(text):
-    return [int(x) for x in str(text).split(",") if str(x).strip()]
+def _numbers(value, kind, name, minimum=None):
+    """A comma list (flag) or JSON list (config) of numbers."""
+    items = str(value).split(",") if isinstance(value, str) else value
+    if not isinstance(items, (list, tuple)):
+        raise CliError(f"{name}: expected a list, got {value!r}")
+    return [_number(x, kind, name, minimum) for x in items if str(x).strip()]
 
 
 def cmd_validate(args):
@@ -169,6 +175,8 @@ def cmd_train(args):
     graph, groups, ratings, rels = _prepare_training(args, cfg)
     hp = _hyperparams(args, cfg)
     optimizer = _setting(args, cfg, "optimizer", "batch")
+    if optimizer not in ("batch", "sgd"):
+        raise CliError(f"unknown optimizer {optimizer!r}; known: batch, sgd")
     from .model import effective_mu
 
     log.info(
@@ -194,7 +202,7 @@ def cmd_train(args):
     for group, path, value in rows:
         print(f"weight\t{group}\t{value:.4f}\t{path}")
     if weights_out:
-        _atomic_write_text(weights_out, evaluate_mod.weights_csv(rows))
+        atomic_write_bytes(weights_out, evaluate_mod.weights_csv(rows).encode("utf-8"))
         print(f"weight report written to {weights_out}")
     return EXIT_OK
 
@@ -205,14 +213,18 @@ def cmd_evaluate(args):
     methods = _setting(args, cfg, "methods", list(evaluate_mod.METHODS))
     if isinstance(methods, str):
         methods = [m.strip() for m in methods.split(",") if m.strip()]
-    fractions = _setting(args, cfg, "fractions", [0.4, 0.6])
-    if isinstance(fractions, str):
-        fractions = _float_list(fractions)
-    d_values = _setting(args, cfg, "d_values", [5, 10])
-    if isinstance(d_values, str):
-        d_values = _int_list(d_values)
-    trials = int(_setting(args, cfg, "trials", 10))
-    seed = int(_setting(args, cfg, "seed", 0))
+    unknown = [m for m in methods if m not in evaluate_mod.METHODS]
+    if unknown:
+        raise CliError(
+            f"unknown method(s) {', '.join(map(str, unknown))}; "
+            f"known: {', '.join(evaluate_mod.METHODS)}"
+        )
+    fractions = _numbers(_setting(args, cfg, "fractions", [0.4, 0.6]), float, "fractions")
+    if not all(0.0 < f < 1.0 for f in fractions):
+        raise CliError(f"fractions must lie in (0, 1), got {fractions}")
+    d_values = _numbers(_setting(args, cfg, "d_values", [5, 10]), int, "d_values", 1)
+    trials = _number(_setting(args, cfg, "trials", 10), int, "trials", 1)
+    seed = _number(_setting(args, cfg, "seed", 0), int, "seed")
     hp = _hyperparams(args, cfg)
     report = evaluate_mod.run_experiment(
         ratings,
@@ -227,22 +239,18 @@ def cmd_evaluate(args):
     print(report.format_table())
     report_out = _setting(args, cfg, "report_out")
     if report_out:
-        _atomic_write_text(report_out, report.to_csv())
+        atomic_write_bytes(report_out, report.to_csv().encode("utf-8"))
         print(f"report written to {report_out}")
     return EXIT_OK
 
 
 def cmd_benchmark(args):
     cfg = _load_config(args.config)
-    d_values = _setting(args, cfg, "d_values", [5, 10, 20, 40])
-    if isinstance(d_values, str):
-        d_values = _int_list(d_values)
-    sizes = _setting(args, cfg, "sizes", [1.0, 1.5, 2.0, 3.0])
-    if isinstance(sizes, str):
-        sizes = _float_list(sizes)
-    repeats = int(_setting(args, cfg, "repeats", 3))
-    scale = float(_setting(args, cfg, "base_scale", 1.0))
-    seed = int(_setting(args, cfg, "seed", 0))
+    d_values = _numbers(_setting(args, cfg, "d_values", [5, 10, 20, 40]), int, "d_values", 1)
+    sizes = _numbers(_setting(args, cfg, "sizes", [1.0, 1.5, 2.0, 3.0]), float, "sizes", 0.0)
+    repeats = _number(_setting(args, cfg, "repeats", 3), int, "repeats", 1)
+    scale = _number(_setting(args, cfg, "base_scale", 1.0), float, "base_scale", 0.0)
+    seed = _number(_setting(args, cfg, "seed", 0), int, "seed")
     spec = synth.SynthSpec(seed=seed).scaled(scale)
     rows = synth.scaling_benchmark(
         base_spec=spec, d_values=d_values, size_multipliers=sizes, repeats=repeats
@@ -251,7 +259,7 @@ def cmd_benchmark(args):
     print(csv_text, end="")
     out = _setting(args, cfg, "out")
     if out:
-        _atomic_write_text(out, csv_text)
+        atomic_write_bytes(out, csv_text.encode("utf-8"))
         print(f"timings written to {out}")
     return EXIT_OK
 
@@ -267,7 +275,10 @@ def cmd_predict(args):
             f"(model hash {header['graph_hash'][:12]}..., current {ghash[:12]}...)"
         )
     user_id = _require(args, cfg, "user")
-    node_type, index = graph.node_index(str(user_id))
+    try:
+        node_type, index = graph.node_index(str(user_id))
+    except KeyError as exc:
+        raise CliError(exc.args[0]) from None
     if node_type != graph.schema.user_type:
         raise CliError(
             f"node {user_id!r} has type {node_type!r}, not the user type "
@@ -279,9 +290,7 @@ def cmd_predict(args):
             f"model shape ({model.n}, {model.m}) does not match graph "
             f"({graph.node_count(graph.schema.user_type)}, {len(item_ids)})"
         )
-    k = int(_setting(args, cfg, "top_k", 10))
-    if k < 1:
-        raise CliError("--top-k must be positive")
+    k = _number(_setting(args, cfg, "top_k", 10), int, "top_k", 1)
     scores = model.predict_pairs(
         np.full(len(item_ids), index), np.arange(len(item_ids))
     )

@@ -22,13 +22,13 @@ import hashlib
 import logging
 import os
 import re
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from .graph import adjacency, content_hash
+from .model import atomic_write_bytes
 
 log = logging.getLogger(__name__)
 
@@ -375,15 +375,7 @@ def write_similarity(path, sim, group, graph_hash):
     for i in order:
         lines.append(f"{coo.row[i]}\t{coo.col[i]}\t{float(coo.data[i])!r}")
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)))
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def read_similarity(path, schema):

@@ -17,8 +17,10 @@ All rating-fit sums run over explicitly observed entries only.
 """
 
 import json
+import math
 import os
 import tempfile
+import zipfile
 from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
@@ -30,6 +32,10 @@ MODEL_FORMAT_VERSION = 1
 
 class NumericalError(RuntimeError):
     """A non-finite value surfaced during objective or gradient evaluation."""
+
+
+class ModelFormatError(ValueError):
+    """A model file that is not a readable model of this format version."""
 
 
 def logistic(x):
@@ -185,12 +191,15 @@ class LaplacianSet:
         )
 
 
-def trace_quad(L, X):
+def trace_quad(L, X, LX=None):
     """Tr(X^T L X) for sparse L; equals half the similarity-weighted
-    squared-difference sum when L is a Laplacian."""
+    squared-difference sum when L is a Laplacian.  Pass ``LX = L @ X``
+    when it is already at hand."""
+    if LX is None:
+        LX = L @ X
     # overflow surfaces as a checked NumericalError downstream, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.sum(X * (L @ X)))
+        return float(np.sum(X * LX))
 
 
 def mu_from_density(ratings):
@@ -221,7 +230,7 @@ def rating_counts(ratings):
 
 
 def _check_term(value, name):
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise NumericalError(f"objective term {name!r} is non-finite ({value!r})")
     return float(value)
 
@@ -287,29 +296,10 @@ def objective(model, weights, ratings, rels, hp, laps=None, mu=None):
     return fit + reg_u + reg_v + rel_fit + ridge
 
 
-def weight_objective(model, weights, rels, hp, laps=None, mu=0.0):
-    """The weight-phase objective: only the terms that depend on the path
-    weights (graph regularizers, relation fit, and the weight ridge)."""
-    if laps is None:
-        laps = LaplacianSet.from_relation_set(rels)
-    tr_u = np.array([trace_quad(L, model.U) for L in laps.user])
-    tr_v = np.array([trace_quad(L, model.V) for L in laps.item])
-    ssq = relation_residual_ssq(model, _relation_entries(rels))
-    value = (
-        float(weights.alpha @ tr_u)
-        + float(weights.beta @ tr_v)
-        + mu * float(weights.w @ ssq)
-        + hp.lam
-        * (
-            float(weights.alpha @ weights.alpha)
-            + float(weights.beta @ weights.beta)
-            + float(weights.w @ weights.w)
-        )
-    )
-    return _check_term(value, "weight-phase objective")
-
-
-def _atomic_write_bytes(path, payload):
+def atomic_write_bytes(path, payload):
+    """Write ``payload`` to ``path`` through a temporary file in the same
+    directory and a rename, so readers never see a partial file; the
+    temporary file is removed if anything fails."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory)
     try:
@@ -347,26 +337,36 @@ def save_model(path, model, weights, hp, graph_hash=""):
         beta=weights.beta,
         w=weights.w,
     )
-    _atomic_write_bytes(path, buf.getvalue())
+    atomic_write_bytes(path, buf.getvalue())
 
 
 def load_model(path):
-    """Read a model file; returns (FactorModel, PathWeights, header dict)."""
-    with np.load(path) as data:
-        header = json.loads(bytes(data["header"]).decode())
-        if header.get("format_version") != MODEL_FORMAT_VERSION:
-            raise ValueError(
-                f"unsupported model format version {header.get('format_version')!r}"
-            )
-        model = FactorModel(data["U"], data["V"])
-        weights = PathWeights(data["alpha"], data["beta"], data["w"])
-    expect = (
-        header["n_user_paths"],
-        header["n_item_paths"],
-        header["n_cross_paths"],
-    )
-    if (model.n, model.m, model.d) != (header["n"], header["m"], header["d"]):
-        raise ValueError("model file header disagrees with stored factors")
+    """Read a model file; returns (FactorModel, PathWeights, header dict).
+
+    A file that is not a model of this format version, or whose header
+    disagrees with its arrays, raises ModelFormatError.
+    """
+    try:
+        with np.load(path) as data:
+            header = json.loads(bytes(data["header"]).decode())
+            if header.get("format_version") != MODEL_FORMAT_VERSION:
+                raise ModelFormatError(
+                    f"unsupported model format version {header.get('format_version')!r}"
+                )
+            model = FactorModel(data["U"], data["V"])
+            weights = PathWeights(data["alpha"], data["beta"], data["w"])
+        shape = (header["n"], header["m"], header["d"])
+        expect = (
+            header["n_user_paths"],
+            header["n_item_paths"],
+            header["n_cross_paths"],
+        )
+    except ModelFormatError:
+        raise
+    except (KeyError, ValueError, zipfile.BadZipFile) as exc:
+        raise ModelFormatError(f"unreadable model file {path!r}: {exc}") from exc
+    if (model.n, model.m, model.d) != shape:
+        raise ModelFormatError("model file header disagrees with stored factors")
     if weights.counts != expect:
-        raise ValueError("model file header disagrees with stored weights")
+        raise ModelFormatError("model file header disagrees with stored weights")
     return model, weights, header

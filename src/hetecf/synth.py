@@ -8,6 +8,7 @@ published_in, contains, and cites relations, user = Author,
 item = Conf.
 """
 
+import math
 import time
 from dataclasses import dataclass, field
 from statistics import median
@@ -120,32 +121,27 @@ class TimingRow:
     seconds_max: float
 
 
-def _benchmark_cell(spec, d, hp, repeats):
-    """Median wall-clock training time over ``repeats`` runs of one cell."""
+def _cell_inputs(spec):
+    """(ratings, relation set, edge count) of one benchmark cell's network."""
     graph = generate(spec)
-    paths = default_paths(spec.schema)
-    target = default_target_path(spec.schema)
-    ratings = derive_ratings(graph, target)
-    rels = metapath.build_relation_set(graph, paths)
-    hp_cell = hp.with_overrides(d=int(d))
-    times = []
-    iterations = 0
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        state = learner.train(ratings, rels, hp_cell)
-        times.append(time.perf_counter() - t0)
-        iterations = state.factor_steps + state.weight_steps
-    edge_count = sum(m.nnz for m in graph.matrices.values())
-    return TimingRow(
-        d=int(d),
-        n=ratings.n,
-        m=ratings.m,
-        edges=int(edge_count),
-        iterations=int(iterations),
-        seconds_median=float(median(times)),
-        seconds_min=float(min(times)),
-        seconds_max=float(max(times)),
-    )
+    ratings = derive_ratings(graph, default_target_path(spec.schema))
+    rels = metapath.build_relation_set(graph, default_paths(spec.schema))
+    return ratings, rels, sum(m.nnz for m in graph.matrices.values())
+
+
+# Shortest timed sample: a cell whose training run is quicker than this is
+# timed over a batch of back-to-back runs, and the sample is their mean.
+# Single runs of ~10 ms vary by up to 1.5x on a shared host.
+MIN_SAMPLE_SECONDS = 0.1
+
+
+def _time_training(ratings, rels, hp, runs):
+    """Mean wall-clock seconds of ``runs`` back-to-back trainings, and the
+    last run's accepted step count."""
+    t0 = time.perf_counter()
+    for _ in range(runs):
+        state = learner.train(ratings, rels, hp)
+    return (time.perf_counter() - t0) / runs, state.factor_steps + state.weight_steps
 
 
 def scaling_benchmark(
@@ -159,8 +155,14 @@ def scaling_benchmark(
     """Two sweeps with fixed iteration caps: time vs d at the base size,
     then time vs network size at d = ``fixed_d``.
 
-    Returns a list of TimingRow; training cost is linear in d and in the
-    user-item grid size, so both sweeps should regress linearly.
+    Returns a list of TimingRow, one per cell, with the median, min and
+    max over ``repeats`` samples of the wall-clock time of one training
+    run; training cost is linear in d and in the user-item grid size, so
+    both sweeps should regress linearly.  A sample averages back-to-back
+    runs lasting at least MIN_SAMPLE_SECONDS (the batch size is set by an
+    untimed first run per cell), and the samples go round-robin over the
+    cells, so a stretch of host load or a clock change is shared by every
+    cell instead of shifting one cell's median.
     """
     from .model import Hyperparams
 
@@ -168,12 +170,34 @@ def scaling_benchmark(
     hp = hp or Hyperparams(
         learn_rate=0.05, max_inner=5, max_outer=3, inner_tol=1e-9, outer_tol=1e-9
     )
-    rows = []
-    for d in d_values:
-        rows.append(_benchmark_cell(base_spec, d, hp, repeats))
-    for factor in size_multipliers:
-        rows.append(_benchmark_cell(base_spec.scaled(factor), fixed_d, hp, repeats))
-    return rows
+    cells = []
+    for spec, d in [(base_spec, d) for d in d_values] + [
+        (base_spec.scaled(factor), fixed_d) for factor in size_multipliers
+    ]:
+        ratings, rels, edges = _cell_inputs(spec)
+        hp_cell = hp.with_overrides(d=int(d))
+        first, _ = _time_training(ratings, rels, hp_cell, 1)
+        runs = max(1, math.ceil(MIN_SAMPLE_SECONDS / max(first, 1e-9)))
+        cells.append((ratings, rels, edges, hp_cell, runs))
+    times = [[] for _ in cells]
+    iterations = [0] * len(cells)
+    for _ in range(repeats):
+        for k, (ratings, rels, _, hp_cell, runs) in enumerate(cells):
+            seconds, iterations[k] = _time_training(ratings, rels, hp_cell, runs)
+            times[k].append(seconds)
+    return [
+        TimingRow(
+            d=hp_cell.d,
+            n=ratings.n,
+            m=ratings.m,
+            edges=int(edges),
+            iterations=int(its),
+            seconds_median=float(median(ts)),
+            seconds_min=float(min(ts)),
+            seconds_max=float(max(ts)),
+        )
+        for (ratings, _, edges, hp_cell, _), ts, its in zip(cells, times, iterations)
+    ]
 
 
 def timing_csv(rows):

@@ -226,6 +226,31 @@ def test_numerical_failures_exit_three(tmp_path, monkeypatch):
     assert main(train_flags(tmp_path)) == 3
 
 
+def test_internal_value_error_is_not_reported_as_bad_input(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr("hetecf.learner.train", broken)
+    with pytest.raises(ValueError, match="internal bug"):
+        main(train_flags(tmp_path))
+
+
+@pytest.mark.parametrize("extra", [
+    ["--learn-rate", "1.5"],  # Hyperparams validation
+    ["--d", "0"],
+])
+def test_invalid_hyperparameters_exit_two(tmp_path, extra, caplog):
+    assert main(train_flags(tmp_path, extra)) == 2
+    assert "invalid hyperparameters" in caplog.text
+
+
+def test_unknown_config_optimizer_exits_two(tmp_path, caplog):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"optimizer": "adam"}))
+    assert main(train_flags(tmp_path, ["--config", str(cfg)])) == 2
+    assert "optimizer" in caplog.text
+
+
 # ------------------------------------------------------------------ predict
 
 
@@ -299,6 +324,23 @@ def test_predict_unknown_user(tmp_path):
     assert rc == 2
 
 
+def test_predict_rejects_model_of_other_format_version(tmp_path, monkeypatch, caplog):
+    monkeypatch.setattr("hetecf.model.MODEL_FORMAT_VERSION", 99)
+    f = zero_model(tmp_path)
+    monkeypatch.undo()
+    rc = main(["predict", *GRAPH_FLAGS, "--model", str(f), "--user", "alice"])
+    assert rc == 2
+    assert "format version" in caplog.text
+
+
+def test_predict_rejects_non_model_file(tmp_path, caplog):
+    f = tmp_path / "model.npz"
+    f.write_text("not a model\n")
+    rc = main(["predict", *GRAPH_FLAGS, "--model", str(f), "--user", "alice"])
+    assert rc == 2
+    assert "model file" in caplog.text
+
+
 def test_predict_shape_mismatch(tmp_path, caplog):
     f = zero_model(tmp_path, n=4, m=3)  # wrong user count
     rc = main(["predict", *GRAPH_FLAGS, "--model", str(f), "--user", "alice"])
@@ -328,6 +370,24 @@ def test_evaluate_grid_and_report(tmp_path, capsys):
     lines = report_out.read_text().strip().splitlines()
     assert lines[0] == "method,fraction,d,metric,mean,sd"
     assert len(lines) == 1 + 2 * 1 * 1 * 2  # methods x fractions x d x metrics
+
+
+@pytest.mark.parametrize("extra", [
+    ["--fractions", "1.5"],
+    ["--fractions", "0.5,x"],
+    ["--trials", "0"],
+    ["--d-values", "0"],
+])
+def test_evaluate_rejects_bad_grid(tmp_path, extra):
+    rc = main([
+        "evaluate", *GRAPH_FLAGS,
+        "--paths", str(SAMPLE / "paths.txt"),
+        "--target-path", TARGET,
+        "--methods", "user_mean",
+        *FAST,
+        *extra,
+    ])
+    assert rc == 2
 
 
 def test_evaluate_rejects_unknown_method(tmp_path):

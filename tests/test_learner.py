@@ -359,7 +359,7 @@ def test_divergence_error_after_halving_budget(monkeypatch):
     def rising(*args, **kwargs):
         return float(next(ticks))
 
-    monkeypatch.setattr(learner, "objective", rising)
+    monkeypatch.setattr(learner.Problem, "value", rising)
     with pytest.raises(DivergenceError) as err:
         train(ratings, rels, hp)
     assert "halvings" in str(err.value)
@@ -373,15 +373,15 @@ def test_divergence_records_halvings(monkeypatch):
 
     orig = learner._descend
 
-    def spy(state, data, propose, apply_candidate, count_attr):
+    def spy(state, data, propose, phase):
         try:
-            return orig(state, data, propose, apply_candidate, count_attr)
+            return orig(state, data, propose, phase)
         finally:
             seen["halvings"] = state.halvings
             seen["step_size"] = state.step_size
 
     ticks = iter(range(10_000))
-    monkeypatch.setattr(learner, "objective", lambda *a, **k: float(next(ticks)))
+    monkeypatch.setattr(learner.Problem, "value", lambda *a, **k: float(next(ticks)))
     monkeypatch.setattr(learner, "_descend", spy)
     with pytest.raises(DivergenceError):
         train(ratings, rels, hp)
@@ -445,4 +445,91 @@ def test_training_log_round_trip(tmp_path):
     assert set(rows[0]) == {
         "iteration", "objective", "rel_change_U", "rel_change_V",
         "rel_change_alpha", "rel_change_beta", "rel_change_w", "step_size",
+        "fit", "user_graph", "item_graph", "relation_fit", "ridge",
+        "factor_accepted", "factor_rejected", "factor_halvings", "factor_seconds",
+        "weight_accepted", "weight_rejected", "weight_halvings", "weight_seconds",
     }
+    for row in rows:
+        assert all(np.isfinite(float(v)) for v in row.values())  # plain numbers
+        terms = [float(row[k]) for k in
+                 ("fit", "user_graph", "item_graph", "relation_fit", "ridge")]
+        assert sum(terms) == pytest.approx(float(row["objective"]), rel=1e-12)
+
+
+# ------------------------------------------------- dense and gather sides
+
+
+def density_instance(side):
+    """A fully rated instance (dense side) or one at <= 10% entry density
+    (gather side), with random factors away from the start."""
+    rng = np.random.default_rng(32)
+    if side == "dense":
+        n, m, density = 6, 5, 1.0
+    else:
+        n, m, density = 40, 30, 0.03
+    ratings, rels, hp = random_instance(rng, n=n, m=m, d=2, density=density)
+    problem = build_problem(ratings, rels, hp)
+    if side == "dense":
+        assert problem.dense and problem.density == 1.0
+    else:
+        assert not problem.dense and problem.density <= 0.1
+    state = init(hp, (n, m, 2, 2, 2))
+    state.model = FactorModel(
+        rng.normal(scale=0.5, size=(n, 2)), rng.normal(scale=0.5, size=(m, 2))
+    )
+    return ratings, rels, hp, problem, state
+
+
+@pytest.mark.parametrize("side", ["dense", "gather"])
+def test_problem_value_matches_objective(side):
+    ratings, rels, hp, problem, state = density_instance(side)
+    want = objective(state.model, state.weights, ratings, rels, hp)
+    got = problem.value(problem.evaluate(state.model), state.weights)
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("side", ["dense", "gather"])
+def test_problem_factor_gradient_matches_finite_differences(side):
+    ratings, rels, hp, problem, state = density_instance(side)
+    n, d = state.model.U.shape
+    m = state.model.m
+    dU, dV = grad_factors(state, problem)
+
+    def f(vec):
+        model = FactorModel(vec[: n * d].reshape(n, d), vec[n * d:].reshape(m, d))
+        return objective(model, state.weights, ratings, rels, hp)
+
+    x0 = np.concatenate([state.model.U.ravel(), state.model.V.ravel()])
+    num = central_difference(f, x0)
+    got = np.concatenate([dU.ravel(), dV.ravel()])
+    assert np.allclose(got, num, rtol=1e-5, atol=1e-7)
+
+
+@pytest.mark.parametrize("side", ["dense", "gather"])
+def test_closed_form_weight_candidate_matches_objective(side):
+    ratings, rels, hp, problem, state = density_instance(side)
+    dA, dB, dW = grad_weights(state, problem)
+    eta = 0.3
+    candidate = PathWeights(
+        np.maximum(state.weights.alpha - eta * dA, 0.0),
+        np.maximum(state.weights.beta - eta * dB, 0.0),
+        np.maximum(state.weights.w - eta * dW, 0.0),
+    )
+    got = problem.value(state.point, candidate)
+    want = objective(state.model, candidate, ratings, rels, hp)
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("side", ["dense", "gather"])
+def test_training_bit_identical_on_each_side(side):
+    ratings, rels, hp, _, _ = density_instance(side)
+    hp = hp.with_overrides(max_outer=4)
+    s1 = train(ratings, rels, hp)
+    s2 = train(ratings, rels, hp)
+    assert s1.factor_steps > 0 and s1.weight_steps > 0
+    assert np.array_equal(s1.model.U, s2.model.U)
+    assert np.array_equal(s1.model.V, s2.model.V)
+    assert np.array_equal(s1.weights.alpha, s2.weights.alpha)
+    assert np.array_equal(s1.weights.beta, s2.weights.beta)
+    assert np.array_equal(s1.weights.w, s2.weights.w)
+    assert s1.j_trace == s2.j_trace

@@ -13,6 +13,7 @@ from hetecf import (
     load_model,
     save_model,
 )
+from hetecf.learner import build_problem
 from hetecf.metapath import SimilarityMatrix
 from hetecf.model import (
     LaplacianSet,
@@ -24,7 +25,6 @@ from hetecf.model import (
     objective,
     rating_counts,
     trace_quad,
-    weight_objective,
 )
 
 from conftest import random_instance, random_symmetric_similarity
@@ -318,8 +318,9 @@ def test_objective_names_overflowing_regularizer():
 
 
 def test_weight_objective_tracks_full_objective_differences():
-    # the weight phase minimizes a reduced objective; its differences in the
-    # weight variables must equal those of the full objective
+    # the weight phase values its candidates in closed form at the frozen
+    # factors; its differences in the weight variables must equal those of
+    # the full objective
     rng = np.random.default_rng(30)
     ratings, rels, hp = random_instance(rng)
     model = FactorModel(
@@ -332,9 +333,9 @@ def test_weight_objective_tracks_full_objective_differences():
     dJ = objective(model, w1, ratings, rels, hp, laps, mu) - objective(
         model, w2, ratings, rels, hp, laps, mu
     )
-    dJw = weight_objective(model, w1, rels, hp, laps, mu) - weight_objective(
-        model, w2, rels, hp, laps, mu
-    )
+    problem = build_problem(ratings, rels, hp)
+    point = problem.evaluate(model)
+    dJw = problem.value(point, w1) - problem.value(point, w2)
     assert dJ == pytest.approx(dJw, rel=1e-9, abs=1e-12)
 
 
