@@ -1,20 +1,20 @@
 """Command-line interface.
 
-Subcommands: validate, similarity, train, evaluate, benchmark, predict.
+Subcommands: validate, train, evaluate, benchmark, predict.
 Every subcommand accepts ``--config <file.json>`` supplying defaults for
-its flags; explicit flags override the config file.  Exit codes:
+its flags; explicit flags override the config file, and keys no
+subcommand reads (such as ``cache_dir``) are ignored.  Exit codes:
 0 success, 2 invalid input (files, schema, paths, arguments, model
 files), 3 numerical failure (divergence or non-finite objective).  Any
 other exception is an internal error and propagates.
 
-Output artifacts (model files, caches, CSVs) are written atomically via
+Output artifacts (model files, CSVs) are written atomically via
 a temporary file and rename.
 """
 
 import argparse
 import json
 import logging
-import os
 import sys
 
 import numpy as np
@@ -136,42 +136,19 @@ def cmd_validate(args):
     return EXIT_OK
 
 
-def cmd_similarity(args):
-    cfg = _load_config(args.config)
-    graph = _load_graph_from(args, cfg)
-    groups = metapath.load_path_spec(_require(args, cfg, "paths"), graph.schema)
-    variant = _setting(args, cfg, "variant", "rowcol")
-    cache_dir = _require(args, cfg, "cache_dir")
-    os.makedirs(cache_dir, exist_ok=True)
-    ghash = content_hash(graph)
-    for group, paths in (
-        ("UU", groups.user_user),
-        ("II", groups.item_item),
-        ("UI", groups.user_item),
-    ):
-        for k, path in enumerate(paths):
-            sim, status = metapath.cached_similarity(
-                graph, group, k, path, variant, cache_dir, ghash
-            )
-            fname = metapath.cache_file(cache_dir, group, k, path, variant)
-            print(f"{status}\t{fname}\t{path.to_string()}\t({sim.matrix.nnz} entries)")
-    return EXIT_OK
-
-
 def _prepare_training(args, cfg):
     graph = _load_graph_from(args, cfg)
     groups = metapath.load_path_spec(_require(args, cfg, "paths"), graph.schema)
     target = metapath.parse_path(_require(args, cfg, "target_path"), graph.schema)
     variant = _setting(args, cfg, "variant", "rowcol")
-    cache_dir = _setting(args, cfg, "cache_dir")
     ratings = derive_ratings(graph, target, variant=variant)
-    rels = metapath.build_relation_set(graph, groups, variant=variant,
-                                       cache_dir=cache_dir)
+    rels = metapath.build_relation_set(graph, groups, variant=variant)
     return graph, groups, ratings, rels
 
 
 def cmd_train(args):
     cfg = _load_config(args.config)
+    model_out = _require(args, cfg, "model_out")
     graph, groups, ratings, rels = _prepare_training(args, cfg)
     hp = _hyperparams(args, cfg)
     optimizer = _setting(args, cfg, "optimizer", "batch")
@@ -184,7 +161,6 @@ def cmd_train(args):
         ratings.n, ratings.m, ratings.nnz, effective_mu(hp, ratings), hp.d,
     )
     state = learner.train(ratings, rels, hp, optimizer=optimizer)
-    model_out = _require(args, cfg, "model_out")
     save_model(model_out, state.model, state.weights, hp, content_hash(graph))
     print(
         f"trained {state.outer_iters} outer iterations "
@@ -332,14 +308,6 @@ def build_parser():
     _add_graph_flags(p)
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("similarity", help="compute and cache similarity matrices")
-    p.add_argument("--config")
-    _add_graph_flags(p)
-    p.add_argument("--paths", help="meta-path set file (UU:/II:/UI: lines)")
-    p.add_argument("--variant", choices=["rowcol", "diagonal"])
-    p.add_argument("--cache-dir", dest="cache_dir")
-    p.set_defaults(func=cmd_similarity)
-
     p = sub.add_parser("train", help="train a model and write it to disk")
     p.add_argument("--config")
     _add_graph_flags(p)
@@ -347,7 +315,6 @@ def build_parser():
     p.add_argument("--target-path", dest="target_path",
                    help="user->item meta-path whose similarities are the ratings")
     p.add_argument("--variant", choices=["rowcol", "diagonal"])
-    p.add_argument("--cache-dir", dest="cache_dir")
     p.add_argument("--model-out", dest="model_out")
     p.add_argument("--log-out", dest="log_out", help="training log CSV")
     p.add_argument("--weights-out", dest="weights_out", help="weight report CSV")
@@ -361,7 +328,6 @@ def build_parser():
     p.add_argument("--paths")
     p.add_argument("--target-path", dest="target_path")
     p.add_argument("--variant", choices=["rowcol", "diagonal"])
-    p.add_argument("--cache-dir", dest="cache_dir")
     p.add_argument("--methods", help="comma list from: " + ",".join(evaluate_mod.METHODS))
     p.add_argument("--fractions", help="comma list of training fractions")
     p.add_argument("--d-values", dest="d_values", help="comma list of dimensions")

@@ -25,6 +25,7 @@ edges file
 """
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -173,7 +174,7 @@ class _Assembler:
                     line,
                 )
         weight = float(weight)
-        if not np.isfinite(weight) or weight < 0:
+        if not math.isfinite(weight) or weight < 0:
             raise GraphFormatError(
                 f"edge {src!r} -> {dst!r} has invalid weight {weight!r}", path, line
             )
@@ -344,20 +345,28 @@ def adjacency(graph, relation, transposed=False):
 
 
 def content_hash(graph):
-    """Order-independent sha256 of schema, node tables, and weighted edges."""
+    """sha256 of the schema, the node tables and the weighted edges.
+
+    Each type's ids are hashed as their lengths (in characters) followed
+    by their UTF-8 concatenation, which the lengths split unambiguously.
+    Each relation is hashed from the arrays of a canonical CSR copy
+    (duplicates summed, indices sorted, little-endian int64/float64), so
+    the hash ignores edge order and never modifies ``graph.matrices``.
+    """
     h = hashlib.sha256()
     h.update(repr(graph.schema).encode())
     for t in graph.schema.node_types:
-        for nid in graph.node_ids[t]:
-            h.update(f"n\t{t}\t{nid}\n".encode())
+        ids = graph.node_ids[t]
+        h.update(f"n\t{t}\t{len(ids)}\n".encode())
+        h.update(np.fromiter(map(len, ids), dtype="<i8", count=len(ids)).tobytes())
+        h.update("".join(ids).encode())
     for r in graph.schema.relations:
-        coo = graph.matrices[r.name].tocoo()
-        order = np.lexsort((coo.col, coo.row))
-        for k in order:
-            h.update(
-                f"e\t{r.name}\t{coo.row[k]}\t{coo.col[k]}\t"
-                f"{float(coo.data[k])!r}\n".encode()
-            )
+        m = sp.csr_array(graph.matrices[r.name], copy=True)
+        m.sum_duplicates()
+        m.sort_indices()
+        h.update(f"e\t{r.name}\t{m.shape[0]}\t{m.shape[1]}\t{m.nnz}\n".encode())
+        for arr, dtype in ((m.indptr, "<i8"), (m.indices, "<i8"), (m.data, "<f8")):
+            h.update(np.ascontiguousarray(arr, dtype=dtype).tobytes())
     return h.hexdigest()
 
 

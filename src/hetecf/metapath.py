@@ -12,25 +12,17 @@ where an arrow is either ``-rel->`` (follow relation ``rel`` forward) or
 A path-set file groups one path per line under ``UU:`` (user-user),
 ``II:`` (item-item) or ``UI:`` (user-item) prefixes.
 
-Similarity cache files are plain text: header lines ``#hetecf-sim 1``,
-``#graph <sha256>``, ``#group <UU|II|UI>``, ``#path <path string>``,
-``#variant <rowcol|diagonal>``, ``#shape <rows> <cols>`` followed by one
-``row\\tcol\\tvalue`` triple per stored entry.
+Similarity matrices are recomputed on every call; counting and
+normalizing every path costs less than reading any on-disk copy.
 """
 
-import hashlib
-import logging
-import os
 import re
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import adjacency, content_hash
-from .model import atomic_write_bytes
-
-log = logging.getLogger(__name__)
+from .graph import adjacency
 
 _FORWARD = re.compile(r"-([A-Za-z_]\w*)->")
 _BACKWARD = re.compile(r"<-([A-Za-z_]\w*)-")
@@ -308,14 +300,13 @@ def _symmetrize(mat):
     return sp.csr_array((mat + mat.T) * 0.5)
 
 
-def build_relation_set(graph, groups, variant="rowcol", cache_dir=None):
-    """Compute (or load cached) similarity matrices for every declared path.
+def build_relation_set(graph, groups, variant="rowcol"):
+    """Compute the similarity matrix of every declared path.
 
     User-user and item-item matrices are symmetrized (S + S^T)/2 so the
     graph regularizer sees exactly symmetric input regardless of float
     round-off or non-palindromic paths.
     """
-    ghash = content_hash(graph) if cache_dir is not None else None
     out = {}
     for group, paths in (
         ("UU", groups.user_user),
@@ -323,118 +314,10 @@ def build_relation_set(graph, groups, variant="rowcol", cache_dir=None):
         ("UI", groups.user_item),
     ):
         sims = []
-        for k, path in enumerate(paths):
-            sim, _ = cached_similarity(
-                graph, group, k, path, variant, cache_dir, ghash
-            )
+        for path in paths:
+            sim = pathsim(path_count(graph, path), variant=variant)
+            if group in ("UU", "II"):
+                sim = SimilarityMatrix(sim.path, sim.variant, _symmetrize(sim.matrix))
             sims.append(sim)
         out[group] = sims
     return RelationSet(out["UU"], out["II"], out["UI"])
-
-
-def cached_similarity(graph, group, k, path, variant, cache_dir=None, ghash=None):
-    """One similarity matrix, via the on-disk cache when possible.
-
-    Returns (sim, status) where status is "cached" when a valid up-to-date
-    cache file was reused and "computed" otherwise.  Computed user-user and
-    item-item matrices are symmetrized before caching.
-    """
-    if cache_dir is not None:
-        if ghash is None:
-            ghash = content_hash(graph)
-        sim = _load_cached(cache_dir, graph, group, k, path, variant, ghash)
-        if sim is not None:
-            return sim, "cached"
-    sim = pathsim(path_count(graph, path), variant=variant)
-    if group in ("UU", "II"):
-        sim = SimilarityMatrix(sim.path, sim.variant, _symmetrize(sim.matrix))
-    if cache_dir is not None:
-        write_similarity(
-            cache_file(cache_dir, group, k, path, variant), sim, group, ghash
-        )
-    return sim, "computed"
-
-
-def cache_file(cache_dir, group, k, path, variant):
-    slug = hashlib.sha1(f"{path.to_string()}|{variant}".encode()).hexdigest()[:10]
-    return os.path.join(cache_dir, f"{group.lower()}{k:02d}_{slug}.sim")
-
-
-def write_similarity(path, sim, group, graph_hash):
-    """Atomically write one similarity matrix in the documented cache format."""
-    coo = sp.coo_array(sim.matrix)
-    lines = [
-        "#hetecf-sim 1",
-        f"#graph {graph_hash}",
-        f"#group {group}",
-        f"#path {sim.path.to_string()}",
-        f"#variant {sim.variant}",
-        f"#shape {coo.shape[0]} {coo.shape[1]}",
-    ]
-    order = np.lexsort((coo.col, coo.row))
-    for i in order:
-        lines.append(f"{coo.row[i]}\t{coo.col[i]}\t{float(coo.data[i])!r}")
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("utf-8"))
-
-
-def read_similarity(path, schema):
-    """Parse a cache file; raises PathSpecError on any corruption."""
-    header = {}
-    rows, cols, vals = [], [], []
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise PathSpecError(f"unreadable cache: {exc}", path) from exc
-    if not lines or lines[0] != "#hetecf-sim 1":
-        raise PathSpecError("missing cache signature", path)
-    for line in lines[1:]:
-        if line.startswith("#"):
-            key, _, value = line[1:].partition(" ")
-            header[key] = value
-            continue
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise PathSpecError(f"malformed triple {line!r}", path)
-        try:
-            rows.append(int(fields[0]))
-            cols.append(int(fields[1]))
-            vals.append(float(fields[2]))
-        except ValueError as exc:
-            raise PathSpecError(f"malformed triple {line!r}", path) from exc
-    for key in ("graph", "group", "path", "variant", "shape"):
-        if key not in header:
-            raise PathSpecError(f"cache header missing {key!r}", path)
-    try:
-        shape = tuple(int(x) for x in header["shape"].split())
-        assert len(shape) == 2
-    except (ValueError, AssertionError):
-        raise PathSpecError(f"malformed shape {header['shape']!r}", path) from None
-    try:
-        mpath = parse_path(header["path"], schema)
-        mat = sp.csr_array(
-            (np.asarray(vals, dtype=np.float64), (rows, cols)), shape=shape
-        )
-    except (PathError, ValueError, TypeError) as exc:
-        raise PathSpecError(f"corrupt cache body: {exc}", path) from exc
-    return header, SimilarityMatrix(mpath, header["variant"], mat)
-
-
-def _load_cached(cache_dir, graph, group, k, path, variant, ghash):
-    fname = cache_file(cache_dir, group, k, path, variant)
-    if not os.path.exists(fname):
-        return None
-    try:
-        header, sim = read_similarity(fname, graph.schema)
-    except PathSpecError as exc:
-        log.warning("discarding corrupt similarity cache %s (%s)", fname, exc)
-        return None
-    if (
-        header["graph"] != ghash
-        or header["path"] != path.to_string()
-        or header["variant"] != variant
-        or header["group"] != group
-    ):
-        return None
-    return sim

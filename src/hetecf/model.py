@@ -27,7 +27,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit
 
-MODEL_FORMAT_VERSION = 1
+# Version 2: the header's graph_hash is taken from the CSR arrays.
+MODEL_FORMAT_VERSION = 2
 
 
 class NumericalError(RuntimeError):

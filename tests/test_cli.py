@@ -85,50 +85,6 @@ def test_validate_via_config(tmp_path, capsys):
     assert "Conf: 3 nodes" in capsys.readouterr().out
 
 
-# --------------------------------------------------------------- similarity
-
-
-def sim_argv(cache_dir):
-    return [
-        "similarity", *GRAPH_FLAGS,
-        "--paths", str(SAMPLE / "paths.txt"),
-        "--cache-dir", str(cache_dir),
-    ]
-
-
-def statuses(out):
-    return [line.split("\t")[0] for line in out.strip().splitlines()]
-
-
-def test_similarity_computes_then_caches(tmp_path, capsys):
-    cache = tmp_path / "cache"
-    assert main(sim_argv(cache)) == 0
-    first = capsys.readouterr().out
-    assert statuses(first) == ["computed"] * 5  # 2 UU + 2 II + 1 UI
-    assert len(list(cache.iterdir())) == 5
-    assert main(sim_argv(cache)) == 0
-    second = capsys.readouterr().out
-    assert statuses(second) == ["cached"] * 5
-
-
-def test_similarity_recomputes_corrupt_cache(tmp_path, capsys):
-    cache = tmp_path / "cache"
-    assert main(sim_argv(cache)) == 0
-    capsys.readouterr()
-    victim = sorted(cache.iterdir())[0]
-    victim.write_text("not a cache file\n")
-    assert main(sim_argv(cache)) == 0
-    got = statuses(capsys.readouterr().out)
-    assert got.count("computed") == 1 and got.count("cached") == 4
-
-
-def test_similarity_missing_cache_dir_flag(tmp_path):
-    rc = main([
-        "similarity", *GRAPH_FLAGS, "--paths", str(SAMPLE / "paths.txt"),
-    ])
-    assert rc == 2
-
-
 # -------------------------------------------------------------------- train
 
 
@@ -168,15 +124,24 @@ def test_train_deterministic_model_bytes(tmp_path):
     assert a.read_bytes() != c.read_bytes()
 
 
-def test_train_uses_similarity_cache(tmp_path, capsys):
+def test_train_ignores_config_cache_dir(tmp_path):
     cache = tmp_path / "cache"
-    rc = main(train_flags(tmp_path, ["--cache-dir", str(cache)]))
-    assert rc == 0
-    assert len(list(cache.iterdir())) == 5
-    capsys.readouterr()
-    # second run hits the cache and trains to the same bytes
-    rc = main(train_flags(tmp_path, ["--cache-dir", str(cache)]))
-    assert rc == 0
+    models = []
+    for name in ("a.npz", "b.npz"):
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps({
+            "nodes": str(SAMPLE / "nodes.tsv"),
+            "edges": str(SAMPLE / "edges.tsv"),
+            "schema": str(SAMPLE / "schema.txt"),
+            "paths": str(SAMPLE / "paths.txt"),
+            "target_path": TARGET,
+            "cache_dir": str(cache),
+            "model_out": str(tmp_path / name),
+        }))
+        assert main(["train", "--config", str(cfg), *FAST]) == 0
+        models.append((tmp_path / name).read_bytes())
+    assert models[0] == models[1]
+    assert not cache.exists()
 
 
 def test_train_mu_flag_recorded(tmp_path):
@@ -193,7 +158,11 @@ def test_train_sgd_optimizer(tmp_path):
     assert np.all(np.isfinite(model.U))
 
 
-def test_train_missing_model_out(tmp_path, caplog):
+def test_train_missing_model_out(tmp_path, monkeypatch, caplog):
+    def must_not_train(*args, **kwargs):
+        pytest.fail("trained before checking for model_out")
+
+    monkeypatch.setattr("hetecf.learner.train", must_not_train)
     argv = [
         "train", *GRAPH_FLAGS, "--paths", str(SAMPLE / "paths.txt"),
         "--target-path", TARGET, *FAST,

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import hetecf as h
 from hetecf import GraphFormatError, RatingMatrix, RatingMatrixError, SchemaError
@@ -223,6 +224,39 @@ def test_content_hash_ignores_edge_order(tmp_path, biblio_schema):
     g1 = h.build_graph(biblio_schema, nodes, edges)
     g2 = h.build_graph(biblio_schema, nodes, list(reversed(edges)))
     assert h.content_hash(g1) == h.content_hash(g2)
+
+
+def test_content_hash_sees_one_ulp_weight_change(biblio_schema):
+    nodes = [("a1", "Author"), ("p1", "Paper"), ("p2", "Paper"), ("c1", "Conf")]
+    w = 0.3
+    g1 = h.build_graph(biblio_schema, nodes, [("a1", "p1", "writes", w),
+                                              ("a1", "p2", "writes")])
+    g2 = h.build_graph(biblio_schema, nodes, [("a1", "p1", "writes", np.nextafter(w, 1.0)),
+                                              ("a1", "p2", "writes")])
+    assert h.content_hash(g1) != h.content_hash(g2)
+
+
+def test_content_hash_canonicalizes_a_copy(biblio_schema):
+    nodes = [("a1", "Author"), ("p1", "Paper"), ("p2", "Paper"), ("c1", "Conf")]
+    g = h.build_graph(biblio_schema, nodes, [("a1", "p1", "writes"), ("a1", "p2", "writes")])
+    want = h.content_hash(g)
+    unsorted = sp.csr_array(([1.0, 1.0], [1, 0], [0, 2]), shape=(1, 2))
+    g.matrices["writes"] = unsorted
+    assert h.content_hash(g) == want
+    assert unsorted.indices.tolist() == [1, 0]
+
+
+def test_content_hash_sees_renamed_node(biblio_schema):
+    edges = [("a1", "p1", "writes")]
+    g1 = h.build_graph(biblio_schema, [("a1", "Author"), ("p1", "Paper"), ("c1", "Conf")], edges)
+    g2 = h.build_graph(biblio_schema, [("a1", "Author"), ("p1", "Paper"), ("c2", "Conf")], edges)
+    assert h.content_hash(g1) != h.content_hash(g2)
+    # the same characters split differently between two ids
+    split = [("a1", "Author"), ("p1", "Paper"), ("c", "Conf"), ("é1", "Conf")]
+    moved = [("a1", "Author"), ("p1", "Paper"), ("cé", "Conf"), ("1", "Conf")]
+    assert h.content_hash(h.build_graph(biblio_schema, split, edges)) != h.content_hash(
+        h.build_graph(biblio_schema, moved, edges)
+    )
 
 
 # ---------------------------------------------------------------- ratings

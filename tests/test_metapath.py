@@ -1,4 +1,4 @@
-"""Meta-paths: parsing, reversal, path counting, PathSim, spec files, cache."""
+"""Meta-paths: parsing, reversal, path counting, PathSim, spec files."""
 
 import numpy as np
 import pytest
@@ -7,16 +7,11 @@ import scipy.sparse as sp
 import hetecf as h
 from hetecf import PathError, PathSpecError
 from hetecf.metapath import (
-    SimilarityMatrix,
     build_relation_set,
-    cache_file,
-    cached_similarity,
     load_path_spec,
     parse_path_spec,
     path_count,
     pathsim,
-    read_similarity,
-    write_similarity,
 )
 
 from oracles import dfs_path_count, naive_pathsim
@@ -416,70 +411,3 @@ def test_build_relation_set_counts_and_symmetry(toy_graph, biblio_schema):
         assert m.shape == (size, size)
         assert np.array_equal(m, m.T)
     assert rels.user_item[0].matrix.shape == (3, 2)
-
-
-# -------------------------------------------------------------------- cache
-
-
-def test_similarity_cache_round_trip(tmp_path, toy_graph, biblio_schema):
-    p = h.parse_path("Author -writes-> Paper <-writes- Author", biblio_schema)
-    cache = str(tmp_path / "cache")
-    sim1, status1 = cached_similarity(toy_graph, "UU", 0, p, "rowcol", cache)
-    assert status1 == "computed"
-    sim2, status2 = cached_similarity(toy_graph, "UU", 0, p, "rowcol", cache)
-    assert status2 == "cached"
-    assert (sim1.matrix != sim2.matrix).nnz == 0
-    assert sim2.path == p and sim2.variant == "rowcol"
-
-
-def test_cache_miss_on_graph_change(tmp_path, biblio_schema):
-    nodes = [("a1", "Author"), ("a2", "Author"), ("p1", "Paper"), ("c1", "Conf")]
-    g1 = h.build_graph(biblio_schema, nodes, [("a1", "p1", "writes")])
-    g2 = h.build_graph(
-        biblio_schema, nodes, [("a1", "p1", "writes"), ("a2", "p1", "writes")]
-    )
-    p = h.parse_path("Author -writes-> Paper <-writes- Author", biblio_schema)
-    cache = str(tmp_path / "cache")
-    cached_similarity(g1, "UU", 0, p, "rowcol", cache)
-    sim, status = cached_similarity(g2, "UU", 0, p, "rowcol", cache)
-    assert status == "computed"
-    assert sim.matrix[0, 1] > 0
-
-
-def test_corrupt_cache_recomputed_with_warning(tmp_path, toy_graph, biblio_schema, caplog):
-    p = h.parse_path("Author -writes-> Paper <-writes- Author", biblio_schema)
-    cache = str(tmp_path / "cache")
-    cached_similarity(toy_graph, "UU", 0, p, "rowcol", cache)
-    fname = cache_file(cache, "UU", 0, p, "rowcol")
-    with open(fname, "w") as fh:
-        fh.write("garbage\n")
-    with caplog.at_level("WARNING", logger="hetecf.metapath"):
-        sim, status = cached_similarity(toy_graph, "UU", 0, p, "rowcol", cache)
-    assert status == "computed"
-    assert "corrupt" in caplog.text
-    assert sim.matrix[0, 1] == pytest.approx(0.4)
-
-
-def test_read_similarity_rejects_truncated_triples(tmp_path, toy_graph, biblio_schema):
-    p = h.parse_path("Author -writes-> Paper <-writes- Author", biblio_schema)
-    cache = str(tmp_path / "cache")
-    sim, _ = cached_similarity(toy_graph, "UU", 0, p, "rowcol", cache)
-    fname = cache_file(cache, "UU", 0, p, "rowcol")
-    text = open(fname).read().splitlines()
-    text[-1] = "0\t1"  # drop the value field
-    with open(fname, "w") as fh:
-        fh.write("\n".join(text) + "\n")
-    with pytest.raises(PathSpecError, match="malformed triple"):
-        read_similarity(fname, biblio_schema)
-
-
-def test_write_similarity_exact_round_trip(tmp_path, toy_graph, biblio_schema):
-    p = h.parse_path("Author -writes-> Paper <-writes- Author", biblio_schema)
-    sim = pathsim(path_count(toy_graph, p), variant="rowcol")
-    fname = str(tmp_path / "one.sim")
-    write_similarity(fname, sim, "UU", "dummyhash")
-    header, back = read_similarity(fname, biblio_schema)
-    assert header["graph"] == "dummyhash"
-    assert back.variant == "rowcol"
-    # repr round trip keeps every float bit-exact
-    assert (back.matrix != sim.matrix).nnz == 0

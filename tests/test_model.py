@@ -16,6 +16,7 @@ from hetecf import (
 from hetecf.learner import build_problem
 from hetecf.metapath import SimilarityMatrix
 from hetecf.model import (
+    MODEL_FORMAT_VERSION,
     LaplacianSet,
     effective_mu,
     laplacian,
@@ -355,7 +356,7 @@ def test_save_load_round_trip_bit_exact(tmp_path):
     assert np.array_equal(w2.beta, weights.beta)
     assert np.array_equal(w2.w, weights.w)
     assert header["graph_hash"] == "abc123"
-    assert header["format_version"] == 1
+    assert header["format_version"] == 2
     assert header["hyperparams"]["lam"] == 0.02
     assert (header["n"], header["m"], header["d"]) == (4, 5, 3)
 
@@ -380,7 +381,7 @@ def test_load_model_rejects_inconsistent_header(tmp_path):
 
     f = str(tmp_path / "m.npz")
     header = {
-        "format_version": 1, "n": 7, "m": 1, "d": 1,
+        "format_version": MODEL_FORMAT_VERSION, "n": 7, "m": 1, "d": 1,
         "n_user_paths": 0, "n_item_paths": 0, "n_cross_paths": 0,
         "hyperparams": {}, "graph_hash": "",
     }
