@@ -55,55 +55,47 @@ def split(ratings, spec, trial):
     return ratings.subset(mask), ratings.subset(~mask)
 
 
-def mae(predicted, actual):
+def _checked_pair(predicted, actual):
+    """Both as float64 arrays of one shape, which must be nonempty."""
     predicted = np.asarray(predicted, dtype=np.float64)
     actual = np.asarray(actual, dtype=np.float64)
     if predicted.shape != actual.shape:
         raise ValueError(f"shape mismatch {predicted.shape} vs {actual.shape}")
     if predicted.size == 0:
         raise ValueError("empty prediction list")
+    return predicted, actual
+
+
+def mae(predicted, actual):
+    predicted, actual = _checked_pair(predicted, actual)
     return float(np.mean(np.abs(predicted - actual)))
 
 
 def rmse(predicted, actual):
-    predicted = np.asarray(predicted, dtype=np.float64)
-    actual = np.asarray(actual, dtype=np.float64)
-    if predicted.shape != actual.shape:
-        raise ValueError(f"shape mismatch {predicted.shape} vs {actual.shape}")
-    if predicted.size == 0:
-        raise ValueError("empty prediction list")
+    predicted, actual = _checked_pair(predicted, actual)
     return float(np.sqrt(np.mean((predicted - actual) ** 2)))
 
 
-class UserMeanPredictor:
-    """Predicts each user's training-mean rating; cold users fall back to
-    the global mean, and an empty training set to 0.5."""
+class MeanPredictor:
+    """Predicts each user's (``axis="user"``) or each item's (``axis="item"``)
+    training-mean rating; unseen ones fall back to the global mean, and an
+    empty training set to 0.5."""
 
-    def __init__(self, train):
+    def __init__(self, train, axis):
+        if axis not in ("user", "item"):
+            raise ValueError(f"unknown axis {axis!r}; known: user, item")
+        self.axis = axis
+        keys, size = (train.rows, train.n) if axis == "user" else (train.cols, train.m)
         self.global_mean = float(train.vals.mean()) if train.nnz else 0.5
-        sums = np.bincount(train.rows, weights=train.vals, minlength=train.n)
-        counts = np.bincount(train.rows, minlength=train.n)
-        self.means = np.full(train.n, self.global_mean)
+        sums = np.bincount(keys, weights=train.vals, minlength=size)
+        counts = np.bincount(keys, minlength=size)
+        self.means = np.full(size, self.global_mean)
         seen = counts > 0
         self.means[seen] = sums[seen] / counts[seen]
 
     def predict(self, users, items):
-        return self.means[np.asarray(users, dtype=np.int64)]
-
-
-class ItemMeanPredictor:
-    """Per-item training means with the same fallbacks as UserMeanPredictor."""
-
-    def __init__(self, train):
-        self.global_mean = float(train.vals.mean()) if train.nnz else 0.5
-        sums = np.bincount(train.cols, weights=train.vals, minlength=train.m)
-        counts = np.bincount(train.cols, minlength=train.m)
-        self.means = np.full(train.m, self.global_mean)
-        seen = counts > 0
-        self.means[seen] = sums[seen] / counts[seen]
-
-    def predict(self, users, items):
-        return self.means[np.asarray(items, dtype=np.int64)]
+        keys = users if self.axis == "user" else items
+        return self.means[np.asarray(keys, dtype=np.int64)]
 
 
 class NMFPredictor:
@@ -165,9 +157,9 @@ class HeteCFPredictor:
 
 def fit_method(method, train, rels, hp, trial_seed):
     if method == "user_mean":
-        return UserMeanPredictor(train)
+        return MeanPredictor(train, "user")
     if method == "item_mean":
-        return ItemMeanPredictor(train)
+        return MeanPredictor(train, "item")
     if method == "nmf":
         return NMFPredictor(train, hp.d, seed=trial_seed)
     if method == "hete_cf":

@@ -1,6 +1,8 @@
 """Typed heterogeneous graph: schema, ingestion, adjacency, and rating matrices.
 
-File formats (all UTF-8, ``#`` starts a comment, blank lines ignored):
+File formats (all UTF-8, ``#`` starts a comment, blank lines ignored;
+nodes and edges fields are tab-separated and stripped of surrounding
+whitespace):
 
 schema file
     ``nodetype <TypeName> [user|item]`` declares a node type, optionally
@@ -22,11 +24,18 @@ edges file
     representable when the relation is declared over a single type
     (e.g. user-user friendship); for cross-type relations it is rejected
     as a type mismatch.
+
+The nodes and edges files are read ``BLOCK_LINES`` lines at a time, and
+each block is checked with array masks.  The first bad record in file
+order raises a ``GraphFormatError`` naming its ``file:line``.  An empty
+node id, node type, edge endpoint or relation is an error.
+``build_graph`` runs the same checks on in-memory records.
 """
 
 import hashlib
 import math
 from dataclasses import dataclass, field
+from itertools import chain, compress, islice, repeat
 
 import numpy as np
 import scipy.sparse as sp
@@ -137,94 +146,265 @@ class HeteroGraph:
         return "\n".join(lines)
 
 
-class _Assembler:
-    """Shared incremental construction with optional file/line context."""
+# Lines parsed at once.  It bounds the text and arrays alive per block: with
+# 8192, a whole ``bench/run.py`` run peaked 2-4 MB higher than with 2048,
+# and ingest ran no faster.
+BLOCK_LINES = 2048
+
+
+class _Block:
+    """Records of one block, as a flat field list plus per-record offsets.
+
+    ``flat`` holds every field of every record in order, followed by
+    padding, so that ``flat[start[r] + c]`` is field ``c`` of record ``r``
+    when the record has more than ``c`` fields (and some other field or
+    padding when it has not).  ``strip`` says whether fields carry
+    surrounding whitespace that ingest removes (text files do).
+    """
+
+    def __init__(self, flat, count, lines, strip):
+        self.flat = flat
+        self.count = count
+        self.start = np.cumsum(count) - count
+        self.lines = lines
+        self.strip = strip
+        flat.extend([""] * 4)
+
+    @classmethod
+    def read(cls, fh, first_line):
+        """The next BLOCK_LINES lines of ``fh``, or None at its end.
+
+        Blank and ``#`` lines are dropped.  The raw lines are released
+        before the fields are split, to keep the block's peak memory low.
+        """
+        raw = list(islice(fh, BLOCK_LINES))
+        if not raw:
+            return None
+        keep = ~np.fromiter(map(str.isspace, raw), bool, len(raw))
+        keep &= ~np.fromiter(
+            map(str.startswith, map(str.lstrip, raw), repeat("#")), bool, len(raw)
+        )
+        if not keep.all():
+            raw = list(compress(raw, keep.tolist()))
+        tabs = np.fromiter(map(str.count, raw, repeat("\t")), np.intp, len(raw))
+        text = "\t".join(raw)
+        del raw
+        return cls(text.split("\t"), tabs + 1, first_line + np.flatnonzero(keep), strip=True)
+
+    @classmethod
+    def from_records(cls, records, ids):
+        """Block from in-memory tuples whose first ``ids`` fields are node ids."""
+        records = [tuple(map(str, r[:ids])) + tuple(r[ids:]) for r in records]
+        count = np.fromiter(map(len, records), np.intp, len(records))
+        return cls(list(chain.from_iterable(records)), count, None, strip=False)
+
+    def column(self, c, rows=None):
+        """Iterator over field ``c`` of every record, or of the records in ``rows``."""
+        at = self.start if rows is None else self.start[rows]
+        values = map(self.flat.__getitem__, (at + c).tolist())
+        return map(str.strip, values) if self.strip else values
+
+    def fields(self, r):
+        """All fields of record ``r``."""
+        begin = int(self.start[r])
+        values = self.flat[begin:begin + int(self.count[r])]
+        return [f.strip() for f in values] if self.strip else values
+
+    def line(self, r):
+        return None if self.lines is None else int(self.lines[r])
+
+
+def _float_or_nan(text):
+    try:
+        return float(text)
+    except (TypeError, ValueError):
+        return math.nan
+
+
+class _Ingest:
+    """Columnar graph assembly: every check runs as a mask over a block.
+
+    Nodes are numbered globally in file order; ``_node_type`` and
+    ``_node_local`` give each one's type code and index within its type.
+    No empty string is ever a node id, type or relation here, so an empty
+    field fails the same lookups as an unknown one.  When a block fails a
+    check, ``_record_error`` re-checks its first failing record alone and
+    builds the error that names it.
+    """
 
     def __init__(self, schema):
         self.schema = schema
         self.ids = {t: [] for t in schema.node_types}
-        self.index = {}
-        self.edges = {r.name: ([], [], []) for r in schema.relations}
+        self._number = {}  # node id -> global node number, in file order
+        self._type_code = {t: k for k, t in enumerate(schema.node_types) if t}
+        self._rel_code = {r.name: k for k, r in enumerate(schema.relations) if r.name}
+        # a trailing -2 answers code -1 (unknown), so masks need no guards
+        types = schema.node_types
+        self._rel_source = np.array(
+            [types.index(r.source) for r in schema.relations] + [-2], np.intp
+        )
+        self._rel_target = np.array(
+            [types.index(r.target) for r in schema.relations] + [-2], np.intp
+        )
+        self._node_type = [np.empty(0, np.intp)]
+        self._node_local = [np.empty(0, np.intp)]
+        # per relation: (source index, target index, weight) arrays, in file order
+        self._edges = [[(np.empty(0, np.intp),) * 2 + (np.empty(0),)]
+                       for _ in schema.relations]
 
-    def add_node(self, node_id, node_type, path=None, line=None):
-        if node_type not in self.schema.node_types:
-            raise GraphFormatError(
-                f"node {node_id!r} has undeclared type {node_type!r}", path, line
-            )
-        if node_id in self.index:
-            raise GraphFormatError(f"duplicate node id {node_id!r}", path, line)
-        self.index[node_id] = (node_type, len(self.ids[node_type]))
-        self.ids[node_type].append(node_id)
+    def _nodes(self):
+        """(type code per global node, with a trailing -1; local index)."""
+        return (np.append(np.concatenate(self._node_type), -1),
+                np.concatenate(self._node_local))
 
-    def add_edge(self, src, dst, relation, weight=1.0, path=None, line=None):
-        if relation not in self.edges:
-            raise GraphFormatError(f"unknown relation {relation!r}", path, line)
-        rel = self.schema.relation(relation)
-        for nid, want, role in ((src, rel.source, "source"), (dst, rel.target, "target")):
-            if nid not in self.index:
-                raise GraphFormatError(
-                    f"edge references unknown node id {nid!r}", path, line
-                )
-            got = self.index[nid][0]
-            if got != want:
-                raise GraphFormatError(
-                    f"edge {src!r} -> {dst!r} via {relation!r}: {role} node "
-                    f"{nid!r} has type {got!r}, expected {want!r}",
-                    path,
-                    line,
-                )
-        weight = float(weight)
-        if not math.isfinite(weight) or weight < 0:
-            raise GraphFormatError(
-                f"edge {src!r} -> {dst!r} has invalid weight {weight!r}", path, line
+    def _register(self, ids, codes):
+        g0 = len(self._number)
+        self._number.update(zip(ids, range(g0, g0 + len(ids))))
+        local = np.empty(len(ids), np.intp)
+        for k, t in enumerate(self.schema.node_types):
+            mask = codes == k
+            local[mask] = len(self.ids[t]) + np.arange(np.count_nonzero(mask))
+            self.ids[t].extend(compress(ids, mask.tolist()))
+        self._node_type.append(codes)
+        self._node_local.append(local)
+
+    def add_nodes(self, block, path=None):
+        n = block.count.size
+        ids = list(block.column(0))
+        codes = np.fromiter(
+            map(self._type_code.get, block.column(1), repeat(-1)), np.intp, n
+        )
+        bad = (block.count != 2) | (codes < 0)
+        bad |= np.fromiter(map(self._number.__contains__, ids), bool, n)
+        if "" in ids:
+            bad |= ~np.fromiter(map(bool, ids), bool, n)
+        first = dict(zip(reversed(ids), range(n - 1, -1, -1)))
+        if len(first) < n:  # an id repeated within the block
+            bad |= np.fromiter(map(first.__getitem__, ids), np.intp, n) != np.arange(n)
+        if bad.any():
+            r = int(bad.argmax())
+            self._register(ids[:r], codes[:r])  # the records before r are valid
+            raise self._record_error("node", block.fields(r), path, block.line(r))
+        self._register(ids, codes)
+
+    def add_edges(self, block, path=None):
+        n = block.count.size
+        bad = (block.count < 3) | (block.count > 4)
+        weights = np.ones(n)
+        four = np.flatnonzero(block.count == 4)
+        try:
+            weights[four] = np.fromiter(map(float, block.column(3, four)), np.float64, four.size)
+        except (TypeError, ValueError):  # unparseable weights read as NaN and fail below
+            weights[four] = np.fromiter(
+                map(_float_or_nan, block.column(3, four)), np.float64, four.size
             )
-        rows, cols, vals = self.edges[relation]
-        rows.append(self.index[src][1])
-        cols.append(self.index[dst][1])
-        vals.append(weight)
+        codes = np.fromiter(map(self._rel_code.get, block.column(2), repeat(-1)), np.intp, n)
+        s = np.fromiter(map(self._number.get, block.column(0), repeat(-1)), np.intp, n)
+        d = np.fromiter(map(self._number.get, block.column(1), repeat(-1)), np.intp, n)
+        node_type, node_local = self._nodes()
+        bad |= (codes < 0) | (s < 0) | (d < 0)
+        bad |= (node_type[s] != self._rel_source[codes])
+        bad |= (node_type[d] != self._rel_target[codes])
+        bad |= ~(np.isfinite(weights) & (weights >= 0))
+        if bad.any():
+            r = int(bad.argmax())
+            raise self._record_error("edge", block.fields(r), path, block.line(r))
+        for k, parts in enumerate(self._edges):
+            sel = codes == k
+            parts.append((node_local[s[sel]], node_local[d[sel]], weights[sel]))
+
+    def _record_error(self, kind, fields, path, line):
+        """The GraphFormatError for one record's first failing check.
+
+        Checks run in a fixed order.  Nodes: field count, empty fields,
+        declared type, duplicate id.  Edges: field count, empty fields,
+        weight parse, relation, source id and type, target id and type,
+        weight value.
+        """
+
+        def error(message):
+            return GraphFormatError(message, path, line)
+
+        if kind == "node":
+            if len(fields) != 2:
+                return error(
+                    f"expected '<node_id>\\t<node_type>', got {len(fields)} fields"
+                )
+            node_id, node_type = fields
+            for value, what in ((node_id, "node id"), (node_type, "node type")):
+                if value == "":
+                    return error(f"empty {what}")
+            if node_type not in self._type_code:
+                return error(f"node {node_id!r} has undeclared type {node_type!r}")
+            if node_id in self._number:
+                return error(f"duplicate node id {node_id!r}")
+        else:
+            if len(fields) not in (3, 4):
+                return error(
+                    f"expected '<src>\\t<dst>\\t<relation>[\\t<weight>]', got "
+                    f"{len(fields)} fields"
+                )
+            src, dst, relation = fields[:3]
+            for value, what in ((src, "source id"), (dst, "target id"),
+                                (relation, "relation")):
+                if value == "":
+                    return error(f"empty {what}")
+            weight = 1.0
+            if len(fields) == 4:
+                try:
+                    weight = float(fields[3])
+                except (TypeError, ValueError):
+                    return error(f"unparseable weight {fields[3]!r}")
+            if relation not in self._rel_code:
+                return error(f"unknown relation {relation!r}")
+            rel = self.schema.relations[self._rel_code[relation]]
+            node_type = self._nodes()[0]
+            for nid, want, role in ((src, rel.source, "source"),
+                                    (dst, rel.target, "target")):
+                if nid not in self._number:
+                    return error(f"edge references unknown node id {nid!r}")
+                got = self.schema.node_types[node_type[self._number[nid]]]
+                if got != want:
+                    return error(
+                        f"edge {src!r} -> {dst!r} via {relation!r}: {role} node "
+                        f"{nid!r} has type {got!r}, expected {want!r}"
+                    )
+            if not math.isfinite(weight) or weight < 0:
+                return error(f"edge {src!r} -> {dst!r} has invalid weight {weight!r}")
+        raise RuntimeError(f"{kind} record {fields!r} failed a mask but no check")
 
     def finish(self):
+        node_type, node_local = self._nodes()
+        type_names = map(self.schema.node_types.__getitem__, node_type[:-1].tolist())
+        index = dict(zip(self._number, zip(type_names, node_local.tolist())))
         matrices = {}
-        for r in self.schema.relations:
-            rows, cols, vals = self.edges[r.name]
+        for r, parts in zip(self.schema.relations, self._edges):
+            rows, cols, vals = map(np.concatenate, zip(*parts))
+            parts.clear()
             shape = (len(self.ids[r.source]), len(self.ids[r.target]))
-            m = sp.coo_array(
-                (np.asarray(vals, dtype=np.float64), (rows, cols)), shape=shape
-            ).tocsr()
+            m = sp.coo_array((vals, (rows, cols)), shape=shape).tocsr()
             m.sum_duplicates()  # parallel edges collapse to one weighted edge
             matrices[r.name] = m
-        return HeteroGraph(self.schema, self.ids, matrices, dict(self.index))
+        return HeteroGraph(self.schema, self.ids, matrices, index)
 
 
 def build_graph(schema, nodes, edges):
-    """Programmatic construction.
+    """Programmatic construction, checked like ``load_graph`` input.
 
     Args:
         schema: Schema.
         nodes: iterable of (node_id, node_type).
         edges: iterable of (src_id, dst_id, relation) or (..., weight).
+
+    Node ids and endpoints are converted with ``str``; errors carry no
+    file or line.
     """
-    asm = _Assembler(schema)
-    for node_id, node_type in nodes:
-        asm.add_node(str(node_id), node_type)
-    for e in edges:
-        if len(e) == 3:
-            src, dst, rel = e
-            w = 1.0
-        else:
-            src, dst, rel, w = e
-        asm.add_edge(str(src), str(dst), rel, w)
-    return asm.finish()
-
-
-def _records(path):
-    """Yield (lineno, fields) from a tab-separated file, skipping comments."""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            yield lineno, [f.strip() for f in line.split("\t")]
+    ingest = _Ingest(schema)
+    for records, add, ids in ((nodes, ingest.add_nodes, 1), (edges, ingest.add_edges, 2)):
+        records = iter(records)
+        while chunk := list(islice(records, BLOCK_LINES)):
+            add(_Block.from_records(chunk, ids))
+    return ingest.finish()
 
 
 def load_schema(path):
@@ -272,36 +452,20 @@ def load_schema(path):
 
 
 def load_graph(nodes_path, edges_path, schema_path):
-    """Parse and validate the three input files into a HeteroGraph."""
+    """Parse and validate the three input files into a HeteroGraph.
+
+    The first bad record in file order raises a GraphFormatError naming
+    its ``file:line``.
+    """
     schema = load_schema(schema_path)
-    asm = _Assembler(schema)
-    for lineno, fields in _records(nodes_path):
-        if len(fields) != 2:
-            raise GraphFormatError(
-                f"expected '<node_id>\\t<node_type>', got {len(fields)} fields",
-                nodes_path,
-                lineno,
-            )
-        asm.add_node(fields[0], fields[1], nodes_path, lineno)
-    for lineno, fields in _records(edges_path):
-        if len(fields) not in (3, 4):
-            raise GraphFormatError(
-                f"expected '<src>\\t<dst>\\t<relation>[\\t<weight>]', got "
-                f"{len(fields)} fields",
-                edges_path,
-                lineno,
-            )
-        if len(fields) == 4:
-            try:
-                w = float(fields[3])
-            except ValueError:
-                raise GraphFormatError(
-                    f"unparseable weight {fields[3]!r}", edges_path, lineno
-                ) from None
-        else:
-            w = 1.0
-        asm.add_edge(fields[0], fields[1], fields[2], w, edges_path, lineno)
-    return asm.finish()
+    ingest = _Ingest(schema)
+    for path, add in ((nodes_path, ingest.add_nodes), (edges_path, ingest.add_edges)):
+        with open(path, encoding="utf-8") as fh:
+            first_line = 1
+            while (block := _Block.read(fh, first_line)) is not None:
+                add(block, path)
+                first_line += BLOCK_LINES
+    return ingest.finish()
 
 
 def save_graph(graph, nodes_path, edges_path, schema_path):

@@ -204,22 +204,27 @@ def pathsim(pc, variant="rowcol"):
     """
     if variant not in ("rowcol", "diagonal"):
         raise PathError(f"unknown PathSim variant {variant!r}")
-    m = sp.csr_array(pc.matrix, dtype=np.float64).tocoo()
+    # normalize a sorted copy of the counts in place; pc.matrix is untouched
+    out = sp.csr_array(pc.matrix, dtype=np.float64, copy=True)
+    out.sort_indices()
+    rows = np.repeat(np.arange(out.shape[0]), np.diff(out.indptr))
+    cols = out.indices
     if variant == "diagonal":
         if not pc.path.is_palindromic:
             raise PathError(
                 f"diagonal variant needs a palindromic path, got "
                 f"{pc.path.to_string()!r}"
             )
-        diag = sp.csr_array(pc.matrix).diagonal()
-        denom = diag[m.row] + diag[m.col]
+        diag = pc.matrix.diagonal()
+        denom = diag[rows] + diag[cols]
     else:
         rowsum = np.asarray(pc.matrix.sum(axis=1)).ravel()
         colsum = np.asarray(pc.matrix.sum(axis=0)).ravel()
-        denom = rowsum[m.row] + colsum[m.col]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = np.where(denom > 0, 2.0 * m.data / np.where(denom > 0, denom, 1.0), 0.0)
-    out = sp.csr_array((vals, (m.row, m.col)), shape=m.shape)
+        denom = rowsum[rows] + colsum[cols]
+    positive = denom > 0
+    out.data *= 2.0
+    np.divide(out.data, denom, out=out.data, where=positive)
+    out.data[~positive] = 0.0
     out.eliminate_zeros()
     return SimilarityMatrix(pc.path, variant, out)
 

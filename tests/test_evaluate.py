@@ -17,9 +17,8 @@ from hetecf import (
 )
 from hetecf.evaluate import (
     METHODS,
-    ItemMeanPredictor,
+    MeanPredictor,
     NMFPredictor,
-    UserMeanPredictor,
     report_weights,
     weights_csv,
 )
@@ -135,7 +134,7 @@ def test_user_mean_frozen_values():
     train = RatingMatrix.from_entries(
         3, 2, [(0, 0, 0.2), (0, 1, 0.4), (1, 0, 1.0)]
     )
-    p = UserMeanPredictor(train)
+    p = MeanPredictor(train, "user")
     global_mean = (0.2 + 0.4 + 1.0) / 3
     got = p.predict([0, 1, 2], [0, 0, 0])
     assert got[0] == pytest.approx(0.3)
@@ -147,7 +146,7 @@ def test_item_mean_frozen_values():
     train = RatingMatrix.from_entries(
         2, 3, [(0, 0, 0.2), (1, 0, 0.4), (0, 1, 0.9)]
     )
-    p = ItemMeanPredictor(train)
+    p = MeanPredictor(train, "item")
     got = p.predict([0, 0, 0], [0, 1, 2])
     assert got[0] == pytest.approx(0.3)
     assert got[1] == pytest.approx(0.9)
@@ -156,8 +155,8 @@ def test_item_mean_frozen_values():
 
 def test_mean_predictors_empty_train_fall_back():
     empty = RatingMatrix(2, 2, [], [], [])
-    assert UserMeanPredictor(empty).predict([0], [0])[0] == 0.5
-    assert ItemMeanPredictor(empty).predict([0], [1])[0] == 0.5
+    assert MeanPredictor(empty, "user").predict([0], [0])[0] == 0.5
+    assert MeanPredictor(empty, "item").predict([0], [1])[0] == 0.5
 
 
 def test_nmf_recovers_rank_one_matrix():

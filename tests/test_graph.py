@@ -98,6 +98,208 @@ def test_unparseable_weight_rejected(tmp_path):
         h.load_graph(*paths)
 
 
+GOOD_NODES = "a1\tAuthor\na2\tAuthor\np1\tPaper\nc1\tConf\n"
+GOOD_EDGES = "# edges\na1\tp1\twrites\n\na2\tp1\twrites\t2.5\n"  # bad line goes on line 5
+
+
+@pytest.mark.parametrize(
+    "bad_node, message",
+    [
+        ("a9\tAuthor\tx", "expected '<node_id>\\t<node_type>', got 3 fields"),
+        ("a9", "expected '<node_id>\\t<node_type>', got 1 fields"),
+        ("a1\tAuthor", "duplicate node id 'a1'"),
+        ("p1\tAuthor", "duplicate node id 'p1'"),
+        ("a9\tPerson", "node 'a9' has undeclared type 'Person'"),
+        (" \tAuthor", "empty node id"),
+        ("a9\t ", "empty node type"),
+    ],
+)
+def test_node_error_message_and_line(tmp_path, bad_node, message):
+    nodes = "a1\tAuthor\n# comment\n\np1\tPaper\n" + bad_node + "\nc1\tConf\n"
+    paths = write_dataset(tmp_path, nodes, "")
+    with pytest.raises(GraphFormatError) as err:
+        h.load_graph(*paths)
+    assert str(err.value) == f"{paths[0]}:5: {message}"
+    assert (err.value.source_path, err.value.line) == (paths[0], 5)
+
+
+@pytest.mark.parametrize(
+    "bad_edge, message",
+    [
+        ("a1\tp1", "expected '<src>\\t<dst>\\t<relation>[\\t<weight>]', got 2 fields"),
+        ("a1\tp1\twrites\t1\t2",
+         "expected '<src>\\t<dst>\\t<relation>[\\t<weight>]', got 5 fields"),
+        ("a1\tp1\twrites\theavy", "unparseable weight 'heavy'"),
+        ("a1\tp1\twrites\t", "unparseable weight ''"),
+        ("a1\tp1\treads", "unknown relation 'reads'"),
+        ("a9\tp1\twrites", "edge references unknown node id 'a9'"),
+        ("a1\tp9\twrites", "edge references unknown node id 'p9'"),
+        ("p1\tp1\twrites",
+         "edge 'p1' -> 'p1' via 'writes': source node 'p1' has type 'Paper', "
+         "expected 'Author'"),
+        ("a1\tc1\twrites",
+         "edge 'a1' -> 'c1' via 'writes': target node 'c1' has type 'Conf', "
+         "expected 'Paper'"),
+        ("a1\tp1\twrites\t-2.0", "edge 'a1' -> 'p1' has invalid weight -2.0"),
+        ("a1\tp1\twrites\tnan", "edge 'a1' -> 'p1' has invalid weight nan"),
+        ("a1\tp1\twrites\tinf", "edge 'a1' -> 'p1' has invalid weight inf"),
+        ("\tp1\twrites", "empty source id"),
+        ("a1\t \twrites", "empty target id"),
+        ("a1\tp1\t ", "empty relation"),
+        # one record failing several checks reports the first in check order
+        ("a9\tc9\treads\tx", "unparseable weight 'x'"),
+        ("a9\tc9\treads", "unknown relation 'reads'"),
+        ("a9\tc9\twrites\t-1", "edge references unknown node id 'a9'"),
+        ("p1\tc9\twrites",
+         "edge 'p1' -> 'c9' via 'writes': source node 'p1' has type 'Paper', "
+         "expected 'Author'"),
+        ("a1\tc1\twrites\t-1",
+         "edge 'a1' -> 'c1' via 'writes': target node 'c1' has type 'Conf', "
+         "expected 'Paper'"),
+    ],
+)
+def test_edge_error_message_and_line(tmp_path, bad_edge, message):
+    edges = GOOD_EDGES + bad_edge + "\na1\tp1\twrites\n"
+    paths = write_dataset(tmp_path, GOOD_NODES, edges)
+    with pytest.raises(GraphFormatError) as err:
+        h.load_graph(*paths)
+    assert str(err.value) == f"{paths[1]}:5: {message}"
+    assert (err.value.source_path, err.value.line) == (paths[1], 5)
+
+
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        # the later line fails an earlier check, yet the earlier line is reported
+        ("a1\tp1\twrites\na1\tp1\twrites\t-1\na1\tp1\n",
+         ":2: edge 'a1' -> 'p1' has invalid weight -1.0"),
+        ("a1\tp1\twrites\t2\na1\tp1\treads\na1\tp1\twrites\tx\n",
+         ":2: unknown relation 'reads'"),
+        ("a1\tp1\twrites\t2\na1\tp1\twrites\tx\na1\tp1\twrites\ty\n",
+         ":2: unparseable weight 'x'"),
+    ],
+)
+def test_first_bad_edge_line_wins(tmp_path, edges, message):
+    paths = write_dataset(tmp_path, GOOD_NODES, edges)
+    with pytest.raises(GraphFormatError) as err:
+        h.load_graph(*paths)
+    assert str(err.value) == paths[1] + message
+
+
+@pytest.mark.parametrize("first, second", [(0, 1), (1, 5), (-3, -1)])
+def test_first_bad_edge_line_wins_across_blocks(tmp_path, first, second):
+    from hetecf.graph import BLOCK_LINES
+
+    lines = ["a1\tp1\twrites"] * (BLOCK_LINES + 10)
+    lines[BLOCK_LINES - 1 + first] = "a1\tp1\twrites\theavy"
+    lines[BLOCK_LINES - 1 + second] = "a1\tp1"
+    paths = write_dataset(tmp_path, GOOD_NODES, "\n".join(lines) + "\n")
+    with pytest.raises(GraphFormatError) as err:
+        h.load_graph(*paths)
+    assert err.value.line == BLOCK_LINES + first
+    assert "unparseable weight 'heavy'" in str(err.value)
+
+
+def test_duplicate_node_found_across_blocks(tmp_path):
+    from hetecf.graph import BLOCK_LINES
+
+    lines = [f"a{i}\tAuthor" for i in range(BLOCK_LINES + 10)]
+    lines[BLOCK_LINES + 3] = "a7\tAuthor"
+    lines[BLOCK_LINES + 5] = "a8\tAuthor"
+    paths = write_dataset(tmp_path, "\n".join(lines) + "\np1\tPaper\n", "")
+    with pytest.raises(GraphFormatError) as err:
+        h.load_graph(*paths)
+    assert str(err.value) == f"{paths[0]}:{BLOCK_LINES + 4}: duplicate node id 'a7'"
+
+
+def test_crlf_padding_comments_and_mixed_field_counts(tmp_path):
+    nodes = "# people\r\n a1 \tAuthor\r\n\r\n a2\t Author \r\n p1\t Paper \r\nc1\tConf"
+    edges = (
+        "  # indented comment\r\n"
+        "a1\tp1\twrites\r\n"
+        " \t \r\n"
+        "a2 \t p1\twrites \t 2.5 \r\n"
+        "\r\n"
+        "a1\tp1\twrites\t0.25\r\n"
+        "p1\tc1\tpublished_in"
+    )
+    np_, ep, sp_ = write_dataset(tmp_path, "", "")
+    with open(np_, "w", encoding="utf-8", newline="") as fh:
+        fh.write(nodes)
+    with open(ep, "w", encoding="utf-8", newline="") as fh:
+        fh.write(edges)
+    g = h.load_graph(np_, ep, sp_)
+    want = h.build_graph(
+        h.load_schema(sp_),
+        [("a1", "Author"), ("a2", "Author"), ("p1", "Paper"), ("c1", "Conf")],
+        [("a1", "p1", "writes"), ("a2", "p1", "writes", 2.5),
+         ("a1", "p1", "writes", 0.25), ("p1", "c1", "published_in")],
+    )
+    assert g.node_ids == want.node_ids
+    assert h.content_hash(g) == h.content_hash(want)
+    assert g.matrices["writes"].toarray().tolist() == [[1.25], [2.5]]
+    with open(ep, "a", encoding="utf-8", newline="") as fh:
+        fh.write("\r\na1\tc1\twrites\r\n")
+    with pytest.raises(GraphFormatError, match=r"edges.tsv:8: edge 'a1' -> 'c1'"):
+        h.load_graph(np_, ep, sp_)
+
+
+def test_load_and_build_agree_over_several_blocks(tmp_path):
+    from hetecf.graph import BLOCK_LINES
+
+    rng = np.random.default_rng(3)
+    counts = {"Author": BLOCK_LINES // 2, "Paper": BLOCK_LINES, "Conf": 40}
+    nodes = [(f"{t[0].lower()}{i}", t) for t, n in counts.items() for i in range(n)]
+    order = rng.permutation(len(nodes))
+    nodes = [nodes[k] for k in order]  # types interleave within each block
+    edges = []
+    for _ in range(2 * BLOCK_LINES + 100):
+        a, p = rng.integers(0, counts["Author"]), rng.integers(0, counts["Paper"])
+        edge = (f"a{a}", f"p{p}", "writes")
+        edges.append(edge + (float(rng.random()),) if rng.random() < 0.5 else edge)
+    edges += [(f"p{i}", f"c{i % 40}", "published_in") for i in range(counts["Paper"])]
+    paths = write_dataset(tmp_path, _tsv(nodes), _tsv(edges))
+    loaded = h.load_graph(*paths)
+    built = h.build_graph(h.load_schema(paths[2]), nodes, edges)
+    assert loaded.node_ids == built.node_ids
+    assert list(loaded._index.items()) == list(built._index.items())
+    assert h.content_hash(loaded) == h.content_hash(built)
+    for name, m in built.matrices.items():
+        other = loaded.matrices[name]
+        for a, b in ((m.indptr, other.indptr), (m.indices, other.indices), (m.data, other.data)):
+            assert np.array_equal(a, b)
+
+
+def _tsv(records):
+    """Records as tab-separated lines; floats written with repr."""
+    return "".join(
+        "\t".join(repr(v) if isinstance(v, float) else v for v in r) + "\n"
+        for r in records
+    )
+
+
+@pytest.mark.parametrize(
+    "nodes, edges, message",
+    [
+        ([("", "Author")], [], "empty node id"),
+        ([("a1", "")], [], "empty node type"),
+        ([("a1", "Author"), ("a1", "Author")], [], "duplicate node id 'a1'"),
+        ([("a1", "Author", "x")], [], "expected '<node_id>\\t<node_type>', got 3 fields"),
+        ([("a1", "Author"), ("p1", "Paper")], [("", "p1", "writes")], "empty source id"),
+        ([("a1", "Author"), ("p1", "Paper")], [("a1", "p1", "")], "empty relation"),
+        ([("a1", "Author"), ("p1", "Paper")], [("a1", "p1", "writes", "x")],
+         "unparseable weight 'x'"),
+        ([("a1", "Author"), ("p1", "Paper")], [("a1", "p1", "writes", -1.0)],
+         "edge 'a1' -> 'p1' has invalid weight -1.0"),
+    ],
+)
+def test_build_graph_checks_like_load_graph(biblio_schema, nodes, edges, message):
+    with pytest.raises(GraphFormatError) as err:
+        h.build_graph(biblio_schema, nodes, edges)
+    assert str(err.value) == message
+    assert err.value.line is None
+
+
 def test_parallel_edges_are_summed(tmp_path):
     nodes = "a1\tAuthor\np1\tPaper\nc1\tConf\n"
     edges = "a1\tp1\twrites\t1.5\na1\tp1\twrites\n"

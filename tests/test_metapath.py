@@ -310,6 +310,69 @@ def test_pathsim_range_and_symmetry_random():
                     assert np.allclose(m, m.T, atol=1e-12)
 
 
+def _coo_pathsim(pc, variant):
+    """PathSim rebuilt from COO triples into a fresh canonical CSR."""
+    m = sp.csr_array(pc.matrix, dtype=np.float64).tocoo()
+    if variant == "diagonal":
+        diag = pc.matrix.diagonal()
+        denom = diag[m.row] + diag[m.col]
+    else:
+        denom = (np.asarray(pc.matrix.sum(axis=1)).ravel()[m.row]
+                 + np.asarray(pc.matrix.sum(axis=0)).ravel()[m.col])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = np.where(denom > 0, 2.0 * m.data / np.where(denom > 0, denom, 1.0), 0.0)
+    out = sp.csr_array((vals, (m.row, m.col)), shape=m.shape)
+    out.eliminate_zeros()
+    return out
+
+
+def test_pathsim_bitwise_equals_coo_reference():
+    # multi-step products come out of the sparse matmul with unsorted indices
+    schema = cite_schema()
+    rng = np.random.default_rng(7)
+    paths = [
+        (h.parse_path(text, schema), variants)
+        for text, variants in (
+            ("Author -writes-> Paper <-writes- Author", ("rowcol", "diagonal")),
+            ("Conf <-published_in- Paper -cites-> Paper <-cites- Paper"
+             " -published_in-> Conf", ("rowcol", "diagonal")),
+            ("Author -writes-> Paper -cites-> Paper -published_in-> Conf", ("rowcol",)),
+            ("Author -writes-> Paper", ("rowcol",)),
+        )
+    ]
+    unsorted = 0
+    for trial in range(10):
+        na, np_, nc = rng.integers(5, 40, size=3)
+        nodes = (
+            [(f"a{i}", "Author") for i in range(na)]
+            + [(f"p{i}", "Paper") for i in range(np_)]
+            + [(f"c{i}", "Conf") for i in range(nc)]
+        )
+        edges = [
+            (f"a{i}", f"p{j}", "writes", float(rng.random()))
+            for i in range(na) for j in range(np_) if rng.random() < 0.2
+        ] + [
+            (f"p{i}", f"p{j}", "cites")
+            for i in range(np_) for j in range(np_) if rng.random() < 0.1
+        ] + [(f"p{i}", f"c{rng.integers(0, nc)}", "published_in") for i in range(np_)]
+        g = h.build_graph(schema, nodes, edges)
+        for path, variants in paths:
+            pc = path_count(g, path)
+            before = [a.copy() for a in (pc.matrix.indptr, pc.matrix.indices, pc.matrix.data)]
+            unsorted += not pc.matrix.has_sorted_indices
+            for variant in variants:
+                got = pathsim(pc, variant=variant).matrix
+                want = _coo_pathsim(pc, variant)
+                for a, b in ((got.indptr, want.indptr), (got.indices, want.indices),
+                             (got.data, want.data)):
+                    assert a.dtype == b.dtype and np.array_equal(a, b)
+                assert np.allclose(got.toarray(),
+                                   naive_pathsim(pc.matrix.toarray(), variant), atol=1e-12)
+            after = (pc.matrix.indptr, pc.matrix.indices, pc.matrix.data)
+            assert all(np.array_equal(a, b) for a, b in zip(before, after))
+    assert unsorted > 0
+
+
 def test_pathsim_diagonal_requires_palindromic(toy_graph, biblio_schema):
     p = h.parse_path("Author -writes-> Paper -published_in-> Conf", biblio_schema)
     with pytest.raises(PathError, match="palindromic"):
