@@ -21,6 +21,7 @@ from .graph import (
     load_graph,
     load_schema,
     save_graph,
+    source_digest,
 )
 from .metapath import (
     MetaPath,

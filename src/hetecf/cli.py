@@ -10,9 +10,20 @@ other exception is an internal error and propagates.
 
 Output artifacts (model files, CSVs) are written atomically via
 a temporary file and rename.
+
+``train`` records in the model file the ``source_digest`` of the schema,
+nodes and edges files it parsed, and the user and item ids in index
+order.  ``predict`` answers from the model file alone when the user is
+one of those stored ids and the files it is given have that digest, that
+is, when they are byte-identical to the trained ones: they would parse to
+the same graph, pass the graph-hash check and give the same ids.  In
+every other case it parses the files, compares their ``content_hash``
+with the model's, and looks the user up in the parsed graph.  Both paths
+print the same answer.
 """
 
 import argparse
+import functools
 import json
 import logging
 import sys
@@ -28,6 +39,7 @@ from .graph import (
     content_hash,
     derive_ratings,
     load_graph,
+    source_digest,
 )
 from .model import (
     Hyperparams,
@@ -88,12 +100,13 @@ def _require(args, cfg, name):
     return value
 
 
+def _graph_files(args, cfg):
+    """The (nodes, edges, schema) paths, in ``load_graph`` argument order."""
+    return tuple(_require(args, cfg, name) for name in ("nodes", "edges", "schema"))
+
+
 def _load_graph_from(args, cfg):
-    return load_graph(
-        _require(args, cfg, "nodes"),
-        _require(args, cfg, "edges"),
-        _require(args, cfg, "schema"),
-    )
+    return load_graph(*_graph_files(args, cfg))
 
 
 def _hyperparams(args, cfg):
@@ -136,20 +149,21 @@ def cmd_validate(args):
     return EXIT_OK
 
 
-def _prepare_training(args, cfg):
-    graph = _load_graph_from(args, cfg)
+def _prepare_training(graph, args, cfg):
     groups = metapath.load_path_spec(_require(args, cfg, "paths"), graph.schema)
     target = metapath.parse_path(_require(args, cfg, "target_path"), graph.schema)
     variant = _setting(args, cfg, "variant", "rowcol")
     ratings = derive_ratings(graph, target, variant=variant)
     rels = metapath.build_relation_set(graph, groups, variant=variant)
-    return graph, groups, ratings, rels
+    return groups, ratings, rels
 
 
 def cmd_train(args):
     cfg = _load_config(args.config)
     model_out = _require(args, cfg, "model_out")
-    graph, groups, ratings, rels = _prepare_training(args, cfg)
+    graph = _load_graph_from(args, cfg)
+    ghash = content_hash(graph)
+    groups, ratings, rels = _prepare_training(graph, args, cfg)
     hp = _hyperparams(args, cfg)
     optimizer = _setting(args, cfg, "optimizer", "batch")
     if optimizer not in ("batch", "sgd"):
@@ -161,7 +175,10 @@ def cmd_train(args):
         ratings.n, ratings.m, ratings.nnz, effective_mu(hp, ratings), hp.d,
     )
     state = learner.train(ratings, rels, hp, optimizer=optimizer)
-    save_model(model_out, state.model, state.weights, hp, content_hash(graph))
+    schema = graph.schema
+    source = (graph.source_digest, graph.node_ids[schema.user_type],
+              graph.node_ids[schema.item_type])
+    save_model(model_out, state.model, state.weights, hp, ghash, source)
     print(
         f"trained {state.outer_iters} outer iterations "
         f"({state.factor_steps} factor steps, {state.weight_steps} weight steps), "
@@ -185,7 +202,7 @@ def cmd_train(args):
 
 def cmd_evaluate(args):
     cfg = _load_config(args.config)
-    _, _, ratings, rels = _prepare_training(args, cfg)
+    _, ratings, rels = _prepare_training(_load_graph_from(args, cfg), args, cfg)
     methods = _setting(args, cfg, "methods", list(evaluate_mod.METHODS))
     if isinstance(methods, str):
         methods = [m.strip() for m in methods.split(",") if m.strip()]
@@ -242,8 +259,48 @@ def cmd_benchmark(args):
 
 def cmd_predict(args):
     cfg = _load_config(args.config)
-    graph = _load_graph_from(args, cfg)
-    model, _, header = load_model(_require(args, cfg, "model"))
+    files = _graph_files(args, cfg)
+    try:
+        model, _, header = load_model(_require(args, cfg, "model"))
+    except (CliError, *_INPUT_ERRORS):
+        load_graph(*files)  # a bad graph file is reported before a bad model
+        raise
+    answer = _stored_answer(header, files, _setting(args, cfg, "user"))
+    if answer is None:
+        answer = _parsed_answer(model, header, load_graph(*files), args, cfg)
+    index, item_ids = answer
+    k = _number(_setting(args, cfg, "top_k", 10), int, "top_k", 1)
+    scores = model.predict_pairs(
+        np.full(len(item_ids), index), np.arange(len(item_ids))
+    )
+    ranked = sorted(zip(item_ids, scores), key=lambda t: (-t[1], t[0]))
+    for item_id, score in ranked[:k]:
+        print(f"{item_id}\t{score:.10g}")
+    return EXIT_OK
+
+
+def _stored_answer(header, files, user_id):
+    """(user index, item ids) from the model header, or None.
+
+    None unless the header records the user among its ids and the files
+    are byte-identical to the ones the model was trained on.
+    """
+    if user_id is None or "source_digest" not in header:
+        return None
+    try:
+        index = header["user_ids"].index(str(user_id))
+    except ValueError:
+        return None
+    try:
+        if source_digest(*files) != header["source_digest"]:
+            return None
+    except OSError:  # an unreadable file: the parse path reports it
+        return None
+    return index, header["item_ids"]
+
+
+def _parsed_answer(model, header, graph, args, cfg):
+    """(user index, item ids) from the parsed graph, after its checks."""
     ghash = content_hash(graph)
     if header.get("graph_hash") and header["graph_hash"] != ghash:
         raise CliError(
@@ -266,14 +323,7 @@ def cmd_predict(args):
             f"model shape ({model.n}, {model.m}) does not match graph "
             f"({graph.node_count(graph.schema.user_type)}, {len(item_ids)})"
         )
-    k = _number(_setting(args, cfg, "top_k", 10), int, "top_k", 1)
-    scores = model.predict_pairs(
-        np.full(len(item_ids), index), np.arange(len(item_ids))
-    )
-    ranked = sorted(zip(item_ids, scores), key=lambda t: (-t[1], t[0]))
-    for item_id, score in ranked[:k]:
-        print(f"{item_id}\t{score:.10g}")
-    return EXIT_OK
+    return index, item_ids
 
 
 def _add_graph_flags(p):
@@ -295,7 +345,9 @@ def _add_hp_flags(p):
     p.add_argument("--seed", type=int)
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """The argument parser; built once per process, as parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="hetecf",
         description="Heterogeneous-network collaborative filtering",

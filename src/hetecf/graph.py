@@ -30,9 +30,19 @@ each block is checked with array masks.  The first bad record in file
 order raises a ``GraphFormatError`` naming its ``file:line``.  An empty
 node id, node type, edge endpoint or relation is an error.
 ``build_graph`` runs the same checks on in-memory records.
+
+``load_graph`` reads each of the three files once, as bytes, and parses
+them through a text wrapper that decodes and translates newlines like
+``open(path, encoding="utf-8")``.  The graph it returns carries
+``source_digest``: a sha256 over the sha256 digests of the schema, nodes
+and edges bytes, in that order.  ``source_digest(...)`` computes the same
+value from the files without parsing them, so a caller can tell whether
+files are byte-identical to the ones a graph was loaded from.  Files
+with the same bytes parse to the same graph.
 """
 
 import hashlib
+import io
 import math
 from dataclasses import dataclass, field
 from itertools import chain, compress, islice, repeat
@@ -110,12 +120,15 @@ class HeteroGraph:
     ``node_ids[t]`` lists external ids of type ``t`` in index order, so each
     type owns a dense 0..count-1 index space.  ``matrices[rel]`` is the
     weighted adjacency of that relation, shape (count(source), count(target)).
+    ``source_digest`` is the ``source_digest`` of the files ``load_graph``
+    parsed, and None for a graph built in memory.
     """
 
     schema: Schema
     node_ids: dict
     matrices: dict
     _index: dict = field(repr=False, default=None)
+    source_digest: str = None
 
     def __post_init__(self):
         if self._index is None:
@@ -373,7 +386,7 @@ class _Ingest:
                 return error(f"edge {src!r} -> {dst!r} has invalid weight {weight!r}")
         raise RuntimeError(f"{kind} record {fields!r} failed a mask but no check")
 
-    def finish(self):
+    def finish(self, source_digest=None):
         node_type, node_local = self._nodes()
         type_names = map(self.schema.node_types.__getitem__, node_type[:-1].tolist())
         index = dict(zip(self._number, zip(type_names, node_local.tolist())))
@@ -385,7 +398,7 @@ class _Ingest:
             m = sp.coo_array((vals, (rows, cols)), shape=shape).tocsr()
             m.sum_duplicates()  # parallel edges collapse to one weighted edge
             matrices[r.name] = m
-        return HeteroGraph(self.schema, self.ids, matrices, index)
+        return HeteroGraph(self.schema, self.ids, matrices, index, source_digest)
 
 
 def build_graph(schema, nodes, edges):
@@ -408,41 +421,46 @@ def build_graph(schema, nodes, edges):
 
 
 def load_schema(path):
+    with open(path, encoding="utf-8") as fh:
+        return _parse_schema(fh, path)
+
+
+def _parse_schema(fh, path):
+    """The Schema in the text stream ``fh``; errors name ``path``."""
     node_types, relations = [], []
     user_type = item_type = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split()
-            kind = fields[0]
-            if kind == "nodetype":
-                if len(fields) not in (2, 3):
-                    raise GraphFormatError(
-                        "expected 'nodetype <Name> [user|item]'", path, lineno
-                    )
-                node_types.append(fields[1])
-                if len(fields) == 3:
-                    flag = fields[2]
-                    if flag == "user":
-                        if user_type is not None:
-                            raise GraphFormatError("second user flag", path, lineno)
-                        user_type = fields[1]
-                    elif flag == "item":
-                        if item_type is not None:
-                            raise GraphFormatError("second item flag", path, lineno)
-                        item_type = fields[1]
-                    else:
-                        raise GraphFormatError(f"unknown flag {flag!r}", path, lineno)
-            elif kind == "relation":
-                if len(fields) != 4:
-                    raise GraphFormatError(
-                        "expected 'relation <name> <Source> <Target>'", path, lineno
-                    )
-                relations.append(Relation(fields[1], fields[2], fields[3]))
-            else:
-                raise GraphFormatError(f"unknown directive {kind!r}", path, lineno)
+    for lineno, raw in enumerate(fh, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split()
+        kind = fields[0]
+        if kind == "nodetype":
+            if len(fields) not in (2, 3):
+                raise GraphFormatError(
+                    "expected 'nodetype <Name> [user|item]'", path, lineno
+                )
+            node_types.append(fields[1])
+            if len(fields) == 3:
+                flag = fields[2]
+                if flag == "user":
+                    if user_type is not None:
+                        raise GraphFormatError("second user flag", path, lineno)
+                    user_type = fields[1]
+                elif flag == "item":
+                    if item_type is not None:
+                        raise GraphFormatError("second item flag", path, lineno)
+                    item_type = fields[1]
+                else:
+                    raise GraphFormatError(f"unknown flag {flag!r}", path, lineno)
+        elif kind == "relation":
+            if len(fields) != 4:
+                raise GraphFormatError(
+                    "expected 'relation <name> <Source> <Target>'", path, lineno
+                )
+            relations.append(Relation(fields[1], fields[2], fields[3]))
+        else:
+            raise GraphFormatError(f"unknown directive {kind!r}", path, lineno)
     if user_type is None or item_type is None:
         raise GraphFormatError("schema must flag one user and one item type", path)
     try:
@@ -451,21 +469,63 @@ def load_schema(path):
         raise GraphFormatError(str(exc), path) from exc
 
 
+def _combine(digests):
+    """The ``source_digest`` of files whose own sha256 digests are ``digests``."""
+    h = hashlib.sha256()
+    for digest in digests:
+        h.update(digest)
+    return h.hexdigest()
+
+
+def _file_sha256(path):
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while data := fh.read(1 << 20):
+            h.update(data)
+    return h.digest()
+
+
+def source_digest(nodes_path, edges_path, schema_path):
+    """sha256 over the sha256 digests of the schema, nodes and edges files.
+
+    The files are streamed, not parsed; the value equals the
+    ``source_digest`` of ``load_graph`` on the same files.
+    """
+    return _combine(map(_file_sha256, (schema_path, nodes_path, edges_path)))
+
+
+def _read_text(path):
+    """(sha256 digest of the bytes of ``path``, a text stream over those bytes).
+
+    The stream decodes and translates newlines exactly like
+    ``open(path, encoding="utf-8")``, so the digest covers the very bytes
+    that are parsed.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    return hashlib.sha256(data).digest(), io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+
+
 def load_graph(nodes_path, edges_path, schema_path):
     """Parse and validate the three input files into a HeteroGraph.
 
     The first bad record in file order raises a GraphFormatError naming
-    its ``file:line``.
+    its ``file:line``.  Each file is read once; the graph's
+    ``source_digest`` covers the bytes read.
     """
-    schema = load_schema(schema_path)
-    ingest = _Ingest(schema)
+    digest, text = _read_text(schema_path)
+    digests = [digest]
+    with text as fh:
+        ingest = _Ingest(_parse_schema(fh, schema_path))
     for path, add in ((nodes_path, ingest.add_nodes), (edges_path, ingest.add_edges)):
-        with open(path, encoding="utf-8") as fh:
+        digest, text = _read_text(path)
+        digests.append(digest)
+        with text as fh:
             first_line = 1
             while (block := _Block.read(fh, first_line)) is not None:
                 add(block, path)
                 first_line += BLOCK_LINES
-    return ingest.finish()
+    return ingest.finish(_combine(digests))
 
 
 def save_graph(graph, nodes_path, edges_path, schema_path):

@@ -182,14 +182,17 @@ def path_count(graph, path):
     """Ordered product of per-step adjacency matrices.
 
     Counts every path instance, revisiting nodes freely; with unit edge
-    weights the entries are exact instance counts.
+    weights the entries are exact instance counts.  The result shares no
+    buffer with ``graph.matrices``.
     """
     validate_path(path, graph.schema)
     product = None
     for step in path.steps:
         m = adjacency(graph, step.relation, transposed=not step.forward)
         product = m if product is None else product @ m
-    product = sp.csr_array(product)
+    # a one-step forward product is the graph's own adjacency: copy it, so
+    # that eliminate_zeros never rewrites graph.matrices
+    product = sp.csr_array(product, copy=len(path.steps) == 1)
     product.eliminate_zeros()
     return PathCountMatrix(path, product)
 

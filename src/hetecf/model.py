@@ -19,6 +19,7 @@ All rating-fit sums run over explicitly observed entries only.
 import json
 import math
 import os
+import re
 import tempfile
 import zipfile
 from dataclasses import dataclass, field, asdict, replace
@@ -313,8 +314,14 @@ def atomic_write_bytes(path, payload):
         raise
 
 
-def save_model(path, model, weights, hp, graph_hash=""):
-    """Write the factor model to an .npz with a JSON header; bit-exact round trip."""
+def save_model(path, model, weights, hp, graph_hash="", source=None):
+    """Write the factor model to an .npz with a JSON header; bit-exact round trip.
+
+    ``source``, when given, is ``(source_digest, user_ids, item_ids)`` of
+    the files the model was trained on: the header then records the
+    digest and both id lists in index order (as JSON lists, which keep
+    every string exactly).  No file path is stored.
+    """
     import io
 
     header = {
@@ -328,6 +335,9 @@ def save_model(path, model, weights, hp, graph_hash=""):
         "hyperparams": asdict(hp),
         "graph_hash": graph_hash,
     }
+    if source is not None:
+        digest, user_ids, item_ids = source
+        header.update(source_digest=digest, user_ids=list(user_ids), item_ids=list(item_ids))
     buf = io.BytesIO()
     np.savez(
         buf,
@@ -345,7 +355,10 @@ def load_model(path):
     """Read a model file; returns (FactorModel, PathWeights, header dict).
 
     A file that is not a model of this format version, or whose header
-    disagrees with its arrays, raises ModelFormatError.
+    disagrees with its arrays, raises ModelFormatError.  So does a header
+    with only some of the source keys (``source_digest``, ``user_ids``,
+    ``item_ids``) or with a malformed one; a header with none of them
+    loads.
     """
     try:
         with np.load(path) as data:
@@ -370,4 +383,32 @@ def load_model(path):
         raise ModelFormatError("model file header disagrees with stored factors")
     if weights.counts != expect:
         raise ModelFormatError("model file header disagrees with stored weights")
+    _check_source(header, model.n, model.m)
     return model, weights, header
+
+
+_SOURCE_KEYS = ("source_digest", "user_ids", "item_ids")
+
+
+def _check_source(header, n, m):
+    """The optional source keys: all three or none, each well formed."""
+    present = [key for key in _SOURCE_KEYS if key in header]
+    if not present:
+        return
+    if len(present) < len(_SOURCE_KEYS):
+        missing = [key for key in _SOURCE_KEYS if key not in header]
+        raise ModelFormatError(
+            f"model file header has {', '.join(present)} but not {', '.join(missing)}"
+        )
+    digest = header["source_digest"]
+    if not (isinstance(digest, str) and re.fullmatch("[0-9a-f]{64}", digest)):
+        raise ModelFormatError(
+            f"model file header source_digest {digest!r} is not 64 lowercase hex digits"
+        )
+    for key, count in (("user_ids", n), ("item_ids", m)):
+        ids = header[key]
+        if not (isinstance(ids, list) and len(ids) == count
+                and all(isinstance(x, str) for x in ids)):
+            raise ModelFormatError(
+                f"model file header {key} is not a list of {count} strings"
+            )

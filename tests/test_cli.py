@@ -7,7 +7,16 @@ import pathlib
 import numpy as np
 import pytest
 
-from hetecf import DivergenceError, FactorModel, PathWeights, content_hash, load_graph
+from hetecf import (
+    DivergenceError,
+    FactorModel,
+    PathWeights,
+    cli,
+    content_hash,
+    load_graph,
+    save_graph,
+    synth,
+)
 from hetecf.cli import main
 from hetecf.model import Hyperparams, load_model, save_model
 
@@ -315,6 +324,175 @@ def test_predict_shape_mismatch(tmp_path, caplog):
     rc = main(["predict", *GRAPH_FLAGS, "--model", str(f), "--user", "alice"])
     assert rc == 2
     assert "does not match graph" in caplog.text
+
+
+# ------------------------------------------------- predict from the model
+
+
+def copy_sample(tmp_path):
+    """The sample network's files in ``tmp_path``, and flags naming them."""
+    for name in ("nodes.tsv", "edges.tsv", "schema.txt", "paths.txt"):
+        (tmp_path / name).write_bytes((SAMPLE / name).read_bytes())
+    return [
+        "--nodes", str(tmp_path / "nodes.tsv"),
+        "--edges", str(tmp_path / "edges.tsv"),
+        "--schema", str(tmp_path / "schema.txt"),
+    ]
+
+
+def train_model(tmp_path, flags, paths=SAMPLE / "paths.txt"):
+    f = tmp_path / "model.npz"
+    assert main(["train", *flags, "--paths", str(paths), "--target-path", TARGET,
+                 "--model-out", str(f), *FAST]) == 0
+    return f
+
+
+def without_source(f, out):
+    """A copy of model file ``f`` without the source keys: predict parses."""
+    model, weights, header = load_model(str(f))
+    save_model(str(out), model, weights, Hyperparams(**header["hyperparams"]),
+               header["graph_hash"])
+    assert "source_digest" not in load_model(str(out))[2]
+    return out
+
+
+def predict(capsys, flags, f, user, *extra):
+    """(exit code, stdout) of one ``predict`` call."""
+    capsys.readouterr()
+    rc = main(["predict", *flags, "--model", str(f), "--user", user, *extra])
+    return rc, capsys.readouterr().out
+
+
+def refuse(*args, **kwargs):
+    pytest.fail("predict parsed or hashed the graph")
+
+
+def count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(cli, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, spy)
+    return calls
+
+
+def synth_files(tmp_path):
+    graph = synth.generate(synth.SynthSpec(seed=3))
+    files = [tmp_path / n for n in ("nodes.tsv", "edges.tsv", "schema.txt")]
+    save_graph(graph, *map(str, files))
+    paths = tmp_path / "paths.txt"
+    paths.write_text(
+        "UU: Author -writes-> Paper <-writes- Author\n"
+        "II: Conf <-published_in- Paper -published_in-> Conf\n"
+        "UI: Author -writes-> Paper -cites-> Paper -published_in-> Conf\n"
+    )
+    flags = [x for flag, f in zip(("--nodes", "--edges", "--schema"), files)
+             for x in (flag, str(f))]
+    return flags, paths, graph.node_ids[graph.schema.user_type]
+
+
+@pytest.mark.parametrize("network", ["sample", "synth"])
+def test_digest_path_parses_nothing_and_matches_parse_path(tmp_path, capsys, monkeypatch,
+                                                           network):
+    if network == "sample":
+        flags, paths, users = GRAPH_FLAGS, SAMPLE / "paths.txt", sample_graph().node_ids["Author"]
+    else:
+        flags, paths, users = synth_files(tmp_path)
+    f = train_model(tmp_path, flags, paths)
+    parsed = without_source(f, tmp_path / "parsed.npz")
+    for user in users:
+        for extra in ((), ("--top-k", "1000")):
+            with monkeypatch.context() as m:
+                m.setattr(cli, "load_graph", refuse)
+                m.setattr(cli, "content_hash", refuse)
+                stored = predict(capsys, flags, f, user, *extra)
+            assert stored == predict(capsys, flags, parsed, user, *extra)
+            assert stored[0] == 0 and stored[1]
+
+
+@pytest.mark.parametrize("rewrite", [
+    lambda text: text + "# a comment appended after training\n",
+    lambda text: text.replace("\n", "\r\n"),
+])
+def test_other_bytes_same_graph_take_the_parse_path(tmp_path, capsys, monkeypatch, rewrite):
+    flags = copy_sample(tmp_path)
+    f = train_model(tmp_path, flags)
+    want = predict(capsys, flags, f, "carol")
+    edges = tmp_path / "edges.tsv"
+    edges.write_bytes(rewrite(edges.read_text(encoding="utf-8")).encode("utf-8"))
+    parses = count_calls(monkeypatch, "load_graph")
+    assert predict(capsys, flags, f, "carol") == want
+    assert len(parses) == 1
+
+
+def test_changed_edge_weight_is_a_different_graph(tmp_path, caplog):
+    flags = copy_sample(tmp_path)
+    f = train_model(tmp_path, flags)
+    edges = tmp_path / "edges.tsv"
+    edges.write_text(edges.read_text().replace("alice\tp01\twrites\n",
+                                               "alice\tp01\twrites\t2.0\n", 1))
+    rc = main(["predict", *flags, "--model", str(f), "--user", "alice"])
+    assert rc == 2
+    assert "different graph" in caplog.text
+
+
+@pytest.mark.parametrize("user,message", [
+    ("p01", "node 'p01' has type 'Paper', not the user type 'Author'"),
+    ("zoe", "unknown node id 'zoe'"),
+])
+def test_model_with_digest_keeps_user_errors(tmp_path, caplog, user, message):
+    f = train_model(tmp_path, GRAPH_FLAGS)
+    assert "source_digest" in load_model(str(f))[2]
+    rc = main(["predict", *GRAPH_FLAGS, "--model", str(f), "--user", user])
+    assert rc == 2
+    assert message in caplog.text
+
+
+def test_model_with_digest_keeps_file_errors(tmp_path, caplog):
+    flags = copy_sample(tmp_path)
+    f = train_model(tmp_path, flags)
+    (tmp_path / "edges.tsv").unlink()
+    rc = main(["predict", *flags, "--model", str(f), "--user", "alice"])
+    assert rc == 2
+    assert f"No such file or directory: '{tmp_path / 'edges.tsv'}'" in caplog.text
+
+
+def test_model_bytes_do_not_depend_on_the_directory(tmp_path):
+    first, second = tmp_path / "first", tmp_path / "second" / "deeper"
+    models = []
+    for where in (first, second):
+        where.mkdir(parents=True)
+        models.append(train_model(where, copy_sample(where), where / "paths.txt").read_bytes())
+    assert models[0] == models[1]
+    assert b"sample_data" not in models[0] and str(tmp_path).encode() not in models[0]
+
+
+def test_one_step_path_over_zero_weight_edge_predicts(tmp_path, capsys, monkeypatch):
+    flags = copy_sample(tmp_path)
+    schema = tmp_path / "schema.txt"
+    schema.write_text(schema.read_text() + "relation knows Author Author\n")
+    edges = tmp_path / "edges.tsv"
+    edges.write_text(edges.read_text() + "alice\tbob\tknows\t0.0\n"
+                     "bob\tcarol\tknows\t2.0\nalice\tdave\tknows\n")
+    paths = tmp_path / "paths.txt"
+    paths.write_text(paths.read_text() + "UU: Author -knows-> Author\n")
+    f = train_model(tmp_path, flags, paths)
+    parses = count_calls(monkeypatch, "load_graph")
+    rc, out = predict(capsys, flags, without_source(f, tmp_path / "parsed.npz"), "alice")
+    assert (rc, len(parses)) == (0, 1)
+    assert out.count("\n") == 3
+
+
+def test_main_calls_leak_no_settings(tmp_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    f = zero_model(tmp_path)
+    assert predict(capsys, GRAPH_FLAGS, f, "bob", "--top-k", "2")[1].count("\n") == 2
+    assert predict(capsys, GRAPH_FLAGS, f, "bob")[1].count("\n") == 3
+    assert main(train_flags(tmp_path)) == 0
+    assert predict(capsys, GRAPH_FLAGS, tmp_path / "model.npz", "bob")[0] == 0
 
 
 # ----------------------------------------------------------------- evaluate

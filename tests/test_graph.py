@@ -244,6 +244,38 @@ def test_crlf_padding_comments_and_mixed_field_counts(tmp_path):
         h.load_graph(np_, ep, sp_)
 
 
+def test_source_digest_covers_the_bytes_parsed(tmp_path):
+    import hashlib
+
+    # only \n, \r and \r\n end a line; \x0c and \u2028 stay inside an id
+    nodes = "a1\tAuthor\na\x0cb\u2028c\tAuthor\np1\tPaper\nc1\tConf\n"
+    edges = "a1\tp1\twrites\na\x0cb\u2028c\tp1\twrites\t2\np1\tc1\tpublished_in\n"
+    np_, ep, sp_ = write_dataset(tmp_path, "", "")
+    for path, text in ((np_, nodes), (ep, edges)):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    g = h.load_graph(np_, ep, sp_)
+    assert g.node_ids["Author"] == ["a1", "a\x0cb\u2028c"]
+    want = hashlib.sha256(b"".join(
+        hashlib.sha256(open(p, "rb").read()).digest() for p in (sp_, np_, ep)
+    )).hexdigest()
+    assert g.source_digest == h.source_digest(np_, ep, sp_) == want
+    built = h.build_graph(
+        h.load_schema(sp_),
+        [("a1", "Author"), ("a\x0cb\u2028c", "Author"), ("p1", "Paper"), ("c1", "Conf")],
+        [("a1", "p1", "writes"), ("a\x0cb\u2028c", "p1", "writes", 2.0),
+         ("p1", "c1", "published_in")],
+    )
+    assert built.source_digest is None
+    assert h.content_hash(built) == h.content_hash(g)
+    # other bytes, same graph: the digest changes, the content hash does not
+    with open(ep, "w", encoding="utf-8", newline="") as fh:
+        fh.write(edges.replace("\n", "\r\n"))
+    crlf = h.load_graph(np_, ep, sp_)
+    assert crlf.source_digest == h.source_digest(np_, ep, sp_) != g.source_digest
+    assert h.content_hash(crlf) == h.content_hash(g)
+
+
 def test_load_and_build_agree_over_several_blocks(tmp_path):
     from hetecf.graph import BLOCK_LINES
 

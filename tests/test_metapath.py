@@ -474,3 +474,39 @@ def test_build_relation_set_counts_and_symmetry(toy_graph, biblio_schema):
         assert m.shape == (size, size)
         assert np.array_equal(m, m.T)
     assert rels.user_item[0].matrix.shape == (3, 2)
+
+
+def test_one_step_paths_leave_the_graph_unchanged():
+    # a zero-weight edge is stored explicitly; eliminate_zeros on a shared
+    # adjacency would drop it from the graph itself
+    schema = h.Schema(
+        ("Author", "Paper", "Conf"), "Author", "Conf",
+        (h.Relation("knows", "Author", "Author"),
+         h.Relation("writes", "Author", "Paper"),
+         h.Relation("published_in", "Paper", "Conf")),
+    )
+    g = h.build_graph(
+        schema,
+        [("a1", "Author"), ("a2", "Author"), ("p1", "Paper"), ("c1", "Conf")],
+        [("a1", "a2", "knows", 0.0), ("a1", "a1", "knows", 2.0),
+         ("a2", "a1", "knows", 3.0), ("a1", "p1", "writes"),
+         ("a2", "p1", "writes", 0.0), ("p1", "c1", "published_in")],
+    )
+    before = {name: (m.indptr.copy(), m.indices.copy(), m.data.copy())
+              for name, m in g.matrices.items()}
+    digest = h.content_hash(g)
+    groups = parse_path_spec(
+        "UU: Author -knows-> Author\n"
+        "UU: Author <-knows- Author\n"
+        "II: Conf <-published_in- Paper -published_in-> Conf\n"
+        "UI: Author -writes-> Paper -published_in-> Conf\n",
+        schema,
+    )
+    build_relation_set(g, groups)
+    assert path_count(g, h.parse_path("Author -writes-> Paper", schema)).matrix.nnz == 1
+    for name, arrays in before.items():
+        m = g.matrices[name]
+        for got, want in zip((m.indptr, m.indices, m.data), arrays):
+            assert np.array_equal(got, want), name
+    assert before["knows"][0].tolist() == [0, 2, 3]
+    assert h.content_hash(g) == digest

@@ -17,6 +17,7 @@ from hetecf.learner import build_problem
 from hetecf.metapath import SimilarityMatrix
 from hetecf.model import (
     MODEL_FORMAT_VERSION,
+    ModelFormatError,
     LaplacianSet,
     effective_mu,
     laplacian,
@@ -392,4 +393,67 @@ def test_load_model_rejects_inconsistent_header(tmp_path):
         alpha=np.zeros(0), beta=np.zeros(0), w=np.zeros(0),
     )
     with pytest.raises(ValueError, match="disagrees"):
+        load_model(f)
+
+
+def write_model_with_header(path, **source):
+    """A 2-user, 1-item model file whose header adds the ``source`` keys."""
+    import json
+
+    header = {
+        "format_version": MODEL_FORMAT_VERSION, "n": 2, "m": 1, "d": 1,
+        "n_user_paths": 0, "n_item_paths": 0, "n_cross_paths": 0,
+        "hyperparams": {}, "graph_hash": "", **source,
+    }
+    np.savez(
+        path,
+        header=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8),
+        U=np.zeros((2, 1)), V=np.zeros((1, 1)),
+        alpha=np.zeros(0), beta=np.zeros(0), w=np.zeros(0),
+    )
+    return path
+
+
+GOOD_SOURCE = {"source_digest": "0a" * 32, "user_ids": ["u1", "u\x00"], "item_ids": ["i1"]}
+
+
+def test_save_model_records_source_ids_exactly(tmp_path):
+    f = str(tmp_path / "m.npz")
+    model = FactorModel(np.zeros((2, 1)), np.zeros((1, 1)))
+    source = tuple(GOOD_SOURCE.values())
+    save_model(f, model, PathWeights([], [], []), Hyperparams(d=1), "h", source)
+    _, _, header = load_model(f)
+    assert {k: header[k] for k in GOOD_SOURCE} == GOOD_SOURCE  # trailing NUL kept
+    save_model(f, model, PathWeights([], [], []), Hyperparams(d=1), "h")
+    _, _, header = load_model(f)
+    assert not set(GOOD_SOURCE) & set(header)
+    load_model(write_model_with_header(str(tmp_path / "plain.npz")))
+
+
+@pytest.mark.parametrize("key,value", [
+    ("user_ids", ["u1"]),                 # not n long
+    ("user_ids", ["u1", 2]),              # not all strings
+    ("item_ids", "i1"),                   # not a list
+    ("item_ids", ["i1", "i2"]),           # not m long
+])
+def test_load_model_rejects_malformed_source_ids(tmp_path, key, value):
+    f = write_model_with_header(str(tmp_path / "m.npz"), **dict(GOOD_SOURCE, **{key: value}))
+    with pytest.raises(ModelFormatError, match=f"{key} is not a list of"):
+        load_model(f)
+
+
+@pytest.mark.parametrize("digest", ["0A" * 32, "0a" * 31, "0a" * 32 + "\n", "g" * 64, 7])
+def test_load_model_rejects_malformed_source_digest(tmp_path, digest):
+    f = write_model_with_header(
+        str(tmp_path / "m.npz"), **dict(GOOD_SOURCE, source_digest=digest)
+    )
+    with pytest.raises(ModelFormatError, match="64 lowercase hex"):
+        load_model(f)
+
+
+@pytest.mark.parametrize("missing", ["source_digest", "user_ids", "item_ids"])
+def test_load_model_rejects_partial_source_keys(tmp_path, missing):
+    source = {k: v for k, v in GOOD_SOURCE.items() if k != missing}
+    f = write_model_with_header(str(tmp_path / "m.npz"), **source)
+    with pytest.raises(ModelFormatError, match=f"but not {missing}"):
         load_model(f)
