@@ -3,10 +3,10 @@
 Subcommands: validate, train, evaluate, benchmark, predict.
 Every subcommand accepts ``--config <file.json>`` supplying defaults for
 its flags; explicit flags override the config file, and keys no
-subcommand reads (such as ``cache_dir``) are ignored.  Exit codes:
-0 success, 2 invalid input (files, schema, paths, arguments, model
-files), 3 numerical failure (divergence or non-finite objective).  Any
-other exception is an internal error and propagates.
+subcommand reads (such as ``cache_dir`` and ``optimizer``) are ignored.
+Exit codes: 0 success, 2 invalid input (files, schema, paths, arguments,
+model files), 3 numerical failure (divergence or non-finite objective).
+Any other exception is an internal error and propagates.
 
 Output artifacts (model files, CSVs) are written atomically via
 a temporary file and rename.
@@ -46,6 +46,7 @@ from .model import (
     ModelFormatError,
     NumericalError,
     atomic_write_bytes,
+    effective_mu,
     load_model,
     save_model,
 )
@@ -165,16 +166,11 @@ def cmd_train(args):
     ghash = content_hash(graph)
     groups, ratings, rels = _prepare_training(graph, args, cfg)
     hp = _hyperparams(args, cfg)
-    optimizer = _setting(args, cfg, "optimizer", "batch")
-    if optimizer not in ("batch", "sgd"):
-        raise CliError(f"unknown optimizer {optimizer!r}; known: batch, sgd")
-    from .model import effective_mu
-
     log.info(
         "training: %d users, %d items, %d observed ratings, mu=%g, d=%d",
         ratings.n, ratings.m, ratings.nnz, effective_mu(hp, ratings), hp.d,
     )
-    state = learner.train(ratings, rels, hp, optimizer=optimizer)
+    state = learner.train(ratings, rels, hp)
     schema = graph.schema
     source = (graph.source_digest, graph.node_ids[schema.user_type],
               graph.node_ids[schema.item_type])
@@ -206,6 +202,8 @@ def cmd_evaluate(args):
     methods = _setting(args, cfg, "methods", list(evaluate_mod.METHODS))
     if isinstance(methods, str):
         methods = [m.strip() for m in methods.split(",") if m.strip()]
+    if not isinstance(methods, list):
+        raise CliError(f"methods: expected a comma list or a list, got {methods!r}")
     unknown = [m for m in methods if m not in evaluate_mod.METHODS]
     if unknown:
         raise CliError(
@@ -370,7 +368,6 @@ def build_parser():
     p.add_argument("--model-out", dest="model_out")
     p.add_argument("--log-out", dest="log_out", help="training log CSV")
     p.add_argument("--weights-out", dest="weights_out", help="weight report CSV")
-    p.add_argument("--optimizer", choices=["batch", "sgd"])
     _add_hp_flags(p)
     p.set_defaults(func=cmd_train)
 

@@ -145,11 +145,10 @@ class NMFPredictor:
 
 
 class HeteCFPredictor:
-    """Wraps a trained factor model; exposes the trained state for reporting."""
+    """Wraps the factor model trained on ``train``."""
 
-    def __init__(self, train, rels, hp, optimizer="batch"):
-        self.state = learner.train(train, rels, hp, optimizer=optimizer)
-        self.model = self.state.model
+    def __init__(self, train, rels, hp):
+        self.model = learner.train(train, rels, hp).model
 
     def predict(self, users, items):
         return self.model.predict_pairs(users, items)

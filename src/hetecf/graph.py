@@ -109,9 +109,6 @@ class Schema:
                 return r
         raise SchemaError(f"unknown relation {name!r}")
 
-    def has_relation(self, name):
-        return any(r.name == name for r in self.relations)
-
 
 @dataclass
 class HeteroGraph:

@@ -30,12 +30,6 @@ A candidate step is accepted only if it does not increase the objective;
 five consecutive rejected steps halve the step size, and more than ten
 halvings in one run abort training as divergent.  The accepted-step
 objective trace is therefore non-increasing by construction.
-
-The default optimizer is deterministic full-batch descent.  A stochastic
-mode (``optimizer="sgd"``) sweeps the observed entries one at a time in a
-seeded shuffled order, folding the ridge into the per-entry updates and
-applying the graph regularizers once per epoch; epochs go through the
-same accept/reject guard.
 """
 
 import logging
@@ -97,9 +91,7 @@ class TrainState:
 
     model: FactorModel
     weights: PathWeights
-    hp: object
     step_size: float
-    rng: np.random.Generator
     j_value: float = np.nan
     j_trace: list = field(default_factory=list)  # per outer iteration
     step_trace: list = field(default_factory=list)  # per accepted step
@@ -134,9 +126,7 @@ def init(hp, shapes):
     return TrainState(
         model=FactorModel(U, V),
         weights=PathWeights(alpha, beta, w),
-        hp=hp,
         step_size=hp.learn_rate,
-        rng=rng,
     )
 
 
@@ -176,10 +166,8 @@ class Problem:
         blocks = [(ratings.rows, ratings.cols, ratings.vals)] + _relation_entries(rels)
         self.bounds = np.cumsum([0] + [len(b[2]) for b in blocks])
         self._block_sizes = np.diff(self.bounds)
-        self.rows, self.cols, self.vals = (
-            np.concatenate([b[i] for b in blocks]) for i in range(3)
-        )
-        flat, self.pair = np.unique(self.rows * self.m + self.cols, return_inverse=True)
+        rows, cols, self.vals = (np.concatenate([b[i] for b in blocks]) for i in range(3))
+        flat, self.pair = np.unique(rows * self.m + cols, return_inverse=True)
         self.n_pairs = flat.size
         self.density = flat.size / (self.n * self.m)
         self.dense = self.density >= DENSE_MIN_DENSITY
@@ -195,11 +183,6 @@ class Problem:
                                                             minlength=self.n))])),
                 shape=(self.n, self.m),
             )
-
-    def block(self, k):
-        """(rows, cols, targets) of block k: 0 the ratings, k + 1 relation k."""
-        a, b = self.bounds[k], self.bounds[k + 1]
-        return self.rows[a:b], self.cols[a:b], self.vals[a:b]
 
     def evaluate(self, model):
         """The Point of ``model``'s factors."""
@@ -379,7 +362,10 @@ def _descend(state, data, propose, phase):
     return state
 
 
-def _propose_factors_batch(data):
+def update_factors(state, data):
+    """Inner loop of the factor phase: full-gradient descent on (U, V);
+    returns the mutated state."""
+
     def propose(state):
         dU, dV = grad_factors(state, data)
         U = state.model.U - state.step_size * dU
@@ -387,50 +373,6 @@ def _propose_factors_batch(data):
         rel = max(_rel_change(U, state.model.U), _rel_change(V, state.model.V))
         return (data.evaluate(FactorModel(U, V)), state.weights), rel
 
-    return propose
-
-
-def _propose_factors_sgd(data):
-    """One epoch: per-entry fit updates (ridge folded in), then the graph
-    regularizers applied once full-batch."""
-
-    def propose(state):
-        eta = state.step_size
-        lam = data.hp.lam
-        U = state.model.U.copy()
-        V = state.model.V.copy()
-        scales = [1.0] + [data.mu * wk for wk in state.weights.w]
-        for k, scale in enumerate(scales):
-            rr, cc, vv = data.block(k)
-            ridge = lam if k == 0 else 0.0
-            if scale == 0.0 or rr.size == 0:
-                continue
-            order = state.rng.permutation(rr.size)
-            for e in order:
-                i, j, target = rr[e], cc[e], vv[e]
-                ui, vj = U[i], V[j]
-                z = float(ui @ vj)
-                p = 1.0 / (1.0 + np.exp(-z)) if z >= 0 else np.exp(z) / (1.0 + np.exp(z))
-                g = 2.0 * scale * p * (1.0 - p) * (p - target)
-                U[i] = ui - eta * (g * vj + 2.0 * ridge * ui)
-                V[j] = vj - eta * (g * ui + 2.0 * ridge * vj)
-        for a, L in zip(state.weights.alpha, data.laps.user):
-            if a != 0.0:
-                U -= eta * (2.0 * a) * (L @ U)
-        for b, L in zip(state.weights.beta, data.laps.item):
-            if b != 0.0:
-                V -= eta * (2.0 * b) * (L @ V)
-        rel = max(_rel_change(U, state.model.U), _rel_change(V, state.model.V))
-        return (data.evaluate(FactorModel(U, V)), state.weights), rel
-
-    return propose
-
-
-def update_factors(state, data, optimizer="batch"):
-    """Inner loop of the factor phase; returns the mutated state."""
-    propose = (
-        _propose_factors_sgd(data) if optimizer == "sgd" else _propose_factors_batch(data)
-    )
     return _descend(state, data, propose, "factor")
 
 
@@ -457,14 +399,14 @@ def update_weights(state, data):
     return _descend(state, data, propose, "weight")
 
 
-def _run_phase(phase, update, state, data, **kwargs):
+def _run_phase(phase, update, state, data):
     """Run one phase; returns its accepted and rejected steps, halvings
     and wall time as log-row columns."""
     steps = getattr(state, f"{phase}_steps")
     rejected = getattr(state, f"{phase}_rejected")
     halvings = state.halvings
     start = time.perf_counter()
-    update(state, data, **kwargs)
+    update(state, data)
     return {
         f"{phase}_accepted": getattr(state, f"{phase}_steps") - steps,
         f"{phase}_rejected": getattr(state, f"{phase}_rejected") - rejected,
@@ -473,7 +415,7 @@ def _run_phase(phase, update, state, data, **kwargs):
     }
 
 
-def train(ratings, rels, hp, optimizer="batch"):
+def train(ratings, rels, hp):
     """Alternating two-phase descent; returns the final TrainState.
 
     The returned state carries the model, weights, per-outer-iteration
@@ -483,8 +425,6 @@ def train(ratings, rels, hp, optimizer="batch"):
     current step size, and each phase's accepted and rejected steps,
     halvings and wall time.
     """
-    if optimizer not in ("batch", "sgd"):
-        raise ValueError(f"unknown optimizer {optimizer!r}")
     data = build_problem(ratings, rels, hp)
     n_uu, n_ii, n_ui = rels.counts
     state = init(hp, (ratings.n, ratings.m, n_uu, n_ii, n_ui))
@@ -496,7 +436,7 @@ def train(ratings, rels, hp, optimizer="batch"):
             state.model.V.copy(),
             state.weights.copy(),
         )
-        factor = _run_phase("factor", update_factors, state, data, optimizer=optimizer)
+        factor = _run_phase("factor", update_factors, state, data)
         weight = _run_phase("weight", update_weights, state, data)
         state.outer_iters = outer
         state.j_trace.append(state.j_value)

@@ -363,6 +363,8 @@ def load_model(path):
     try:
         with np.load(path) as data:
             header = json.loads(bytes(data["header"]).decode())
+            if not isinstance(header, dict):
+                raise ModelFormatError("model file header is not a JSON object")
             if header.get("format_version") != MODEL_FORMAT_VERSION:
                 raise ModelFormatError(
                     f"unsupported model format version {header.get('format_version')!r}"

@@ -136,7 +136,8 @@ def test_train_deterministic_model_bytes(tmp_path):
 def test_train_ignores_config_cache_dir(tmp_path):
     cache = tmp_path / "cache"
     models = []
-    for name in ("a.npz", "b.npz"):
+    for name, ignored in (("a.npz", {"cache_dir": str(cache), "optimizer": "sgd"}),
+                          ("b.npz", {})):
         cfg = tmp_path / f"{name}.json"
         cfg.write_text(json.dumps({
             "nodes": str(SAMPLE / "nodes.tsv"),
@@ -144,13 +145,16 @@ def test_train_ignores_config_cache_dir(tmp_path):
             "schema": str(SAMPLE / "schema.txt"),
             "paths": str(SAMPLE / "paths.txt"),
             "target_path": TARGET,
-            "cache_dir": str(cache),
             "model_out": str(tmp_path / name),
+            **ignored,
         }))
         assert main(["train", "--config", str(cfg), *FAST]) == 0
         models.append((tmp_path / name).read_bytes())
     assert models[0] == models[1]
     assert not cache.exists()
+    with pytest.raises(SystemExit) as exc:
+        main(train_flags(tmp_path, ["--optimizer", "batch"]))
+    assert exc.value.code == 2
 
 
 def test_train_mu_flag_recorded(tmp_path):
@@ -158,13 +162,6 @@ def test_train_mu_flag_recorded(tmp_path):
     assert rc == 0
     _, _, header = load_model(str(tmp_path / "model.npz"))
     assert header["hyperparams"]["mu"] == 0.5
-
-
-def test_train_sgd_optimizer(tmp_path):
-    rc = main(train_flags(tmp_path, ["--optimizer", "sgd"]))
-    assert rc == 0
-    model, _, _ = load_model(str(tmp_path / "model.npz"))
-    assert np.all(np.isfinite(model.U))
 
 
 def test_train_missing_model_out(tmp_path, monkeypatch, caplog):
@@ -220,13 +217,6 @@ def test_internal_value_error_is_not_reported_as_bad_input(tmp_path, monkeypatch
 def test_invalid_hyperparameters_exit_two(tmp_path, extra, caplog):
     assert main(train_flags(tmp_path, extra)) == 2
     assert "invalid hyperparameters" in caplog.text
-
-
-def test_unknown_config_optimizer_exits_two(tmp_path, caplog):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"optimizer": "adam"}))
-    assert main(train_flags(tmp_path, ["--config", str(cfg)])) == 2
-    assert "optimizer" in caplog.text
 
 
 # ------------------------------------------------------------------ predict
@@ -317,6 +307,14 @@ def test_predict_rejects_non_model_file(tmp_path, caplog):
     rc = main(["predict", *GRAPH_FLAGS, "--model", str(f), "--user", "alice"])
     assert rc == 2
     assert "model file" in caplog.text
+
+
+def test_predict_rejects_model_header_that_is_not_an_object(tmp_path, caplog):
+    f = tmp_path / "model.npz"
+    np.savez(f, header=np.frombuffer(b"[2]", dtype=np.uint8))
+    rc = main(["predict", *GRAPH_FLAGS, "--model", str(f), "--user", "alice"])
+    assert rc == 2
+    assert "not a JSON object" in caplog.text
 
 
 def test_predict_shape_mismatch(tmp_path, caplog):
@@ -535,6 +533,19 @@ def test_evaluate_rejects_bad_grid(tmp_path, extra):
         *extra,
     ])
     assert rc == 2
+
+
+def test_evaluate_rejects_config_methods_that_are_not_a_list(tmp_path, caplog):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"methods": 5}))
+    rc = main([
+        "evaluate", "--config", str(cfg), *GRAPH_FLAGS,
+        "--paths", str(SAMPLE / "paths.txt"),
+        "--target-path", TARGET,
+        *FAST,
+    ])
+    assert rc == 2
+    assert "methods" in caplog.text
 
 
 def test_evaluate_rejects_unknown_method(tmp_path):

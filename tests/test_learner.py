@@ -391,40 +391,6 @@ def test_divergence_records_halvings(monkeypatch):
     )
 
 
-# ----------------------------------------------------------------- sgd mode
-
-
-def test_sgd_mode_descends_and_is_deterministic():
-    rng = np.random.default_rng(28)
-    ratings, rels, hp = random_instance(rng, n=7, m=5, d=2)
-    hp = hp.with_overrides(max_outer=3, learn_rate=0.1)
-    s1 = train(ratings, rels, hp, optimizer="sgd")
-    s2 = train(ratings, rels, hp, optimizer="sgd")
-    trace = np.array([s1.j_trace[0]] + s1.step_trace)
-    assert np.all(np.diff(trace) <= 0.0)
-    assert np.array_equal(s1.model.U, s2.model.U)
-    assert s1.j_trace == s2.j_trace
-
-
-def test_sgd_differs_from_batch_path():
-    rng = np.random.default_rng(29)
-    ratings, rels, hp = random_instance(rng, n=7, m=5, d=2)
-    hp = hp.with_overrides(max_outer=2)
-    batch = train(ratings, rels, hp, optimizer="batch")
-    sgd = train(ratings, rels, hp, optimizer="sgd")
-    # same contract on both: accepted-step traces never increase
-    for s in (batch, sgd):
-        trace = np.array([s.j_trace[0]] + s.step_trace)
-        assert np.all(np.diff(trace) <= 0.0)
-
-
-def test_unknown_optimizer_rejected():
-    rng = np.random.default_rng(30)
-    ratings = random_ratings(rng, 4, 3)
-    with pytest.raises(ValueError, match="optimizer"):
-        train(ratings, empty_rels(), Hyperparams(d=2), optimizer="adam")
-
-
 # -------------------------------------------------------------- logging csv
 
 

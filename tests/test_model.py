@@ -396,6 +396,21 @@ def test_load_model_rejects_inconsistent_header(tmp_path):
         load_model(f)
 
 
+@pytest.mark.parametrize("header", [[2], None])
+def test_load_model_rejects_header_that_is_not_an_object(tmp_path, header):
+    import json
+
+    f = str(tmp_path / "m.npz")
+    np.savez(
+        f,
+        header=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8),
+        U=np.zeros((1, 1)), V=np.zeros((1, 1)),
+        alpha=np.zeros(0), beta=np.zeros(0), w=np.zeros(0),
+    )
+    with pytest.raises(ModelFormatError, match="not a JSON object"):
+        load_model(f)
+
+
 def write_model_with_header(path, **source):
     """A 2-user, 1-item model file whose header adds the ``source`` keys."""
     import json
