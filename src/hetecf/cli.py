@@ -86,12 +86,23 @@ def _load_config(path):
     return cfg
 
 
+# Settings that name a file (or, for target_path, a meta-path): a config
+# value for one of them must be a string.
+_STRING_SETTINGS = frozenset((
+    "nodes", "edges", "schema", "paths", "target_path", "model", "model_out",
+    "log_out", "weights_out", "report_out", "out",
+))
+
+
 def _setting(args, cfg, name, default=None):
     """Flag value if given, else config value, else default."""
     value = getattr(args, name, None)
     if value is not None:
         return value
-    return cfg.get(name, default)
+    value = cfg.get(name, default)
+    if name in _STRING_SETTINGS and value is not None and not isinstance(value, str):
+        raise CliError(f"{name}: expected a string, got {value!r}")
+    return value
 
 
 def _require(args, cfg, name):
@@ -162,6 +173,8 @@ def _prepare_training(graph, args, cfg):
 def cmd_train(args):
     cfg = _load_config(args.config)
     model_out = _require(args, cfg, "model_out")
+    log_out = _setting(args, cfg, "log_out")
+    weights_out = _setting(args, cfg, "weights_out")
     graph = _load_graph_from(args, cfg)
     ghash = content_hash(graph)
     groups, ratings, rels = _prepare_training(graph, args, cfg)
@@ -182,11 +195,9 @@ def cmd_train(args):
         f"converged={state.converged}"
     )
     print(f"model written to {model_out}")
-    log_out = _setting(args, cfg, "log_out")
     if log_out:
         learner.write_training_log(log_out, state)
         print(f"training log written to {log_out}")
-    weights_out = _setting(args, cfg, "weights_out")
     rows = evaluate_mod.report_weights(state.weights, groups)
     for group, path, value in rows:
         print(f"weight\t{group}\t{value:.4f}\t{path}")
@@ -198,12 +209,15 @@ def cmd_train(args):
 
 def cmd_evaluate(args):
     cfg = _load_config(args.config)
+    report_out = _setting(args, cfg, "report_out")
     _, ratings, rels = _prepare_training(_load_graph_from(args, cfg), args, cfg)
     methods = _setting(args, cfg, "methods", list(evaluate_mod.METHODS))
     if isinstance(methods, str):
         methods = [m.strip() for m in methods.split(",") if m.strip()]
     if not isinstance(methods, list):
         raise CliError(f"methods: expected a comma list or a list, got {methods!r}")
+    if not methods:
+        raise CliError("methods: the list is empty")
     unknown = [m for m in methods if m not in evaluate_mod.METHODS]
     if unknown:
         raise CliError(
@@ -228,7 +242,6 @@ def cmd_evaluate(args):
         hp=hp,
     )
     print(report.format_table())
-    report_out = _setting(args, cfg, "report_out")
     if report_out:
         atomic_write_bytes(report_out, report.to_csv().encode("utf-8"))
         print(f"report written to {report_out}")
@@ -237,6 +250,7 @@ def cmd_evaluate(args):
 
 def cmd_benchmark(args):
     cfg = _load_config(args.config)
+    out = _setting(args, cfg, "out")
     d_values = _numbers(_setting(args, cfg, "d_values", [5, 10, 20, 40]), int, "d_values", 1)
     sizes = _numbers(_setting(args, cfg, "sizes", [1.0, 1.5, 2.0, 3.0]), float, "sizes", 0.0)
     repeats = _number(_setting(args, cfg, "repeats", 3), int, "repeats", 1)
@@ -248,7 +262,6 @@ def cmd_benchmark(args):
     )
     csv_text = synth.timing_csv(rows)
     print(csv_text, end="")
-    out = _setting(args, cfg, "out")
     if out:
         atomic_write_bytes(out, csv_text.encode("utf-8"))
         print(f"timings written to {out}")

@@ -162,6 +162,15 @@ class HeteroGraph:
 BLOCK_LINES = 2048
 
 
+# Bytes a field may hold in a fast block: printable ASCII except space and
+# ``#``.  With tab and newline as separators, nothing else may occur.
+_FIELD_BYTE = np.zeros(256, bool)
+_FIELD_BYTE[0x21:0x7F] = True
+_FIELD_BYTE[ord("#")] = False
+_FAST_BYTE = _FIELD_BYTE.copy()
+_FAST_BYTE[[ord("\t"), ord("\n")]] = True
+
+
 class _Block:
     """Records of one block, as a flat field list plus per-record offsets.
 
@@ -169,7 +178,9 @@ class _Block:
     padding, so that ``flat[start[r] + c]`` is field ``c`` of record ``r``
     when the record has more than ``c`` fields (and some other field or
     padding when it has not).  ``strip`` says whether fields carry
-    surrounding whitespace that ingest removes (text files do).
+    surrounding whitespace that ingest removes.  ``width`` is the field
+    count shared by every record, or 0 when the counts differ; a column of
+    such a block is a slice of ``flat``.
     """
 
     def __init__(self, flat, count, lines, strip):
@@ -178,18 +189,39 @@ class _Block:
         self.start = np.cumsum(count) - count
         self.lines = lines
         self.strip = strip
+        self.width = int(count[0]) if count.size and (count == count[0]).all() else 0
         flat.extend([""] * 4)
 
     @classmethod
     def read(cls, fh, first_line):
         """The next BLOCK_LINES lines of ``fh``, or None at its end.
 
-        Blank and ``#`` lines are dropped.  The raw lines are released
+        Fast block: when the text ends in a newline and holds only tabs,
+        newlines and printable ASCII other than space and ``#``, with no
+        line that is empty or starts with a tab, then no line is blank or
+        a comment and no field has whitespace to strip.  Its fields are
+        split off the whole text at once, and its tab counts come from
+        byte positions.
+
+        Any other block is read line by line: blank and ``#`` lines are
+        dropped and every field is stripped.  The raw lines are released
         before the fields are split, to keep the block's peak memory low.
         """
         raw = list(islice(fh, BLOCK_LINES))
         if not raw:
             return None
+        text = "".join(raw)
+        if text.isascii() and text.endswith("\n"):
+            codes = np.frombuffer(text.encode("ascii"), np.uint8)
+            ends = np.flatnonzero(codes == ord("\n"))  # one per line
+            starts = np.concatenate(([0], ends[:-1] + 1))
+            if _FAST_BYTE[codes].all() and _FIELD_BYTE[codes[starts]].all():
+                del raw
+                tabs = np.diff(np.searchsorted(np.flatnonzero(codes == ord("\t")), ends),
+                               prepend=0)
+                lines = first_line + np.arange(ends.size)
+                return cls(text.replace("\n", "\t").split("\t"), tabs + 1, lines, strip=False)
+        del text
         keep = ~np.fromiter(map(str.isspace, raw), bool, len(raw))
         keep &= ~np.fromiter(
             map(str.startswith, map(str.lstrip, raw), repeat("#")), bool, len(raw)
@@ -209,9 +241,12 @@ class _Block:
         return cls(list(chain.from_iterable(records)), count, None, strip=False)
 
     def column(self, c, rows=None):
-        """Iterator over field ``c`` of every record, or of the records in ``rows``."""
-        at = self.start if rows is None else self.start[rows]
-        values = map(self.flat.__getitem__, (at + c).tolist())
+        """Field ``c`` of every record, or of the records in ``rows``, as an iterable."""
+        if rows is None and c < self.width:
+            values = self.flat[c:self.width * self.count.size:self.width]
+        else:
+            at = self.start if rows is None else self.start[rows]
+            values = map(self.flat.__getitem__, (at + c).tolist())
         return map(str.strip, values) if self.strip else values
 
     def fields(self, r):

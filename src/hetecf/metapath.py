@@ -13,9 +13,15 @@ A path-set file groups one path per line under ``UU:`` (user-user),
 ``II:`` (item-item) or ``UI:`` (user-item) prefixes.
 
 Similarity matrices are recomputed on every call; counting and
-normalizing every path costs less than reading any on-disk copy.
+normalizing every path costs less than reading any on-disk copy.  A
+palindromic path H H^-1 is counted from its first half H alone, as
+M M^T (the commuting matrix of PathSim), which comes out exactly
+symmetric and with sorted indices, so PathSim needs no re-sort.
+``build_relation_set`` checks each user-user and item-item similarity
+against its transpose once and averages only those that differ.
 """
 
+import logging
 import re
 from dataclasses import dataclass
 
@@ -29,6 +35,8 @@ _BACKWARD = re.compile(r"<-([A-Za-z_]\w*)-")
 _TYPE = re.compile(r"[A-Za-z_]\w*")
 
 GROUPS = ("UU", "II", "UI")
+
+log = logging.getLogger(__name__)
 
 
 class PathError(ValueError):
@@ -155,11 +163,16 @@ class PathCountMatrix:
 
 @dataclass
 class SimilarityMatrix:
-    """PathSim-normalized path counts; values lie in [0, 1]."""
+    """PathSim-normalized path counts; values lie in [0, 1].
+
+    ``symmetric`` is True only when ``matrix`` was checked to equal its
+    own transpose array for array (``build_relation_set`` does this).
+    """
 
     path: MetaPath
     variant: str
     matrix: sp.csr_array
+    symmetric: bool = False
 
 
 def validate_path(path, schema):
@@ -184,15 +197,30 @@ def path_count(graph, path):
     Counts every path instance, revisiting nodes freely; with unit edge
     weights the entries are exact instance counts.  The result shares no
     buffer with ``graph.matrices``.
+
+    A palindromic path P = H H^-1 (see ``MetaPath.is_palindromic``; its
+    step count is even) multiplies only its first half H into M and
+    returns M M^T, the commuting matrix.  With M's indices sorted, entries
+    (s, t) and (t, s) sum the same products in the same order, so the
+    counts are exactly symmetric, and the CSC arrays of M M^T are the CSR
+    arrays of its transpose, that is, of itself, with sorted indices.
     """
     validate_path(path, graph.schema)
+    palindromic = path.is_palindromic
+    steps = path.steps[:len(path.steps) // 2] if palindromic else path.steps
     product = None
-    for step in path.steps:
+    for step in steps:
         m = adjacency(graph, step.relation, transposed=not step.forward)
         product = m if product is None else product @ m
-    # a one-step forward product is the graph's own adjacency: copy it, so
-    # that eliminate_zeros never rewrites graph.matrices
-    product = sp.csr_array(product, copy=len(path.steps) == 1)
+    if palindromic:
+        # a copy, so that sort_indices never rewrites graph.matrices
+        half = sp.csr_array(product, copy=True)
+        half.sort_indices()
+        product = (half @ half.T).tocsc().T
+    else:
+        # a one-step forward product is the graph's own adjacency: copy it,
+        # so that eliminate_zeros never rewrites graph.matrices
+        product = sp.csr_array(product, copy=len(steps) == 1)
     product.eliminate_zeros()
     return PathCountMatrix(path, product)
 
@@ -207,27 +235,29 @@ def pathsim(pc, variant="rowcol"):
     """
     if variant not in ("rowcol", "diagonal"):
         raise PathError(f"unknown PathSim variant {variant!r}")
-    # normalize a sorted copy of the counts in place; pc.matrix is untouched
-    out = sp.csr_array(pc.matrix, dtype=np.float64, copy=True)
-    out.sort_indices()
-    rows = np.repeat(np.arange(out.shape[0]), np.diff(out.indptr))
-    cols = out.indices
+    counts = pc.matrix
+    if not counts.has_sorted_indices:  # sort a copy; pc.matrix is untouched
+        counts = sp.csr_array(counts, copy=True)
+        counts.sort_indices()
+    per_row = np.diff(counts.indptr)
     if variant == "diagonal":
         if not pc.path.is_palindromic:
             raise PathError(
                 f"diagonal variant needs a palindromic path, got "
                 f"{pc.path.to_string()!r}"
             )
-        diag = pc.matrix.diagonal()
-        denom = diag[rows] + diag[cols]
+        by_row = by_col = pc.matrix.diagonal()
     else:
-        rowsum = np.asarray(pc.matrix.sum(axis=1)).ravel()
-        colsum = np.asarray(pc.matrix.sum(axis=0)).ravel()
-        denom = rowsum[rows] + colsum[cols]
+        by_row = np.asarray(pc.matrix.sum(axis=1)).ravel()
+        by_col = np.asarray(pc.matrix.sum(axis=0)).ravel()
+    denom = np.repeat(by_row, per_row) + by_col[counts.indices]
     positive = denom > 0
-    out.data *= 2.0
-    np.divide(out.data, denom, out=out.data, where=positive)
-    out.data[~positive] = 0.0
+    data = counts.data * 2.0
+    np.divide(data, denom, out=data, where=positive)
+    data[~positive] = 0.0
+    out = sp.csr_array(
+        (data, counts.indices.copy(), counts.indptr.copy()), shape=counts.shape
+    )
     out.eliminate_zeros()
     return SimilarityMatrix(pc.path, variant, out)
 
@@ -304,16 +334,41 @@ class RelationSet:
         return (len(self.user_user), len(self.item_item), len(self.user_item))
 
 
-def _symmetrize(mat):
-    return sp.csr_array((mat + mat.T) * 0.5)
+def _symmetric(sim):
+    """``sim`` made exactly symmetric, with the check done once.
+
+    S is kept, and marked, when its transpose has the very same CSR
+    arrays; otherwise it becomes (S + S^T)/2.
+    """
+    S = sim.matrix
+    T = S.T.tocsr()
+    if all(np.array_equal(a, b) for a, b in
+           ((S.indptr, T.indptr), (S.indices, T.indices), (S.data, T.data))):
+        return SimilarityMatrix(sim.path, sim.variant, S, symmetric=True)
+    return SimilarityMatrix(sim.path, sim.variant, sp.csr_array((S + T) * 0.5))
+
+
+def _warn_if_inert(group, sim):
+    """Warn when a similarity has no off-diagonal entry: its Laplacian is zero."""
+    S = sim.matrix
+    rows = np.repeat(np.arange(S.shape[0]), np.diff(S.indptr))
+    if np.array_equal(S.indices, rows):
+        log.warning(
+            "%s path %s is inert: its similarity has no entries off the "
+            "diagonal, so its Laplacian is zero", group, sim.path,
+        )
 
 
 def build_relation_set(graph, groups, variant="rowcol"):
     """Compute the similarity matrix of every declared path.
 
-    User-user and item-item matrices are symmetrized (S + S^T)/2 so the
-    graph regularizer sees exactly symmetric input regardless of float
-    round-off or non-palindromic paths.
+    User-user and item-item matrices are made exactly symmetric for the
+    graph regularizer.  Each is transposed once: when the transpose has
+    the same CSR arrays, as it does for a palindromic path, S is kept
+    and marked ``symmetric``, so ``laplacian`` skips its own check;
+    otherwise (a non-palindromic path, say) S becomes (S + S^T)/2.  A
+    user-user or item-item path whose similarity has no entries off the
+    diagonal is logged as inert: its Laplacian is all zero.
     """
     out = {}
     for group, paths in (
@@ -325,7 +380,8 @@ def build_relation_set(graph, groups, variant="rowcol"):
         for path in paths:
             sim = pathsim(path_count(graph, path), variant=variant)
             if group in ("UU", "II"):
-                sim = SimilarityMatrix(sim.path, sim.variant, _symmetrize(sim.matrix))
+                sim = _symmetric(sim)
+                _warn_if_inert(group, sim)
             sims.append(sim)
         out[group] = sims
     return RelationSet(out["UU"], out["II"], out["UI"])

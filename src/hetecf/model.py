@@ -163,17 +163,20 @@ def laplacian(similarity, tol=1e-9):
 
     Accepts a SimilarityMatrix or a raw sparse/dense symmetric matrix;
     asymmetry beyond ``tol`` (max absolute entry of S - S^T) is an error.
+    A SimilarityMatrix marked ``symmetric`` was checked to equal its
+    transpose exactly when it was built, so its check is skipped.
     """
     S = getattr(similarity, "matrix", similarity)
     S = sp.csr_array(S, dtype=np.float64)
     if S.shape[0] != S.shape[1]:
         raise ValueError(f"similarity matrix must be square, got {S.shape}")
-    gap = S - S.T
-    if gap.nnz and np.max(np.abs(gap.data)) > tol:
-        raise ValueError(
-            f"similarity matrix asymmetric beyond {tol} "
-            f"(max |S - S^T| = {np.max(np.abs(gap.data)):.3e})"
-        )
+    if not getattr(similarity, "symmetric", False):
+        gap = S - S.T
+        if gap.nnz and np.max(np.abs(gap.data)) > tol:
+            raise ValueError(
+                f"similarity matrix asymmetric beyond {tol} "
+                f"(max |S - S^T| = {np.max(np.abs(gap.data)):.3e})"
+            )
     deg = np.asarray(S.sum(axis=1)).ravel()
     return sp.csr_array(sp.diags_array(deg, format="csr") - S)
 

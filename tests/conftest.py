@@ -94,3 +94,52 @@ def random_ratings(rng, n, m, density=0.3, lo=0.05, hi=1.0):
     k = max(2, int(density * total))
     flat = rng.choice(total, size=k, replace=False)
     return RatingMatrix(n, m, flat // m, flat % m, rng.uniform(lo, hi, size=k))
+
+
+# A corpus of random citation graphs, shared by the acceptance and metapath tests.
+CITE_SCHEMA = Schema(
+    ("Author", "Paper", "Conf"), "Author", "Conf",
+    (Relation("writes", "Author", "Paper"),
+     Relation("published_in", "Paper", "Conf"),
+     Relation("cites", "Paper", "Paper")),
+)
+
+# lengths 1 through 4; a mix of palindromic and one-way shapes
+PATH_TEXTS = (
+    "Paper -cites-> Paper",
+    "Author -writes-> Paper <-writes- Author",
+    "Author -writes-> Paper -published_in-> Conf",
+    "Conf <-published_in- Paper -published_in-> Conf",
+    "Author -writes-> Paper -cites-> Paper -published_in-> Conf",
+    "Author -writes-> Paper -cites-> Paper <-writes- Author",
+    "Conf <-published_in- Paper -cites-> Paper -published_in-> Conf",
+    "Author -writes-> Paper -published_in-> Conf <-published_in- Paper <-writes- Author",
+)
+
+
+@pytest.fixture(scope="session")
+def graph_corpus():
+    """100 random bibliographic graphs of at most 30 nodes."""
+    rng = np.random.default_rng(202)
+    graphs = []
+    for _ in range(100):
+        na, npp, nc = (int(x) for x in rng.integers(1, 11, size=3))
+        nodes = (
+            [(f"a{i}", "Author") for i in range(na)]
+            + [(f"p{i}", "Paper") for i in range(npp)]
+            + [(f"c{i}", "Conf") for i in range(nc)]
+        )
+        edges = []
+        for i in range(na):
+            for j in range(npp):
+                if rng.random() < 0.35:
+                    edges.append((f"a{i}", f"p{j}", "writes"))
+        for i in range(npp):
+            for j in range(nc):
+                if rng.random() < 0.35:
+                    edges.append((f"p{i}", f"c{j}", "published_in"))
+            for j in range(npp):
+                if i != j and rng.random() < 0.25:
+                    edges.append((f"p{i}", f"p{j}", "cites"))
+        graphs.append(build_graph(CITE_SCHEMA, nodes, edges))
+    return graphs

@@ -63,6 +63,59 @@ def naive_pathsim(counts, variant="rowcol"):
     return out
 
 
+def reference_count(graph, path):
+    """The path's counts by the plain route: the full chain product of its
+    adjacency matrices, copied, zeros dropped, indices sorted."""
+    product = None
+    for step in path.steps:
+        m = graph.matrices[step.relation]
+        m = m if step.forward else m.T.tocsr()
+        product = m if product is None else product @ m
+    out = sp.csr_array(product, copy=True)
+    out.eliminate_zeros()
+    out.sort_indices()
+    return out
+
+
+def reference_pathsim(counts, variant="rowcol"):
+    """PathSim of sorted CSR counts, entry by entry over the stored entries."""
+    rows = np.repeat(np.arange(counts.shape[0]), np.diff(counts.indptr))
+    cols = counts.indices
+    if variant == "diagonal":
+        diag = counts.diagonal()
+        denom = diag[rows] + diag[cols]
+    else:
+        denom = (np.asarray(counts.sum(axis=1)).ravel()[rows]
+                 + np.asarray(counts.sum(axis=0)).ravel()[cols])
+    data = np.zeros(counts.nnz)
+    positive = denom > 0
+    data[positive] = 2.0 * counts.data[positive] / denom[positive]
+    out = sp.csr_array((data, cols.copy(), counts.indptr.copy()), shape=counts.shape)
+    out.eliminate_zeros()
+    return out
+
+
+def reference_relation_set(graph, groups, variant="rowcol"):
+    """Similarity matrices per group (UU, II, UI) by the plain route: every
+    user-user and item-item matrix is averaged with its transpose."""
+    out = []
+    for name in ("user_user", "item_item", "user_item"):
+        mats = [reference_pathsim(reference_count(graph, p), variant)
+                for p in getattr(groups, name)]
+        if name != "user_item":
+            mats = [sp.csr_array((S + S.T) * 0.5) for S in mats]
+        out.append(mats)
+    return out
+
+
+def reference_laplacian(S, tol=1e-9):
+    """D - S after checking that S equals its transpose within ``tol``."""
+    gap = (S - S.T).toarray()
+    assert np.abs(gap).max(initial=0.0) <= tol, "asymmetric similarity"
+    deg = np.asarray(S.sum(axis=1)).ravel()
+    return sp.csr_array(sp.diags_array(deg, format="csr") - S)
+
+
 def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-np.clip(x, -500, 500)))
 

@@ -34,7 +34,7 @@ from hetecf.synth import (
     scaling_benchmark,
 )
 
-from conftest import random_instance, random_ratings
+from conftest import CITE_SCHEMA, PATH_TEXTS, random_instance, random_ratings
 from oracles import PlainLogisticMF, central_difference, count_observed, dfs_path_count
 
 
@@ -136,54 +136,6 @@ def test_1_gradients_match_central_differences(capsys):
 
 
 # ----------------------------------------- 2 & 3: path counts and PathSim
-
-
-CITE_SCHEMA = h.Schema(
-    ("Author", "Paper", "Conf"), "Author", "Conf",
-    (h.Relation("writes", "Author", "Paper"),
-     h.Relation("published_in", "Paper", "Conf"),
-     h.Relation("cites", "Paper", "Paper")),
-)
-
-# lengths 1 through 4; a mix of palindromic and one-way shapes
-PATH_TEXTS = (
-    "Paper -cites-> Paper",
-    "Author -writes-> Paper <-writes- Author",
-    "Author -writes-> Paper -published_in-> Conf",
-    "Conf <-published_in- Paper -published_in-> Conf",
-    "Author -writes-> Paper -cites-> Paper -published_in-> Conf",
-    "Author -writes-> Paper -cites-> Paper <-writes- Author",
-    "Conf <-published_in- Paper -cites-> Paper -published_in-> Conf",
-    "Author -writes-> Paper -published_in-> Conf <-published_in- Paper <-writes- Author",
-)
-
-
-@pytest.fixture(scope="module")
-def graph_corpus():
-    """100 random bibliographic graphs of at most 30 nodes."""
-    rng = np.random.default_rng(202)
-    graphs = []
-    for _ in range(100):
-        na, npp, nc = (int(x) for x in rng.integers(1, 11, size=3))
-        nodes = (
-            [(f"a{i}", "Author") for i in range(na)]
-            + [(f"p{i}", "Paper") for i in range(npp)]
-            + [(f"c{i}", "Conf") for i in range(nc)]
-        )
-        edges = []
-        for i in range(na):
-            for j in range(npp):
-                if rng.random() < 0.35:
-                    edges.append((f"a{i}", f"p{j}", "writes"))
-        for i in range(npp):
-            for j in range(nc):
-                if rng.random() < 0.35:
-                    edges.append((f"p{i}", f"c{j}", "published_in"))
-            for j in range(npp):
-                if i != j and rng.random() < 0.25:
-                    edges.append((f"p{i}", f"p{j}", "cites"))
-        graphs.append(h.build_graph(CITE_SCHEMA, nodes, edges))
-    return graphs
 
 
 def test_2_path_counts_equal_dfs_enumeration(capsys, graph_corpus):

@@ -560,6 +560,17 @@ def test_evaluate_rejects_unknown_method(tmp_path):
     assert rc == 2
 
 
+def test_evaluate_rejects_an_empty_method_list(tmp_path, caplog):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"methods": []}))
+    common = [*GRAPH_FLAGS, "--paths", str(SAMPLE / "paths.txt"), "--target-path", TARGET,
+              *FAST]
+    assert main(["evaluate", "--config", str(cfg), *common]) == 2
+    assert main(["evaluate", "--methods", "", *common]) == 2
+    assert main(["evaluate", "--methods", " , ", *common]) == 2
+    assert caplog.text.count("methods: the list is empty") == 3
+
+
 # ---------------------------------------------------------------- benchmark
 
 
@@ -578,3 +589,39 @@ def test_benchmark_csv_output(tmp_path, capsys):
     assert len(lines) == 3  # header + one d row + one size row
     assert lines[1].split(",")[0] == "2"
     assert lines[2].split(",")[0] == "10"
+
+
+# ------------------------------------------------------- config value types
+
+
+@pytest.mark.parametrize("command,key", [
+    ("validate", "nodes"),
+    ("validate", "edges"),
+    ("validate", "schema"),
+    ("train", "paths"),
+    ("train", "target_path"),
+    ("train", "model_out"),
+    ("train", "log_out"),
+    ("train", "weights_out"),
+    ("evaluate", "report_out"),
+    ("benchmark", "out"),
+    ("predict", "model"),
+])
+def test_config_paths_must_be_strings(tmp_path, caplog, command, key):
+    # an int would reach open() as a file descriptor
+    settings = {
+        "nodes": str(SAMPLE / "nodes.tsv"),
+        "edges": str(SAMPLE / "edges.tsv"),
+        "schema": str(SAMPLE / "schema.txt"),
+        "paths": str(SAMPLE / "paths.txt"),
+        "target_path": TARGET,
+        "model_out": str(tmp_path / "model.npz"),
+        "model": str(tmp_path / "model.npz"),
+        "user": "alice",
+        key: 5,
+    }
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(settings))
+    assert main([command, "--config", str(cfg)]) == 2
+    assert f"{key}: expected a string, got 5" in caplog.text
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json"]  # nothing trained or written

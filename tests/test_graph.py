@@ -599,3 +599,107 @@ def test_random_ratings_density():
     r = random_ratings(rng, 10, 8, density=0.25)
     assert r.n == 10 and r.m == 8
     assert 0 < r.density <= 1
+
+
+# -------------------------------------------------- fast blocks vs line by line
+
+PARITY_NODES = [
+    "# people\n", "a1\tAuthor\n", "a2\tAuthor\n", "a3\tAuthor\n", "a4\tAuthor\n",
+    "\t\n", " a5 \tAuthor\r\n", "p1\tPaper\n", "p2\tPaper\n", "p3\tPaper\n", "\n",
+    "pé\tPaper\n", "p5\tPaper\n", "c1\tConf\n", "c2\tConf\n", "c3\tConf\n",
+]
+PARITY_EDGES = [
+    "a1\tp1\twrites\n", "a2\tp1\twrites\t2.5\n", "a3\tp2\twrites\n", "a4\tp3\twrites\t0.5\n",
+    "  # indented comment\n", "a5\tpé\twrites\n", "a1\tp2\twrites\n", "a2\tp3\twrites\n",
+    "a3\tp5\twrites\n", "#no-space-comment\n", "p1 \tc1\tpublished_in\r\n",
+    "p2\tc1\tpublished_in\n", "p3\tc2\tpublished_in\n", "pé\tc3\tpublished_in\n",
+    "p5\tc3\tpublished_in",
+]
+
+
+def _load_fast_and_line_by_line(monkeypatch, paths, block_lines):
+    """load_graph's outcome with fast blocks allowed, then with every block
+    read line by line, and whether each block of the first load was fast.
+    An outcome is the graph's ids, arrays and digests, or the error text."""
+    from hetecf import graph as G
+
+    monkeypatch.setattr(G, "BLOCK_LINES", block_lines)
+    read, fast = G._Block.read, []
+
+    def spy(fh, first_line):
+        block = read(fh, first_line)
+        if block is not None:
+            fast.append(not block.strip)
+        return block
+
+    def load():
+        try:
+            g = h.load_graph(*paths)
+        except GraphFormatError as exc:
+            return str(exc)
+        arrays = {name: [(a.dtype, a.tobytes()) for a in (m.indptr, m.indices, m.data)]
+                  for name, m in g.matrices.items()}
+        return (g.node_ids, list(g._index.items()), arrays, h.content_hash(g),
+                g.source_digest)
+
+    monkeypatch.setattr(G._Block, "read", staticmethod(spy))
+    with_fast = load()
+    seen = list(fast)
+    monkeypatch.setattr(G, "_FAST_BYTE", np.zeros(256, bool))  # no block qualifies
+    fast.clear()
+    line_by_line = load()
+    assert fast and not any(fast)
+    return (with_fast, line_by_line), seen
+
+
+def _write_lines(tmp_path, nodes, edges):
+    paths = write_dataset(tmp_path, "", "")
+    for path, lines in ((paths[0], nodes), (paths[1], edges)):
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write("".join(lines))
+    return paths
+
+
+@pytest.mark.parametrize("block_lines", [1, 2, 3, 4, 7])
+def test_fast_blocks_parse_like_line_by_line(tmp_path, monkeypatch, block_lines):
+    paths = _write_lines(tmp_path, PARITY_NODES, PARITY_EDGES)
+    (fast, slow), seen = _load_fast_and_line_by_line(monkeypatch, paths, block_lines)
+    assert any(seen) and not all(seen)
+    assert fast == slow
+    want = h.build_graph(
+        h.load_schema(paths[2]),
+        [(f"a{i}", "Author") for i in range(1, 6)]
+        + [(p, "Paper") for p in ("p1", "p2", "p3", "pé", "p5")]
+        + [(f"c{i}", "Conf") for i in range(1, 4)],
+        [("a1", "p1", "writes"), ("a2", "p1", "writes", 2.5), ("a3", "p2", "writes"),
+         ("a4", "p3", "writes", 0.5), ("a5", "pé", "writes"), ("a1", "p2", "writes"),
+         ("a2", "p3", "writes"), ("a3", "p5", "writes"), ("p1", "c1", "published_in"),
+         ("p2", "c1", "published_in"), ("p3", "c2", "published_in"),
+         ("pé", "c3", "published_in"), ("p5", "c3", "published_in")],
+    )
+    assert fast[3] == h.content_hash(want)
+
+
+@pytest.mark.parametrize("file,record,message", [
+    ("edges", "a1\tzzz\twrites\n", "unknown node id 'zzz'"),
+    ("edges", "a1\tp1\twrites\tx\n", "unparseable weight 'x'"),
+    ("edges", "a1\t\twrites\n", "empty target id"),
+    ("edges", "a1\tp1\n", "got 2 fields"),
+    ("edges", "a1\tp1\twrites\t-1\n", "invalid weight -1.0"),
+    ("edges", "a1\tc1\twrites\n", "target node 'c1' has type 'Conf'"),
+    ("nodes", "a2\tPaper\n", "duplicate node id 'a2'"),
+    ("nodes", "x1\tAuthor\textra\n", "got 3 fields"),
+    ("nodes", "x1\tNope\n", "undeclared type 'Nope'"),
+])
+@pytest.mark.parametrize("block_lines", [1, 2])
+def test_bad_record_in_a_fast_block_names_the_same_line(tmp_path, monkeypatch, file,
+                                                        record, message, block_lines):
+    nodes, edges = list(PARITY_NODES), list(PARITY_EDGES)
+    lines = nodes if file == "nodes" else edges
+    lines.insert(3, record)  # among clean lines: line 4 of its file
+    paths = _write_lines(tmp_path, nodes, edges)
+    (fast, slow), seen = _load_fast_and_line_by_line(monkeypatch, paths, block_lines)
+    assert seen[-1]  # the block that failed was a fast one
+    assert fast == slow
+    assert fast.startswith(f"{paths[0 if file == 'nodes' else 1]}:4: ")
+    assert message in fast

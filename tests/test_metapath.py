@@ -1,5 +1,7 @@
 """Meta-paths: parsing, reversal, path counting, PathSim, spec files."""
 
+import pathlib
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -7,14 +9,25 @@ import scipy.sparse as sp
 import hetecf as h
 from hetecf import PathError, PathSpecError
 from hetecf.metapath import (
+    PathGroups,
+    SimilarityMatrix,
+    _symmetric,
     build_relation_set,
     load_path_spec,
     parse_path_spec,
     path_count,
     pathsim,
 )
+from hetecf.model import LaplacianSet, laplacian
 
-from oracles import dfs_path_count, naive_pathsim
+from oracles import (
+    dfs_path_count,
+    naive_pathsim,
+    reference_laplacian,
+    reference_relation_set,
+)
+
+SAMPLE = pathlib.Path(__file__).resolve().parent.parent / "sample_data"
 
 
 def cite_schema():
@@ -510,3 +523,151 @@ def test_one_step_paths_leave_the_graph_unchanged():
             assert np.array_equal(got, want), name
     assert before["knows"][0].tolist() == [0, 2, 3]
     assert h.content_hash(g) == digest
+
+
+# ------------------------------------------ fast path against the plain route
+
+
+def _arrays(m):
+    return [(a.dtype, a.tobytes()) for a in (m.indptr, m.indices, m.data)] + [m.shape]
+
+
+def _groups_of(schema, texts):
+    """PathGroups holding every path of ``texts`` that runs user-user,
+    item-item or user-item."""
+    paths = [h.parse_path(t, schema) for t in texts]
+
+    def running(a, b):
+        return [p for p in paths if (p.source_type, p.target_type) == (a, b)]
+
+    u, i = schema.user_type, schema.item_type
+    return PathGroups(running(u, u), running(i, i), running(u, i))
+
+
+def _assert_matches_reference(graph, groups, variant):
+    rels = build_relation_set(graph, groups, variant=variant)
+    want = reference_relation_set(graph, groups, variant)
+    got = [rels.user_user, rels.item_item, rels.user_item]
+    for sims, mats in zip(got, want):
+        assert [_arrays(s.matrix) for s in sims] == [_arrays(m) for m in mats]
+    laps = LaplacianSet.from_relation_set(rels)
+    assert [_arrays(L) for L in laps.user + laps.item] == [
+        _arrays(reference_laplacian(S)) for S in want[0] + want[1]
+    ]
+    for sim in rels.user_user + rels.item_item:
+        dense = sim.matrix.toarray()
+        if sim.symmetric:
+            assert np.array_equal(dense, dense.T)
+    return rels
+
+
+def test_relation_sets_and_laplacians_match_reference_route_on_corpus(graph_corpus):
+    from conftest import CITE_SCHEMA, PATH_TEXTS
+
+    rowcol = _groups_of(CITE_SCHEMA, PATH_TEXTS)
+    diagonal = PathGroups(
+        [p for p in rowcol.user_user if p.is_palindromic],
+        [p for p in rowcol.item_item if p.is_palindromic], [],
+    )
+    assert rowcol.counts == (3, 2, 2) and diagonal.counts == (2, 1, 0)
+    marked = 0
+    for g in graph_corpus:
+        rels = _assert_matches_reference(g, rowcol, "rowcol")
+        _assert_matches_reference(g, diagonal, "diagonal")
+        marked += sum(s.symmetric for s in rels.user_user + rels.item_item)
+    assert marked >= 300  # every palindromic path of every graph
+
+
+def test_relation_set_matches_reference_route_on_sample_data():
+    g = h.load_graph(*(str(SAMPLE / f) for f in ("nodes.tsv", "edges.tsv", "schema.txt")))
+    groups = load_path_spec(str(SAMPLE / "paths.txt"), g.schema)
+    rels = _assert_matches_reference(g, groups, "rowcol")
+    flags = [(str(s.path), s.symmetric) for s in rels.user_user + rels.item_item]
+    assert flags == [
+        ("Author -writes-> Paper <-writes- Author", True),
+        ("Author -writes-> Paper -cites-> Paper <-writes- Author", False),
+        ("Conf <-published_in- Paper -published_in-> Conf", True),
+        ("Conf <-published_in- Paper -cites-> Paper -published_in-> Conf", False),
+    ]
+
+
+def test_non_palindromic_user_path_is_averaged_and_left_unmarked():
+    g = h.load_graph(*(str(SAMPLE / f) for f in ("nodes.tsv", "edges.tsv", "schema.txt")))
+    path = h.parse_path("Author -writes-> Paper -cites-> Paper <-writes- Author", g.schema)
+    assert not path.is_palindromic
+    raw = pathsim(path_count(g, path)).matrix
+    assert (raw != raw.T).nnz > 0
+    sim = build_relation_set(g, PathGroups([path], [], [])).user_user[0]
+    assert not sim.symmetric
+    assert _arrays(sim.matrix) == _arrays(sp.csr_array((raw + raw.T) * 0.5))
+    # unmarked, the raw counts' similarity fails laplacian's own check
+    with pytest.raises(ValueError, match="asymmetric"):
+        laplacian(SimilarityMatrix(path, "rowcol", raw))
+
+
+def test_symmetric_is_set_only_for_exact_transposes(biblio_schema):
+    # one round-off unit of asymmetry is averaged away, not marked
+    path = h.parse_path("Author -writes-> Paper <-writes- Author", biblio_schema)
+    S = sp.csr_array(np.array([[0.0, 0.3], [0.3 + 2**-54, 0.0]]))
+    assert (S != S.T).nnz == 2
+    sim = _symmetric(SimilarityMatrix(path, "rowcol", S))
+    assert not sim.symmetric
+    assert np.array_equal(sim.matrix.toarray(), sim.matrix.toarray().T)
+    exact = _symmetric(SimilarityMatrix(path, "rowcol", sim.matrix))
+    assert exact.symmetric and exact.matrix is sim.matrix
+
+
+def test_palindromic_count_leaves_unsorted_graph_matrices_untouched(biblio_schema):
+    # writes has unsorted indices: a sort on a shared buffer would reorder them
+    writes = sp.csr_array(
+        (np.array([1.0, 2.0, 1.0]), np.array([1, 0, 1]), np.array([0, 2, 3])),
+        shape=(2, 2),
+    )
+    assert not writes.has_sorted_indices
+    g = h.HeteroGraph(
+        biblio_schema,
+        {"Author": ["a1", "a2"], "Paper": ["p1", "p2"], "Conf": ["c1"]},
+        {"writes": writes, "published_in": sp.csr_array((2, 1))},
+    )
+    before = [a.copy() for a in (writes.indptr, writes.indices, writes.data)]
+    pc = path_count(g, h.parse_path("Author -writes-> Paper <-writes- Author", biblio_schema))
+    assert g.matrices["writes"] is writes
+    for got, want in zip((writes.indptr, writes.indices, writes.data), before):
+        assert np.array_equal(got, want)
+    assert pc.matrix.has_sorted_indices
+    assert pc.matrix.toarray().tolist() == [[5.0, 1.0], [1.0, 1.0]]
+    sim = pathsim(pc)
+    assert not np.shares_memory(sim.matrix.indices, pc.matrix.indices)
+    assert not np.shares_memory(sim.matrix.indptr, pc.matrix.indptr)
+
+
+def test_inert_path_is_logged_once(caplog):
+    g = h.load_graph(*(str(SAMPLE / f) for f in ("nodes.tsv", "edges.tsv", "schema.txt")))
+    groups = load_path_spec(str(SAMPLE / "paths.txt"), g.schema)
+    with caplog.at_level("WARNING", logger="hetecf.metapath"):
+        build_relation_set(g, groups)
+    assert [r.getMessage() for r in caplog.records] == [
+        "II path Conf <-published_in- Paper -published_in-> Conf is inert: its "
+        "similarity has no entries off the diagonal, so its Laplacian is zero"
+    ]
+
+
+def test_palindromic_counts_are_exactly_symmetric_with_float_weights():
+    rng = np.random.default_rng(11)
+    schema = cite_schema()
+    nodes = ([(f"a{i}", "Author") for i in range(12)] + [(f"p{i}", "Paper") for i in range(15)]
+             + [(f"c{i}", "Conf") for i in range(6)])
+    edges = [(f"a{i}", f"p{j}", "writes", float(rng.random()))
+             for i in range(12) for j in range(15) if rng.random() < 0.4]
+    edges += [(f"p{i}", f"c{j}", "published_in", float(rng.random()))
+              for i in range(15) for j in range(6) if rng.random() < 0.5]
+    g = h.build_graph(schema, nodes, edges)
+    for text in ("Author -writes-> Paper <-writes- Author",
+                 "Author -writes-> Paper -published_in-> Conf <-published_in- Paper"
+                 " <-writes- Author"):
+        pc = path_count(g, h.parse_path(text, schema))
+        T = pc.matrix.T.tocsr()
+        for a, b in ((pc.matrix.indptr, T.indptr), (pc.matrix.indices, T.indices),
+                     (pc.matrix.data, T.data)):
+            assert np.array_equal(a, b), text
+        assert np.allclose(pc.matrix.toarray(), dfs_path_count(g, pc.path), rtol=1e-12)

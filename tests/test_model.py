@@ -203,6 +203,25 @@ def test_laplacian_rejects_asymmetric():
         laplacian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_laplacian_checks_every_matrix_not_marked_symmetric(biblio_schema):
+    import hetecf as h
+
+    path = h.parse_path("Author -writes-> Paper <-writes- Author", biblio_schema)
+    asym = np.array([[0.0, 0.5], [0.25, 0.0]])
+    for raw in (asym, sp.csr_array(asym), sp.coo_array(asym)):
+        with pytest.raises(ValueError, match="asymmetric"):
+            laplacian(raw)
+    with pytest.raises(ValueError, match="asymmetric"):
+        laplacian(SimilarityMatrix(path, "rowcol", sp.csr_array(asym)))
+    # a matrix marked when built is trusted, and gives the checked result
+    S = random_symmetric_similarity(9, 0.5, np.random.default_rng(5))
+    marked = laplacian(SimilarityMatrix(path, "rowcol", S, symmetric=True))
+    checked = laplacian(S)
+    for a, b in ((marked.indptr, checked.indptr), (marked.indices, checked.indices),
+                 (marked.data, checked.data)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
 def test_laplacian_rejects_non_square():
     with pytest.raises(ValueError, match="square"):
         laplacian(np.zeros((2, 3)))
