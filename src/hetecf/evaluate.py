@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import RatingMatrix
-from .model import Hyperparams
+from .model import Hyperparams, LaplacianSet
 from . import learner
 
 log = logging.getLogger(__name__)
@@ -145,16 +145,17 @@ class NMFPredictor:
 
 
 class HeteCFPredictor:
-    """Wraps the factor model trained on ``train``."""
+    """Wraps the factor model trained on ``train``; ``laps`` is the
+    LaplacianSet of ``rels`` when the caller has it."""
 
-    def __init__(self, train, rels, hp):
-        self.model = learner.train(train, rels, hp).model
+    def __init__(self, train, rels, hp, laps=None):
+        self.model = learner.train(train, rels, hp, laps).model
 
     def predict(self, users, items):
         return self.model.predict_pairs(users, items)
 
 
-def fit_method(method, train, rels, hp, trial_seed):
+def fit_method(method, train, rels, hp, trial_seed, laps=None):
     if method == "user_mean":
         return MeanPredictor(train, "user")
     if method == "item_mean":
@@ -162,7 +163,7 @@ def fit_method(method, train, rels, hp, trial_seed):
     if method == "nmf":
         return NMFPredictor(train, hp.d, seed=trial_seed)
     if method == "hete_cf":
-        return HeteCFPredictor(train, rels, hp.with_overrides(seed=trial_seed))
+        return HeteCFPredictor(train, rels, hp.with_overrides(seed=trial_seed), laps)
     raise ValueError(f"unknown method {method!r}; known: {', '.join(METHODS)}")
 
 
@@ -239,12 +240,14 @@ def run_experiment(
 
     A failing (method, fraction, d, trial) cell is recorded in
     ``report.failures`` and skipped in the aggregates; other methods
-    are unaffected.
+    are unaffected.  The Laplacians of ``rels`` are built once and shared
+    by every hete_cf fit.
     """
     hp = hp or Hyperparams()
     for method in methods:
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}; known: {', '.join(METHODS)}")
+    laps = None  # the Laplacians of rels, built by the first hete_cf fit
     report = MetricReport()
     for fraction in fractions:
         spec = SplitSpec(train_fraction=fraction, trials=trials, seed=seed)
@@ -255,8 +258,11 @@ def run_experiment(
                 scores = {"MAE": [], "RMSE": []}
                 for trial, (train, test) in enumerate(splits):
                     try:
+                        if method == "hete_cf" and laps is None:
+                            laps = LaplacianSet.from_relation_set(rels)
                         predictor = fit_method(
-                            method, train, rels, hp_d, trial_seed=hp_d.seed + trial
+                            method, train, rels, hp_d, trial_seed=hp_d.seed + trial,
+                            laps=laps,
                         )
                         pred = predictor.predict(test.rows, test.cols)
                         scores["MAE"].append(mae(pred, test.vals))

@@ -18,6 +18,14 @@ again.  The predictions come from one dense ``U @ V.T`` when the entries
 cover at least ``DENSE_MIN_DENSITY`` of the user-item grid, and from row
 gathers otherwise.
 
+Active set: at the start of each factor phase :meth:`Problem.activate`
+keeps in the entry list only the rating block and the user-item relations
+whose weight is nonzero, and rebuilds the list when that set changes.
+With the weights frozen, a relation with ``w_k == 0`` adds exactly 0 to J
+and to the factor gradient, so this is exact for any weight rule.  A
+Point therefore depends on which weights are zero: it records the set it
+was evaluated on and is never used under another.
+
 Weight phase: with the factors frozen the objective is
 ``const + c . theta + lam * ||theta||^2``, where theta stacks
 (alpha, beta, w) and c = (Tr(U^T L U) per user path, Tr(V^T L V) per item
@@ -134,15 +142,21 @@ def init(hp, shapes):
 class Point:
     """What every objective term needs from one pair of factors.
 
-    Nothing here depends on the path weights, so one Point serves every
-    weight candidate of a weight phase.
+    A Point depends on which user-item weights are zero: it holds the
+    residuals of the rating block and of the relations in the Problem's
+    active set (``active``) when it was evaluated, and the Problem values
+    or differentiates it only while that set is current.  Nothing else
+    here depends on the path weights, and the set changes only at the
+    start of a factor phase, so one Point serves every weight candidate
+    of a weight phase.
     """
 
     model: FactorModel
+    active: tuple  # indices of the user-item relations it was evaluated on
     slope: np.ndarray  # f'(U_i . V_j) per distinct entry pair
     resid: np.ndarray  # f(U_i . V_j) - target per entry
     fit: float  # rating residual sum of squares
-    rel_ssq: np.ndarray  # residual sum of squares per user-item relation
+    rel_ssq: np.ndarray  # residual sum of squares per user-item relation, 0 if inactive
     LU: list  # L @ U per user-user Laplacian
     LV: list  # L @ V per item-item Laplacian
     tr_u: np.ndarray  # Tr(U^T L U) per user-user Laplacian
@@ -154,23 +168,45 @@ TERMS = ("fit", "user_graph", "item_graph", "relation_fit", "ridge")
 
 
 class Problem:
-    """The fixed data of one training run, and the objective on it."""
+    """The fixed data of one training run, and the objective on it.
 
-    def __init__(self, ratings, rels, hp):
+    The entry list holds the rating block and the blocks of the *active*
+    user-item relations, those whose weight was nonzero when
+    :meth:`activate` last ran (every relation before its first call).
+    """
+
+    def __init__(self, ratings, rels, hp, laps=None):
         self.hp = hp
         self.n, self.m = ratings.n, ratings.m
-        self.laps = LaplacianSet.from_relation_set(rels)
+        self.laps = LaplacianSet.from_relation_set(rels) if laps is None else laps
         self.mu = effective_mu(hp, ratings)
         self.n_user, self.n_item = rating_counts(ratings)
-        # block 0 holds the ratings, block k + 1 the entries of relation k
-        blocks = [(ratings.rows, ratings.cols, ratings.vals)] + _relation_entries(rels)
+        self._ratings = ratings
+        self._user_item = list(rels.user_item)
+        self.active = tuple(range(len(self._user_item)))
+        flat = self._set_entries()
+        # dense or gathered products, decided once on every entry
+        self.density = flat.size / (self.n * self.m)
+        self.dense = self.density >= DENSE_MIN_DENSITY
+        self._index_pairs(flat)
+
+    def _set_entries(self):
+        """Concatenate the rating block and the active relation blocks into
+        one entry list; returns the sorted distinct pair keys."""
+        ratings = self._ratings
+        # block 0 holds the ratings, block k + 1 the k-th active relation
+        blocks = [(ratings.rows, ratings.cols, ratings.vals)] + _relation_entries(
+            [self._user_item[k] for k in self.active]
+        )
         self.bounds = np.cumsum([0] + [len(b[2]) for b in blocks])
         self._block_sizes = np.diff(self.bounds)
         rows, cols, self.vals = (np.concatenate([b[i] for b in blocks]) for i in range(3))
         flat, self.pair = np.unique(rows * self.m + cols, return_inverse=True)
         self.n_pairs = flat.size
-        self.density = flat.size / (self.n * self.m)
-        self.dense = self.density >= DENSE_MIN_DENSITY
+        return flat
+
+    def _index_pairs(self, flat):
+        """Index the distinct pairs for the dense or the gathered products."""
         if self.dense:
             self._flat = flat
         else:
@@ -183,6 +219,34 @@ class Problem:
                                                             minlength=self.n))])),
                 shape=(self.n, self.m),
             )
+
+    def activate(self, weights):
+        """Make the active set the relations whose weight ``w_k`` is
+        nonzero, rebuilding the entry list only when that set changes.
+
+        Exact for any weight rule: while the weights are frozen, a block
+        with ``w_k == 0`` adds exactly 0 to J and to its factor gradient.
+        """
+        active = active_relations(weights.w)
+        if active == self.active:
+            return
+        left = [self._user_item[k].path.to_string() for k in self.active if k not in active]
+        self.active = active
+        self._index_pairs(self._set_entries())
+        log.info(
+            "active set: %d of %d user-item paths, %d pairs; left: %s",
+            len(active), len(self._user_item), self.n_pairs, ", ".join(left) or "none",
+        )
+
+    def _check(self, point, weights):
+        """Refuse a Point of another active set, and weights that are
+        nonzero outside the set, whose relations the entry list lacks."""
+        if point.active != self.active:
+            raise ValueError(
+                f"Point evaluated on active set {point.active}, used on {self.active}"
+            )
+        if np.any(np.delete(weights.w, self.active)):
+            raise ValueError("a user-item weight outside the active set is nonzero")
 
     def evaluate(self, model):
         """The Point of ``model``'s factors."""
@@ -203,14 +267,17 @@ class Problem:
         p, slope = logistic_and_slope(z)
         resid = np.take(p, self.pair) - self.vals
         ssq = [np.sum(resid[a:b] ** 2) for a, b in zip(self.bounds[:-1], self.bounds[1:])]
+        rel_ssq = np.zeros(len(self._user_item))
+        rel_ssq[list(self.active)] = ssq[1:]
         LU = [L @ U for L in self.laps.user]
         LV = [L @ V for L in self.laps.item]
         return Point(
             model=model,
             slope=slope,
             resid=resid,
+            active=self.active,
             fit=ssq[0],
-            rel_ssq=np.array(ssq[1:]),
+            rel_ssq=rel_ssq,
             LU=LU,
             LV=LV,
             tr_u=np.array([trace_quad(L, U, X) for L, X in zip(self.laps.user, LU)]),
@@ -223,6 +290,7 @@ class Problem:
 
     def terms(self, point, weights):
         """The five objective terms at ``point``'s factors and ``weights``."""
+        self._check(point, weights)
         a, b, w = weights.alpha, weights.beta, weights.w
         return {
             "fit": _check_term(point.fit, "rating fit"),
@@ -243,9 +311,12 @@ class Problem:
 
     def factor_gradient(self, point, weights):
         """Gradient of J with respect to U and V at ``point``."""
+        self._check(point, weights)
         U, V = point.model.U, point.model.V
         lam = self.hp.lam
-        coef = np.repeat(np.concatenate([[1.0], self.mu * weights.w]), self._block_sizes)
+        coef = np.repeat(
+            np.concatenate([[1.0], self.mu * weights.w[list(self.active)]]), self._block_sizes
+        )
         g = np.bincount(
             self.pair,
             weights=(2.0 * coef) * np.take(point.slope, self.pair) * point.resid,
@@ -272,7 +343,12 @@ class Problem:
         return dU, dV
 
     def weight_gradient(self, point, weights):
-        """Gradient ``c + 2 lam theta`` of J with respect to (alpha, beta, w)."""
+        """Gradient ``c + 2 lam theta`` of J with respect to (alpha, beta, w).
+
+        The ``c_k`` of a relation outside the active set is not computed
+        and reads 0; see :func:`update_weights` for why that is exact.
+        """
+        self._check(point, weights)
         lam = self.hp.lam
         grads = (
             point.tr_u + 2.0 * lam * weights.alpha,
@@ -285,14 +361,22 @@ class Problem:
         return grads
 
 
-def build_problem(ratings, rels, hp):
-    """The Problem of one training run on ``ratings`` and ``rels``."""
-    return Problem(ratings, rels, hp)
+def active_relations(w):
+    """Indices of the user-item relations whose weight is nonzero."""
+    return tuple(np.flatnonzero(w != 0.0).tolist())
+
+
+def build_problem(ratings, rels, hp, laps=None):
+    """The Problem of one training run on ``ratings`` and ``rels``; pass
+    ``laps``, the LaplacianSet of ``rels``, when it is already at hand."""
+    return Problem(ratings, rels, hp, laps)
 
 
 def _point(state, data):
-    """The Point of the state's current factors, evaluated on first use."""
-    if state.point is None or state.point.model is not state.model:
+    """The Point of the state's current factors on the current active set,
+    evaluated on first use."""
+    point = state.point
+    if point is None or point.model is not state.model or point.active != data.active:
         state.point = data.evaluate(state.model)
     return state.point
 
@@ -364,7 +448,9 @@ def _descend(state, data, propose, phase):
 
 def update_factors(state, data):
     """Inner loop of the factor phase: full-gradient descent on (U, V);
-    returns the mutated state."""
+    returns the mutated state.  The active set is recomputed from the
+    weights first, which stay frozen for the whole phase."""
+    data.activate(state.weights)
 
     def propose(state):
         dU, dV = grad_factors(state, data)
@@ -378,7 +464,15 @@ def update_factors(state, data):
 
 def update_weights(state, data):
     """Inner loop of the weight phase: projected descent on (alpha, beta, w),
-    each candidate valued in closed form at the frozen factors."""
+    each candidate valued in closed form at the frozen factors.
+
+    A weight outside the active set is 0 and its ``c_k`` is not computed:
+    it reads 0, so the step leaves the weight at 0.  That is exact because
+    the projected step ``max(0 - eta * c_k, 0)`` is 0 for every
+    ``c_k >= 0``.  This is the one place that depends on the descent
+    rule: a rule that can move a zero weight must compute ``c_k`` for the
+    inactive relations.
+    """
     if sum(state.weights.counts) == 0:
         return state
 
@@ -415,17 +509,20 @@ def _run_phase(phase, update, state, data):
     }
 
 
-def train(ratings, rels, hp):
+def train(ratings, rels, hp, laps=None):
     """Alternating two-phase descent; returns the final TrainState.
 
     The returned state carries the model, weights, per-outer-iteration
     objective trace (``j_trace``, first entry is the initial objective),
     the accepted-step trace, and one log row per outer iteration with the
     objective and its five terms, the per-block relative changes, the
-    current step size, and each phase's accepted and rejected steps,
-    halvings and wall time.
+    current step size, each phase's accepted and rejected steps, halvings
+    and wall time, and the distinct user-item pairs each factor candidate
+    evaluated.  ``converged`` is set on the first outer iteration that
+    accepts a step and changes no block by ``outer_tol`` or more.
+    ``laps`` is the LaplacianSet of ``rels`` when the caller has it.
     """
-    data = build_problem(ratings, rels, hp)
+    data = build_problem(ratings, rels, hp, laps)
     n_uu, n_ii, n_ui = rels.counts
     state = init(hp, (ratings.n, ratings.m, n_uu, n_ii, n_ui))
     state.j_value = data.value(_point(state, data), state.weights)
@@ -437,6 +534,7 @@ def train(ratings, rels, hp):
             state.weights.copy(),
         )
         factor = _run_phase("factor", update_factors, state, data)
+        factor_pairs = data.n_pairs
         weight = _run_phase("weight", update_weights, state, data)
         state.outer_iters = outer
         state.j_trace.append(state.j_value)
@@ -457,16 +555,19 @@ def train(ratings, rels, hp):
                 "step_size": state.step_size,
                 **factor,
                 **weight,
+                "factor_pairs": factor_pairs,
             }
         )
         log.info(
             "iteration %d: J %.10g = fit %.6g + user graph %.6g + item graph %.6g"
             " + relation fit %.6g + ridge %.6g; factor phase %d accepted,"
-            " %d rejected, %d halvings, %.3fs; weight phase %d accepted,"
+            " %d rejected, %d halvings, %.3fs on %d pairs; weight phase %d accepted,"
             " %d rejected, %d halvings, %.3fs",
-            outer, state.j_value, *terms.values(), *factor.values(), *weight.values(),
+            outer, state.j_value, *terms.values(), *factor.values(), factor_pairs,
+            *weight.values(),
         )
-        if max(rels_change.values()) < hp.outer_tol:
+        accepted = factor["factor_accepted"] + weight["weight_accepted"]
+        if accepted and max(rels_change.values()) < hp.outer_tol:
             state.converged = True
             break
     return state
@@ -484,6 +585,7 @@ LOG_FIELDS = (
     "step_size",
     *(f"{phase}_{stat}" for phase in ("factor", "weight")
       for stat in ("accepted", "rejected", "halvings", "seconds")),
+    "factor_pairs",
 )
 
 

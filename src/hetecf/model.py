@@ -240,11 +240,11 @@ def _check_term(value, name):
     return float(value)
 
 
-def _relation_entries(rels):
-    """COO triples of each user-item relation matrix (values clipped lazily
-    nowhere: they are PathSim values, already in [0, 1])."""
+def _relation_entries(sims):
+    """COO triples of each user-item similarity in ``sims`` (values are
+    not clipped: they are PathSim values, already in [0, 1])."""
     out = []
-    for sim in rels.user_item:
+    for sim in sims:
         coo = sp.coo_array(sim.matrix)
         out.append((coo.row.astype(np.int64), coo.col.astype(np.int64),
                     coo.data.astype(np.float64)))
@@ -283,7 +283,7 @@ def objective(model, weights, ratings, rels, hp, laps=None, mu=None):
         "item graph regularizer",
     )
 
-    ssq = relation_residual_ssq(model, _relation_entries(rels))
+    ssq = relation_residual_ssq(model, _relation_entries(rels.user_item))
     rel_fit = _check_term(mu * float(weights.w @ ssq), "relation fit")
 
     n_user, n_item = rating_counts(ratings)

@@ -192,8 +192,10 @@ class PlainLogisticMF:
 
     Mirrors the reduction of the full model when every path group is
     empty: same seeded init, same accept/reject descent with step
-    halving, same stopping rules.  Written independently as the oracle
-    for the reduction-equivalence test.  It shares the scipy ``expit``
+    halving, same stopping rules: an outer iteration converges when it
+    accepted at least one step and moved U and V by less than
+    ``outer_tol``.  Written independently as the oracle for the
+    reduction-equivalence test.  It shares the scipy ``expit``
     primitive so that trajectory comparisons are not perturbed by
     last-ulp sigmoid differences; everything else is reimplemented.
     """
@@ -243,9 +245,11 @@ class PlainLogisticMF:
         j_cur = self._objective(U, V)
         self.j_trace = [j_cur]
         eps = 1e-12
+        self.converged = False
         for _ in range(hp.max_outer):
             U0, V0 = U.copy(), V.copy()
             attempts = 0
+            accepted = 0
             bad = 0
             while attempts < hp.max_inner:
                 dU, dV = self._gradient(U, V)
@@ -260,6 +264,7 @@ class PlainLogisticMF:
                 if j_new <= j_cur:
                     U, V = Uc, Vc
                     j_cur = j_new
+                    accepted += 1
                     bad = 0
                     if rel < hp.inner_tol:
                         break
@@ -275,7 +280,8 @@ class PlainLogisticMF:
                 np.linalg.norm(U - U0) / (np.linalg.norm(U0) + eps),
                 np.linalg.norm(V - V0) / (np.linalg.norm(V0) + eps),
             )
-            if outer_rel < hp.outer_tol:
+            if accepted > 0 and outer_rel < hp.outer_tol:
+                self.converged = True
                 break
         self.U, self.V = U, V
         return self

@@ -517,6 +517,32 @@ def test_evaluate_grid_and_report(tmp_path, capsys):
     assert len(lines) == 1 + 2 * 1 * 1 * 2  # methods x fractions x d x metrics
 
 
+def test_evaluate_builds_the_laplacians_once(monkeypatch):
+    from hetecf import model
+
+    calls = []
+    real = model.laplacian
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(model, "laplacian", counting)
+    rc = main([
+        "evaluate", *GRAPH_FLAGS,
+        "--paths", str(SAMPLE / "paths.txt"),
+        "--target-path", TARGET,
+        "--methods", "hete_cf",
+        "--fractions", "0.4,0.6",
+        "--d-values", "2,3",
+        "--trials", "2",
+        *FAST,
+    ])
+    assert rc == 0
+    # one per UU/II path of the sample (2 + 2), not one per path and fit (8 fits)
+    assert len(calls) == 4
+
+
 @pytest.mark.parametrize("extra", [
     ["--fractions", "1.5"],
     ["--fractions", "0.5,x"],

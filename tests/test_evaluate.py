@@ -237,6 +237,24 @@ def test_run_experiment_constant_ratings_zero_error():
         assert c.mean == pytest.approx(0.0, abs=1e-12)
 
 
+def test_run_experiment_records_a_bad_relation_set_as_hete_cf_failures():
+    # an asymmetric user-user similarity has no Laplacian: every hete_cf fit
+    # is recorded as failed, and the other methods still run
+    import scipy.sparse as sp
+    from hetecf.metapath import SimilarityMatrix
+
+    rng = np.random.default_rng(10)
+    ratings = random_ratings(rng, 5, 4, density=0.5)
+    bad = SimilarityMatrix(None, "rowcol", sp.csr_array(np.triu(np.ones((5, 5)), 1)))
+    report = run_experiment(
+        ratings, RelationSet([bad], [], []), methods=("user_mean", "hete_cf"),
+        fractions=(0.5,), d_values=(2,), trials=2, hp=fast_hp(),
+    )
+    assert [f[0] for f in report.failures] == ["hete_cf", "hete_cf"]
+    assert "asymmetric" in report.failures[0][4]
+    assert len(report.cell("user_mean", 0.5, 2, "MAE").values) == 2
+
+
 def test_run_experiment_rejects_unknown_method():
     rng = np.random.default_rng(8)
     ratings = random_ratings(rng, 5, 4, density=0.5)
@@ -249,10 +267,10 @@ def test_run_experiment_records_failures_per_method(monkeypatch, caplog):
     ratings = random_ratings(rng, 8, 6, density=0.5)
     real = evaluate.fit_method
 
-    def flaky(method, train, rels, hp, trial_seed):
+    def flaky(method, train, rels, hp, trial_seed, **kwargs):
         if method == "nmf":
             raise RuntimeError("synthetic failure")
-        return real(method, train, rels, hp, trial_seed)
+        return real(method, train, rels, hp, trial_seed, **kwargs)
 
     monkeypatch.setattr(evaluate, "fit_method", flaky)
     with caplog.at_level("WARNING", logger="hetecf.evaluate"):

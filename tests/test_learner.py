@@ -1,4 +1,4 @@
-"""Two-phase descent: init, gradients, accept/reject, convergence, SGD mode."""
+"""Two-phase descent: init, gradients, accept/reject, convergence, active set."""
 
 import numpy as np
 import pytest
@@ -414,6 +414,7 @@ def test_training_log_round_trip(tmp_path):
         "fit", "user_graph", "item_graph", "relation_fit", "ridge",
         "factor_accepted", "factor_rejected", "factor_halvings", "factor_seconds",
         "weight_accepted", "weight_rejected", "weight_halvings", "weight_seconds",
+        "factor_pairs",
     }
     for row in rows:
         assert all(np.isfinite(float(v)) for v in row.values())  # plain numbers
@@ -499,3 +500,168 @@ def test_training_bit_identical_on_each_side(side):
     assert np.array_equal(s1.weights.beta, s2.weights.beta)
     assert np.array_equal(s1.weights.w, s2.weights.w)
     assert s1.j_trace == s2.j_trace
+
+
+# ------------------------------------------------------------- active set
+
+
+def two_path_instance(side):
+    """Ratings and two user-item relations on the dense or the gather side.
+
+    Relation 0's entries sit at the start prediction 0.5, so its weight
+    decays almost only through the ridge and stays positive; relation 1's
+    are far from it, so the first weight phase clamps its weight to
+    exactly 0.  Relation 1 gets a path of its own, so that log lines can
+    name it.
+    """
+    from hetecf import Schema, Relation, make_path
+    from hetecf.metapath import SimilarityMatrix
+
+    rng = np.random.default_rng(33)
+    n, m, density = (6, 5, 0.4) if side == "dense" else (40, 30, 0.03)
+    ratings, rels, hp = random_instance(rng, n=n, m=m, d=2, density=density)
+    rels.user_item[0].matrix.data[:] = 0.5
+    schema = Schema(
+        ("U", "X", "I"), "U", "I",
+        (Relation("r1", "U", "X"), Relation("r2", "X", "I")),
+    )
+    path = make_path(schema, [("r1", True), ("r1", False), ("r1", True), ("r2", True)])
+    rels.user_item[1] = SimilarityMatrix(path, "rowcol", rels.user_item[1].matrix)
+    problem = build_problem(ratings, rels, hp)
+    assert problem.dense == (side == "dense")
+    state = init(hp, (n, m, 2, 2, 2))
+    state.model = FactorModel(
+        rng.normal(scale=0.5, size=(n, 2)), rng.normal(scale=0.5, size=(m, 2))
+    )
+    return ratings, rels, hp.with_overrides(max_outer=4), problem, state
+
+
+def distinct_pairs(ratings, *sims):
+    pairs = set(zip(ratings.rows.tolist(), ratings.cols.tolist()))
+    for sim in sims:
+        coo = sim.matrix.tocoo()
+        pairs |= set(zip(coo.row.tolist(), coo.col.tolist()))
+    return len(pairs)
+
+
+def comparable_rows(state):
+    return [{k: v for k, v in row.items()
+             if not k.endswith("_seconds") and k != "factor_pairs"}
+            for row in state.log_rows]
+
+
+@pytest.mark.parametrize("side", ["dense", "gather"])
+def test_active_set_training_bit_identical_to_all_blocks(side, monkeypatch):
+    ratings, rels, hp, _, _ = two_path_instance(side)
+    got = train(ratings, rels, hp)
+    assert got.weights.w[0] > 0.0 and got.weights.w[1] == 0.0
+    pairs = [row["factor_pairs"] for row in got.log_rows]
+    assert pairs[0] == distinct_pairs(ratings, *rels.user_item)
+    assert pairs[-1] == distinct_pairs(ratings, rels.user_item[0]) < pairs[0]
+
+    monkeypatch.setattr(learner, "active_relations", lambda w: tuple(range(w.size)))
+    want = train(ratings, rels, hp)
+    assert [row["factor_pairs"] for row in want.log_rows] == [pairs[0]] * len(pairs)
+    for name in ("U", "V"):
+        a, b = getattr(got.model, name), getattr(want.model, name)
+        assert a.tobytes() == b.tobytes()
+    for name in ("alpha", "beta", "w"):
+        a, b = getattr(got.weights, name), getattr(want.weights, name)
+        assert a.tobytes() == b.tobytes()
+    assert got.j_trace == want.j_trace
+    assert got.step_trace == want.step_trace
+    assert got.converged == want.converged
+    assert comparable_rows(got) == comparable_rows(want)
+
+
+@pytest.mark.parametrize("side", ["dense", "gather"])
+def test_factor_gradient_after_a_path_leaves_matches_full_objective(side):
+    ratings, rels, hp, problem, state = two_path_instance(side)
+    state.weights = PathWeights(state.weights.alpha, state.weights.beta, [0.7, 0.0])
+    problem.activate(state.weights)
+    assert problem.active == (0,)
+    n, d = state.model.U.shape
+    m = state.model.m
+    dU, dV = grad_factors(state, problem)
+
+    def f(vec):
+        model = FactorModel(vec[: n * d].reshape(n, d), vec[n * d:].reshape(m, d))
+        return objective(model, state.weights, ratings, rels, hp)
+
+    x0 = np.concatenate([state.model.U.ravel(), state.model.V.ravel()])
+    num = central_difference(f, x0)
+    got = np.concatenate([dU.ravel(), dV.ravel()])
+    assert np.allclose(got, num, rtol=1e-5, atol=1e-7)
+    assert problem.value(state.point, state.weights) == pytest.approx(f(x0), rel=1e-12)
+
+
+def test_inactive_weight_stays_zero_through_a_weight_phase():
+    _, _, _, problem, state = two_path_instance("gather")
+    state.weights = PathWeights(state.weights.alpha, state.weights.beta, [0.6, 0.0])
+    update_factors(state, problem)
+    assert problem.active == (0,) and state.factor_steps > 0
+    update_weights(state, problem)
+    assert state.weight_steps > 0
+    assert 0.0 < state.weights.w[0] < 0.6
+    assert state.weights.w[1] == 0.0
+
+
+def test_point_is_never_used_under_another_active_set():
+    _, _, _, problem, state = two_path_instance("gather")
+    old = problem.evaluate(state.model)
+    assert old.active == (0, 1)
+    weights = PathWeights(state.weights.alpha, state.weights.beta, [0.6, 0.0])
+    problem.activate(weights)
+    for use in (problem.value, problem.terms, problem.factor_gradient,
+                problem.weight_gradient):
+        with pytest.raises(ValueError, match="active set"):
+            use(old, weights)
+    # the state's Point is evaluated again on the current set before use
+    state.point, state.weights = old, weights
+    grad_factors(state, problem)
+    assert state.point is not old and state.point.active == (0,)
+    # weights that are nonzero outside the set are refused as well
+    with pytest.raises(ValueError, match="outside the active set"):
+        problem.value(state.point, PathWeights(weights.alpha, weights.beta, [0.6, 0.1]))
+
+
+def test_active_set_keeps_every_nonzero_weight():
+    assert learner.active_relations(np.array([5e-324, 0.0, 1e-13, 0.4])) == (0, 2, 3)
+    # a relation with a tiny weight stays in the entry list, so its share of
+    # the relation fit equals the all-blocks route bit for bit
+    _, _, _, problem, state = two_path_instance("gather")
+    weights = PathWeights(state.weights.alpha, state.weights.beta, [0.0, 1e-200])
+    all_blocks = problem.terms(problem.evaluate(state.model), weights)
+    problem.activate(weights)
+    assert problem.active == (1,)
+    terms = problem.terms(problem.evaluate(state.model), weights)
+    assert terms["relation_fit"] > 0.0
+    assert terms == all_blocks
+
+
+def test_log_names_the_paths_that_leave_the_active_set(caplog):
+    ratings, rels, hp, _, _ = two_path_instance("gather")
+    with caplog.at_level("INFO", logger="hetecf.learner"):
+        train(ratings, rels, hp)
+    lines = [r.getMessage() for r in caplog.records if "active set" in r.getMessage()]
+    assert len(lines) == 1
+    assert lines[0].startswith("active set: 1 of 2 user-item paths")
+    assert lines[0].endswith(f"left: {rels.user_item[1].path.to_string()}")
+
+
+def test_outer_iteration_that_accepts_nothing_does_not_converge():
+    # a ridge so stiff that every factor step overshoots (|1 - 2 lam c eta|
+    # > 1) rejects every candidate, and max_inner < REJECTIONS_PER_HALVING
+    # never halves the step: nothing moves, yet no iteration converged
+    assert 4 < learner.REJECTIONS_PER_HALVING
+    rng = np.random.default_rng(34)
+    ratings = random_ratings(rng, 5, 4, density=0.5)
+    hp = Hyperparams(d=2, lam=50.0, learn_rate=0.5, max_inner=4, max_outer=3,
+                     outer_tol=1e-3, seed=1)
+    state = train(ratings, empty_rels(), hp)
+    assert state.factor_steps == 0 and state.factor_rejected == 12
+    assert state.halvings == 0
+    assert state.outer_iters == 3 and not state.converged
+    oracle = PlainLogisticMF(hp).fit(ratings)
+    assert not oracle.converged
+    assert state.j_trace == oracle.j_trace
