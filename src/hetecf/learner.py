@@ -20,19 +20,23 @@ gathers otherwise.
 
 Active set: at the start of each factor phase :meth:`Problem.activate`
 keeps in the entry list only the rating block and the user-item relations
-whose weight is nonzero, and rebuilds the list when that set changes.
-With the weights frozen, a relation with ``w_k == 0`` adds exactly 0 to J
-and to the factor gradient, so this is exact for any weight rule.  A
-Point therefore depends on which weights are zero: it records the set it
-was evaluated on and is never used under another.
+whose weight is nonzero, rebuilding the list when that set changes, and
+keeps for the candidates only the Laplacian products of the user-user and
+item-item paths whose ``alpha_k`` or ``beta_k`` is nonzero.  With the
+weights frozen, a path whose weight is 0 adds exactly 0 to J and to the
+factor gradient, so this is exact for any weight rule.  A Point records
+the entry list it was evaluated on and is never used under another; it
+may be used under any weights whose nonzero graph weights it holds
+products for.
 
 Weight phase: with the factors frozen the objective is
 ``const + c . theta + lam * ||theta||^2``, where theta stacks
 (alpha, beta, w) and c = (Tr(U^T L U) per user path, Tr(V^T L V) per item
 path, mu * residual sum of squares per relation) is read off the Point.
-A weight candidate therefore costs O(number of paths), and
-:meth:`Problem.value` gives it exactly the value a full evaluation at
-those factors and weights would.
+The traces of the paths the factor phase skipped are computed once per
+weight phase, at the frozen factors.  A weight candidate therefore costs
+O(number of paths), and :meth:`Problem.value` gives it exactly the value
+a full evaluation at those factors and weights would.
 
 A candidate step is accepted only if it does not increase the objective;
 five consecutive rejected steps halve the step size, and more than ten
@@ -142,13 +146,16 @@ def init(hp, shapes):
 class Point:
     """What every objective term needs from one pair of factors.
 
-    A Point depends on which user-item weights are zero: it holds the
-    residuals of the rating block and of the relations in the Problem's
-    active set (``active``) when it was evaluated, and the Problem values
-    or differentiates it only while that set is current.  Nothing else
-    here depends on the path weights, and the set changes only at the
-    start of a factor phase, so one Point serves every weight candidate
-    of a weight phase.
+    A Point depends on which weights are zero.  It holds the residuals of
+    the rating block and of the relations in the Problem's active set
+    (``active``) when it was evaluated, and the Problem values or
+    differentiates it only while that set is current.  It holds ``L @ U``
+    or ``L @ V`` and its trace only for the Laplacians it was asked for;
+    the others read ``None`` and a trace of 0.  It may be used under any
+    weights whose nonzero ``alpha_k`` and ``beta_k`` it holds products for.
+    The sets change only at the start of a factor phase, and the weight
+    phase first completes the Point with every trace, so one Point serves
+    every weight candidate of a weight phase.
     """
 
     model: FactorModel
@@ -157,10 +164,10 @@ class Point:
     resid: np.ndarray  # f(U_i . V_j) - target per entry
     fit: float  # rating residual sum of squares
     rel_ssq: np.ndarray  # residual sum of squares per user-item relation, 0 if inactive
-    LU: list  # L @ U per user-user Laplacian
-    LV: list  # L @ V per item-item Laplacian
-    tr_u: np.ndarray  # Tr(U^T L U) per user-user Laplacian
-    tr_v: np.ndarray  # Tr(V^T L V) per item-item Laplacian
+    LU: list  # L @ U per user-user Laplacian, None where not computed
+    LV: list  # L @ V per item-item Laplacian, None where not computed
+    tr_u: np.ndarray  # Tr(U^T L U) per user-user Laplacian, 0 where not computed
+    tr_v: np.ndarray  # Tr(V^T L V) per item-item Laplacian, 0 where not computed
     factor_ridge: float  # sum_i c_i ||U_i||^2 + sum_j c_j ||V_j||^2
 
 
@@ -173,6 +180,8 @@ class Problem:
     The entry list holds the rating block and the blocks of the *active*
     user-item relations, those whose weight was nonzero when
     :meth:`activate` last ran (every relation before its first call).
+    Likewise ``active_u`` and ``active_v`` name the Laplacians whose
+    products each factor candidate computes.
     """
 
     def __init__(self, ratings, rels, hp, laps=None):
@@ -183,12 +192,24 @@ class Problem:
         self.n_user, self.n_item = rating_counts(ratings)
         self._ratings = ratings
         self._user_item = list(rels.user_item)
+        self._names = tuple(
+            [sim.path.to_string() for sim in group]
+            for group in (rels.user_user, rels.item_item, rels.user_item)
+        )
+        self.active_u = tuple(range(len(self.laps.user)))
+        self.active_v = tuple(range(len(self.laps.item)))
         self.active = tuple(range(len(self._user_item)))
+        self._inactive = ()
         flat = self._set_entries()
         # dense or gathered products, decided once on every entry
         self.density = flat.size / (self.n * self.m)
         self.dense = self.density >= DENSE_MIN_DENSITY
         self._index_pairs(flat)
+
+    @property
+    def graph_products(self):
+        """Laplacian products each factor candidate computes."""
+        return len(self.active_u) + len(self.active_v)
 
     def _set_entries(self):
         """Concatenate the rating block and the active relation blocks into
@@ -203,6 +224,13 @@ class Problem:
         rows, cols, self.vals = (np.concatenate([b[i] for b in blocks]) for i in range(3))
         flat, self.pair = np.unique(rows * self.m + cols, return_inverse=True)
         self.n_pairs = flat.size
+        # one entry per pair, in pair order: the entries need no gather by
+        # pair and no sum over pairs; covering the whole grid, they are the
+        # dense prediction matrix itself
+        self._in_order = flat.size == self.pair.size and bool(
+            np.all(self.pair == np.arange(flat.size))
+        )
+        self._whole_grid = self._in_order and flat.size == self.n * self.m
         return flat
 
     def _index_pairs(self, flat):
@@ -221,37 +249,61 @@ class Problem:
             )
 
     def activate(self, weights):
-        """Make the active set the relations whose weight ``w_k`` is
-        nonzero, rebuilding the entry list only when that set changes.
+        """Make the active sets the relations whose ``w_k`` and the
+        Laplacians whose ``alpha_k`` or ``beta_k`` is nonzero, rebuilding
+        the entry list only when its set changes.
 
-        Exact for any weight rule: while the weights are frozen, a block
-        with ``w_k == 0`` adds exactly 0 to J and to its factor gradient.
+        Exact for any weight rule: while the weights are frozen, a path
+        whose weight is 0 adds exactly 0 to J and to the factor gradient.
         """
-        active = active_relations(weights.w)
-        if active == self.active:
+        new = (
+            active_relations(weights.alpha),
+            active_relations(weights.beta),
+            active_relations(weights.w),
+        )
+        old = (self.active_u, self.active_v, self.active)
+        if new == old:
             return
-        left = [self._user_item[k].path.to_string() for k in self.active if k not in active]
-        self.active = active
-        self._index_pairs(self._set_entries())
+        left, back = [], []
+        for names, now, before in zip(self._names, new, old):
+            left += [names[k] for k in before if k not in now]
+            back += [names[k] for k in now if k not in before]
+        self.active_u, self.active_v = new[0], new[1]
+        if new[2] != self.active:
+            self.active = new[2]
+            self._inactive = tuple(
+                k for k in range(len(self._user_item)) if k not in self.active
+            )
+            self._index_pairs(self._set_entries())
         log.info(
-            "active set: %d of %d user-item paths, %d pairs; left: %s",
-            len(active), len(self._user_item), self.n_pairs, ", ".join(left) or "none",
+            "active set: %d of %d user-item paths, %d pairs, %d of %d user-user"
+            " and %d of %d item-item Laplacians; re-entered: %s; left: %s",
+            len(self.active), len(self._user_item), self.n_pairs,
+            len(self.active_u), len(self.laps.user), len(self.active_v), len(self.laps.item),
+            ", ".join(back) or "none", ", ".join(left) or "none",
         )
 
     def _check(self, point, weights):
-        """Refuse a Point of another active set, and weights that are
-        nonzero outside the set, whose relations the entry list lacks."""
+        """Refuse a Point of another entry list, weights that are nonzero
+        outside the user-item active set, whose relations the entry list
+        lacks, and graph weights that are nonzero where the Point holds no
+        product."""
         if point.active != self.active:
             raise ValueError(
                 f"Point evaluated on active set {point.active}, used on {self.active}"
             )
-        if np.any(np.delete(weights.w, self.active)):
+        if any(weights.w[k] != 0.0 for k in self._inactive):
             raise ValueError("a user-item weight outside the active set is nonzero")
+        for products, wts in ((point.LU, weights.alpha), (point.LV, weights.beta)):
+            for X, a in zip(products, wts):
+                if X is None and a != 0.0:
+                    raise ValueError("Point lacks the Laplacian product of a nonzero weight")
 
-    def evaluate(self, model):
-        """The Point of ``model``'s factors."""
-        U, V = model.U, model.V
-        if self.dense:
+    def _entry_half(self, U, V):
+        """Slopes, residuals and residual sums of the entry list at (U, V)."""
+        if self._whole_grid:
+            z = (U @ V.T).ravel()
+        elif self.dense:
             z = np.take((U @ V.T).ravel(), self._flat)
         else:
             z = np.empty(self.n_pairs)
@@ -265,27 +317,51 @@ class Problem:
                     out=z[s:s + _GATHER_CHUNK],
                 )
         p, slope = logistic_and_slope(z)
-        resid = np.take(p, self.pair) - self.vals
+        resid = (p if self._in_order else np.take(p, self.pair)) - self.vals
         ssq = [np.sum(resid[a:b] ** 2) for a, b in zip(self.bounds[:-1], self.bounds[1:])]
         rel_ssq = np.zeros(len(self._user_item))
         rel_ssq[list(self.active)] = ssq[1:]
-        LU = [L @ U for L in self.laps.user]
-        LV = [L @ V for L in self.laps.item]
+        return {"slope": slope, "resid": resid, "fit": ssq[0], "rel_ssq": rel_ssq}
+
+    def evaluate(self, model, base=None, every_path=False):
+        """The Point of ``model``'s factors on the current entry list, with
+        the products of the active Laplacians (of every Laplacian with
+        ``every_path``).
+
+        ``base``, a Point of the same factors, lends what is still valid:
+        its products, and its entry half when it was evaluated on the
+        current entry list.  A ``base`` that lacks nothing is returned.
+        """
+        if base is not None and base.model is not model:
+            raise ValueError("base Point is of other factors")
+        U, V = model.U, model.V
+        LU = list(base.LU) if base else [None] * len(self.laps.user)
+        LV = list(base.LV) if base else [None] * len(self.laps.item)
+        new_u = [k for k in (range(len(LU)) if every_path else self.active_u) if LU[k] is None]
+        new_v = [k for k in (range(len(LV)) if every_path else self.active_v) if LV[k] is None]
+        same_entries = base is not None and base.active == self.active
+        if same_entries and not new_u and not new_v:
+            return base
+        tr_u = base.tr_u.copy() if base else np.zeros(len(LU))
+        tr_v = base.tr_v.copy() if base else np.zeros(len(LV))
+        for laps, X, new, products, tr in (
+            (self.laps.user, U, new_u, LU, tr_u),
+            (self.laps.item, V, new_v, LV, tr_v),
+        ):
+            for k in new:
+                products[k] = laps[k] @ X
+                tr[k] = trace_quad(laps[k], X, products[k])
+        if same_entries:
+            entries = {k: getattr(base, k) for k in ("slope", "resid", "fit", "rel_ssq")}
+        else:
+            entries = self._entry_half(U, V)
+        factor_ridge = base.factor_ridge if base else (
+            float(self.n_user @ np.sum(U**2, axis=1))
+            + float(self.n_item @ np.sum(V**2, axis=1))
+        )
         return Point(
-            model=model,
-            slope=slope,
-            resid=resid,
-            active=self.active,
-            fit=ssq[0],
-            rel_ssq=rel_ssq,
-            LU=LU,
-            LV=LV,
-            tr_u=np.array([trace_quad(L, U, X) for L, X in zip(self.laps.user, LU)]),
-            tr_v=np.array([trace_quad(L, V, X) for L, X in zip(self.laps.item, LV)]),
-            factor_ridge=(
-                float(self.n_user @ np.sum(U**2, axis=1))
-                + float(self.n_item @ np.sum(V**2, axis=1))
-            ),
+            model=model, active=self.active, LU=LU, LV=LV, tr_u=tr_u, tr_v=tr_v,
+            factor_ridge=factor_ridge, **entries,
         )
 
     def terms(self, point, weights):
@@ -314,15 +390,24 @@ class Problem:
         self._check(point, weights)
         U, V = point.model.U, point.model.V
         lam = self.hp.lam
-        coef = np.repeat(
-            np.concatenate([[1.0], self.mu * weights.w[list(self.active)]]), self._block_sizes
-        )
-        g = np.bincount(
-            self.pair,
-            weights=(2.0 * coef) * np.take(point.slope, self.pair) * point.resid,
-            minlength=self.n_pairs,
-        )
-        if self.dense:
+        if self.active:
+            coef = 2.0 * np.repeat(
+                np.concatenate([[1.0], self.mu * weights.w[list(self.active)]]),
+                self._block_sizes,
+            )
+        else:  # the rating block alone, coefficient 1
+            coef = 2.0
+        if self._in_order:
+            g = coef * point.slope * point.resid
+        else:
+            g = np.bincount(
+                self.pair,
+                weights=coef * np.take(point.slope, self.pair) * point.resid,
+                minlength=self.n_pairs,
+            )
+        if self._whole_grid:
+            G = g.reshape(self.n, self.m)
+        elif self.dense:
             G = np.zeros(self.n * self.m)
             G[self._flat] = g
             G = G.reshape(self.n, self.m)
@@ -338,17 +423,21 @@ class Problem:
         for b, LV in zip(weights.beta, point.LV):
             if b != 0.0:
                 dV += (2.0 * b) * LV
-        if not (np.all(np.isfinite(dU)) and np.all(np.isfinite(dV))):
+        if not (np.isfinite(dU).all() and np.isfinite(dV).all()):
             raise NumericalError("non-finite factor gradient")
         return dU, dV
 
     def weight_gradient(self, point, weights):
         """Gradient ``c + 2 lam theta`` of J with respect to (alpha, beta, w).
 
-        The ``c_k`` of a relation outside the active set is not computed
-        and reads 0; see :func:`update_weights` for why that is exact.
+        ``point`` must hold the trace of every Laplacian (evaluate it with
+        ``every_path``).  The ``c_k`` of a relation outside the user-item
+        active set is not computed and reads 0; see :func:`update_weights`
+        for why that is exact.
         """
         self._check(point, weights)
+        if any(X is None for X in point.LU + point.LV):
+            raise ValueError("the weight gradient needs the trace of every Laplacian")
         lam = self.hp.lam
         grads = (
             point.tr_u + 2.0 * lam * weights.alpha,
@@ -356,7 +445,7 @@ class Problem:
             self.mu * point.rel_ssq + 2.0 * lam * weights.w,
         )
         for g in grads:
-            if not np.all(np.isfinite(g)):
+            if not np.isfinite(g).all():
                 raise NumericalError("non-finite weight gradient")
         return grads
 
@@ -372,12 +461,14 @@ def build_problem(ratings, rels, hp, laps=None):
     return Problem(ratings, rels, hp, laps)
 
 
-def _point(state, data):
-    """The Point of the state's current factors on the current active set,
-    evaluated on first use."""
+def _point(state, data, every_path=False):
+    """The Point of the state's current factors on the current active sets
+    (with every Laplacian's product under ``every_path``), evaluated on
+    first use.  A Point of the same factors lends whatever of it is still
+    valid, so a change of active set recomputes only what it touches."""
     point = state.point
-    if point is None or point.model is not state.model or point.active != data.active:
-        state.point = data.evaluate(state.model)
+    base = point if point is not None and point.model is state.model else None
+    state.point = data.evaluate(state.model, base, every_path)
     return state.point
 
 
@@ -388,13 +479,20 @@ def grad_factors(state, data):
 
 def grad_weights(state, data):
     """Analytic gradient of the objective with respect to (alpha, beta, w);
-    with the factors frozen the trace and residual terms are constants."""
-    return data.weight_gradient(_point(state, data), state.weights)
+    with the factors frozen the trace and residual terms are constants.
+    The state's Point is first completed with every Laplacian's trace."""
+    return data.weight_gradient(_point(state, data, every_path=True), state.weights)
+
+
+def _norm(x):
+    """``np.linalg.norm(x)`` of a real array, without its argument handling."""
+    x = x.ravel(order="K")
+    return np.sqrt(x.dot(x))
 
 
 def _rel_change(new, old):
-    denom = np.linalg.norm(old) + _EPS
-    return np.linalg.norm(new - old) / denom
+    denom = _norm(old) + _EPS
+    return _norm(new - old) / denom
 
 
 def _descend(state, data, propose, phase):
@@ -448,7 +546,7 @@ def _descend(state, data, propose, phase):
 
 def update_factors(state, data):
     """Inner loop of the factor phase: full-gradient descent on (U, V);
-    returns the mutated state.  The active set is recomputed from the
+    returns the mutated state.  The active sets are recomputed from the
     weights first, which stay frozen for the whole phase."""
     data.activate(state.weights)
 
@@ -466,15 +564,19 @@ def update_weights(state, data):
     """Inner loop of the weight phase: projected descent on (alpha, beta, w),
     each candidate valued in closed form at the frozen factors.
 
-    A weight outside the active set is 0 and its ``c_k`` is not computed:
-    it reads 0, so the step leaves the weight at 0.  That is exact because
-    the projected step ``max(0 - eta * c_k, 0)`` is 0 for every
-    ``c_k >= 0``.  This is the one place that depends on the descent
+    The traces ``c_k`` of the Laplacians the factor phase skipped are
+    computed here once, at the frozen factors, since a trace computed in
+    floating point is not guaranteed to be >= 0.  A user-item weight
+    outside the active set is 0 and its ``c_k``, a sum of squares, is not
+    computed: it reads 0, so the step leaves the weight at 0.  That is
+    exact because the projected step ``max(0 - eta * c_k, 0)`` is 0 for
+    every ``c_k >= 0``.  This is the one place that depends on the descent
     rule: a rule that can move a zero weight must compute ``c_k`` for the
     inactive relations.
     """
     if sum(state.weights.counts) == 0:
         return state
+    _point(state, data, every_path=True)
 
     def propose(state):
         wts = state.weights
@@ -517,8 +619,8 @@ def train(ratings, rels, hp, laps=None):
     the accepted-step trace, and one log row per outer iteration with the
     objective and its five terms, the per-block relative changes, the
     current step size, each phase's accepted and rejected steps, halvings
-    and wall time, and the distinct user-item pairs each factor candidate
-    evaluated.  ``converged`` is set on the first outer iteration that
+    and wall time, and the distinct user-item pairs and the Laplacian
+    products each factor candidate evaluated.  ``converged`` is set on the first outer iteration that
     accepts a step and changes no block by ``outer_tol`` or more.
     ``laps`` is the LaplacianSet of ``rels`` when the caller has it.
     """
@@ -534,7 +636,7 @@ def train(ratings, rels, hp, laps=None):
             state.weights.copy(),
         )
         factor = _run_phase("factor", update_factors, state, data)
-        factor_pairs = data.n_pairs
+        factor_pairs, graph_products = data.n_pairs, data.graph_products
         weight = _run_phase("weight", update_weights, state, data)
         state.outer_iters = outer
         state.j_trace.append(state.j_value)
@@ -556,15 +658,16 @@ def train(ratings, rels, hp, laps=None):
                 **factor,
                 **weight,
                 "factor_pairs": factor_pairs,
+                "graph_products": graph_products,
             }
         )
         log.info(
             "iteration %d: J %.10g = fit %.6g + user graph %.6g + item graph %.6g"
             " + relation fit %.6g + ridge %.6g; factor phase %d accepted,"
-            " %d rejected, %d halvings, %.3fs on %d pairs; weight phase %d accepted,"
-            " %d rejected, %d halvings, %.3fs",
+            " %d rejected, %d halvings, %.3fs on %d pairs and %d graph products;"
+            " weight phase %d accepted, %d rejected, %d halvings, %.3fs",
             outer, state.j_value, *terms.values(), *factor.values(), factor_pairs,
-            *weight.values(),
+            graph_products, *weight.values(),
         )
         accepted = factor["factor_accepted"] + weight["weight_accepted"]
         if accepted and max(rels_change.values()) < hp.outer_tol:
@@ -586,6 +689,7 @@ LOG_FIELDS = (
     *(f"{phase}_{stat}" for phase in ("factor", "weight")
       for stat in ("accepted", "rejected", "halvings", "seconds")),
     "factor_pairs",
+    "graph_products",
 )
 
 

@@ -22,7 +22,7 @@ from hetecf.learner import (
     write_training_log,
 )
 from hetecf.metapath import RelationSet
-from hetecf.model import objective
+from hetecf.model import objective, trace_quad
 
 from conftest import random_instance, random_ratings
 from oracles import PlainLogisticMF, central_difference
@@ -414,7 +414,7 @@ def test_training_log_round_trip(tmp_path):
         "fit", "user_graph", "item_graph", "relation_fit", "ridge",
         "factor_accepted", "factor_rejected", "factor_halvings", "factor_seconds",
         "weight_accepted", "weight_rejected", "weight_halvings", "weight_seconds",
-        "factor_pairs",
+        "factor_pairs", "graph_products",
     }
     for row in rows:
         assert all(np.isfinite(float(v)) for v in row.values())  # plain numbers
@@ -546,7 +546,7 @@ def distinct_pairs(ratings, *sims):
 
 def comparable_rows(state):
     return [{k: v for k, v in row.items()
-             if not k.endswith("_seconds") and k != "factor_pairs"}
+             if not k.endswith("_seconds") and k not in ("factor_pairs", "graph_products")}
             for row in state.log_rows]
 
 
@@ -562,6 +562,7 @@ def test_active_set_training_bit_identical_to_all_blocks(side, monkeypatch):
     monkeypatch.setattr(learner, "active_relations", lambda w: tuple(range(w.size)))
     want = train(ratings, rels, hp)
     assert [row["factor_pairs"] for row in want.log_rows] == [pairs[0]] * len(pairs)
+    assert [row["graph_products"] for row in want.log_rows] == [4] * len(pairs)
     for name in ("U", "V"):
         a, b = getattr(got.model, name), getattr(want.model, name)
         assert a.tobytes() == b.tobytes()
@@ -640,13 +641,19 @@ def test_active_set_keeps_every_nonzero_weight():
 
 
 def test_log_names_the_paths_that_leave_the_active_set(caplog):
+    # relation 1 leaves after the first outer iteration, and the first
+    # user-user path, whose alpha reaches exactly 0, after the third
     ratings, rels, hp, _, _ = two_path_instance("gather")
     with caplog.at_level("INFO", logger="hetecf.learner"):
         train(ratings, rels, hp)
     lines = [r.getMessage() for r in caplog.records if "active set" in r.getMessage()]
-    assert len(lines) == 1
+    assert len(lines) == 2
     assert lines[0].startswith("active set: 1 of 2 user-item paths")
     assert lines[0].endswith(f"left: {rels.user_item[1].path.to_string()}")
+    assert "1 of 2 user-user and 2 of 2 item-item Laplacians" in lines[1]
+    assert lines[1].endswith(
+        f"re-entered: none; left: {rels.user_user[0].path.to_string()}"
+    )
 
 
 def test_outer_iteration_that_accepts_nothing_does_not_converge():
@@ -665,3 +672,205 @@ def test_outer_iteration_that_accepts_nothing_does_not_converge():
     oracle = PlainLogisticMF(hp).fit(ratings)
     assert not oracle.converged
     assert state.j_trace == oracle.j_trace
+
+
+# ------------------------------------------ skipping zero-weight Laplacians
+
+
+def all_laplacians(monkeypatch):
+    """Make every Laplacian active whatever its weight: the route that
+    multiplies every Laplacian for every candidate."""
+    activate = learner.Problem.activate
+
+    def every_laplacian(self, weights):
+        activate(self, weights)
+        self.active_u = tuple(range(len(self.laps.user)))
+        self.active_v = tuple(range(len(self.laps.item)))
+
+    monkeypatch.setattr(learner.Problem, "activate", every_laplacian)
+
+
+def graph_weight_instance(side):
+    """An instance on the dense or the gather side whose graph weights
+    reach exactly 0 within 8 outer iterations."""
+    if side == "dense":
+        ratings, rels, hp, problem, state = density_instance("dense")
+    else:
+        ratings, rels, hp, problem, state = two_path_instance("gather")
+    return ratings, rels, hp.with_overrides(max_outer=8), problem, state
+
+
+@pytest.mark.parametrize("side", ["dense", "gather"])
+def test_skipping_zero_weight_laplacians_bit_identical_to_all_laplacians(
+        side, monkeypatch):
+    ratings, rels, hp, _, _ = graph_weight_instance(side)
+    got = train(ratings, rels, hp)
+    products = [row["graph_products"] for row in got.log_rows]
+    assert products[0] == 4 and min(products) < 4
+    all_laplacians(monkeypatch)
+    want = train(ratings, rels, hp)
+    assert [row["graph_products"] for row in want.log_rows] == [4] * len(products)
+    for name in ("U", "V"):
+        assert getattr(got.model, name).tobytes() == getattr(want.model, name).tobytes()
+    for name in ("alpha", "beta", "w"):
+        a, b = getattr(got.weights, name), getattr(want.weights, name)
+        assert a.tobytes() == b.tobytes()
+    assert got.j_trace == want.j_trace
+    assert got.step_trace == want.step_trace
+    assert got.converged == want.converged
+    assert comparable_rows(got) == comparable_rows(want)
+
+
+def skipped_path_state(side):
+    """Factors after one factor phase in which the first user-user and the
+    second item-item Laplacian were skipped."""
+    _, _, hp, problem, state = graph_weight_instance(side)
+    state.weights = PathWeights([0.0, 0.4], [0.3, 0.0], state.weights.w)
+    update_factors(state, problem)
+    assert state.factor_steps > 0
+    assert (problem.active_u, problem.active_v) == ((1,), (0,))
+    assert problem.graph_products == 2
+    assert state.point.LU[0] is None and state.point.LV[1] is None
+    return problem, state
+
+
+@pytest.mark.parametrize("side", ["dense", "gather"])
+def test_weight_gradient_of_a_skipped_path_is_its_trace(side, monkeypatch):
+    problem, state = skipped_path_state(side)
+    U, V = state.model.U, state.model.V
+    calls = []
+    monkeypatch.setattr(learner, "trace_quad",
+                        lambda *a: calls.append(a) or trace_quad(*a))
+    update_weights(state, problem)
+    assert state.weight_steps > 1 and state.model.U is U
+    assert len(calls) == 2  # the two skipped traces, once for the whole phase
+    dA, dB, _ = grad_weights(state, problem)
+    alpha, beta = state.weights.alpha, state.weights.beta
+    assert dA[0] - 2 * problem.hp.lam * alpha[0] == trace_quad(problem.laps.user[0], U)
+    assert dB[1] - 2 * problem.hp.lam * beta[1] == trace_quad(problem.laps.item[1], V)
+    assert dA[0] > 0.0 and dB[1] > 0.0
+
+
+@pytest.mark.parametrize("side", ["dense", "gather"])
+def test_factor_gradient_with_skipped_laplacians_matches_full_objective(side):
+    ratings, rels, hp, problem, state = graph_weight_instance(side)
+    n, d = state.model.U.shape
+    m = state.model.m
+
+    def f(vec):
+        model = FactorModel(vec[: n * d].reshape(n, d), vec[n * d:].reshape(m, d))
+        return objective(model, state.weights, ratings, rels, hp)
+
+    x0 = np.concatenate([state.model.U.ravel(), state.model.V.ravel()])
+    for alpha, beta in (
+        (state.weights.alpha, state.weights.beta),  # every Laplacian
+        ([0.0, 0.4], [0.3, 0.0]),  # one path of each group left the set
+    ):
+        state.weights = PathWeights(alpha, beta, state.weights.w)
+        problem.activate(state.weights)
+        dU, dV = grad_factors(state, problem)
+        num = central_difference(f, x0)
+        got = np.concatenate([dU.ravel(), dV.ravel()])
+        assert np.allclose(got, num, rtol=1e-5, atol=1e-7)
+        assert problem.value(state.point, state.weights) == pytest.approx(f(x0), rel=1e-12)
+    assert problem.graph_products == 2
+
+
+def test_point_that_lacks_a_needed_product_is_refused():
+    problem, state = skipped_path_state("dense")
+    point = state.point
+    needs = PathWeights([0.2, 0.4], [0.3, 0.0], state.weights.w)
+    for use in (problem.value, problem.terms, problem.factor_gradient,
+                problem.weight_gradient):
+        with pytest.raises(ValueError, match="lacks the Laplacian product"):
+            use(point, needs)
+    # the weight gradient needs every trace, whatever the weights
+    with pytest.raises(ValueError, match="trace of every Laplacian"):
+        problem.weight_gradient(point, state.weights)
+    # a Point whose products cover every nonzero weight is reused as it is
+    problem.activate(state.weights)
+    assert problem.evaluate(state.model, point) is point
+    # one that lacks a newly active product gets only that product
+    problem.activate(needs)
+    state.weights = needs
+    grad_factors(state, problem)
+    new = state.point
+    assert new is not point and new.LU[0] is not None and new.LV[1] is None
+    assert new.LU[1] is point.LU[1] and new.resid is point.resid
+    fresh = problem.evaluate(state.model)
+    assert problem.terms(new, needs) == problem.terms(fresh, needs)
+
+
+def test_point_of_a_changed_entry_list_keeps_its_products():
+    _, _, _, problem, state = two_path_instance("gather")
+    base = problem.evaluate(state.model, every_path=True)
+    weights = PathWeights(state.weights.alpha, state.weights.beta, [0.6, 0.0])
+    problem.activate(weights)
+    point = problem.evaluate(state.model, base)
+    assert point.active == (0,) and point.resid.size < base.resid.size
+    assert all(a is b for a, b in zip(point.LU + point.LV, base.LU + base.LV))
+    fresh = problem.evaluate(state.model)
+    assert problem.terms(point, weights) == problem.terms(fresh, weights)
+    assert problem.value(point, weights) == problem.value(fresh, weights)
+    with pytest.raises(ValueError, match="other factors"):
+        problem.evaluate(FactorModel(state.model.U.copy(), state.model.V), base)
+
+
+def test_point_of_other_factors_is_evaluated_again():
+    _, _, _, problem, state = graph_weight_instance("gather")
+    state.point = problem.evaluate(state.model, every_path=True)
+    state.model = FactorModel(state.model.U * 0.5, state.model.V)
+    dU, dV = grad_factors(state, problem)
+    assert state.point.model is state.model
+    want = problem.factor_gradient(problem.evaluate(state.model), state.weights)
+    assert np.array_equal(dU, want[0]) and np.array_equal(dV, want[1])
+
+
+def test_log_names_the_laplacians_that_leave_and_re_enter(caplog):
+    _, rels, _, problem, state = graph_weight_instance("dense")
+    with caplog.at_level("INFO", logger="hetecf.learner"):
+        problem.activate(PathWeights([0.0, 0.4], [0.3, 0.2], state.weights.w))
+        problem.activate(PathWeights([0.5, 0.4], [0.3, 0.2], state.weights.w))
+    lines = [r.getMessage() for r in caplog.records]
+    name = rels.user_user[0].path.to_string()
+    assert len(lines) == 2
+    assert "1 of 2 user-user and 2 of 2 item-item Laplacians" in lines[0]
+    assert lines[0].endswith(f"re-entered: none; left: {name}")
+    assert "2 of 2 user-user and 2 of 2 item-item Laplacians" in lines[1]
+    assert lines[1].endswith(f"re-entered: {name}; left: none")
+
+
+def test_model_bytes_independent_of_blas_threads(tmp_path):
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    from hetecf import synth
+    from hetecf.graph import save_graph
+
+    graph = synth.generate(synth.SynthSpec(seed=0).scaled(5))
+    files = [str(tmp_path / n) for n in ("nodes.tsv", "edges.tsv", "schema.txt")]
+    save_graph(graph, *files)
+    paths = tmp_path / "paths.txt"
+    paths.write_text(
+        "UU: Author -writes-> Paper <-writes- Author\n"
+        "II: Conf <-published_in- Paper -published_in-> Conf\n"
+        "UI: Author -writes-> Paper -cites-> Paper -published_in-> Conf\n"
+    )
+    src = str(pathlib.Path(learner.__file__).resolve().parent.parent)
+    models = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"model-{threads}.npz"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        subprocess.run(
+            [sys.executable, "-m", "hetecf.cli", "train", "--nodes", files[0],
+             "--edges", files[1], "--schema", files[2], "--paths", str(paths),
+             "--target-path", "Author -writes-> Paper -published_in-> Conf",
+             "--model-out", str(out), "--d", "10", "--max-inner", "20",
+             "--max-outer", "2", "--seed", "0"],
+            env=env, check=True, capture_output=True,
+        )
+        models.append(out.read_bytes())
+    assert models[0] == models[1]
