@@ -38,10 +38,18 @@ weight phase, at the frozen factors.  A weight candidate therefore costs
 O(number of paths), and :meth:`Problem.value` gives it exactly the value
 a full evaluation at those factors and weights would.
 
-A candidate step is accepted only if it does not increase the objective;
-five consecutive rejected steps halve the step size, and more than ten
-halvings in one run abort training as divergent.  The accepted-step
-objective trace is therefore non-increasing by construction.
+Step rule: each phase keeps its own step, both starting at
+``learn_rate``.  A candidate is accepted only if its objective is finite
+and does not exceed the current one, so the accepted-step objective trace
+is non-increasing by construction.  Each accepted factor step multiplies
+the factor step by ``STEP_GROWTH`` (the "bold driver" rule); the weight
+step never grows.  Each rejected candidate, in either phase, halves that
+phase's step.  More than ``MAX_HALVINGS`` halvings with no accepted step
+of either phase in between abort training as divergent.
+
+Stop rule: a run converges on the first outer iteration that accepts a
+step and changes U, V and J each by less than ``outer_tol`` relative to
+their values at the start of the iteration.  The weights take no part.
 """
 
 import logging
@@ -67,7 +75,7 @@ from .model import (
 
 log = logging.getLogger(__name__)
 
-REJECTIONS_PER_HALVING = 5
+STEP_GROWTH = 1.2
 MAX_HALVINGS = 10
 _EPS = 1e-12
 
@@ -85,7 +93,7 @@ _GATHER_CHUNK = 8192
 
 
 class DivergenceError(NumericalError):
-    """Objective kept increasing through the full step-size halving budget."""
+    """More than ``MAX_HALVINGS`` step halvings with no accepted step."""
 
     def __init__(self, message, j_trace):
         super().__init__(message)
@@ -96,14 +104,17 @@ class DivergenceError(NumericalError):
 class TrainState:
     """Mutable snapshot of a training run.
 
-    ``halvings`` counts step-size halvings over the whole run, both phases
-    together, and is never reset: ``MAX_HALVINGS`` is a budget per run.
+    ``factor_step`` and ``weight_step`` are the current step of each
+    phase.  ``halvings`` counts step halvings over the whole run, both
+    phases together, for the log; ``stalled_halvings`` counts those since
+    the last accepted step of either phase, which ``MAX_HALVINGS`` bounds.
     ``point`` caches the :class:`Point` of ``model`` once evaluated.
     """
 
     model: FactorModel
     weights: PathWeights
-    step_size: float
+    factor_step: float
+    weight_step: float
     j_value: float = np.nan
     j_trace: list = field(default_factory=list)  # per outer iteration
     step_trace: list = field(default_factory=list)  # per accepted step
@@ -113,6 +124,7 @@ class TrainState:
     factor_rejected: int = 0
     weight_rejected: int = 0
     halvings: int = 0
+    stalled_halvings: int = 0
     converged: bool = False
     log_rows: list = field(default_factory=list)
     point: object = None
@@ -138,7 +150,8 @@ def init(hp, shapes):
     return TrainState(
         model=FactorModel(U, V),
         weights=PathWeights(alpha, beta, w),
-        step_size=hp.learn_rate,
+        factor_step=hp.learn_rate,
+        weight_step=hp.learn_rate,
     )
 
 
@@ -498,21 +511,28 @@ def _rel_change(new, old):
 def _descend(state, data, propose, phase):
     """Shared accept/reject inner loop.
 
-    ``propose`` maps the current state to (candidate, rel_change): the
-    candidate is a (Point, PathWeights) pair and rel_change the max
-    per-block relative parameter change of the step.  ``phase`` is
-    "factor" or "weight" and names the counters that are advanced.
+    ``propose`` maps the current state and a step to (candidate,
+    rel_change): the candidate is a (Point, PathWeights) pair and
+    rel_change the max per-block relative parameter change of the step.
+    ``phase`` is "factor" or "weight" and names the step and the counters
+    that are advanced.  A candidate whose objective is non-finite is
+    rejected like one that raises J.  An accepted factor step grows the
+    factor step by ``STEP_GROWTH``; every rejection halves the phase's
+    step.
     """
     hp = data.hp
     if not np.isfinite(state.j_value):  # phase entered without a prior objective
         state.j_value = data.value(_point(state, data), state.weights)
     j_cur = state.j_value
-    attempts = 0
-    consecutive_bad = 0
-    while attempts < hp.max_inner:
-        candidate, rel = propose(state)
-        j_new = data.value(*candidate)
-        attempts += 1
+    step_name = f"{phase}_step"
+    for _ in range(hp.max_inner):
+        # a grown step may overshoot into overflow: that candidate is rejected
+        with np.errstate(over="ignore", invalid="ignore"):
+            candidate, rel = propose(state, getattr(state, step_name))
+            try:
+                j_new = data.value(*candidate)
+            except NumericalError:
+                j_new = np.inf
         if j_new <= j_cur:
             state.point, state.weights = candidate
             state.model = state.point.model
@@ -520,27 +540,23 @@ def _descend(state, data, propose, phase):
             state.j_value = j_new
             state.step_trace.append(j_new)
             setattr(state, f"{phase}_steps", getattr(state, f"{phase}_steps") + 1)
-            consecutive_bad = 0
+            state.stalled_halvings = 0
+            if phase == "factor":
+                state.factor_step *= STEP_GROWTH
             if rel < hp.inner_tol:
                 break
         else:
             setattr(state, f"{phase}_rejected", getattr(state, f"{phase}_rejected") + 1)
-            consecutive_bad += 1
-            if consecutive_bad >= REJECTIONS_PER_HALVING:
-                state.step_size *= 0.5
-                state.halvings += 1
-                consecutive_bad = 0
-                log.debug(
-                    "objective rose %d consecutive steps; step size now %g",
-                    REJECTIONS_PER_HALVING,
-                    state.step_size,
+            setattr(state, step_name, getattr(state, step_name) * 0.5)
+            state.halvings += 1
+            state.stalled_halvings += 1
+            log.debug("%s candidate rejected; step now %g", phase, getattr(state, step_name))
+            if state.stalled_halvings > MAX_HALVINGS:
+                raise DivergenceError(
+                    f"objective still increasing after {MAX_HALVINGS} "
+                    f"step halvings without an accepted step (J = {j_cur:.6g})",
+                    state.step_trace,
                 )
-                if state.halvings > MAX_HALVINGS:
-                    raise DivergenceError(
-                        f"objective still increasing after {MAX_HALVINGS} "
-                        f"step-size halvings (J = {j_cur:.6g})",
-                        state.step_trace,
-                    )
     return state
 
 
@@ -550,10 +566,10 @@ def update_factors(state, data):
     weights first, which stay frozen for the whole phase."""
     data.activate(state.weights)
 
-    def propose(state):
+    def propose(state, step):
         dU, dV = grad_factors(state, data)
-        U = state.model.U - state.step_size * dU
-        V = state.model.V - state.step_size * dV
+        U = state.model.U - step * dU
+        V = state.model.V - step * dV
         rel = max(_rel_change(U, state.model.U), _rel_change(V, state.model.V))
         return (data.evaluate(FactorModel(U, V)), state.weights), rel
 
@@ -578,9 +594,8 @@ def update_weights(state, data):
         return state
     _point(state, data, every_path=True)
 
-    def propose(state):
+    def propose(state, eta):
         wts = state.weights
-        eta = state.step_size
         dA, dB, dW = grad_weights(state, data)
         alpha = np.maximum(wts.alpha - eta * dA, 0.0)
         beta = np.maximum(wts.beta - eta * dB, 0.0)
@@ -617,11 +632,13 @@ def train(ratings, rels, hp, laps=None):
     The returned state carries the model, weights, per-outer-iteration
     objective trace (``j_trace``, first entry is the initial objective),
     the accepted-step trace, and one log row per outer iteration with the
-    objective and its five terms, the per-block relative changes, the
-    current step size, each phase's accepted and rejected steps, halvings
-    and wall time, and the distinct user-item pairs and the Laplacian
-    products each factor candidate evaluated.  ``converged`` is set on the first outer iteration that
-    accepts a step and changes no block by ``outer_tol`` or more.
+    objective and its five terms, the per-block relative changes, each
+    phase's step at the end of the iteration, each phase's accepted and
+    rejected steps, halvings and wall time, and the distinct user-item
+    pairs and the Laplacian products each factor candidate evaluated.
+    ``converged`` is set on the first outer iteration that accepts a step
+    and changes U, V and J each by less than ``outer_tol`` relative to
+    the start of the iteration; how the weights move does not count.
     ``laps`` is the LaplacianSet of ``rels`` when the caller has it.
     """
     data = build_problem(ratings, rels, hp, laps)
@@ -639,6 +656,7 @@ def train(ratings, rels, hp, laps=None):
         factor_pairs, graph_products = data.n_pairs, data.graph_products
         weight = _run_phase("weight", update_weights, state, data)
         state.outer_iters = outer
+        j_start = state.j_trace[-1]
         state.j_trace.append(state.j_value)
         rels_change = {
             "U": _rel_change(state.model.U, before[0]),
@@ -654,7 +672,8 @@ def train(ratings, rels, hp, laps=None):
                 "objective": state.j_value,
                 **terms,
                 **{f"rel_change_{k}": v for k, v in rels_change.items()},
-                "step_size": state.step_size,
+                "factor_step": state.factor_step,
+                "weight_step": state.weight_step,
                 **factor,
                 **weight,
                 "factor_pairs": factor_pairs,
@@ -665,13 +684,20 @@ def train(ratings, rels, hp, laps=None):
             "iteration %d: J %.10g = fit %.6g + user graph %.6g + item graph %.6g"
             " + relation fit %.6g + ridge %.6g; factor phase %d accepted,"
             " %d rejected, %d halvings, %.3fs on %d pairs and %d graph products;"
-            " weight phase %d accepted, %d rejected, %d halvings, %.3fs",
+            " weight phase %d accepted, %d rejected, %d halvings, %.3fs;"
+            " factor step %.6g, weight step %.6g",
             outer, state.j_value, *terms.values(), *factor.values(), factor_pairs,
-            graph_products, *weight.values(),
+            graph_products, *weight.values(), state.factor_step, state.weight_step,
         )
         accepted = factor["factor_accepted"] + weight["weight_accepted"]
-        if accepted and max(rels_change.values()) < hp.outer_tol:
+        rel_j = abs(state.j_value - j_start) / (abs(j_start) + _EPS)
+        if accepted and max(rels_change["U"], rels_change["V"], rel_j) < hp.outer_tol:
             state.converged = True
+            log.info(
+                "converged at iteration %d: relative change of U %.3g, of V %.3g"
+                " and of J %.3g, all below outer_tol %g",
+                outer, rels_change["U"], rels_change["V"], rel_j, hp.outer_tol,
+            )
             break
     return state
 
@@ -685,7 +711,8 @@ LOG_FIELDS = (
     "rel_change_alpha",
     "rel_change_beta",
     "rel_change_w",
-    "step_size",
+    "factor_step",
+    "weight_step",
     *(f"{phase}_{stat}" for phase in ("factor", "weight")
       for stat in ("accepted", "rejected", "halvings", "seconds")),
     "factor_pairs",

@@ -16,9 +16,11 @@ Similarity matrices are recomputed on every call; counting and
 normalizing every path costs less than reading any on-disk copy.  A
 palindromic path H H^-1 is counted from its first half H alone, as
 M M^T (the commuting matrix of PathSim), which comes out exactly
-symmetric and with sorted indices, so PathSim needs no re-sort.
-``build_relation_set`` checks each user-user and item-item similarity
-against its transpose once and averages only those that differ.
+symmetric and with sorted indices, so PathSim needs no re-sort.  Its
+PathSim reads the row sums as the column sums, so the similarity is
+exactly symmetric too and is marked so.  ``build_relation_set`` checks
+every other user-user and item-item similarity against its transpose
+once and averages only those that differ.
 """
 
 import logging
@@ -147,10 +149,15 @@ def reverse(path):
 
 @dataclass
 class PathCountMatrix:
-    """Weighted path-instance counts between source-type and target-type nodes."""
+    """Weighted path-instance counts between source-type and target-type nodes.
+
+    ``symmetric`` is True when the counts are exactly symmetric by
+    construction, as ``path_count`` builds those of a palindromic path.
+    """
 
     path: MetaPath
     matrix: sp.csr_array
+    symmetric: bool = False
 
     @property
     def source_type(self):
@@ -165,8 +172,9 @@ class PathCountMatrix:
 class SimilarityMatrix:
     """PathSim-normalized path counts; values lie in [0, 1].
 
-    ``symmetric`` is True only when ``matrix`` was checked to equal its
-    own transpose array for array (``build_relation_set`` does this).
+    ``symmetric`` is True only when ``matrix`` equals its own transpose
+    array for array: built so from symmetric counts by ``pathsim``, or
+    checked so by ``build_relation_set``.
     """
 
     path: MetaPath
@@ -204,6 +212,7 @@ def path_count(graph, path):
     (s, t) and (t, s) sum the same products in the same order, so the
     counts are exactly symmetric, and the CSC arrays of M M^T are the CSR
     arrays of its transpose, that is, of itself, with sorted indices.
+    Such counts are marked ``symmetric``.
     """
     validate_path(path, graph.schema)
     palindromic = path.is_palindromic
@@ -222,7 +231,7 @@ def path_count(graph, path):
         # so that eliminate_zeros never rewrites graph.matrices
         product = sp.csr_array(product, copy=len(steps) == 1)
     product.eliminate_zeros()
-    return PathCountMatrix(path, product)
+    return PathCountMatrix(path, product, symmetric=palindromic)
 
 
 def pathsim(pc, variant="rowcol"):
@@ -232,6 +241,10 @@ def pathsim(pc, variant="rowcol"):
     i.e. paths from s plus paths into t.  ``diagonal``: the classic
     2*PC(s, t) / (PC(s, s) + PC(t, t)), defined only for palindromic paths.
     A zero denominator yields similarity 0.
+
+    For counts marked ``symmetric`` the row sums serve as the column sums,
+    so S(s, t) and S(t, s) are computed from the same operands and S is
+    returned marked ``symmetric``.
     """
     if variant not in ("rowcol", "diagonal"):
         raise PathError(f"unknown PathSim variant {variant!r}")
@@ -249,7 +262,7 @@ def pathsim(pc, variant="rowcol"):
         by_row = by_col = pc.matrix.diagonal()
     else:
         by_row = np.asarray(pc.matrix.sum(axis=1)).ravel()
-        by_col = np.asarray(pc.matrix.sum(axis=0)).ravel()
+        by_col = by_row if pc.symmetric else np.asarray(pc.matrix.sum(axis=0)).ravel()
     denom = np.repeat(by_row, per_row) + by_col[counts.indices]
     positive = denom > 0
     data = counts.data * 2.0
@@ -259,7 +272,7 @@ def pathsim(pc, variant="rowcol"):
         (data, counts.indices.copy(), counts.indptr.copy()), shape=counts.shape
     )
     out.eliminate_zeros()
-    return SimilarityMatrix(pc.path, variant, out)
+    return SimilarityMatrix(pc.path, variant, out, symmetric=pc.symmetric)
 
 
 class PathSpecError(ValueError):
@@ -337,9 +350,12 @@ class RelationSet:
 def _symmetric(sim):
     """``sim`` made exactly symmetric, with the check done once.
 
+    A ``sim`` already marked ``symmetric`` is returned as it is.  Otherwise
     S is kept, and marked, when its transpose has the very same CSR
-    arrays; otherwise it becomes (S + S^T)/2.
+    arrays, and becomes (S + S^T)/2 when it does not.
     """
+    if sim.symmetric:
+        return sim
     S = sim.matrix
     T = S.T.tocsr()
     if all(np.array_equal(a, b) for a, b in
@@ -363,10 +379,11 @@ def build_relation_set(graph, groups, variant="rowcol"):
     """Compute the similarity matrix of every declared path.
 
     User-user and item-item matrices are made exactly symmetric for the
-    graph regularizer.  Each is transposed once: when the transpose has
-    the same CSR arrays, as it does for a palindromic path, S is kept
-    and marked ``symmetric``, so ``laplacian`` skips its own check;
-    otherwise (a non-palindromic path, say) S becomes (S + S^T)/2.  A
+    graph regularizer.  A palindromic path's S is symmetric by
+    construction and already marked so.  Every other one is transposed
+    once: when the transpose has the same CSR arrays, S is kept and
+    marked ``symmetric``; otherwise S becomes (S + S^T)/2.  ``laplacian``
+    skips its own check for a marked S.  A
     user-user or item-item path whose similarity has no entries off the
     diagonal is logged as inert: its Laplacian is all zero.
     """

@@ -125,7 +125,11 @@ class PathWeights:
 
 @dataclass
 class Hyperparams:
-    """Training hyperparameters; ``mu=None`` selects the density rule."""
+    """Training hyperparameters; ``mu=None`` selects the density rule.
+
+    ``learn_rate`` is the initial step of both descent phases.  The factor
+    step grows after accepted steps and may exceed 1 during a run.
+    """
 
     d: int = 10
     lam: float = 0.001

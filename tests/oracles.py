@@ -191,13 +191,17 @@ class PlainLogisticMF:
     """Standalone logistic matrix factorization with the weighted ridge.
 
     Mirrors the reduction of the full model when every path group is
-    empty: same seeded init, same accept/reject descent with step
-    halving, same stopping rules: an outer iteration converges when it
-    accepted at least one step and moved U and V by less than
-    ``outer_tol``.  Written independently as the oracle for the
-    reduction-equivalence test.  It shares the scipy ``expit``
-    primitive so that trajectory comparisons are not perturbed by
-    last-ulp sigmoid differences; everything else is reimplemented.
+    empty: same seeded init, same accept/reject descent, whose step grows
+    by 1.2 after each accepted step and halves after each rejected or
+    non-finite candidate, with more than ten halvings in a row (no
+    accepted step between them) counted as divergence; same stopping
+    rule: an outer iteration converges when it accepted at least one step
+    and moved U, V and J by less than ``outer_tol`` relative to their
+    values at its start.  Written independently as the oracle for the
+    reduction-equivalence test: it takes none of the learner's constants.
+    It shares the scipy ``expit`` primitive so that trajectory comparisons
+    are not perturbed by last-ulp sigmoid differences; everything else is
+    reimplemented.
     """
 
     def __init__(self, hp):
@@ -241,17 +245,15 @@ class PlainLogisticMF:
         V = rng.uniform(-0.01, 0.01, size=(m, hp.d))
 
         step = hp.learn_rate
-        halvings = 0
+        halvings_in_a_row = 0
         j_cur = self._objective(U, V)
         self.j_trace = [j_cur]
         eps = 1e-12
         self.converged = False
         for _ in range(hp.max_outer):
-            U0, V0 = U.copy(), V.copy()
-            attempts = 0
+            U0, V0, j0 = U.copy(), V.copy(), j_cur
             accepted = 0
-            bad = 0
-            while attempts < hp.max_inner:
+            for _ in range(hp.max_inner):
                 dU, dV = self._gradient(U, V)
                 Uc = U - step * dU
                 Vc = V - step * dV
@@ -259,26 +261,25 @@ class PlainLogisticMF:
                     np.linalg.norm(Uc - U) / (np.linalg.norm(U) + eps),
                     np.linalg.norm(Vc - V) / (np.linalg.norm(V) + eps),
                 )
-                j_new = self._objective(Uc, Vc)
-                attempts += 1
-                if j_new <= j_cur:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    j_new = self._objective(Uc, Vc)
+                if np.isfinite(j_new) and j_new <= j_cur:
                     U, V = Uc, Vc
                     j_cur = j_new
                     accepted += 1
-                    bad = 0
+                    step *= 1.2
+                    halvings_in_a_row = 0
                     if rel < hp.inner_tol:
                         break
                 else:
-                    bad += 1
-                    if bad >= 5:
-                        step *= 0.5
-                        halvings += 1
-                        bad = 0
-                        assert halvings <= 10, "oracle diverged"
+                    step *= 0.5
+                    halvings_in_a_row += 1
+                    assert halvings_in_a_row <= 10, "oracle diverged"
             self.j_trace.append(j_cur)
             outer_rel = max(
                 np.linalg.norm(U - U0) / (np.linalg.norm(U0) + eps),
                 np.linalg.norm(V - V0) / (np.linalg.norm(V0) + eps),
+                abs(j_cur - j0) / (abs(j0) + eps),
             )
             if accepted > 0 and outer_rel < hp.outer_tol:
                 self.converged = True

@@ -46,7 +46,7 @@ def test_init_deterministic_and_in_range():
     for arr in (s1.weights.alpha, s1.weights.beta, s1.weights.w):
         assert np.all((arr >= 0) & (arr < 1))
     assert s1.weights.counts == (2, 1, 3)
-    assert s1.step_size == hp.learn_rate
+    assert s1.factor_step == s1.weight_step == hp.learn_rate
 
 
 def test_init_seed_changes_start():
@@ -378,17 +378,184 @@ def test_divergence_records_halvings(monkeypatch):
             return orig(state, data, propose, phase)
         finally:
             seen["halvings"] = state.halvings
-            seen["step_size"] = state.step_size
+            seen["factor_step"] = state.factor_step
+            seen["weight_step"] = state.weight_step
 
     ticks = iter(range(10_000))
     monkeypatch.setattr(learner.Problem, "value", lambda *a, **k: float(next(ticks)))
     monkeypatch.setattr(learner, "_descend", spy)
+    assert hp.max_inner > learner.MAX_HALVINGS  # the first factor phase diverges
     with pytest.raises(DivergenceError):
         train(ratings, rels, hp)
     assert seen["halvings"] == learner.MAX_HALVINGS + 1
-    assert seen["step_size"] == pytest.approx(
-        hp.learn_rate * 0.5 ** (learner.MAX_HALVINGS + 1)
+    assert seen["factor_step"] == hp.learn_rate * 0.5 ** (learner.MAX_HALVINGS + 1)
+    assert seen["weight_step"] == hp.learn_rate
+
+
+# ------------------------------------------------------ step and stop rules
+
+
+def record_steps(monkeypatch):
+    """Record (phase, step, accepted steps so far) for every candidate."""
+    seen = []
+    descend = learner._descend
+
+    def spy(state, data, propose, phase):
+        def recorded(state, step):
+            seen.append((phase, step, getattr(state, f"{phase}_steps")))
+            return propose(state, step)
+        return descend(state, data, recorded, phase)
+
+    monkeypatch.setattr(learner, "_descend", spy)
+    return seen
+
+
+def test_factor_step_grows_by_a_fifth_per_accepted_step(monkeypatch):
+    seen = record_steps(monkeypatch)
+    ratings, rels, hp, _, _ = two_path_instance("dense")
+    state = train(ratings, rels, hp)
+    factor = [(step, acc) for phase, step, acc in seen if phase == "factor"]
+    grew = halved = 0
+    for (step, acc), (nxt, acc_next) in zip(factor, factor[1:]):
+        if acc_next > acc:
+            assert nxt == step * 1.2
+            grew += 1
+        else:
+            assert nxt == step * 0.5
+            halved += 1
+    assert grew > 0 and halved > 0
+    assert state.factor_step > hp.learn_rate
+    # the weight step never grows: every weight candidate was accepted here
+    weight = [step for phase, step, _ in seen if phase == "weight"]
+    assert state.weight_steps == len(weight) > 0 and state.weight_rejected == 0
+    assert weight == [hp.learn_rate] * len(weight)
+    assert state.weight_step == hp.learn_rate
+
+
+def rejecting_every_other_candidate(monkeypatch):
+    """Make the 1st, 3rd, 5th ... objective value asked for read 1e6 higher."""
+    value = learner.Problem.value
+    calls = iter(range(10_000))
+    monkeypatch.setattr(
+        learner.Problem, "value",
+        lambda self, *a: value(self, *a) + (1e6 if next(calls) % 2 == 0 else 0.0),
     )
+
+
+@pytest.mark.parametrize("phase", ["factor", "weight"])
+def test_each_rejection_halves_that_phases_step(phase, monkeypatch):
+    # max_inner below 5: each rejection halves the step all the same
+    ratings, rels, hp, _, state = density_instance("dense")
+    hp = hp.with_overrides(learn_rate=0.01, inner_tol=1e-12, max_inner=4)
+    problem = build_problem(ratings, rels, hp)
+    state.factor_step = state.weight_step = hp.learn_rate
+    state.j_value = problem.value(problem.evaluate(state.model, every_path=True),
+                                  state.weights)
+    seen = record_steps(monkeypatch)
+    rejecting_every_other_candidate(monkeypatch)
+    (update_factors if phase == "factor" else update_weights)(state, problem)
+    assert getattr(state, f"{phase}_rejected") == 2
+    assert getattr(state, f"{phase}_steps") == 2
+    lr = hp.learn_rate
+    grow = 1.2 if phase == "factor" else 1.0
+    assert [step for _, step, _ in seen] == [lr, lr * 0.5, lr * 0.5 * grow,
+                                            lr * 0.5 * grow * 0.5]
+    assert getattr(state, f"{phase}_step") == lr * 0.5 * grow * 0.5 * grow
+    other = "weight" if phase == "factor" else "factor"
+    assert getattr(state, f"{other}_step") == lr
+    assert state.halvings == 2
+
+
+def test_divergence_budget_spans_both_phases(monkeypatch):
+    # six rejected factor candidates, then five rejected weight candidates:
+    # the eleventh halving with no accepted step in between aborts the run
+    rng = np.random.default_rng(28)
+    ratings, rels, hp = random_instance(rng, n=5, m=4, d=2)
+    hp = hp.with_overrides(max_inner=6)
+    seen = record_steps(monkeypatch)
+    ticks = iter(range(10_000))
+    monkeypatch.setattr(learner.Problem, "value", lambda *a, **k: float(next(ticks)))
+    with pytest.raises(DivergenceError, match="without an accepted step"):
+        train(ratings, rels, hp)
+    phases = [phase for phase, _, _ in seen]
+    assert phases == ["factor"] * 6 + ["weight"] * (learner.MAX_HALVINGS + 1 - 6)
+
+
+def test_halvings_spread_across_accepted_steps_do_not_abort(monkeypatch):
+    # a real run halves far more often than MAX_HALVINGS ...
+    ratings, rels, hp, _, _ = two_path_instance("dense")
+    state = train(ratings, rels, hp)
+    assert state.halvings > learner.MAX_HALVINGS and state.stalled_halvings == 0
+    assert state.outer_iters == hp.max_outer
+    # ... and MAX_HALVINGS in a row, each time followed by an accepted
+    # step, never abort
+    rng = np.random.default_rng(29)
+    ratings, rels, hp = random_instance(rng, n=5, m=4, d=2)
+    hp = hp.with_overrides(max_inner=3 * (learner.MAX_HALVINGS + 1), max_outer=1,
+                           inner_tol=1e-300)
+    calls = iter(range(10_000))
+    monkeypatch.setattr(
+        learner.Problem, "value",
+        lambda *a: 5.0 if next(calls) % (learner.MAX_HALVINGS + 1) else 0.0,
+    )
+    state = train(ratings, rels, hp)
+    assert state.factor_rejected == state.weight_rejected == 3 * learner.MAX_HALVINGS
+    assert state.halvings == 6 * learner.MAX_HALVINGS
+
+
+def test_overflowing_candidate_is_rejected_and_halves_the_step():
+    ratings, rels, hp, problem, state = density_instance("dense")
+    problem = build_problem(ratings, rels, hp.with_overrides(max_inner=1))
+    state.factor_step = 1e200
+    dU, dV = grad_factors(state, problem)
+    with np.errstate(over="ignore", invalid="ignore"):
+        far = problem.evaluate(FactorModel(state.model.U - 1e200 * dU,
+                                           state.model.V - 1e200 * dV))
+    assert far.factor_ridge == np.inf
+    U, j = state.model.U, problem.value(state.point, state.weights)
+    state.j_value = j
+    update_factors(state, problem)
+    assert state.factor_rejected == 1 and state.factor_steps == 0
+    assert state.factor_step == 0.5e200 and state.halvings == 1
+    assert state.model.U is U and state.j_value == j
+
+
+def test_decaying_weights_do_not_block_convergence(caplog):
+    # graph paths so weak that their traces barely count: alpha and beta
+    # decay through the ridge alone, by about 6% per outer iteration, while
+    # U, V and J settle
+    rng = np.random.default_rng([41, 2])
+    ratings, rels, hp = random_instance(rng, n=8, m=6, d=2, n_uu=1, n_ii=1, n_ui=0)
+    for sim in rels.user_user + rels.item_item:
+        sim.matrix.data *= 1e-6
+    hp = hp.with_overrides(outer_tol=1e-2, max_outer=60, max_inner=30)
+    with caplog.at_level("INFO", logger="hetecf.learner"):
+        state = train(ratings, rels, hp)
+    assert state.converged and state.outer_iters < hp.max_outer
+    last = state.log_rows[-1]
+    assert min(last["rel_change_alpha"], last["rel_change_beta"]) > hp.outer_tol
+    assert max(last["rel_change_U"], last["rel_change_V"]) < hp.outer_tol
+    j0, j1 = state.j_trace[-2:]
+    assert abs(j1 - j0) / abs(j0) < hp.outer_tol
+    lines = [r.getMessage() for r in caplog.records if "converged" in r.getMessage()]
+    assert len(lines) == 1
+    assert lines[0].startswith(f"converged at iteration {state.outer_iters}: ")
+    assert f"below outer_tol {hp.outer_tol:g}" in lines[0]
+
+
+def test_oracle_takes_nothing_from_the_package():
+    import ast
+    import oracles
+
+    with open(oracles.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+    assert imported and not any(name.split(".")[0] == "hetecf" for name in imported)
 
 
 # -------------------------------------------------------------- logging csv
@@ -410,7 +577,8 @@ def test_training_log_round_trip(tmp_path):
     assert objs == pytest.approx([r["objective"] for r in state.log_rows])
     assert set(rows[0]) == {
         "iteration", "objective", "rel_change_U", "rel_change_V",
-        "rel_change_alpha", "rel_change_beta", "rel_change_w", "step_size",
+        "rel_change_alpha", "rel_change_beta", "rel_change_w",
+        "factor_step", "weight_step",
         "fit", "user_graph", "item_graph", "relation_fit", "ridge",
         "factor_accepted", "factor_rejected", "factor_halvings", "factor_seconds",
         "weight_accepted", "weight_rejected", "weight_halvings", "weight_seconds",
@@ -509,10 +677,12 @@ def two_path_instance(side):
     """Ratings and two user-item relations on the dense or the gather side.
 
     Relation 0's entries sit at the start prediction 0.5, so its weight
-    decays almost only through the ridge and stays positive; relation 1's
-    are far from it, so the first weight phase clamps its weight to
-    exactly 0.  Relation 1 gets a path of its own, so that log lines can
-    name it.
+    decays slowly and stays positive through four outer iterations;
+    relation 1's are far from it, so an early weight phase (the first on
+    the gather side, the second on the dense side) clamps its weight to
+    exactly 0.  The step caps (30 candidates per phase from a
+    step of 0.05) keep the factors slow enough for that.  Relation 1 gets
+    a path of its own, so that log lines can name it.
     """
     from hetecf import Schema, Relation, make_path
     from hetecf.metapath import SimilarityMatrix
@@ -533,7 +703,8 @@ def two_path_instance(side):
     state.model = FactorModel(
         rng.normal(scale=0.5, size=(n, 2)), rng.normal(scale=0.5, size=(m, 2))
     )
-    return ratings, rels, hp.with_overrides(max_outer=4), problem, state
+    return (ratings, rels, hp.with_overrides(max_outer=4, max_inner=30, learn_rate=0.05),
+            problem, state)
 
 
 def distinct_pairs(ratings, *sims):
@@ -641,8 +812,9 @@ def test_active_set_keeps_every_nonzero_weight():
 
 
 def test_log_names_the_paths_that_leave_the_active_set(caplog):
-    # relation 1 leaves after the first outer iteration, and the first
-    # user-user path, whose alpha reaches exactly 0, after the third
+    # relation 1 leaves after the first outer iteration, and a user-user
+    # path, whose alpha reaches exactly 0, after the third (both user-user
+    # paths have the same name)
     ratings, rels, hp, _, _ = two_path_instance("gather")
     with caplog.at_level("INFO", logger="hetecf.learner"):
         train(ratings, rels, hp)
@@ -658,20 +830,25 @@ def test_log_names_the_paths_that_leave_the_active_set(caplog):
 
 def test_outer_iteration_that_accepts_nothing_does_not_converge():
     # a ridge so stiff that every factor step overshoots (|1 - 2 lam c eta|
-    # > 1) rejects every candidate, and max_inner < REJECTIONS_PER_HALVING
-    # never halves the step: nothing moves, yet no iteration converged
-    assert 4 < learner.REJECTIONS_PER_HALVING
+    # > 1) rejects every candidate of the first two outer iterations: each
+    # rejection halves the step, even with max_inner below 5, yet eight
+    # halvings leave it too long.  Nothing moves, so U, V and J change by
+    # 0 < outer_tol, and still no iteration converged
     rng = np.random.default_rng(34)
     ratings = random_ratings(rng, 5, 4, density=0.5)
-    hp = Hyperparams(d=2, lam=50.0, learn_rate=0.5, max_inner=4, max_outer=3,
+    hp = Hyperparams(d=2, lam=200.0, learn_rate=0.5, max_inner=4, max_outer=2,
                      outer_tol=1e-3, seed=1)
     state = train(ratings, empty_rels(), hp)
-    assert state.factor_steps == 0 and state.factor_rejected == 12
-    assert state.halvings == 0
-    assert state.outer_iters == 3 and not state.converged
+    assert state.factor_steps == 0 and state.factor_rejected == 8
+    assert state.halvings == 8 and state.factor_step == 0.5 * 0.5**8
+    assert state.outer_iters == 2 and not state.converged
+    assert state.j_trace == [state.j_trace[0]] * 3
     oracle = PlainLogisticMF(hp).fit(ratings)
     assert not oracle.converged
     assert state.j_trace == oracle.j_trace
+    # one more outer iteration halves the step enough to accept
+    state = train(ratings, empty_rels(), hp.with_overrides(max_outer=3))
+    assert state.factor_steps > 0 and state.j_trace[-1] < state.j_trace[0]
 
 
 # ------------------------------------------ skipping zero-weight Laplacians

@@ -324,14 +324,16 @@ def test_pathsim_range_and_symmetry_random():
 
 
 def _coo_pathsim(pc, variant):
-    """PathSim rebuilt from COO triples into a fresh canonical CSR."""
+    """PathSim rebuilt from COO triples into a fresh canonical CSR; the
+    column sums of counts marked symmetric are their row sums."""
     m = sp.csr_array(pc.matrix, dtype=np.float64).tocoo()
     if variant == "diagonal":
         diag = pc.matrix.diagonal()
         denom = diag[m.row] + diag[m.col]
     else:
-        denom = (np.asarray(pc.matrix.sum(axis=1)).ravel()[m.row]
-                 + np.asarray(pc.matrix.sum(axis=0)).ravel()[m.col])
+        rowsum = np.asarray(pc.matrix.sum(axis=1)).ravel()
+        colsum = rowsum if pc.symmetric else np.asarray(pc.matrix.sum(axis=0)).ravel()
+        denom = rowsum[m.row] + colsum[m.col]
     with np.errstate(divide="ignore", invalid="ignore"):
         vals = np.where(denom > 0, 2.0 * m.data / np.where(denom > 0, denom, 1.0), 0.0)
     out = sp.csr_array((vals, (m.row, m.col)), shape=m.shape)
@@ -671,3 +673,95 @@ def test_palindromic_counts_are_exactly_symmetric_with_float_weights():
                      (pc.matrix.data, T.data)):
             assert np.array_equal(a, b), text
         assert np.allclose(pc.matrix.toarray(), dfs_path_count(g, pc.path), rtol=1e-12)
+
+
+def _float_weight_graph(rng, schema):
+    nodes = ([(f"a{i}", "Author") for i in range(12)] + [(f"p{i}", "Paper") for i in range(15)]
+             + [(f"c{i}", "Conf") for i in range(6)])
+    edges = [(f"a{i}", f"p{j}", "writes", float(rng.random()))
+             for i in range(12) for j in range(15) if rng.random() < 0.4]
+    edges += [(f"p{i}", f"c{j}", "published_in", float(rng.random()))
+              for i in range(15) for j in range(6) if rng.random() < 0.5]
+    edges += [(f"p{i}", f"p{j}", "cites", float(rng.random()))
+              for i in range(15) for j in range(15) if rng.random() < 0.2]
+    return h.build_graph(schema, nodes, edges)
+
+
+def test_palindromic_similarity_is_exactly_symmetric_with_float_weights():
+    rng = np.random.default_rng(12)
+    schema = cite_schema()
+    texts = ("Author -writes-> Paper <-writes- Author",
+             "Conf <-published_in- Paper -cites-> Paper <-cites- Paper -published_in-> Conf",
+             "Author -writes-> Paper -published_in-> Conf <-published_in- Paper"
+             " <-writes- Author")
+    sums_differ = 0
+    for _ in range(10):
+        g = _float_weight_graph(rng, schema)
+        for text in texts:
+            pc = path_count(g, h.parse_path(text, schema))
+            assert pc.symmetric
+            rows, cols = pc.matrix.sum(axis=1), pc.matrix.sum(axis=0)
+            sums_differ += not np.array_equal(rows, cols)
+            for variant in ("rowcol", "diagonal"):
+                sim = pathsim(pc, variant=variant)
+                assert sim.symmetric
+                T = sim.matrix.T.tocsr()
+                assert _arrays(sim.matrix) == _arrays(T), (text, variant)
+                assert np.allclose(sim.matrix.toarray(),
+                                   naive_pathsim(pc.matrix.toarray(), variant), atol=1e-12)
+                # marked, it is kept as it is: no transposition, no average
+                assert _symmetric(sim) is sim
+    # summed by columns, the float counts of some paths differ from their
+    # row sums in the last place: then the column sums would break symmetry
+    assert sums_differ > 0
+
+
+def test_non_palindromic_counts_are_not_marked():
+    rng = np.random.default_rng(13)
+    schema = cite_schema()
+    g = _float_weight_graph(rng, schema)
+    path = h.parse_path("Author -writes-> Paper -cites-> Paper <-writes- Author", schema)
+    pc = path_count(g, path)
+    assert not pc.symmetric and not pathsim(pc).symmetric
+    sim = build_relation_set(g, PathGroups([path], [], [])).user_user[0]
+    raw = pathsim(pc).matrix
+    assert _arrays(sim.matrix) == _arrays(sp.csr_array((raw + raw.T) * 0.5))
+
+
+def _bench_networks():
+    """The seeded networks of the benchmark, built by ``bench/networks.py``."""
+    import importlib.util
+
+    where = pathlib.Path(__file__).resolve().parent.parent / "bench" / "networks.py"
+    spec = importlib.util.spec_from_file_location("bench_networks", where)
+    networks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(networks)
+    return networks
+
+
+@pytest.mark.parametrize("network", ["sample_data", "dense-0", "sparse-0", "sparse-1"])
+def test_laplacians_equal_the_checked_route_byte_for_byte(network, tmp_path):
+    # the checked route: counts left unmarked, so the column sums are summed
+    # by columns and the similarity is checked against its transpose
+    if network == "sample_data":
+        files = {f: str(SAMPLE / f"{f}.{ext}") for f, ext in
+                 (("nodes", "tsv"), ("edges", "tsv"), ("schema", "txt"), ("paths", "txt"))}
+    else:
+        kind, seed = network.split("-")
+        networks = _bench_networks()
+        net = (networks.dense_network(int(seed)) if kind == "dense"
+               else networks.sparse_network(int(seed)))
+        files = net.write(str(tmp_path))
+    g = h.load_graph(files["nodes"], files["edges"], files["schema"])
+    groups = load_path_spec(files["paths"], g.schema)
+    rels = build_relation_set(g, groups)
+    palindromic = 0
+    for sims, paths in ((rels.user_user, groups.user_user), (rels.item_item, groups.item_item)):
+        for sim, path in zip(sims, paths):
+            pc = path_count(g, path)
+            palindromic += pc.symmetric
+            checked = _symmetric(pathsim(h.PathCountMatrix(path, pc.matrix)))
+            assert checked.symmetric == sim.symmetric
+            assert _arrays(sim.matrix) == _arrays(checked.matrix)
+            assert _arrays(laplacian(sim)) == _arrays(laplacian(checked))
+    assert palindromic >= 2
