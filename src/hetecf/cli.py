@@ -349,7 +349,7 @@ def _add_hp_flags(p):
     p.add_argument("--mu", type=float,
                    help="relation-fit weight (default: observed density)")
     p.add_argument("--learn-rate", dest="learn_rate", type=float,
-                   help="initial step of both descent phases, in (0, 1)")
+                   help="initial step of both descent phases, in (0, 1) (default 0.2)")
     p.add_argument("--inner-tol", dest="inner_tol", type=float)
     p.add_argument("--outer-tol", dest="outer_tol", type=float)
     p.add_argument("--max-inner", dest="max_inner", type=int)

@@ -690,6 +690,8 @@ def two_path_instance(side):
     rng = np.random.default_rng(33)
     n, m, density = (6, 5, 0.4) if side == "dense" else (40, 30, 0.03)
     ratings, rels, hp = random_instance(rng, n=n, m=m, d=2, density=density)
+    # the Problem and state below use the instance's step, not the default
+    hp = hp.with_overrides(max_outer=4, max_inner=30, learn_rate=0.05)
     rels.user_item[0].matrix.data[:] = 0.5
     schema = Schema(
         ("U", "X", "I"), "U", "I",
@@ -703,8 +705,7 @@ def two_path_instance(side):
     state.model = FactorModel(
         rng.normal(scale=0.5, size=(n, 2)), rng.normal(scale=0.5, size=(m, 2))
     )
-    return (ratings, rels, hp.with_overrides(max_outer=4, max_inner=30, learn_rate=0.05),
-            problem, state)
+    return ratings, rels, hp, problem, state
 
 
 def distinct_pairs(ratings, *sims):
