@@ -16,7 +16,9 @@ ridge.  The objective value and the next gradient both read this
 :class:`Point`, so an accepted candidate's gradient gathers no rows
 again.  The predictions come from one dense ``U @ V.T`` when the entries
 cover at least ``DENSE_MIN_DENSITY`` of the user-item grid, and from row
-gathers otherwise.
+gathers otherwise.  The factor gradient is computed once per factor
+point: a rejected candidate leaves the factors and the frozen weights as
+they were.
 
 Active set: at the start of each factor phase :meth:`Problem.activate`
 keeps in the entry list only the rating block and the user-item relations
@@ -53,6 +55,7 @@ their values at the start of the iteration.  The weights take no part.
 """
 
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -185,6 +188,8 @@ class Point:
 
 
 TERMS = ("fit", "user_graph", "item_graph", "relation_fit", "ridge")
+_TERM_NAMES = ("rating fit", "user graph regularizer", "item graph regularizer",
+               "relation fit", "ridge")
 
 
 class Problem:
@@ -235,14 +240,16 @@ class Problem:
         self.bounds = np.cumsum([0] + [len(b[2]) for b in blocks])
         self._block_sizes = np.diff(self.bounds)
         rows, cols, self.vals = (np.concatenate([b[i] for b in blocks]) for i in range(3))
-        flat, self.pair = np.unique(rows * self.m + cols, return_inverse=True)
-        self.n_pairs = flat.size
+        keys = rows * self.m + cols
         # one entry per pair, in pair order: the entries need no gather by
         # pair and no sum over pairs; covering the whole grid, they are the
         # dense prediction matrix itself
-        self._in_order = flat.size == self.pair.size and bool(
-            np.all(self.pair == np.arange(flat.size))
-        )
+        self._in_order = bool(np.all(keys[1:] > keys[:-1]))
+        if self._in_order:
+            flat, self.pair = keys, np.arange(keys.size)
+        else:
+            flat, self.pair = _distinct(keys, self.n * self.m)
+        self.n_pairs = flat.size
         self._whole_grid = self._in_order and flat.size == self.n * self.m
         return flat
 
@@ -377,26 +384,36 @@ class Problem:
             factor_ridge=factor_ridge, **entries,
         )
 
-    def terms(self, point, weights):
-        """The five objective terms at ``point``'s factors and ``weights``."""
+    def _term_values(self, point, weights):
+        """The five objective terms, in ``TERMS`` order, unchecked."""
         self._check(point, weights)
         a, b, w = weights.alpha, weights.beta, weights.w
-        return {
-            "fit": _check_term(point.fit, "rating fit"),
-            "user_graph": _check_term(float(a @ point.tr_u), "user graph regularizer"),
-            "item_graph": _check_term(float(b @ point.tr_v), "item graph regularizer"),
-            "relation_fit": _check_term(self.mu * float(w @ point.rel_ssq), "relation fit"),
-            "ridge": _check_term(
-                self.hp.lam
-                * (point.factor_ridge + float(a @ a) + float(b @ b) + float(w @ w)),
-                "ridge",
-            ),
-        }
+        return (
+            float(point.fit),
+            float(a @ point.tr_u),
+            float(b @ point.tr_v),
+            float(self.mu * float(w @ point.rel_ssq)),
+            float(self.hp.lam * (point.factor_ridge + float(a @ a) + float(b @ b) + float(w @ w))),
+        )
+
+    def terms(self, point, weights):
+        """The five objective terms at ``point``'s factors and ``weights``;
+        a non-finite term raises NumericalError naming it."""
+        values = self._term_values(point, weights)
+        for value, name in zip(values, _TERM_NAMES):
+            _check_term(value, name)
+        return dict(zip(TERMS, values))
 
     def value(self, point, weights):
         """The objective J at ``point``'s factors and ``weights``: the
-        value of every candidate of either phase."""
-        return sum(self.terms(point, weights).values())
+        value of every candidate of either phase.  A non-finite term
+        raises as in :meth:`terms`; a sum of finite terms may overflow."""
+        values = self._term_values(point, weights)
+        total = sum(values)
+        if not math.isfinite(total):  # a non-finite term, or finite ones that overflow
+            for value, name in zip(values, _TERM_NAMES):
+                _check_term(value, name)
+        return total
 
     def factor_gradient(self, point, weights):
         """Gradient of J with respect to U and V at ``point``."""
@@ -457,10 +474,23 @@ class Problem:
             point.tr_v + 2.0 * lam * weights.beta,
             self.mu * point.rel_ssq + 2.0 * lam * weights.w,
         )
-        for g in grads:
-            if not np.isfinite(g).all():
-                raise NumericalError("non-finite weight gradient")
+        if not np.isfinite(np.concatenate(grads)).all():
+            raise NumericalError("non-finite weight gradient")
         return grads
+
+
+def _distinct(keys, size):
+    """``np.unique(keys, return_inverse=True)`` for keys in [0, size): by
+    marking a table of ``size`` slots when the keys fill at least a quarter
+    of it, by sorting otherwise."""
+    if 4 * keys.size < size:
+        return np.unique(keys, return_inverse=True)
+    seen = np.zeros(size, dtype=bool)
+    seen[keys] = True
+    flat = np.flatnonzero(seen)
+    slot = np.empty(size, dtype=np.intp)
+    slot[flat] = np.arange(flat.size)
+    return flat, slot[keys]
 
 
 def active_relations(w):
@@ -524,53 +554,68 @@ def _descend(state, data, propose, phase):
     if not np.isfinite(state.j_value):  # phase entered without a prior objective
         state.j_value = data.value(_point(state, data), state.weights)
     j_cur = state.j_value
-    step_name = f"{phase}_step"
-    for _ in range(hp.max_inner):
-        # a grown step may overshoot into overflow: that candidate is rejected
-        with np.errstate(over="ignore", invalid="ignore"):
+    step_name, steps_name, rejected_name = (
+        f"{phase}_step", f"{phase}_steps", f"{phase}_rejected"
+    )
+    # a grown step may overshoot into overflow: that candidate is rejected
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(hp.max_inner):
             candidate, rel = propose(state, getattr(state, step_name))
             try:
                 j_new = data.value(*candidate)
             except NumericalError:
                 j_new = np.inf
-        if j_new <= j_cur:
-            state.point, state.weights = candidate
-            state.model = state.point.model
-            j_cur = j_new
-            state.j_value = j_new
-            state.step_trace.append(j_new)
-            setattr(state, f"{phase}_steps", getattr(state, f"{phase}_steps") + 1)
-            state.stalled_halvings = 0
-            if phase == "factor":
-                state.factor_step *= STEP_GROWTH
-            if rel < hp.inner_tol:
-                break
-        else:
-            setattr(state, f"{phase}_rejected", getattr(state, f"{phase}_rejected") + 1)
-            setattr(state, step_name, getattr(state, step_name) * 0.5)
-            state.halvings += 1
-            state.stalled_halvings += 1
-            log.debug("%s candidate rejected; step now %g", phase, getattr(state, step_name))
-            if state.stalled_halvings > MAX_HALVINGS:
-                raise DivergenceError(
-                    f"objective still increasing after {MAX_HALVINGS} "
-                    f"step halvings without an accepted step (J = {j_cur:.6g})",
-                    state.step_trace,
-                )
+            if j_new <= j_cur:
+                state.point, state.weights = candidate
+                state.model = state.point.model
+                j_cur = j_new
+                state.j_value = j_new
+                state.step_trace.append(j_new)
+                setattr(state, steps_name, getattr(state, steps_name) + 1)
+                state.stalled_halvings = 0
+                if phase == "factor":
+                    state.factor_step *= STEP_GROWTH
+                if rel < hp.inner_tol:
+                    break
+            else:
+                setattr(state, rejected_name, getattr(state, rejected_name) + 1)
+                setattr(state, step_name, getattr(state, step_name) * 0.5)
+                state.halvings += 1
+                state.stalled_halvings += 1
+                log.debug("%s candidate rejected; step now %g", phase,
+                          getattr(state, step_name))
+                if state.stalled_halvings > MAX_HALVINGS:
+                    raise DivergenceError(
+                        f"objective still increasing after {MAX_HALVINGS} "
+                        f"step halvings without an accepted step (J = {j_cur:.6g})",
+                        state.step_trace,
+                    )
     return state
 
 
 def update_factors(state, data):
     """Inner loop of the factor phase: full-gradient descent on (U, V);
     returns the mutated state.  The active sets are recomputed from the
-    weights first, which stay frozen for the whole phase."""
+    weights first, which stay frozen for the whole phase.
+
+    The gradient is computed once per factor point: a rejected candidate
+    leaves the factors and the weights as they were, so the next candidate
+    steps along the same gradient, with a halved step.
+    """
     data.activate(state.weights)
+    at = None  # (factors, dU, dV, |U| + eps, |V| + eps) of the current point
 
     def propose(state, step):
-        dU, dV = grad_factors(state, data)
-        U = state.model.U - step * dU
-        V = state.model.V - step * dV
-        rel = max(_rel_change(U, state.model.U), _rel_change(V, state.model.V))
+        nonlocal at
+        model = state.model
+        if at is None or at[0] is not model:
+            at = (model, *grad_factors(state, data), _norm(model.U) + _EPS,
+                  _norm(model.V) + _EPS)
+        _, dU, dV, norm_u, norm_v = at
+        U = model.U - step * dU
+        V = model.V - step * dV
+        # _rel_change, with the norms of the current point computed once
+        rel = max(_norm(U - model.U) / norm_u, _norm(V - model.V) / norm_v)
         return (data.evaluate(FactorModel(U, V)), state.weights), rel
 
     return _descend(state, data, propose, "factor")
@@ -593,18 +638,21 @@ def update_weights(state, data):
     if sum(state.weights.counts) == 0:
         return state
     _point(state, data, every_path=True)
+    at = None  # (weights, gradient, block norms + eps) of the current point
 
     def propose(state, eta):
+        nonlocal at
         wts = state.weights
-        dA, dB, dW = grad_weights(state, data)
+        if at is None or at[0] is not wts:
+            at = (wts, grad_weights(state, data),
+                  [_norm(x) + _EPS for x in (wts.alpha, wts.beta, wts.w)])
+        _, (dA, dB, dW), norms = at
         alpha = np.maximum(wts.alpha - eta * dA, 0.0)
         beta = np.maximum(wts.beta - eta * dB, 0.0)
         w = np.maximum(wts.w - eta * dW, 0.0)
-        rel = max(
-            _rel_change(alpha, wts.alpha),
-            _rel_change(beta, wts.beta),
-            _rel_change(w, wts.w),
-        )
+        # _rel_change per block, with the norms of the current point computed once
+        rel = max(_norm(new - old) / norm for new, old, norm in
+                  zip((alpha, beta, w), (wts.alpha, wts.beta, wts.w), norms))
         return (state.point, PathWeights(alpha, beta, w)), rel
 
     return _descend(state, data, propose, "weight")

@@ -404,12 +404,15 @@ def test_8_training_time_linear_in_d_and_grid_size(capsys):
         [r.n * r.m for r in size_rows], [r.seconds_median for r in size_rows]
     )
     ok = r2_d > 0.95 and r2_size > 0.95 and dt < 900.0
+    d_ms = ", ".join(f"d={r.d} {r.seconds_median * 1e3:.2f}" for r in d_rows)
+    size_ms = ", ".join(f"{r.n}x{r.m} {r.seconds_median * 1e3:.2f}" for r in size_rows)
     _report(
         capsys, 8, "training time linear in d and in grid size", ok,
-        f"R^2 vs d {r2_d:.3f}, R^2 vs n*m {r2_size:.3f}, {dt:.0f}s",
+        f"R^2 vs d {r2_d:.3f}, R^2 vs n*m {r2_size:.3f}, {dt:.0f}s;"
+        f" median ms: {d_ms}; {size_ms}",
     )
-    assert r2_d > 0.95
-    assert r2_size > 0.95
+    assert r2_d > 0.95, f"R^2 vs d {r2_d:.3f}; median ms: {d_ms}"
+    assert r2_size > 0.95, f"R^2 vs n*m {r2_size:.3f}; median ms: {size_ms}"
     assert dt < 900.0
 
 

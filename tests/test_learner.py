@@ -812,6 +812,37 @@ def test_active_set_keeps_every_nonzero_weight():
     assert terms == all_blocks
 
 
+def test_sorted_entries_that_repeat_a_pair_are_summed_per_pair():
+    # ratings at (0, 0) and (0, 1), relation entries at (0, 1) and (1, 0):
+    # the keys 0, 1, 1, 2 are sorted but repeat a pair, so the entry list is
+    # not one entry per pair in order
+    from hetecf import Schema, Relation, make_path
+    from hetecf.metapath import SimilarityMatrix
+    import scipy.sparse as sps
+
+    schema = Schema(("U", "I"), "U", "I", (Relation("r", "U", "I"),))
+    path = make_path(schema, [("r", True)])
+    mat = sps.csr_array(([0.3, 0.9], ([0, 1], [1, 0])), shape=(2, 2))
+    rels = RelationSet([], [], [SimilarityMatrix(path, "rowcol", mat)])
+    ratings = RatingMatrix(2, 2, [0, 0], [0, 1], [0.2, 0.7])
+    hp = Hyperparams(d=2, lam=0.01, mu=0.5, seed=4)
+    problem = build_problem(ratings, rels, hp)
+    assert not problem._in_order and problem.n_pairs == 3
+    state = init(hp, (2, 2, 0, 0, 1))
+    rng = np.random.default_rng(35)
+    state.model = FactorModel(rng.normal(size=(2, 2)), rng.normal(size=(2, 2)))
+    dU, dV = grad_factors(state, problem)
+
+    def f(vec):
+        model = FactorModel(vec[:4].reshape(2, 2), vec[4:].reshape(2, 2))
+        return objective(model, state.weights, ratings, rels, hp)
+
+    x0 = np.concatenate([state.model.U.ravel(), state.model.V.ravel()])
+    got = np.concatenate([dU.ravel(), dV.ravel()])
+    assert np.allclose(got, central_difference(f, x0), rtol=1e-5, atol=1e-7)
+    assert problem.value(state.point, state.weights) == pytest.approx(f(x0), rel=1e-12)
+
+
 def test_log_names_the_paths_that_leave_the_active_set(caplog):
     # relation 1 leaves after the first outer iteration, and a user-user
     # path, whose alpha reaches exactly 0, after the third (both user-user
@@ -1052,3 +1083,52 @@ def test_model_bytes_independent_of_blas_threads(tmp_path):
         )
         models.append(out.read_bytes())
     assert models[0] == models[1]
+
+
+# ------------------------------------------------ one gradient per point
+
+
+def test_factor_gradient_once_per_factor_point(monkeypatch):
+    # a candidate that follows a rejected one in the same factor phase
+    # steps from the same factors with the same weights: it takes no new
+    # gradient, and every other factor candidate takes one
+    from hetecf import synth
+    from hetecf.graph import derive_ratings
+    from hetecf.metapath import build_relation_set
+
+    spec = synth.SynthSpec(seed=0)  # 40 x 12
+    graph = synth.generate(spec)
+    ratings = derive_ratings(graph, synth.default_target_path(spec.schema))
+    rels = build_relation_set(graph, synth.default_paths(spec.schema))
+    hp = Hyperparams(d=6, max_inner=20, max_outer=6, seed=3)
+    grads = []
+    grad = learner.grad_factors
+    monkeypatch.setattr(learner, "grad_factors",
+                        lambda state, data: grads.append(state.model) or grad(state, data))
+    phases = []
+    descend = learner._descend
+
+    def spy(state, data, propose, phase):
+        if phase != "factor":
+            return descend(state, data, propose, phase)
+        phases.append([])
+
+        def recorded(state, step):
+            phases[-1].append((state.factor_steps, len(grads)))
+            return propose(state, step)
+
+        return descend(state, data, recorded, phase)
+
+    monkeypatch.setattr(learner, "_descend", spy)
+    state = train(ratings, rels, hp)
+    candidates = sum(len(p) for p in phases)
+    after_rejection = sum(
+        1 for p in phases for (acc, _), (acc_next, _) in zip(p, p[1:]) if acc_next == acc
+    )
+    assert state.factor_rejected > 0 and after_rejection > 0
+    assert len(grads) == candidates - after_rejection
+    for k, p in enumerate(phases):  # within a phase, never twice at the same factors
+        start = p[0][1]
+        stop = phases[k + 1][0][1] if k + 1 < len(phases) else len(grads)
+        models = grads[start:stop]
+        assert len({id(m) for m in models}) == len(models)

@@ -222,6 +222,50 @@ def test_laplacian_checks_every_matrix_not_marked_symmetric(biblio_schema):
         assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
+def _scipy_laplacian(S):
+    """``diags_array(deg) - S`` through scipy's DIA and CSR arithmetic."""
+    S = sp.csr_array(S, dtype=np.float64)
+    deg = np.asarray(S.sum(axis=1)).ravel()
+    return sp.csr_array(sp.diags_array(deg, format="csr") - S)
+
+
+def test_laplacian_equals_scipy_assembly_byte_for_byte():
+    # rows without entries, self-loops, a diagonal that cancels to 0,
+    # explicit zeros, 64-bit indices and a non-canonical matrix
+    rng = np.random.default_rng(12)
+    for trial in range(300):
+        n = int(rng.integers(1, 25))
+        A = (rng.random((n, n)) < rng.random()) * rng.choice(
+            [0.5, 1.0, 2.0, 0.1, 1e-300, 3.7], size=(n, n))
+        A = A + A.T
+        A[rng.integers(0, n), :] = 0.0
+        A = np.minimum(A, A.T)
+        i = rng.integers(0, n)
+        A[i, :] = A[:, i] = 0.0
+        A[i, i] = 2.0  # a self-loop alone: its Laplacian row is 0
+        S = sp.csr_array(A)
+        if trial % 3 == 0:  # explicit zeros, symmetric
+            zero = rng.random((n, n)) < 0.2
+            rows = np.repeat(np.arange(n), np.diff(S.indptr))
+            S.data[(zero | zero.T)[rows, S.indices]] = 0.0
+        if trial % 5 == 0:
+            S = sp.csr_array((S.data, S.indices.astype(np.int64),
+                              S.indptr.astype(np.int64)), shape=S.shape)
+        if trial % 7 == 0 and S.nnz > 1:  # each row stored twice over, in halves
+            rows = [slice(a, b) for a, b in zip(S.indptr[:-1], S.indptr[1:])]
+            S = sp.csr_array(
+                (np.concatenate([np.tile(S.data[r], 2) * 0.5 for r in rows]),
+                 np.concatenate([np.tile(S.indices[r], 2) for r in rows]),
+                 np.concatenate([[0], np.cumsum(2 * np.diff(S.indptr))])),
+                shape=S.shape,
+            )
+            assert not S.has_canonical_format
+        got, want = laplacian(S), _scipy_laplacian(S)
+        for a, b in ((got.indptr, want.indptr), (got.indices, want.indices),
+                     (got.data, want.data)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), trial
+
+
 def test_laplacian_rejects_non_square():
     with pytest.raises(ValueError, match="square"):
         laplacian(np.zeros((2, 3)))
