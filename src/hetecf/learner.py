@@ -187,9 +187,22 @@ class Point:
     factor_ridge: float  # sum_i c_i ||U_i||^2 + sum_j c_j ||V_j||^2
 
 
-TERMS = ("fit", "user_graph", "item_graph", "relation_fit", "ridge")
-_TERM_NAMES = ("rating fit", "user graph regularizer", "item graph regularizer",
-               "relation fit", "ridge")
+# each objective term's key and the name its NumericalError gives
+_TERM_LABELS = (
+    ("fit", "rating fit"),
+    ("user_graph", "user graph regularizer"),
+    ("item_graph", "item graph regularizer"),
+    ("relation_fit", "relation fit"),
+    ("ridge", "ridge"),
+)
+TERMS = tuple(key for key, _ in _TERM_LABELS)
+
+
+def _check_terms(values):
+    """Raise NumericalError naming the first non-finite term of ``values``,
+    given in ``TERMS`` order."""
+    for value, (_, label) in zip(values, _TERM_LABELS):
+        _check_term(value, label)
 
 
 class Problem:
@@ -248,7 +261,7 @@ class Problem:
         if self._in_order:
             flat, self.pair = keys, np.arange(keys.size)
         else:
-            flat, self.pair = _distinct(keys, self.n * self.m)
+            flat, self.pair = np.unique(keys, return_inverse=True)
         self.n_pairs = flat.size
         self._whole_grid = self._in_order and flat.size == self.n * self.m
         return flat
@@ -400,8 +413,7 @@ class Problem:
         """The five objective terms at ``point``'s factors and ``weights``;
         a non-finite term raises NumericalError naming it."""
         values = self._term_values(point, weights)
-        for value, name in zip(values, _TERM_NAMES):
-            _check_term(value, name)
+        _check_terms(values)
         return dict(zip(TERMS, values))
 
     def value(self, point, weights):
@@ -411,8 +423,7 @@ class Problem:
         values = self._term_values(point, weights)
         total = sum(values)
         if not math.isfinite(total):  # a non-finite term, or finite ones that overflow
-            for value, name in zip(values, _TERM_NAMES):
-                _check_term(value, name)
+            _check_terms(values)
         return total
 
     def factor_gradient(self, point, weights):
@@ -477,20 +488,6 @@ class Problem:
         if not np.isfinite(np.concatenate(grads)).all():
             raise NumericalError("non-finite weight gradient")
         return grads
-
-
-def _distinct(keys, size):
-    """``np.unique(keys, return_inverse=True)`` for keys in [0, size): by
-    marking a table of ``size`` slots when the keys fill at least a quarter
-    of it, by sorting otherwise."""
-    if 4 * keys.size < size:
-        return np.unique(keys, return_inverse=True)
-    seen = np.zeros(size, dtype=bool)
-    seen[keys] = True
-    flat = np.flatnonzero(seen)
-    slot = np.empty(size, dtype=np.intp)
-    slot[flat] = np.arange(flat.size)
-    return flat, slot[keys]
 
 
 def active_relations(w):
@@ -603,19 +600,17 @@ def update_factors(state, data):
     steps along the same gradient, with a halved step.
     """
     data.activate(state.weights)
-    at = None  # (factors, dU, dV, |U| + eps, |V| + eps) of the current point
+    at = None  # (factors, dU, dV) of the current point
 
     def propose(state, step):
         nonlocal at
         model = state.model
         if at is None or at[0] is not model:
-            at = (model, *grad_factors(state, data), _norm(model.U) + _EPS,
-                  _norm(model.V) + _EPS)
-        _, dU, dV, norm_u, norm_v = at
+            at = (model, *grad_factors(state, data))
+        _, dU, dV = at
         U = model.U - step * dU
         V = model.V - step * dV
-        # _rel_change, with the norms of the current point computed once
-        rel = max(_norm(U - model.U) / norm_u, _norm(V - model.V) / norm_v)
+        rel = max(_rel_change(U, model.U), _rel_change(V, model.V))
         return (data.evaluate(FactorModel(U, V)), state.weights), rel
 
     return _descend(state, data, propose, "factor")
@@ -638,21 +633,18 @@ def update_weights(state, data):
     if sum(state.weights.counts) == 0:
         return state
     _point(state, data, every_path=True)
-    at = None  # (weights, gradient, block norms + eps) of the current point
 
     def propose(state, eta):
-        nonlocal at
         wts = state.weights
-        if at is None or at[0] is not wts:
-            at = (wts, grad_weights(state, data),
-                  [_norm(x) + _EPS for x in (wts.alpha, wts.beta, wts.w)])
-        _, (dA, dB, dW), norms = at
+        dA, dB, dW = grad_weights(state, data)
         alpha = np.maximum(wts.alpha - eta * dA, 0.0)
         beta = np.maximum(wts.beta - eta * dB, 0.0)
         w = np.maximum(wts.w - eta * dW, 0.0)
-        # _rel_change per block, with the norms of the current point computed once
-        rel = max(_norm(new - old) / norm for new, old, norm in
-                  zip((alpha, beta, w), (wts.alpha, wts.beta, wts.w), norms))
+        rel = max(
+            _rel_change(alpha, wts.alpha),
+            _rel_change(beta, wts.beta),
+            _rel_change(w, wts.w),
+        )
         return (state.point, PathWeights(alpha, beta, w)), rel
 
     return _descend(state, data, propose, "weight")

@@ -180,6 +180,9 @@ def laplacian(similarity, tol=1e-9):
     """
     S = getattr(similarity, "matrix", similarity)
     S = sp.csr_array(S, dtype=np.float64)
+    if not S.has_canonical_format:  # duplicate or unsorted entries: summed on a copy
+        S = S.copy()
+        S.sum_duplicates()
     if S.shape[0] != S.shape[1]:
         raise ValueError(f"similarity matrix must be square, got {S.shape}")
     if not getattr(similarity, "symmetric", False):
@@ -190,8 +193,6 @@ def laplacian(similarity, tol=1e-9):
                 f"(max |S - S^T| = {np.max(np.abs(gap.data)):.3e})"
             )
     deg = np.asarray(S.sum(axis=1)).ravel()
-    if not S.has_canonical_format:
-        return sp.csr_array(sp.diags_array(deg, format="csr") - S)
     return _degree_minus(deg, S)
 
 
@@ -290,15 +291,10 @@ def _relation_entries(sims):
     not clipped: they are PathSim values, already in [0, 1])."""
     out = []
     for sim in sims:
-        M = sim.matrix
-        if sp.issparse(M) and M.format == "csr":
-            # the triples of coo_array(M), in the same order, without its checks
-            rows = np.repeat(np.arange(M.shape[0], dtype=np.int64), np.diff(M.indptr))
-            out.append((rows, M.indices.astype(np.int64), M.data.astype(np.float64)))
-        else:
-            coo = sp.coo_array(M)
-            out.append((coo.row.astype(np.int64), coo.col.astype(np.int64),
-                        coo.data.astype(np.float64)))
+        M = sp.csr_array(sim.matrix)
+        # the triples of coo_array(M), in the same order, without its checks
+        rows = np.repeat(np.arange(M.shape[0], dtype=np.int64), np.diff(M.indptr))
+        out.append((rows, M.indices.astype(np.int64), M.data.astype(np.float64)))
     return out
 
 

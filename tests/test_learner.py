@@ -8,6 +8,7 @@ from hetecf import (
     DivergenceError,
     FactorModel,
     Hyperparams,
+    NumericalError,
     PathWeights,
     RatingMatrix,
     train,
@@ -1023,6 +1024,24 @@ def test_point_of_a_changed_entry_list_keeps_its_products():
     assert problem.value(point, weights) == problem.value(fresh, weights)
     with pytest.raises(ValueError, match="other factors"):
         problem.evaluate(FactorModel(state.model.U.copy(), state.model.V), base)
+
+
+@pytest.mark.parametrize("factor, fill, label", [
+    ("U", np.nan, "rating fit"),
+    ("U", 1e200, "user graph regularizer"),
+    ("V", 1e200, "item graph regularizer"),
+])
+def test_value_and_terms_name_the_first_non_finite_term(factor, fill, label):
+    ratings, rels, hp = random_instance(np.random.default_rng(8))
+    problem = build_problem(ratings, rels, hp)
+    weights = PathWeights(np.ones(2), np.ones(2), np.ones(2))
+    U, V = np.zeros((ratings.n, hp.d)), np.zeros((ratings.m, hp.d))
+    (U if factor == "U" else V)[0, 0] = fill
+    with np.errstate(over="ignore", invalid="ignore"):
+        point = problem.evaluate(FactorModel(U, V))
+        for measure in (problem.terms, problem.value):
+            with pytest.raises(NumericalError, match=label):
+                measure(point, weights)
 
 
 def test_point_of_other_factors_is_evaluated_again():
