@@ -52,7 +52,6 @@ from .model import (
     load_model,
     logistic,
     mu_from_density,
-    objective,
     save_model,
 )
 from .learner import (

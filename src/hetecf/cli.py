@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands: validate, train, evaluate, benchmark, predict.
+Subcommands: validate, train, evaluate, predict.
 Every subcommand accepts ``--config <file.json>`` supplying defaults for
 its flags; explicit flags override the config file, and keys no
 subcommand reads (such as ``cache_dir`` and ``optimizer``) are ignored.
@@ -31,7 +31,7 @@ import sys
 import numpy as np
 
 from . import evaluate as evaluate_mod
-from . import learner, metapath, synth
+from . import learner, metapath
 from .graph import (
     GraphFormatError,
     RatingMatrixError,
@@ -90,7 +90,7 @@ def _load_config(path):
 # value for one of them must be a string.
 _STRING_SETTINGS = frozenset((
     "nodes", "edges", "schema", "paths", "target_path", "model", "model_out",
-    "log_out", "weights_out", "report_out", "out",
+    "log_out", "weights_out", "report_out",
 ))
 
 
@@ -135,7 +135,10 @@ def _hyperparams(args, cfg):
 
 
 def _number(value, kind, name, minimum=None):
-    """``value`` as an int or float (``kind``), at least ``minimum``."""
+    """``value`` as an int or float (``kind``), at least ``minimum``.  An
+    int setting refuses a bool or a float, which ``int`` would truncate."""
+    if kind is int and isinstance(value, (bool, float)):
+        raise CliError(f"{name}: {value!r} is not a valid int")
     try:
         number = kind(value)
     except (TypeError, ValueError):
@@ -229,7 +232,7 @@ def cmd_evaluate(args):
         raise CliError(f"fractions must lie in (0, 1), got {fractions}")
     d_values = _numbers(_setting(args, cfg, "d_values", [5, 10]), int, "d_values", 1)
     trials = _number(_setting(args, cfg, "trials", 10), int, "trials", 1)
-    seed = _number(_setting(args, cfg, "seed", 0), int, "seed")
+    seed = _number(_setting(args, cfg, "seed", 0), int, "seed", 0)
     hp = _hyperparams(args, cfg)
     report = evaluate_mod.run_experiment(
         ratings,
@@ -245,26 +248,6 @@ def cmd_evaluate(args):
     if report_out:
         atomic_write_bytes(report_out, report.to_csv().encode("utf-8"))
         print(f"report written to {report_out}")
-    return EXIT_OK
-
-
-def cmd_benchmark(args):
-    cfg = _load_config(args.config)
-    out = _setting(args, cfg, "out")
-    d_values = _numbers(_setting(args, cfg, "d_values", [5, 10, 20, 40]), int, "d_values", 1)
-    sizes = _numbers(_setting(args, cfg, "sizes", [1.0, 1.5, 2.0, 3.0]), float, "sizes", 0.0)
-    repeats = _number(_setting(args, cfg, "repeats", 3), int, "repeats", 1)
-    scale = _number(_setting(args, cfg, "base_scale", 1.0), float, "base_scale", 0.0)
-    seed = _number(_setting(args, cfg, "seed", 0), int, "seed")
-    spec = synth.SynthSpec(seed=seed).scaled(scale)
-    rows = synth.scaling_benchmark(
-        base_spec=spec, d_values=d_values, size_multipliers=sizes, repeats=repeats
-    )
-    csv_text = synth.timing_csv(rows)
-    print(csv_text, end="")
-    if out:
-        atomic_write_bytes(out, csv_text.encode("utf-8"))
-        print(f"timings written to {out}")
     return EXIT_OK
 
 
@@ -398,16 +381,6 @@ def build_parser():
     p.add_argument("--report-out", dest="report_out")
     _add_hp_flags(p)
     p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("benchmark", help="training-time scaling benchmark")
-    p.add_argument("--config")
-    p.add_argument("--d-values", dest="d_values")
-    p.add_argument("--sizes", help="comma list of size multipliers")
-    p.add_argument("--repeats", type=int)
-    p.add_argument("--base-scale", dest="base_scale", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_benchmark)
 
     p = sub.add_parser("predict", help="top-k items for one user")
     p.add_argument("--config")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import RatingMatrix
-from .model import Hyperparams, LaplacianSet
+from .model import Hyperparams, LaplacianSet, require_integer
 from . import learner
 
 log = logging.getLogger(__name__)
@@ -32,8 +32,8 @@ class SplitSpec:
     def __post_init__(self):
         if not (0.0 < self.train_fraction < 1.0):
             raise ValueError("train_fraction must lie in (0, 1)")
-        if self.trials < 1:
-            raise ValueError("trials must be positive")
+        require_integer(self.trials, "trials", 1)
+        require_integer(self.seed, "seed", 0)
 
 
 def split(ratings, spec, trial):

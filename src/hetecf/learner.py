@@ -67,8 +67,6 @@ from .model import (
     LaplacianSet,
     NumericalError,
     PathWeights,
-    _check_term,
-    _relation_entries,
     atomic_write_bytes,
     effective_mu,
     logistic_and_slope,
@@ -108,8 +106,9 @@ class TrainState:
     """Mutable snapshot of a training run.
 
     ``factor_step`` and ``weight_step`` are the current step of each
-    phase.  ``halvings`` counts step halvings over the whole run, both
-    phases together, for the log; ``stalled_halvings`` counts those since
+    phase.  Every rejected candidate halves its phase's step, so
+    ``halvings``, the step halvings over the whole run, is the sum of the
+    two rejected counts; ``stalled_halvings`` counts the halvings since
     the last accepted step of either phase, which ``MAX_HALVINGS`` bounds.
     ``point`` caches the :class:`Point` of ``model`` once evaluated.
     """
@@ -126,11 +125,14 @@ class TrainState:
     weight_steps: int = 0
     factor_rejected: int = 0
     weight_rejected: int = 0
-    halvings: int = 0
     stalled_halvings: int = 0
     converged: bool = False
     log_rows: list = field(default_factory=list)
     point: object = None
+
+    @property
+    def halvings(self):
+        return self.factor_rejected + self.weight_rejected
 
 
 def init(hp, shapes):
@@ -140,8 +142,6 @@ def init(hp, shapes):
     Factors start in uniform [-0.01, 0.01], weights in uniform [0, 1).
     """
     n, m, n_uu, n_ii, n_ui = shapes
-    if hp.d < 1:
-        raise ValueError("d must be a positive integer")
     if n < 1 or m < 1:
         raise ValueError("need at least one user and one item")
     rng = np.random.default_rng(hp.seed)
@@ -202,7 +202,20 @@ def _check_terms(values):
     """Raise NumericalError naming the first non-finite term of ``values``,
     given in ``TERMS`` order."""
     for value, (_, label) in zip(values, _TERM_LABELS):
-        _check_term(value, label)
+        if not math.isfinite(value):
+            raise NumericalError(f"objective term {label!r} is non-finite ({value!r})")
+
+
+def _relation_entries(sims):
+    """COO triples of each user-item similarity in ``sims`` (values are
+    not clipped: they are PathSim values, already in [0, 1])."""
+    out = []
+    for sim in sims:
+        M = sp.csr_array(sim.matrix)
+        # the triples of coo_array(M), in the same order, without its checks
+        rows = np.repeat(np.arange(M.shape[0], dtype=np.int64), np.diff(M.indptr))
+        out.append((rows, M.indices.astype(np.int64), M.data.astype(np.float64)))
+    return out
 
 
 class Problem:
@@ -223,6 +236,7 @@ class Problem:
         self.n_user, self.n_item = rating_counts(ratings)
         self._ratings = ratings
         self._user_item = list(rels.user_item)
+        self._counts = (len(self.laps.user), len(self.laps.item), len(self._user_item))
         self._names = tuple(
             [sim.path.to_string() for sim in group]
             for group in (rels.user_user, rels.item_item, rels.user_item)
@@ -317,10 +331,14 @@ class Problem:
         )
 
     def _check(self, point, weights):
-        """Refuse a Point of another entry list, weights that are nonzero
-        outside the user-item active set, whose relations the entry list
-        lacks, and graph weights that are nonzero where the Point holds no
-        product."""
+        """Refuse weights of other path counts than the Problem's, a Point
+        of another entry list, weights that are nonzero outside the
+        user-item active set, whose relations the entry list lacks, and
+        graph weights that are nonzero where the Point holds no product."""
+        if weights.counts != self._counts:
+            raise ValueError(
+                f"weight counts {weights.counts} do not match the paths {self._counts}"
+            )
         if point.active != self.active:
             raise ValueError(
                 f"Point evaluated on active set {point.active}, used on {self.active}"
@@ -577,7 +595,6 @@ def _descend(state, data, propose, phase):
             else:
                 setattr(state, rejected_name, getattr(state, rejected_name) + 1)
                 setattr(state, step_name, getattr(state, step_name) * 0.5)
-                state.halvings += 1
                 state.stalled_halvings += 1
                 log.debug("%s candidate rejected; step now %g", phase,
                           getattr(state, step_name))
@@ -651,17 +668,15 @@ def update_weights(state, data):
 
 
 def _run_phase(phase, update, state, data):
-    """Run one phase; returns its accepted and rejected steps, halvings
-    and wall time as log-row columns."""
+    """Run one phase; returns its accepted and rejected steps and wall
+    time as log-row columns.  Each rejected step halved the phase's step."""
     steps = getattr(state, f"{phase}_steps")
     rejected = getattr(state, f"{phase}_rejected")
-    halvings = state.halvings
     start = time.perf_counter()
     update(state, data)
     return {
         f"{phase}_accepted": getattr(state, f"{phase}_steps") - steps,
         f"{phase}_rejected": getattr(state, f"{phase}_rejected") - rejected,
-        f"{phase}_halvings": state.halvings - halvings,
         f"{phase}_seconds": time.perf_counter() - start,
     }
 
@@ -674,8 +689,9 @@ def train(ratings, rels, hp, laps=None):
     the accepted-step trace, and one log row per outer iteration with the
     objective and its five terms, the per-block relative changes, each
     phase's step at the end of the iteration, each phase's accepted and
-    rejected steps, halvings and wall time, and the distinct user-item
-    pairs and the Laplacian products each factor candidate evaluated.
+    rejected steps (each rejection halved that phase's step) and wall
+    time, and the distinct user-item pairs and the Laplacian products
+    each factor candidate evaluated.
     ``converged`` is set on the first outer iteration that accepts a step
     and changes U, V and J each by less than ``outer_tol`` relative to
     the start of the iteration; how the weights move does not count.
@@ -723,8 +739,8 @@ def train(ratings, rels, hp, laps=None):
         log.info(
             "iteration %d: J %.10g = fit %.6g + user graph %.6g + item graph %.6g"
             " + relation fit %.6g + ridge %.6g; factor phase %d accepted,"
-            " %d rejected, %d halvings, %.3fs on %d pairs and %d graph products;"
-            " weight phase %d accepted, %d rejected, %d halvings, %.3fs;"
+            " %d rejected, %.3fs on %d pairs and %d graph products;"
+            " weight phase %d accepted, %d rejected, %.3fs;"
             " factor step %.6g, weight step %.6g",
             outer, state.j_value, *terms.values(), *factor.values(), factor_pairs,
             graph_products, *weight.values(), state.factor_step, state.weight_step,
@@ -754,7 +770,7 @@ LOG_FIELDS = (
     "factor_step",
     "weight_step",
     *(f"{phase}_{stat}" for phase in ("factor", "weight")
-      for stat in ("accepted", "rejected", "halvings", "seconds")),
+      for stat in ("accepted", "rejected", "seconds")),
     "factor_pairs",
     "graph_products",
 )

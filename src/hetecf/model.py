@@ -14,6 +14,8 @@ where f is the logistic function, L = D - S is the Laplacian of a
 symmetric nonnegative similarity matrix, and the ridge weights c are the
 per-user / per-item observed-rating counts (cold nodes fall back to 1).
 All rating-fit sums run over explicitly observed entries only.
+``learner.Problem`` computes J; this module holds its parts and the
+model file format.
 """
 
 import json
@@ -124,6 +126,15 @@ class PathWeights:
         return PathWeights(self.alpha.copy(), self.beta.copy(), self.w.copy())
 
 
+def require_integer(value, name, minimum):
+    """Refuse a ``value`` that is not an integer (a numpy integer is one;
+    a bool or a float is not) or is below ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value!r}")
+
+
 @dataclass
 class Hyperparams:
     """Training hyperparameters; ``mu=None`` selects the density rule.
@@ -150,8 +161,8 @@ class Hyperparams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("d must be a positive integer")
+        for name, minimum in (("d", 1), ("max_inner", 1), ("max_outer", 0), ("seed", 0)):
+            require_integer(getattr(self, name), name, minimum)
         if not (self.lam > 0):
             raise ValueError("lam must be positive")
         if self.mu is not None and not (0 <= self.mu):
@@ -163,8 +174,6 @@ class Hyperparams:
             # inf is allowed and means "stop after the first accepted step"
             if not ((0 < v < 1) or np.isposinf(v)):
                 raise ValueError(f"{name} must lie in (0, 1) or be inf")
-        if self.max_inner < 1 or self.max_outer < 0:
-            raise ValueError("max_inner >= 1 and max_outer >= 0 required")
 
     def with_overrides(self, **kwargs):
         return replace(self, **{k: v for k, v in kwargs.items() if v is not None})
@@ -278,74 +287,6 @@ def rating_counts(ratings):
     n_user[n_user == 0] = 1.0
     n_item[n_item == 0] = 1.0
     return n_user, n_item
-
-
-def _check_term(value, name):
-    if not math.isfinite(value):
-        raise NumericalError(f"objective term {name!r} is non-finite ({value!r})")
-    return float(value)
-
-
-def _relation_entries(sims):
-    """COO triples of each user-item similarity in ``sims`` (values are
-    not clipped: they are PathSim values, already in [0, 1])."""
-    out = []
-    for sim in sims:
-        M = sp.csr_array(sim.matrix)
-        # the triples of coo_array(M), in the same order, without its checks
-        rows = np.repeat(np.arange(M.shape[0], dtype=np.int64), np.diff(M.indptr))
-        out.append((rows, M.indices.astype(np.int64), M.data.astype(np.float64)))
-    return out
-
-
-def relation_residual_ssq(model, rel_entries):
-    """Per-path sum over its observed entries of (f(U_i . V_j) - Rk_ij)^2."""
-    out = np.zeros(len(rel_entries))
-    for k, (rr, cc, vv) in enumerate(rel_entries):
-        p = model.predict_pairs(rr, cc)
-        out[k] = np.sum((p - vv) ** 2)
-    return out
-
-
-def objective(model, weights, ratings, rels, hp, laps=None, mu=None):
-    """The full training objective J (see module docstring)."""
-    if laps is None:
-        laps = LaplacianSet.from_relation_set(rels)
-    if mu is None:
-        mu = effective_mu(hp, ratings)
-    if weights.counts != (len(laps.user), len(laps.item), len(rels.user_item)):
-        raise ValueError(
-            f"weight counts {weights.counts} do not match relation set "
-            f"({len(laps.user)}, {len(laps.item)}, {len(rels.user_item)})"
-        )
-    p = model.predict_pairs(ratings.rows, ratings.cols)
-    fit = _check_term(np.sum((p - ratings.vals) ** 2), "rating fit")
-
-    reg_u = _check_term(
-        sum(a * trace_quad(L, model.U) for a, L in zip(weights.alpha, laps.user)),
-        "user graph regularizer",
-    )
-    reg_v = _check_term(
-        sum(b * trace_quad(L, model.V) for b, L in zip(weights.beta, laps.item)),
-        "item graph regularizer",
-    )
-
-    ssq = relation_residual_ssq(model, _relation_entries(rels.user_item))
-    rel_fit = _check_term(mu * float(weights.w @ ssq), "relation fit")
-
-    n_user, n_item = rating_counts(ratings)
-    ridge = _check_term(
-        hp.lam
-        * (
-            float(n_user @ np.sum(model.U**2, axis=1))
-            + float(n_item @ np.sum(model.V**2, axis=1))
-            + float(weights.alpha @ weights.alpha)
-            + float(weights.beta @ weights.beta)
-            + float(weights.w @ weights.w)
-        ),
-        "ridge",
-    )
-    return fit + reg_u + reg_v + rel_fit + ridge
 
 
 def atomic_write_bytes(path, payload):

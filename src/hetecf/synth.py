@@ -198,37 +198,3 @@ def scaling_benchmark(
         )
         for (ratings, _, edges, hp_cell, _), ts, its in zip(cells, times, iterations)
     ]
-
-
-def timing_csv(rows):
-    import csv
-    import io
-
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(
-        [
-            "d",
-            "n",
-            "m",
-            "edges",
-            "iterations",
-            "seconds_median",
-            "seconds_min",
-            "seconds_max",
-        ]
-    )
-    for r in rows:
-        writer.writerow(
-            [
-                r.d,
-                r.n,
-                r.m,
-                r.edges,
-                r.iterations,
-                repr(r.seconds_median),
-                repr(r.seconds_min),
-                repr(r.seconds_max),
-            ]
-        )
-    return buf.getvalue()

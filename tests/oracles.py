@@ -10,6 +10,7 @@ from collections import defaultdict
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.special import expit
 
 
 def dfs_path_count(graph, path):
@@ -167,6 +168,50 @@ def naive_objective(U, V, alpha, beta, w, rating_triples, n, m,
         ridge += cnt_i[j] * float(np.sum(V[j] ** 2))
     ridge += float(np.sum(alpha**2) + np.sum(beta**2) + np.sum(w**2))
     return J + lam * ridge
+
+
+def objective(model, weights, ratings, rels, hp, laps=None, mu=None):
+    """The training objective J, term by term: the rating fit, each
+    Laplacian's trace ``Tr(X^T L X)``, the residuals of each user-item
+    relation's stored entries and the count-weighted ridge.  The reference
+    for central differences and for ``Problem.value``, which sums the
+    same terms from one merged entry list.  ``laps`` (an object with
+    ``user`` and ``item`` Laplacian lists) defaults to the
+    :func:`reference_laplacian` of each similarity, and ``mu`` to
+    ``hp.mu`` or the observed density."""
+    if mu is None:
+        mu = ratings.nnz / (ratings.n * ratings.m) if hp.mu is None else hp.mu
+    U, V = model.U, model.V
+    if laps is None:
+        lap_u = [reference_laplacian(s.matrix) for s in rels.user_user]
+        lap_v = [reference_laplacian(s.matrix) for s in rels.item_item]
+    else:
+        lap_u, lap_v = laps.user, laps.item
+
+    def f(rows, cols):
+        return expit(np.einsum("ij,ij->i", U[rows], V[cols]))
+
+    fit = float(np.sum((f(ratings.rows, ratings.cols) - ratings.vals) ** 2))
+    reg_u = float(sum(a * float(np.sum(U * (L @ U))) for a, L in zip(weights.alpha, lap_u)))
+    reg_v = float(sum(b * float(np.sum(V * (L @ V))) for b, L in zip(weights.beta, lap_v)))
+    ssq = np.zeros(len(rels.user_item))
+    for k, sim in enumerate(rels.user_item):
+        M = sp.coo_array(sim.matrix)
+        ssq[k] = np.sum((f(M.row, M.col) - M.data) ** 2)
+    rel_fit = float(mu * float(weights.w @ ssq))
+    n_user = np.maximum(np.bincount(ratings.rows, minlength=ratings.n), 1).astype(np.float64)
+    n_item = np.maximum(np.bincount(ratings.cols, minlength=ratings.m), 1).astype(np.float64)
+    ridge = float(
+        hp.lam
+        * (
+            float(n_user @ np.sum(U**2, axis=1))
+            + float(n_item @ np.sum(V**2, axis=1))
+            + float(weights.alpha @ weights.alpha)
+            + float(weights.beta @ weights.beta)
+            + float(weights.w @ weights.w)
+        )
+    )
+    return fit + reg_u + reg_v + rel_fit + ridge
 
 
 def central_difference(f, x, h=1e-6):

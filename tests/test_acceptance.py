@@ -25,7 +25,7 @@ from hetecf.metapath import (
     path_count,
     pathsim,
 )
-from hetecf.model import FactorModel, mu_from_density, objective
+from hetecf.model import FactorModel, mu_from_density
 from hetecf.synth import (
     SynthSpec,
     default_paths,
@@ -35,7 +35,13 @@ from hetecf.synth import (
 )
 
 from conftest import CITE_SCHEMA, PATH_TEXTS, random_instance, random_ratings
-from oracles import PlainLogisticMF, central_difference, count_observed, dfs_path_count
+from oracles import (
+    PlainLogisticMF,
+    central_difference,
+    count_observed,
+    dfs_path_count,
+    objective,
+)
 
 
 def _report(capsys, index, label, ok, detail):

@@ -597,26 +597,6 @@ def test_evaluate_rejects_an_empty_method_list(tmp_path, caplog):
     assert caplog.text.count("methods: the list is empty") == 3
 
 
-# ---------------------------------------------------------------- benchmark
-
-
-def test_benchmark_csv_output(tmp_path, capsys):
-    out_file = tmp_path / "timings.csv"
-    rc = main([
-        "benchmark", "--d-values", "2", "--sizes", "1.0",
-        "--repeats", "1", "--base-scale", "0.2", "--out", str(out_file),
-    ])
-    assert rc == 0
-    stdout = capsys.readouterr().out
-    assert stdout.startswith(
-        "d,n,m,edges,iterations,seconds_median,seconds_min,seconds_max"
-    )
-    lines = out_file.read_text().strip().splitlines()
-    assert len(lines) == 3  # header + one d row + one size row
-    assert lines[1].split(",")[0] == "2"
-    assert lines[2].split(",")[0] == "10"
-
-
 # ------------------------------------------------------- config value types
 
 
@@ -630,7 +610,6 @@ def test_benchmark_csv_output(tmp_path, capsys):
     ("train", "log_out"),
     ("train", "weights_out"),
     ("evaluate", "report_out"),
-    ("benchmark", "out"),
     ("predict", "model"),
 ])
 def test_config_paths_must_be_strings(tmp_path, caplog, command, key):
@@ -651,3 +630,44 @@ def test_config_paths_must_be_strings(tmp_path, caplog, command, key):
     assert main([command, "--config", str(cfg)]) == 2
     assert f"{key}: expected a string, got 5" in caplog.text
     assert sorted(os.listdir(tmp_path)) == ["cfg.json"]  # nothing trained or written
+
+
+@pytest.mark.parametrize("command,message,args,config", [
+    ("train", "seed must be at least 0", ["--seed", "-1"], {}),
+    ("evaluate", "seed: -3 is below 0", ["--seed", "-3"], {}),
+    ("train", "max_inner must be an integer", [], {"hyperparams": {"max_inner": 2.5}}),
+    ("evaluate", "max_inner must be an integer", [], {"hyperparams": {"max_inner": 2.5}}),
+    ("train", "d must be an integer", [], {"hyperparams": {"d": True}}),
+    ("evaluate", "seed: 1.5 is not a valid int", [], {"seed": 1.5}),
+    ("evaluate", "trials: 2.5 is not a valid int", [], {"trials": 2.5}),
+])
+def test_non_integer_or_negative_count_is_an_input_error(
+    tmp_path, caplog, command, message, args, config
+):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "nodes": str(SAMPLE / "nodes.tsv"),
+        "edges": str(SAMPLE / "edges.tsv"),
+        "schema": str(SAMPLE / "schema.txt"),
+        "paths": str(SAMPLE / "paths.txt"),
+        "target_path": TARGET,
+        "methods": ["user_mean"],
+        "model_out": str(tmp_path / "model.npz"),
+        "log_out": str(tmp_path / "log.csv"),
+        "report_out": str(tmp_path / "report.csv"),
+        **config,
+    }))
+    assert main([command, "--config", str(cfg), *args]) == 2
+    assert message in caplog.text
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json"]  # nothing trained or written
+
+
+# ------------------------------------------------------------- cli surface
+
+
+def test_parser_offers_exactly_the_four_subcommands():
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    assert set(sub.choices) == {"validate", "train", "evaluate", "predict"}
+    with pytest.raises(SystemExit) as exc:
+        main(["benchmark"])
+    assert exc.value.code == 2

@@ -41,6 +41,13 @@ def test_split_spec_validation():
         SplitSpec(train_fraction=1.0)
     with pytest.raises(ValueError):
         SplitSpec(train_fraction=0.5, trials=0)
+    with pytest.raises(ValueError, match="seed must be at least 0"):
+        SplitSpec(train_fraction=0.5, seed=-1)
+    for name in ("trials", "seed"):
+        for value in (2.5, True):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                SplitSpec(train_fraction=0.5, **{name: value})
+    SplitSpec(train_fraction=0.5, trials=np.int64(2), seed=np.int64(3))
 
 
 def test_split_exact_counts():

@@ -1,5 +1,8 @@
 """Two-phase descent: init, gradients, accept/reject, convergence, active set."""
 
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,11 @@ from hetecf import (
     NumericalError,
     PathWeights,
     RatingMatrix,
+    build_relation_set,
+    derive_ratings,
+    load_graph,
+    load_path_spec,
+    parse_path,
     train,
 )
 from hetecf.learner import (
@@ -23,10 +31,10 @@ from hetecf.learner import (
     write_training_log,
 )
 from hetecf.metapath import RelationSet
-from hetecf.model import objective, trace_quad
+from hetecf.model import trace_quad
 
 from conftest import random_instance, random_ratings
-from oracles import PlainLogisticMF, central_difference
+from oracles import PlainLogisticMF, central_difference, objective
 
 
 def empty_rels():
@@ -581,8 +589,8 @@ def test_training_log_round_trip(tmp_path):
         "rel_change_alpha", "rel_change_beta", "rel_change_w",
         "factor_step", "weight_step",
         "fit", "user_graph", "item_graph", "relation_fit", "ridge",
-        "factor_accepted", "factor_rejected", "factor_halvings", "factor_seconds",
-        "weight_accepted", "weight_rejected", "weight_halvings", "weight_seconds",
+        "factor_accepted", "factor_rejected", "factor_seconds",
+        "weight_accepted", "weight_rejected", "weight_seconds",
         "factor_pairs", "graph_products",
     }
     for row in rows:
@@ -590,6 +598,22 @@ def test_training_log_round_trip(tmp_path):
         terms = [float(row[k]) for k in
                  ("fit", "user_graph", "item_graph", "relation_fit", "ridge")]
         assert sum(terms) == pytest.approx(float(row["objective"]), rel=1e-12)
+
+
+def test_halvings_are_the_rejected_candidates_of_both_phases():
+    # the bundled sample at its shipped settings rejects factor candidates
+    root = pathlib.Path(__file__).resolve().parent.parent
+    cfg = json.loads((root / "sample_data" / "config.json").read_text())
+    graph = load_graph(*(str(root / cfg[k]) for k in ("nodes", "edges", "schema")))
+    groups = load_path_spec(str(root / cfg["paths"]), graph.schema)
+    ratings = derive_ratings(graph, parse_path(cfg["target_path"], graph.schema))
+    state = train(ratings, build_relation_set(graph, groups), Hyperparams(**cfg["hyperparams"]))
+    assert state.factor_rejected > 0
+    assert state.halvings == state.factor_rejected + state.weight_rejected
+    logged = sum(r["factor_rejected"] + r["weight_rejected"] for r in state.log_rows)
+    assert logged == state.halvings
+    with pytest.raises(AttributeError):
+        state.halvings = 0
 
 
 # ------------------------------------------------- dense and gather sides

@@ -24,13 +24,12 @@ from hetecf.model import (
     logistic,
     logistic_and_slope,
     mu_from_density,
-    objective,
     rating_counts,
     trace_quad,
 )
 
 from conftest import random_instance, random_symmetric_similarity
-from oracles import count_observed, naive_objective
+from oracles import count_observed, naive_objective, objective
 
 
 def unpack(rels):
@@ -159,8 +158,15 @@ def test_hyperparams_validation():
         Hyperparams(max_inner=0)
     with pytest.raises(ValueError):
         Hyperparams(max_outer=-1)
+    with pytest.raises(ValueError):
+        Hyperparams(seed=-1)
+    for name in ("d", "max_inner", "max_outer", "seed"):
+        for value in (2.5, 2.0, True):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                Hyperparams(**{name: value})
     # explicitly allowed: inf tolerances (one accepted step per phase), mu=0
     Hyperparams(inner_tol=np.inf, outer_tol=np.inf, mu=0.0, max_outer=0)
+    Hyperparams(d=np.int64(3), max_inner=np.int32(2), seed=np.uint8(4))
 
 
 def test_hyperparams_overrides_skip_none():
@@ -360,32 +366,44 @@ def test_objective_matches_double_loop_oracle():
 def test_objective_weight_count_mismatch():
     rng = np.random.default_rng(5)
     ratings, rels, hp = random_instance(rng)
-    model = FactorModel(np.zeros((ratings.n, hp.d)), np.zeros((ratings.m, hp.d)))
-    with pytest.raises(ValueError, match="weight counts"):
-        objective(model, PathWeights([1.0], [], []), ratings, rels, hp)
+    problem = build_problem(ratings, rels, hp)
+    point = problem.evaluate(
+        FactorModel(np.zeros((ratings.n, hp.d)), np.zeros((ratings.m, hp.d)))
+    )
+    weights = PathWeights([1.0], [], [])
+    for measure in (problem.value, problem.terms, problem.factor_gradient):
+        with pytest.raises(ValueError, match="weight counts"):
+            measure(point, weights)
 
 
 def test_objective_rejects_nan_factors():
     rng = np.random.default_rng(6)
     ratings, rels, hp = random_instance(rng)
+    problem = build_problem(ratings, rels, hp)
     U = np.zeros((ratings.n, hp.d))
     U[0, 0] = np.nan
-    model = FactorModel(U, np.zeros((ratings.m, hp.d)))
+    point = problem.evaluate(FactorModel(U, np.zeros((ratings.m, hp.d))))
     weights = PathWeights(np.ones(2), np.ones(2), np.ones(2))
     with pytest.raises(NumericalError, match="rating fit"):
-        objective(model, weights, ratings, rels, hp)
+        problem.value(point, weights)
+    with pytest.raises(NumericalError, match="non-finite factor gradient"):
+        problem.factor_gradient(point, weights)
 
 
 def test_objective_names_overflowing_regularizer():
     rng = np.random.default_rng(7)
     ratings, rels, hp = random_instance(rng)
+    problem = build_problem(ratings, rels, hp)
     # factors large enough that the quadratic regularizer overflows while
     # the logistic fit term stays saturated and finite
     U = np.full((ratings.n, hp.d), 1e200)
-    model = FactorModel(U, np.zeros((ratings.m, hp.d)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        point = problem.evaluate(FactorModel(U, np.zeros((ratings.m, hp.d))), every_path=True)
     weights = PathWeights(np.ones(2), np.ones(2), np.ones(2))
     with pytest.raises(NumericalError, match="user graph regularizer"):
-        objective(model, weights, ratings, rels, hp)
+        problem.value(point, weights)
+    with pytest.raises(NumericalError, match="non-finite weight gradient"):
+        problem.weight_gradient(point, weights)
 
 
 def test_weight_objective_tracks_full_objective_differences():

@@ -9,7 +9,6 @@ from hetecf.synth import (
     default_paths,
     default_schema,
     default_target_path,
-    timing_csv,
 )
 
 
@@ -155,22 +154,3 @@ def test_scaling_benchmark_iterations_fixed_by_caps():
     most = caps.max_outer * 2 * caps.max_inner
     for r in rows:
         assert r.iterations <= most
-
-
-def test_timing_csv_columns():
-    import csv
-    import io
-
-    rows = scaling_benchmark(
-        base_spec=bench_spec(), d_values=(2,), size_multipliers=(),
-        hp=bench_hp(), repeats=1,
-    )
-    text = timing_csv(rows)
-    parsed = list(csv.reader(io.StringIO(text)))
-    assert parsed[0] == [
-        "d", "n", "m", "edges", "iterations",
-        "seconds_median", "seconds_min", "seconds_max",
-    ]
-    assert len(parsed) == 2
-    assert int(parsed[1][0]) == 2
-    assert float(parsed[1][5]) > 0
