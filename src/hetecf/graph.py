@@ -25,27 +25,43 @@ edges file
     (e.g. user-user friendship); for cross-type relations it is rejected
     as a type mismatch.
 
-The nodes and edges files are read ``BLOCK_LINES`` lines at a time, and
-each block is checked with array masks.  The first bad record in file
-order raises a ``GraphFormatError`` naming its ``file:line``.  An empty
-node id, node type, edge endpoint or relation is an error.
-``build_graph`` runs the same checks on in-memory records.
+The nodes and edges files are each read whole, as bytes, and parsed as
+field offsets into those bytes.  A file that holds only tabs, newlines
+and printable ASCII other than space and ``#``, with no line that is
+empty or starts with a tab, is parsed as it is: no line of it is blank
+or a comment and no field has whitespace to strip.  Any other file is
+first normalised once: decoded as UTF-8, split into lines at ``\\n``,
+``\\r\\n`` and ``\\r`` like ``open(path, encoding="utf-8")``, rid of blank
+and ``#`` lines and of the whitespace around each field, and encoded
+again, with the line number of each record kept.  The records are then
+checked with array masks, the nodes file's all at once and the edges
+file's ``BLOCK_RECORDS`` at a time.  The first bad record in file order
+raises a ``GraphFormatError`` naming its ``file:line``.  An empty node
+id, node type, edge endpoint or relation is an error.
 
-``load_graph`` reads each of the three files once, as bytes, and parses
-them through a text wrapper that decodes and translates newlines like
-``open(path, encoding="utf-8")``.  The graph it returns carries
-``source_digest``: a sha256 over the sha256 digests of the schema, nodes
-and edges bytes, in that order.  ``source_digest(...)`` computes the same
-value from the files without parsing them, so a caller can tell whether
-files are byte-identical to the ones a graph was loaded from.  Files
-with the same bytes parse to the same graph.
+Node ids are decoded to strings; edge endpoints never are.  Each
+endpoint is looked up by a 64-bit key of its bytes in a hash table of
+the node ids, and a node counts as found only once its bytes equal the
+endpoint's, so ids of any length or content resolve exactly.  Node
+types and relations are compared byte for byte with the declared names,
+and only the weights of 4-field records are parsed, with ``float``.
+Each relation's CSR arrays use 32-bit indices when its shape allows,
+and scipy keeps that width through the products built from them.
+``build_graph`` puts in-memory records through the same checks.
+
+``load_graph`` reads each of the three files once.  The graph it
+returns carries ``source_digest``: a sha256 over the sha256 digests of
+the schema, nodes and edges bytes, in that order.  ``source_digest(...)``
+computes the same value from the files without parsing them, so a
+caller can tell whether files are byte-identical to the ones a graph was
+loaded from.  Files with the same bytes parse to the same graph.
 """
 
 import hashlib
 import io
 import math
 from dataclasses import dataclass, field
-from itertools import chain, compress, islice, repeat
+from itertools import chain, compress, islice
 
 import numpy as np
 import scipy.sparse as sp
@@ -156,104 +172,242 @@ class HeteroGraph:
         return "\n".join(lines)
 
 
-# Lines parsed at once.  It bounds the text and arrays alive per block: with
-# 8192, a whole ``bench/run.py`` run peaked 2-4 MB higher than with 2048,
-# and ingest ran no faster.
-BLOCK_LINES = 2048
+# Edge records of a file checked at once; a nodes file is checked whole.
+# A block's arrays take about 100 bytes per record, and each block costs a
+# fixed 0.1-0.2 ms.  Loading the 51k-edge paths_sparse network took 46 ms
+# in blocks of 2048 records, 34 ms in blocks of 8192 and 36 ms in one
+# block, whose peak traced memory was 2 MB higher (one core of a 2-vCPU
+# host).
+BLOCK_RECORDS = 8192
+# In-memory edge records that build_graph checks at once.  Their Python
+# tuples dominate its cost, so larger chunks mostly add memory: with 8192,
+# build_graph on the 40k-edge train_dense network ran 10% faster, but the
+# benchmark process that builds it peaked 0.5 MB higher.
+CHUNK_RECORDS = 2048
+
+# Bytes a file may hold and be parsed as it is: tab, newline and printable
+# ASCII except space and ``#``.
+_PLAIN_BYTES = b"\t\n" + bytes(b for b in range(0x21, 0x7F) if b != ord("#"))
+
+# _MASK[k] keeps the first k bytes of a little-endian 8-byte word.
+_MASK = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+# Odd, so multiplying by it permutes the 64-bit keys.
+_MIX = np.uint64(0x9E3779B97F4A7C15)
 
 
-# Bytes a field may hold in a fast block: printable ASCII except space and
-# ``#``.  With tab and newline as separators, nothing else may occur.
-_FIELD_BYTE = np.zeros(256, bool)
-_FIELD_BYTE[0x21:0x7F] = True
-_FIELD_BYTE[ord("#")] = False
-_FAST_BYTE = _FIELD_BYTE.copy()
-_FAST_BYTE[[ord("\t"), ord("\n")]] = True
+def _words(data):
+    """The 8-byte little-endian word at every byte offset of ``data``, read
+    past its end as zeros: a view, so no word is copied."""
+    return np.ndarray(len(data) + 1, "<u8", data + bytes(8), strides=(1,))
 
 
-class _Block:
-    """Records of one block, as a flat field list plus per-record offsets.
+def _heads(words, begin, length):
+    """The first 8 bytes of each field, zero-filled, as one 64-bit word."""
+    return words[begin] & _MASK[np.minimum(length, 8)]
 
-    ``flat`` holds every field of every record in order, followed by
-    padding, so that ``flat[start[r] + c]`` is field ``c`` of record ``r``
-    when the record has more than ``c`` fields (and some other field or
-    padding when it has not).  ``strip`` says whether fields carry
-    surrounding whitespace that ingest removes.  ``width`` is the field
-    count shared by every record, or 0 when the counts differ; a column of
-    such a block is a slice of ``flat``.
+
+def _keys(words, begin, length, head):
+    """A 64-bit key per field: its first word ``head``, mixed with each
+    later one.  Equal bytes give equal keys; unequal bytes may too."""
+    key = head.copy()
+    at, long = 8, np.flatnonzero(length > 8)
+    while long.size:
+        word = words[begin[long] + at] & _MASK[np.minimum(length[long] - at, 8)]
+        key[long] = key[long] * _MIX ^ word
+        at += 8
+        long = long[length[long] > at]
+    return key
+
+
+def _same_tail(words, begin, other_words, other_begin, length):
+    """Whether the bytes after the first 8 of each field of ``length``
+    bytes at ``begin`` equal those at the matching ``other_begin``."""
+    same = np.ones(length.size, bool)
+    at, todo = 8, np.flatnonzero(length > 8)
+    while todo.size:
+        mask = _MASK[np.minimum(length[todo] - at, 8)]
+        equal = (words[begin[todo] + at] & mask) == (other_words[other_begin[todo] + at] & mask)
+        same[todo[~equal]] = False
+        at += 8
+        todo = todo[equal & (length[todo] > at)]
+    return same
+
+
+def _home(keys, size):
+    """Home slot of each key in a hash table of ``size`` (a power of two)
+    slots: the top bits of the key times an odd constant."""
+    return ((keys * _MIX) >> np.uint64(65 - size.bit_length())).astype(np.intp)
+
+
+def _hash_table(keys):
+    """Open-addressing table of ``keys``: each slot holds the position of a
+    key, or -1.  A key sits at its home slot or, if that is taken, at the
+    first free slot after it (wrapping around); at most a quarter of the
+    slots are used."""
+    table = np.full(1 << max(1, (4 * keys.size).bit_length()), -1, np.intp)
+    slot, pending = _home(keys, table.size), np.arange(keys.size)
+    while pending.size:
+        free = table[slot] == -1
+        table[slot[free]] = pending[free]
+        lost = table[slot] != pending
+        pending, slot = pending[lost], (slot[lost] + 1) & (table.size - 1)
+    return table
+
+
+def _normalise(data):
+    """(records, line of each) for file bytes that are not plain.
+
+    ``data`` is decoded as UTF-8 and split into lines at ``\\n``,
+    ``\\r\\n`` and ``\\r``.  Blank lines and those whose first character
+    that is not whitespace is ``#`` are dropped; every field of the rest
+    is stripped.  The records are encoded again, one per line.
+    """
+    text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    records, lines = [], []
+    for number, line in enumerate(text.split("\n"), start=1):
+        head = line.lstrip()
+        if head and not head.startswith("#"):
+            records.append("\t".join([f.strip() for f in line.split("\t")]) + "\n")
+            lines.append(number)
+    return "".join(records).encode(), np.array(lines, np.intp)
+
+
+def _split(data):
+    """(begin, length) of each field and field count of each record, for
+    records that end in a newline and fields that hold no tab or newline."""
+    codes = np.frombuffer(data, np.uint8)
+    ends = np.flatnonzero(codes < 11)
+    kind = codes[ends]
+    if kind.size and kind.min() < 9:  # bytes 0-8, left inside normalised fields
+        ends, kind = ends[kind >= 9], kind[kind >= 9]
+    begin = np.zeros_like(ends)
+    np.add(ends[:-1], 1, out=begin[1:])
+    last = np.flatnonzero(kind == 10)
+    count = last + 1
+    np.subtract(last[1:], last[:-1], out=count[1:])
+    return begin, ends - begin, count
+
+
+def _is_plain(data, ends):
+    """Whether ``data``, file bytes whose newlines sit at ``ends``, is
+    plain: it holds only plain bytes, and no line of it starts with a tab
+    or a newline, so no line is blank or a comment and no field has
+    whitespace to strip."""
+    codes = np.frombuffer(data, np.uint8)
+    return not (data.translate(None, _PLAIN_BYTES) or data[:1] in (b"\t", b"\n")
+                or (codes[ends[:-1] + 1] < 11).any())
+
+
+def _file_blocks(data, size=None):
+    """The records of a file's bytes as _Records of ``size`` records each
+    (the last may hold fewer), in file order; with no ``size``, one block
+    of all of them.  A file that is not plain is normalised first."""
+    if data and not data.endswith(b"\n"):
+        data += b"\n"
+    ends = np.flatnonzero(np.frombuffer(data, np.uint8) == 10)
+    lines = None
+    if not _is_plain(data, ends):
+        data, lines = _normalise(data)
+        ends = np.flatnonzero(np.frombuffer(data, np.uint8) == 10)
+    count, size = ends.size, size or max(ends.size, 1)
+    cuts = [0] + (ends[size - 1::size] + 1).tolist()  # byte offsets between blocks
+    del ends
+    if len(cuts) == 1 or cuts[-1] < len(data):
+        cuts.append(len(data))
+    for start, a, b in zip(range(0, count + 1, size), cuts, cuts[1:]):
+        stop = min(start + size, count)
+        block = data[a:b]
+        at = np.arange(start + 1, stop + 1) if lines is None else lines[start:stop]
+        yield _Records(block, *_split(block), lines=at)
+
+
+class _Records:
+    """Tab-separated records as field offsets into one byte string.
+
+    Field ``f`` is the ``length[f]`` bytes from ``begin[f]`` on, and
+    record ``r`` holds the ``count[r]`` fields from ``first[r]`` on; an
+    empty field follows the last.  ``lines`` gives each record's line in
+    its file.  Records built in memory keep their tuples in ``records``,
+    whose first ``id_fields`` fields are node ids, and have no line.
     """
 
-    def __init__(self, flat, count, lines, strip):
-        self.flat = flat
+    def __init__(self, data, begin, length, count, lines=None, records=None,
+                 id_fields=0):
+        self.data = data
+        self.words = _words(data)
+        self.begin, self.length = np.append(begin, len(data)), np.append(length, 0)
         self.count = count
-        self.start = np.cumsum(count) - count
-        self.lines = lines
-        self.strip = strip
+        self.first = np.cumsum(count) - count
         self.width = int(count[0]) if count.size and (count == count[0]).all() else 0
-        flat.extend([""] * 4)
+        self.lines = lines
+        self.records = records
+        self.id_fields = id_fields
 
     @classmethod
-    def read(cls, fh, first_line):
-        """The next BLOCK_LINES lines of ``fh``, or None at its end.
-
-        Fast block: when the text ends in a newline and holds only tabs,
-        newlines and printable ASCII other than space and ``#``, with no
-        line that is empty or starts with a tab, then no line is blank or
-        a comment and no field has whitespace to strip.  Its fields are
-        split off the whole text at once, and its tab counts come from
-        byte positions.
-
-        Any other block is read line by line: blank and ``#`` lines are
-        dropped and every field is stripped.  The raw lines are released
-        before the fields are split, to keep the block's peak memory low.
-        """
-        raw = list(islice(fh, BLOCK_LINES))
-        if not raw:
-            return None
-        text = "".join(raw)
-        if text.isascii() and text.endswith("\n"):
-            codes = np.frombuffer(text.encode("ascii"), np.uint8)
-            ends = np.flatnonzero(codes == ord("\n"))  # one per line
-            starts = np.concatenate(([0], ends[:-1] + 1))
-            if _FAST_BYTE[codes].all() and _FIELD_BYTE[codes[starts]].all():
-                del raw
-                tabs = np.diff(np.searchsorted(np.flatnonzero(codes == ord("\t")), ends),
-                               prepend=0)
-                lines = first_line + np.arange(ends.size)
-                return cls(text.replace("\n", "\t").split("\t"), tabs + 1, lines, strip=False)
-        del text
-        keep = ~np.fromiter(map(str.isspace, raw), bool, len(raw))
-        keep &= ~np.fromiter(
-            map(str.startswith, map(str.lstrip, raw), repeat("#")), bool, len(raw)
-        )
-        if not keep.all():
-            raw = list(compress(raw, keep.tolist()))
-        tabs = np.fromiter(map(str.count, raw, repeat("\t")), np.intp, len(raw))
-        text = "\t".join(raw)
-        del raw
-        return cls(text.split("\t"), tabs + 1, first_line + np.flatnonzero(keep), strip=True)
-
-    @classmethod
-    def from_records(cls, records, ids):
-        """Block from in-memory tuples whose first ``ids`` fields are node ids."""
-        records = [tuple(map(str, r[:ids])) + tuple(r[ids:]) for r in records]
+    def from_records(cls, records, id_fields):
+        """Records from a list of in-memory tuples whose first ``id_fields``
+        fields are node ids.  Every field is converted with ``str`` into the
+        byte string; ``records`` keeps the tuples as given."""
         count = np.fromiter(map(len, records), np.intp, len(records))
-        return cls(list(chain.from_iterable(records)), count, None, strip=False)
+        fields = list(map(str, chain.from_iterable(records)))
+        text = "".join(fields)
+        if text.isascii():  # one byte per character
+            data, encoded = text.encode("ascii"), fields
+        else:
+            encoded = [f.encode("utf-8", "surrogatepass") for f in fields]
+            data = b"".join(encoded)
+        length = np.fromiter(map(len, encoded), np.intp, len(fields))
+        return cls(data, np.cumsum(length) - length, length, count, records=records,
+                   id_fields=id_fields)
 
     def column(self, c, rows=None):
-        """Field ``c`` of every record, or of the records in ``rows``, as an iterable."""
+        """(begin, length) of field ``c`` of every record, or of the records
+        in ``rows``.  A record with ``c`` or fewer fields gets another one's."""
         if rows is None and c < self.width:
-            values = self.flat[c:self.width * self.count.size:self.width]
-        else:
-            at = self.start if rows is None else self.start[rows]
-            values = map(self.flat.__getitem__, (at + c).tolist())
-        return map(str.strip, values) if self.strip else values
+            return self.begin[c:-1:self.width], self.length[c:-1:self.width]
+        at = self.first if rows is None else self.first[rows]
+        at = np.minimum(at + c, self.begin.size - 1)
+        return self.begin[at], self.length[at]
+
+    def values(self, c, rows=None):
+        """Field ``c`` of every record, or of the records in ``rows``, as
+        Python values: each tuple's own for in-memory records, else the
+        field decoded."""
+        if self.records is not None:
+            rows = range(len(self.records)) if rows is None else rows.tolist()
+            records = map(self.records.__getitem__, rows)
+            if c < self.id_fields:
+                return [str(r[c]) if len(r) > c else "" for r in records]
+            return [r[c] for r in records]
+        if rows is None and c < self.width:  # one decode for the whole column
+            return self.data.decode().replace("\n", "\t").split("\t")[c:-1:self.width]
+        begin, length = self.column(c, rows)
+        data = self.data
+        return [data[b:e].decode() for b, e in zip(begin.tolist(), (begin + length).tolist())]
+
+    def codes(self, c, names):
+        """Index in ``names`` of field ``c`` of each record; -1 for none."""
+        begin, length = self.column(c)
+        head = _heads(self.words, begin, length)
+        codes = np.full(length.size, -1, np.intp)
+        for k, name in enumerate(names):
+            raw = name.encode("utf-8", "surrogatepass")
+            if raw:
+                at = np.flatnonzero(head == np.uint64(int.from_bytes(raw[:8], "little")))
+                at = at[length[at] == len(raw)]
+                same = _same_tail(self.words, begin[at], _words(raw), np.zeros_like(at),
+                                  length[at])
+                codes[at[same]] = k
+        return codes
 
     def fields(self, r):
         """All fields of record ``r``."""
-        begin = int(self.start[r])
-        values = self.flat[begin:begin + int(self.count[r])]
-        return [f.strip() for f in values] if self.strip else values
+        if self.records is not None:
+            record = self.records[r]
+            return [str(f) for f in record[:self.id_fields]] + list(record[self.id_fields:])
+        at = slice(int(self.first[r]), int(self.first[r] + self.count[r]))
+        return [self.data[b:b + n].decode()
+                for b, n in zip(self.begin[at].tolist(), self.length[at].tolist())]
 
     def line(self, r):
         return None if self.lines is None else int(self.lines[r])
@@ -271,18 +425,13 @@ class _Ingest:
 
     Nodes are numbered globally in file order; ``_node_type`` and
     ``_node_local`` give each one's type code and index within its type.
-    No empty string is ever a node id, type or relation here, so an empty
-    field fails the same lookups as an unknown one.  When a block fails a
-    check, ``_record_error`` re-checks its first failing record alone and
-    builds the error that names it.
+    No node id is empty, so an empty endpoint fails the same lookup as an
+    unknown one.  When a check fails, ``_record_error`` re-checks the
+    first failing record alone and builds the error that names it.
     """
 
     def __init__(self, schema):
         self.schema = schema
-        self.ids = {t: [] for t in schema.node_types}
-        self._number = {}  # node id -> global node number, in file order
-        self._type_code = {t: k for k, t in enumerate(schema.node_types) if t}
-        self._rel_code = {r.name: k for k, r in enumerate(schema.relations) if r.name}
         # a trailing -2 answers code -1 (unknown), so masks need no guards
         types = schema.node_types
         self._rel_source = np.array(
@@ -291,76 +440,93 @@ class _Ingest:
         self._rel_target = np.array(
             [types.index(r.target) for r in schema.relations] + [-2], np.intp
         )
-        self._node_type = [np.empty(0, np.intp)]
-        self._node_local = [np.empty(0, np.intp)]
         # per relation: (source index, target index, weight) arrays, in file order
-        self._edges = [[(np.empty(0, np.intp),) * 2 + (np.empty(0),)]
+        self._edges = [[(np.empty(0, np.int32),) * 2 + (np.empty(0),)]
                        for _ in schema.relations]
 
-    def _nodes(self):
-        """(type code per global node, with a trailing -1; local index)."""
-        return (np.append(np.concatenate(self._node_type), -1),
-                np.concatenate(self._node_local))
-
-    def _register(self, ids, codes):
-        g0 = len(self._number)
-        self._number.update(zip(ids, range(g0, g0 + len(ids))))
-        local = np.empty(len(ids), np.intp)
-        for k, t in enumerate(self.schema.node_types):
+    def add_nodes(self, records, path=None):
+        n = records.count.size
+        ids = records.values(0)
+        codes = records.codes(1, self.schema.node_types)
+        types = self.schema.node_types
+        self.ids, local = {}, np.empty(n, np.int32 if n <= np.iinfo(np.int32).max else np.intp)
+        for k, t in enumerate(types):
             mask = codes == k
-            local[mask] = len(self.ids[t]) + np.arange(np.count_nonzero(mask))
-            self.ids[t].extend(compress(ids, mask.tolist()))
-        self._node_type.append(codes)
-        self._node_local.append(local)
-
-    def add_nodes(self, block, path=None):
-        n = block.count.size
-        ids = list(block.column(0))
-        codes = np.fromiter(
-            map(self._type_code.get, block.column(1), repeat(-1)), np.intp, n
-        )
-        bad = (block.count != 2) | (codes < 0)
-        bad |= np.fromiter(map(self._number.__contains__, ids), bool, n)
-        if "" in ids:
-            bad |= ~np.fromiter(map(bool, ids), bool, n)
-        first = dict(zip(reversed(ids), range(n - 1, -1, -1)))
-        if len(first) < n:  # an id repeated within the block
+            local[mask] = np.arange(np.count_nonzero(mask))
+            self.ids[t] = list(compress(ids, mask.tolist()))
+        self._index = dict(zip(ids, zip(map(types.__getitem__, codes.tolist()),
+                                        local.tolist())))
+        begin, length = records.column(0)
+        bad = (records.count != 2) | (codes < 0) | (length == 0)
+        if len(self._index) < n:  # an id repeated
+            first = dict(zip(reversed(ids), range(n - 1, -1, -1)))
             bad |= np.fromiter(map(first.__getitem__, ids), np.intp, n) != np.arange(n)
         if bad.any():
             r = int(bad.argmax())
-            self._register(ids[:r], codes[:r])  # the records before r are valid
-            raise self._record_error("node", block.fields(r), path, block.line(r))
-        self._register(ids, codes)
+            raise self._record_error("node", records.fields(r), path, records.line(r),
+                                     set(ids[:r]))
+        self._node_type = np.append(codes, -1)  # the -1 answers node -1 (unknown)
+        self._node_local = local
+        head = _heads(records.words, begin, length)
+        table = _hash_table(_keys(records.words, begin, length, head))
+        # a last entry that matches no field answers the empty slot's -1
+        self._node_bytes = (records.words, begin, np.append(length, -1),
+                            np.append(head, np.uint64(0)), table)
 
-    def add_edges(self, block, path=None):
-        n = block.count.size
-        bad = (block.count < 3) | (block.count > 4)
+    def _lookup(self, records, c):
+        """Global node number of the id in field ``c`` of each record, or -1.
+
+        Each field probes the node table from its key's home slot on, and
+        stops at the node whose bytes equal its own or at an empty slot.
+        """
+        words, begin, length, head, table = self._node_bytes
+        field_begin, field_length = records.column(c)
+        field_head = _heads(records.words, field_begin, field_length)
+        slot = _home(_keys(records.words, field_begin, field_length, field_head), table.size)
+        found = np.full(slot.size, -1, np.intp)
+        todo = np.arange(slot.size)
+        while todo.size:
+            node = table[slot]
+            same = (head[node] == field_head) & (length[node] == field_length)
+            long = np.flatnonzero(same & (field_length > 8))
+            same[long] = _same_tail(records.words, field_begin[long], words,
+                                    begin[node[long]], field_length[long])
+            found[todo[same]] = node[same]
+            more = ~same & (node >= 0)
+            todo, slot = todo[more], (slot[more] + 1) & (table.size - 1)
+            field_begin, field_length, field_head = (
+                field_begin[more], field_length[more], field_head[more])
+        return found
+
+    def add_edges(self, records, path=None):
+        n = records.count.size
+        bad = (records.count < 3) | (records.count > 4)
         weights = np.ones(n)
-        four = np.flatnonzero(block.count == 4)
+        four = np.flatnonzero(records.count == 4)
+        text = records.values(3, four)
         try:
-            weights[four] = np.fromiter(map(float, block.column(3, four)), np.float64, four.size)
+            weights[four] = np.fromiter(map(float, text), np.float64, four.size)
         except (TypeError, ValueError):  # unparseable weights read as NaN and fail below
-            weights[four] = np.fromiter(
-                map(_float_or_nan, block.column(3, four)), np.float64, four.size
-            )
-        codes = np.fromiter(map(self._rel_code.get, block.column(2), repeat(-1)), np.intp, n)
-        s = np.fromiter(map(self._number.get, block.column(0), repeat(-1)), np.intp, n)
-        d = np.fromiter(map(self._number.get, block.column(1), repeat(-1)), np.intp, n)
-        node_type, node_local = self._nodes()
+            weights[four] = np.fromiter(map(_float_or_nan, text), np.float64, four.size)
+        codes = records.codes(2, [r.name for r in self.schema.relations])
+        s, d = self._lookup(records, 0), self._lookup(records, 1)
         bad |= (codes < 0) | (s < 0) | (d < 0)
-        bad |= (node_type[s] != self._rel_source[codes])
-        bad |= (node_type[d] != self._rel_target[codes])
+        bad |= self._node_type[s] != self._rel_source[codes]
+        bad |= self._node_type[d] != self._rel_target[codes]
         bad |= ~(np.isfinite(weights) & (weights >= 0))
         if bad.any():
             r = int(bad.argmax())
-            raise self._record_error("edge", block.fields(r), path, block.line(r))
+            raise self._record_error("edge", records.fields(r), path, records.line(r),
+                                     self._index)
         for k, parts in enumerate(self._edges):
             sel = codes == k
-            parts.append((node_local[s[sel]], node_local[d[sel]], weights[sel]))
+            parts.append((self._node_local[s[sel]], self._node_local[d[sel]], weights[sel]))
 
-    def _record_error(self, kind, fields, path, line):
+    def _record_error(self, kind, fields, path, line, known):
         """The GraphFormatError for one record's first failing check.
 
+        ``known`` holds the node ids valid so far: for a node record, those
+        of the records before it; for an edge record, the graph's index.
         Checks run in a fixed order.  Nodes: field count, empty fields,
         declared type, duplicate id.  Edges: field count, empty fields,
         weight parse, relation, source id and type, target id and type,
@@ -379,9 +545,9 @@ class _Ingest:
             for value, what in ((node_id, "node id"), (node_type, "node type")):
                 if value == "":
                     return error(f"empty {what}")
-            if node_type not in self._type_code:
+            if node_type not in self.schema.node_types:
                 return error(f"node {node_id!r} has undeclared type {node_type!r}")
-            if node_id in self._number:
+            if node_id in known:
                 return error(f"duplicate node id {node_id!r}")
         else:
             if len(fields) not in (3, 4):
@@ -400,15 +566,15 @@ class _Ingest:
                     weight = float(fields[3])
                 except (TypeError, ValueError):
                     return error(f"unparseable weight {fields[3]!r}")
-            if relation not in self._rel_code:
+            names = [r.name for r in self.schema.relations]
+            if relation not in names:
                 return error(f"unknown relation {relation!r}")
-            rel = self.schema.relations[self._rel_code[relation]]
-            node_type = self._nodes()[0]
+            rel = self.schema.relations[names.index(relation)]
             for nid, want, role in ((src, rel.source, "source"),
                                     (dst, rel.target, "target")):
-                if nid not in self._number:
+                if nid not in known:
                     return error(f"edge references unknown node id {nid!r}")
-                got = self.schema.node_types[node_type[self._number[nid]]]
+                got = known[nid][0]
                 if got != want:
                     return error(
                         f"edge {src!r} -> {dst!r} via {relation!r}: {role} node "
@@ -419,18 +585,18 @@ class _Ingest:
         raise RuntimeError(f"{kind} record {fields!r} failed a mask but no check")
 
     def finish(self, source_digest=None):
-        node_type, node_local = self._nodes()
-        type_names = map(self.schema.node_types.__getitem__, node_type[:-1].tolist())
-        index = dict(zip(self._number, zip(type_names, node_local.tolist())))
         matrices = {}
         for r, parts in zip(self.schema.relations, self._edges):
             rows, cols, vals = map(np.concatenate, zip(*parts))
             parts.clear()
             shape = (len(self.ids[r.source]), len(self.ids[r.target]))
-            m = sp.coo_array((vals, (rows, cols)), shape=shape).tocsr()
+            # scipy keeps 32-bit indices through every product built from these
+            index = np.int32 if max(shape) <= np.iinfo(np.int32).max else np.int64
+            m = sp.coo_array((vals, (rows.astype(index, copy=False),
+                                     cols.astype(index, copy=False))), shape=shape).tocsr()
             m.sum_duplicates()  # parallel edges collapse to one weighted edge
             matrices[r.name] = m
-        return HeteroGraph(self.schema, self.ids, matrices, index, source_digest)
+        return HeteroGraph(self.schema, self.ids, matrices, self._index, source_digest)
 
 
 def build_graph(schema, nodes, edges):
@@ -441,14 +607,15 @@ def build_graph(schema, nodes, edges):
         nodes: iterable of (node_id, node_type).
         edges: iterable of (src_id, dst_id, relation) or (..., weight).
 
-    Node ids and endpoints are converted with ``str``; errors carry no
-    file or line.
+    Node ids, node types, endpoints and relations are converted with
+    ``str``; a weight is parsed with ``float``.  Errors carry no file or
+    line.
     """
     ingest = _Ingest(schema)
-    for records, add, ids in ((nodes, ingest.add_nodes, 1), (edges, ingest.add_edges, 2)):
-        records = iter(records)
-        while chunk := list(islice(records, BLOCK_LINES)):
-            add(_Block.from_records(chunk, ids))
+    ingest.add_nodes(_Records.from_records(list(nodes), 1))
+    edges = iter(edges)
+    while chunk := list(islice(edges, CHUNK_RECORDS)):
+        ingest.add_edges(_Records.from_records(chunk, 2))
     return ingest.finish()
 
 
@@ -526,16 +693,11 @@ def source_digest(nodes_path, edges_path, schema_path):
     return _combine(map(_file_sha256, (schema_path, nodes_path, edges_path)))
 
 
-def _read_text(path):
-    """(sha256 digest of the bytes of ``path``, a text stream over those bytes).
-
-    The stream decodes and translates newlines exactly like
-    ``open(path, encoding="utf-8")``, so the digest covers the very bytes
-    that are parsed.
-    """
+def _read(path):
+    """(sha256 digest of the bytes of ``path``, those bytes)."""
     with open(path, "rb") as fh:
         data = fh.read()
-    return hashlib.sha256(data).digest(), io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+    return hashlib.sha256(data).digest(), data
 
 
 def load_graph(nodes_path, edges_path, schema_path):
@@ -545,18 +707,17 @@ def load_graph(nodes_path, edges_path, schema_path):
     its ``file:line``.  Each file is read once; the graph's
     ``source_digest`` covers the bytes read.
     """
-    digest, text = _read_text(schema_path)
+    digest, data = _read(schema_path)
     digests = [digest]
-    with text as fh:
+    # decoded, and newlines translated, like open(path, encoding="utf-8")
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as fh:
         ingest = _Ingest(_parse_schema(fh, schema_path))
-    for path, add in ((nodes_path, ingest.add_nodes), (edges_path, ingest.add_edges)):
-        digest, text = _read_text(path)
+    for path, add, size in ((nodes_path, ingest.add_nodes, None),
+                            (edges_path, ingest.add_edges, BLOCK_RECORDS)):
+        digest, data = _read(path)
         digests.append(digest)
-        with text as fh:
-            first_line = 1
-            while (block := _Block.read(fh, first_line)) is not None:
-                add(block, path)
-                first_line += BLOCK_LINES
+        for block in _file_blocks(data, size):
+            add(block, path)
     return ingest.finish(_combine(digests))
 
 
@@ -605,9 +766,11 @@ def content_hash(graph):
 
     Each type's ids are hashed as their lengths (in characters) followed
     by their UTF-8 concatenation, which the lengths split unambiguously.
-    Each relation is hashed from the arrays of a canonical CSR copy
-    (duplicates summed, indices sorted, little-endian int64/float64), so
-    the hash ignores edge order and never modifies ``graph.matrices``.
+    Each relation is hashed from the arrays of its canonical CSR form
+    (duplicates summed, indices sorted, little-endian int64/float64, so
+    32-bit and 64-bit indices hash alike), made on a copy when the matrix
+    is not canonical, so the hash ignores edge order and never modifies
+    ``graph.matrices``.
     """
     h = hashlib.sha256()
     h.update(repr(graph.schema).encode())
@@ -617,9 +780,11 @@ def content_hash(graph):
         h.update(np.fromiter(map(len, ids), dtype="<i8", count=len(ids)).tobytes())
         h.update("".join(ids).encode())
     for r in graph.schema.relations:
-        m = sp.csr_array(graph.matrices[r.name], copy=True)
-        m.sum_duplicates()
-        m.sort_indices()
+        m = sp.csr_array(graph.matrices[r.name])
+        if not m.has_canonical_format:
+            m = sp.csr_array(m, copy=True)
+            m.sum_duplicates()
+            m.sort_indices()
         h.update(f"e\t{r.name}\t{m.shape[0]}\t{m.shape[1]}\t{m.nnz}\n".encode())
         for arr, dtype in ((m.indptr, "<i8"), (m.indices, "<i8"), (m.data, "<f8")):
             h.update(np.ascontiguousarray(arr, dtype=dtype).tobytes())

@@ -6,6 +6,9 @@ plain logistic-MF trainer.  None of it shares code with the package
 beyond data-structure access.
 """
 
+import hashlib
+import io
+import math
 from collections import defaultdict
 
 import numpy as np
@@ -115,6 +118,99 @@ def reference_laplacian(S, tol=1e-9):
     assert np.abs(gap).max(initial=0.0) <= tol, "asymmetric similarity"
     deg = np.asarray(S.sum(axis=1)).ravel()
     return sp.csr_array(sp.diags_array(deg, format="csr") - S)
+
+
+def reference_ingest(node_types, relations, files):
+    """Parse nodes and edges files one line at a time, as a text stream.
+
+    ``node_types`` are the declared type names, ``relations`` the declared
+    (name, source, target) triples, and ``files`` maps ``"schema"``,
+    ``"nodes"`` and ``"edges"`` to (path, bytes).  Lines end at \\n,
+    \\r\\n or \\r; blank and ``#`` lines are skipped and every field is
+    stripped.  Records are checked in file order, each check in a fixed
+    order, and the first failure is returned as ``(message, line)`` with
+    the message prefixed by ``path:line:``.  Otherwise the result is
+    ``(ids, index, arrays, digest)``: ids per type in file order, the
+    (id, (type, index)) pairs in file order, per relation the row-sorted
+    CSR (indptr, indices, data) with parallel edges summed in file order,
+    and the sha256 over the sha256 digests of the schema, nodes and edges
+    bytes.
+    """
+    ids = {t: [] for t in node_types}
+    index = {}
+    kinds = {name: (source, target) for name, source, target in relations}
+    sums = {name: {} for name, _, _ in relations}
+
+    def records(kind):
+        path, data = files[kind]
+        for line_no, line in enumerate(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"),
+                                       start=1):
+            if line.isspace() or line.lstrip().startswith("#"):
+                continue
+            yield path, line_no, [f.strip() for f in line.split("\t")]
+
+    def node_problem(fields):
+        if len(fields) != 2:
+            return f"expected '<node_id>\\t<node_type>', got {len(fields)} fields"
+        node_id, node_type = fields
+        if node_id == "":
+            return "empty node id"
+        if node_type == "":
+            return "empty node type"
+        if node_type not in node_types:
+            return f"node {node_id!r} has undeclared type {node_type!r}"
+        if node_id in index:
+            return f"duplicate node id {node_id!r}"
+        index[node_id] = (node_type, len(ids[node_type]))
+        ids[node_type].append(node_id)
+        return None
+
+    def edge_problem(fields):
+        if len(fields) not in (3, 4):
+            return (f"expected '<src>\\t<dst>\\t<relation>[\\t<weight>]', got "
+                    f"{len(fields)} fields")
+        src, dst, name = fields[:3]
+        for value, what in ((src, "source id"), (dst, "target id"), (name, "relation")):
+            if value == "":
+                return f"empty {what}"
+        weight = 1.0
+        if len(fields) == 4:
+            try:
+                weight = float(fields[3])
+            except ValueError:
+                return f"unparseable weight {fields[3]!r}"
+        if name not in kinds:
+            return f"unknown relation {name!r}"
+        for node_id, want, role in zip((src, dst), kinds[name], ("source", "target")):
+            if node_id not in index:
+                return f"edge references unknown node id {node_id!r}"
+            got = index[node_id][0]
+            if got != want:
+                return (f"edge {src!r} -> {dst!r} via {name!r}: {role} node {node_id!r} "
+                        f"has type {got!r}, expected {want!r}")
+        if not math.isfinite(weight) or weight < 0:
+            return f"edge {src!r} -> {dst!r} has invalid weight {weight!r}"
+        key = (index[src][1], index[dst][1])
+        pairs = sums[name]
+        pairs[key] = pairs[key] + weight if key in pairs else weight
+        return None
+
+    for kind, problem in (("nodes", node_problem), ("edges", edge_problem)):
+        for path, line_no, fields in records(kind):
+            message = problem(fields)
+            if message is not None:
+                return f"{path}:{line_no}: {message}", line_no
+    arrays = {}
+    for name, source, _ in relations:
+        pairs = sorted(sums[name].items())
+        counts = np.bincount([r for (r, _), _ in pairs], minlength=len(ids[source]))
+        arrays[name] = (np.concatenate([[0], np.cumsum(counts)]).astype(np.int64),
+                        np.array([c for (_, c), _ in pairs], np.int64),
+                        np.array([w for _, w in pairs], np.float64))
+    digest = hashlib.sha256(b"".join(
+        hashlib.sha256(files[kind][1]).digest() for kind in ("schema", "nodes", "edges")
+    )).hexdigest()
+    return ids, list(index.items()), arrays, digest
 
 
 def _sigmoid(x):

@@ -1,5 +1,7 @@
 """Graph ingestion, validation, adjacency, rating derivation, round trips."""
 
+import pathlib
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -186,10 +188,13 @@ def test_first_bad_edge_line_wins(tmp_path, edges, message):
     assert str(err.value) == paths[1] + message
 
 
+# Records in the long-file tests below: enough that a bad record sits
+# thousands of lines into its file.
+BLOCK_LINES = 2048
+
+
 @pytest.mark.parametrize("first, second", [(0, 1), (1, 5), (-3, -1)])
 def test_first_bad_edge_line_wins_across_blocks(tmp_path, first, second):
-    from hetecf.graph import BLOCK_LINES
-
     lines = ["a1\tp1\twrites"] * (BLOCK_LINES + 10)
     lines[BLOCK_LINES - 1 + first] = "a1\tp1\twrites\theavy"
     lines[BLOCK_LINES - 1 + second] = "a1\tp1"
@@ -201,8 +206,6 @@ def test_first_bad_edge_line_wins_across_blocks(tmp_path, first, second):
 
 
 def test_duplicate_node_found_across_blocks(tmp_path):
-    from hetecf.graph import BLOCK_LINES
-
     lines = [f"a{i}\tAuthor" for i in range(BLOCK_LINES + 10)]
     lines[BLOCK_LINES + 3] = "a7\tAuthor"
     lines[BLOCK_LINES + 5] = "a8\tAuthor"
@@ -277,8 +280,6 @@ def test_source_digest_covers_the_bytes_parsed(tmp_path):
 
 
 def test_load_and_build_agree_over_several_blocks(tmp_path):
-    from hetecf.graph import BLOCK_LINES
-
     rng = np.random.default_rng(3)
     counts = {"Author": BLOCK_LINES // 2, "Paper": BLOCK_LINES, "Conf": 40}
     nodes = [(f"{t[0].lower()}{i}", t) for t, n in counts.items() for i in range(n)]
@@ -601,7 +602,7 @@ def test_random_ratings_density():
     assert 0 < r.density <= 1
 
 
-# -------------------------------------------------- fast blocks vs line by line
+# ------------------------------------- normalised files and colliding keys
 
 PARITY_NODES = [
     "# people\n", "a1\tAuthor\n", "a2\tAuthor\n", "a3\tAuthor\n", "a4\tAuthor\n",
@@ -617,20 +618,19 @@ PARITY_EDGES = [
 ]
 
 
-def _load_fast_and_line_by_line(monkeypatch, paths, block_lines):
-    """load_graph's outcome with fast blocks allowed, then with every block
-    read line by line, and whether each block of the first load was fast.
-    An outcome is the graph's ids, arrays and digests, or the error text."""
+def _load_as_is_and_forced(monkeypatch, paths, key_bytes):
+    """load_graph's outcome, then its outcome with every file normalised and
+    every lookup key cut to the first ``key_bytes`` bytes of its id, so that
+    ids which share them collide; and how many files the first load
+    normalised.  An outcome is the graph's ids, arrays and digests, or the
+    error text."""
     from hetecf import graph as G
 
-    monkeypatch.setattr(G, "BLOCK_LINES", block_lines)
-    read, fast = G._Block.read, []
+    normalise, normalised = G._normalise, []
 
-    def spy(fh, first_line):
-        block = read(fh, first_line)
-        if block is not None:
-            fast.append(not block.strip)
-        return block
+    def spy(data):
+        normalised.append(len(data))
+        return normalise(data)
 
     def load():
         try:
@@ -642,14 +642,16 @@ def _load_fast_and_line_by_line(monkeypatch, paths, block_lines):
         return (g.node_ids, list(g._index.items()), arrays, h.content_hash(g),
                 g.source_digest)
 
-    monkeypatch.setattr(G._Block, "read", staticmethod(spy))
-    with_fast = load()
-    seen = list(fast)
-    monkeypatch.setattr(G, "_FAST_BYTE", np.zeros(256, bool))  # no block qualifies
-    fast.clear()
-    line_by_line = load()
-    assert fast and not any(fast)
-    return (with_fast, line_by_line), seen
+    monkeypatch.setattr(G, "_normalise", spy)
+    as_is = load()
+    seen = len(normalised)
+    monkeypatch.setattr(G, "_PLAIN_BYTES", b"")  # no file is plain
+    monkeypatch.setattr(G, "_keys", lambda words, begin, length, head:
+                        head & G._MASK[np.minimum(length, key_bytes)])
+    normalised.clear()
+    forced = load()
+    assert normalised
+    return (as_is, forced), seen
 
 
 def _write_lines(tmp_path, nodes, edges):
@@ -660,12 +662,14 @@ def _write_lines(tmp_path, nodes, edges):
     return paths
 
 
+# In the two tests below, ``block_lines`` is the number of bytes each
+# lookup key is cut to.
 @pytest.mark.parametrize("block_lines", [1, 2, 3, 4, 7])
 def test_fast_blocks_parse_like_line_by_line(tmp_path, monkeypatch, block_lines):
     paths = _write_lines(tmp_path, PARITY_NODES, PARITY_EDGES)
-    (fast, slow), seen = _load_fast_and_line_by_line(monkeypatch, paths, block_lines)
-    assert any(seen) and not all(seen)
-    assert fast == slow
+    (as_is, forced), seen = _load_as_is_and_forced(monkeypatch, paths, block_lines)
+    assert seen == 2  # both files hold comments
+    assert as_is == forced
     want = h.build_graph(
         h.load_schema(paths[2]),
         [(f"a{i}", "Author") for i in range(1, 6)]
@@ -677,7 +681,7 @@ def test_fast_blocks_parse_like_line_by_line(tmp_path, monkeypatch, block_lines)
          ("p2", "c1", "published_in"), ("p3", "c2", "published_in"),
          ("pé", "c3", "published_in"), ("p5", "c3", "published_in")],
     )
-    assert fast[3] == h.content_hash(want)
+    assert as_is[3] == h.content_hash(want)
 
 
 @pytest.mark.parametrize("file,record,message", [
@@ -698,8 +702,199 @@ def test_bad_record_in_a_fast_block_names_the_same_line(tmp_path, monkeypatch, f
     lines = nodes if file == "nodes" else edges
     lines.insert(3, record)  # among clean lines: line 4 of its file
     paths = _write_lines(tmp_path, nodes, edges)
-    (fast, slow), seen = _load_fast_and_line_by_line(monkeypatch, paths, block_lines)
-    assert seen[-1]  # the block that failed was a fast one
-    assert fast == slow
-    assert fast.startswith(f"{paths[0 if file == 'nodes' else 1]}:4: ")
-    assert message in fast
+    (as_is, forced), seen = _load_as_is_and_forced(monkeypatch, paths, block_lines)
+    assert seen == (1 if file == "nodes" else 2)  # the file that failed was normalised
+    assert as_is == forced
+    assert as_is.startswith(f"{paths[0 if file == 'nodes' else 1]}:4: ")
+    assert message in as_is
+
+
+# ------------------------------------------ randomized ingest against a reference
+
+REF_SCHEMA = SCHEMA_TEXT + "relation cites Paper Paper\n"
+REF_TYPES = ("Author", "Paper", "Conf")
+REF_RELATIONS = (("writes", "Author", "Paper"), ("published_in", "Paper", "Conf"),
+                 ("cites", "Paper", "Paper"))
+
+
+def _random_ids(rng, letter, count, plain):
+    """Unique ids of one type: short ones that are prefixes of others, ones
+    just either side of 8 and 16 bytes, long ones that share their first
+    8 bytes with ids of every type, and unless ``plain``, non-ASCII ones
+    and ones with whitespace inside."""
+    kinds = [
+        lambda i: f"{letter}{i}",
+        lambda i: f"{letter}{i}{i % 10}",
+        lambda i: f"{letter}bcdefg{i % 10}"[:8] + str(i)[:1] * (i % 3),
+        lambda i: f"journals/{letter}/{i:07d}",
+        lambda i: f"journals/{letter}/{i:07d}/" + "x" * (i % 9),
+    ]
+    if not plain:
+        kinds += [
+            lambda i: f"{letter}é{i}",
+            lambda i: f"作者{letter}{i}",
+            lambda i: f"{letter} \u2028\x0c{i}",
+            lambda i: f"journals/{letter}/ü{i:05d}",
+        ]
+    ids = []
+    while len(ids) < count:
+        nid = kinds[int(rng.integers(len(kinds)))](int(rng.integers(1, 400)))
+        if nid not in ids:
+            ids.append(nid)
+    return ids
+
+
+def _random_weight(rng):
+    return rng.choice([repr(float(rng.random() * 4)), "2", "0.25", "1e-3", str(rng.random())])
+
+
+def _random_files(rng, plain, bad=None):
+    """(nodes bytes, edges bytes) of a random network; unless ``plain``, with
+    comments, blank lines, padded fields, CRLF and lone CR line ends.  With
+    ``bad``, one bad record of that kind (0-13) sits among the others."""
+    ids = {t: _random_ids(rng, t[0].lower(), int(rng.integers(2, 25)), plain)
+           for t in REF_TYPES}
+    nodes = [[nid, t] for t in REF_TYPES for nid in ids[t]]
+    nodes = [nodes[k] for k in rng.permutation(len(nodes))]
+    edges, per_row = [], {}
+    for _ in range(int(rng.integers(0, 80))):
+        name, source, target = REF_RELATIONS[int(rng.integers(len(REF_RELATIONS)))]
+        src, dst = rng.choice(ids[source]), rng.choice(ids[target])
+        if per_row.get((name, src), 0) >= 12:  # rows short enough for exact sums
+            continue
+        repeats = 1 + int(rng.random() < 0.2) * int(rng.integers(1, 3))  # parallel edges
+        per_row[name, src] = per_row.get((name, src), 0) + repeats
+        for _ in range(repeats):
+            weight = [_random_weight(rng)] if rng.random() < 0.5 else []
+            edges.append([src, dst, name] + weight)
+    if bad is not None:
+        a, p = rng.choice(ids["Author"]), rng.choice(ids["Paper"])
+        record = [
+            [rng.choice(ids["Conf"]), "Author"], [a, "Author", "x"], ["zz9", "Person"],
+            ["", "Paper"],
+            [a[:-1] if a[:-1] not in ids["Author"] else "a", p, "writes"],
+            ["journals/a/9999999", p, "writes"], [p, p, "writes"],
+            [a, p, "writes", "heavy"], [a, p, "writes", "-1"], [a, p, "writes", "nan"],
+            [a, p, "reads"], [a, p], [a, p, "writes", "1", "2"], [a, p, ""],
+        ][bad]
+        lines = nodes if bad < 4 else edges
+        lines.insert(int(rng.integers(len(lines) + 1)), record)
+    return tuple(_decorate(rng, lines, plain) for lines in (nodes, edges))
+
+
+def _decorate(rng, records, plain):
+    out = []
+    for fields in records:
+        if not plain:
+            fields = [rng.choice(["", " ", "  ", "\u3000"]) + f + rng.choice(["", " ", "\x0b"])
+                      if rng.random() < 0.2 else f for f in fields]
+            while rng.random() < 0.15:
+                out.append(rng.choice(["# note", "  # indented", "#", "", "  ", "\t\t",
+                                       " \t "]) + rng.choice(["\n", "\r\n", "\r"]))
+        end = "\n" if plain else rng.choice(["\n", "\n", "\r\n", "\r"])
+        out.append("\t".join(fields) + end)
+    text = "".join(out)
+    if rng.random() < 0.3:
+        text = text.rstrip("\r\n")  # no line end after the last record
+    return text.encode()
+
+
+def _ingest_outcome(paths):
+    """load_graph's ids, index, CSR arrays, content hash and source digest,
+    or its error text and line."""
+    try:
+        g = h.load_graph(*paths)
+    except GraphFormatError as exc:
+        return str(exc), exc.line
+    arrays = {name: tuple(np.asarray(a, dtype).tobytes() for a, dtype in
+                          ((m.indptr, "<i8"), (m.indices, "<i8"), (m.data, "<f8")))
+              for name, m in g.matrices.items()}
+    return g.node_ids, list(g._index.items()), arrays, h.content_hash(g), g.source_digest
+
+
+@pytest.mark.parametrize("seed", range(48))
+def test_ingest_matches_line_by_line_reference(tmp_path, monkeypatch, seed):
+    from hetecf import graph as G
+    from oracles import reference_ingest
+
+    rng = np.random.default_rng([seed, 0x1D])
+    plain, bad = seed % 3 == 0, (seed // 3) % 14 if seed % 3 == 2 else None
+    paths = write_dataset(tmp_path, "", "", schema=REF_SCHEMA)
+    files = {"schema": (paths[2], REF_SCHEMA.encode())}
+    for kind, path, data in zip(("nodes", "edges"), paths, _random_files(rng, plain, bad)):
+        with open(path, "wb") as fh:
+            fh.write(data)
+        files[kind] = (path, data)
+    want = reference_ingest(REF_TYPES, REF_RELATIONS, files)
+    if len(want) == 4:  # a graph: its content hash from the reference's int64 arrays
+        ids, index, arrays, digest = want
+        schema = h.load_schema(paths[2])
+        matrices = {name: sp.csr_array((data, indices, indptr),
+                                       shape=(len(ids[source]), len(ids[target])))
+                    for (name, source, target), (indptr, indices, data)
+                    in zip(REF_RELATIONS, arrays.values())}
+        assert all(m.indices.dtype == np.int64 for m in matrices.values())
+        arrays = {name: tuple(a.tobytes() for a in parts) for name, parts in arrays.items()}
+        want = (ids, index, arrays,
+                h.content_hash(h.HeteroGraph(schema, ids, matrices)), digest)
+    normalise, normalised = G._normalise, []
+    monkeypatch.setattr(G, "_normalise", lambda data: normalised.append(1) or normalise(data))
+    assert _ingest_outcome(paths) == want
+    assert not normalised if plain else normalised
+    # every key equal: each lookup walks the whole table and compares bytes
+    monkeypatch.setattr(G, "_keys", lambda words, begin, length, head: np.zeros_like(head))
+    assert _ingest_outcome(paths) == want
+
+
+# ------------------------------------------------------ hashes and index width
+
+SAMPLE = pathlib.Path(__file__).resolve().parent.parent / "sample_data"
+
+
+def test_sample_data_digests_are_pinned():
+    # every stored model's graph_hash is content_hash of its graph
+    paths = [str(SAMPLE / name) for name in ("nodes.tsv", "edges.tsv", "schema.txt")]
+    g = h.load_graph(*paths)
+    assert h.content_hash(g) == (
+        "7e7afff34190dce22e1db61a9d42321d56409521731a031b91e801e31fb0c6dc")
+    assert g.source_digest == h.source_digest(*paths) == (
+        "4184bb74f881693105d11ddac8b61fd83d73e42ed9f35079fc44bc33e44c54b0")
+    assert {m.indices.dtype for m in g.matrices.values()} == {np.dtype(np.int32)}
+    wide = {name: sp.csr_array((m.data, m.indices.astype(np.int64), m.indptr.astype(np.int64)),
+                               shape=m.shape) for name, m in g.matrices.items()}
+    assert {m.indices.dtype for m in wide.values()} == {np.dtype(np.int64)}
+    assert h.content_hash(h.HeteroGraph(g.schema, g.node_ids, wide)) == h.content_hash(g)
+
+
+def test_32_bit_indices_where_pair_keys_need_64(tmp_path):
+    # n * m > 2**31, so a user-item pair key rows * m + cols overflows in 32 bits
+    from hetecf import learner
+
+    n = m = 50_001
+    schema = "nodetype User user\nnodetype Item item\nrelation rates User Item\n"
+    nodes = "".join(f"u{i}\tUser\n" for i in range(n)) + "".join(
+        f"i{j}\tItem\n" for j in range(m))
+    users = np.arange(n)
+    edges = "".join(f"u{i}\ti{(i * 7919) % m}\trates\n" for i in users.tolist())
+    edges += "".join(f"u{i}\ti{m - 1 - i}\trates\n" for i in users[::5].tolist())
+    g = h.load_graph(*write_dataset(tmp_path, nodes, edges, schema=schema))
+    target = h.parse_path("User -rates-> Item", g.schema)
+    ratings = h.derive_ratings(g, target)
+    groups = h.parse_path_spec(
+        "UU: User -rates-> Item <-rates- User\n"
+        "II: Item <-rates- User -rates-> Item\n"
+        "UI: User -rates-> Item\n", g.schema)
+    rels = h.build_relation_set(g, groups)
+    for matrix in [g.matrices["rates"]] + [sim.matrix for group in (
+            rels.user_user, rels.item_item, rels.user_item) for sim in group]:
+        assert matrix.indices.dtype == matrix.indptr.dtype == np.int32
+    assert ratings.nnz == n + len(users[::5]) and int(ratings.rows.max()) * m > 2**31
+    hp = h.Hyperparams(d=2, max_inner=1, max_outer=1)
+    state = learner.train(ratings, rels, hp)
+    data = learner.build_problem(ratings, rels, hp)
+    point = data.evaluate(state.model)
+    # the rating block leads the entry list; its predictions are f(U_i . V_j)
+    predicted = point.resid[:ratings.nnz] + data.vals[:ratings.nnz]
+    U, V = state.model.U, state.model.V
+    want = h.logistic(np.einsum("ij,ij->i", U[ratings.rows], V[ratings.cols]))
+    np.testing.assert_allclose(predicted, want, rtol=0, atol=1e-15)
