@@ -25,29 +25,32 @@ edges file
     (e.g. user-user friendship); for cross-type relations it is rejected
     as a type mismatch.
 
-The nodes and edges files are each read whole, as bytes, and parsed as
-field offsets into those bytes.  A file that holds only tabs, newlines
-and printable ASCII other than space and ``#``, with no line that is
-empty or starts with a tab, is parsed as it is: no line of it is blank
-or a comment and no field has whitespace to strip.  Any other file is
-first normalised once: decoded as UTF-8, split into lines at ``\\n``,
-``\\r\\n`` and ``\\r`` like ``open(path, encoding="utf-8")``, rid of blank
-and ``#`` lines and of the whitespace around each field, and encoded
-again, with the line number of each record kept.  The records are then
-checked with array masks, the nodes file's all at once and the edges
-file's ``BLOCK_RECORDS`` at a time.  The first bad record in file order
-raises a ``GraphFormatError`` naming its ``file:line``.  An empty node
-id, node type, edge endpoint or relation is an error.
+The nodes and edges files are each read whole, as bytes, and cut into
+blocks of ``BLOCK_RECORDS`` lines, whose records are parsed as field
+offsets into the block's bytes.  A line ends at ``\\n``, ``\\r\\n`` or
+``\\r``, like ``open(path, encoding="utf-8")`` reads it.  A block that,
+once its line ends are ``\\n``, holds only tabs, newlines and printable
+ASCII other than space and ``#``, with no line that is empty or starts
+with a tab, is parsed as it is: no line of it is blank or a comment and
+no field has whitespace to strip.  Any other block is first normalised
+on its own: decoded as UTF-8, rid of blank and ``#`` lines and of the
+whitespace around each field, and encoded again, with the line number of
+each record kept.  The records are then checked with array masks, the
+nodes file's all at once and the edges file's a block at a time.  The
+first bad record in file order raises a ``GraphFormatError`` naming its
+``file:line``.  An empty node id, node type, edge endpoint or relation
+is an error.
 
 Node ids are decoded to strings; edge endpoints never are.  Each
-endpoint is looked up by a 64-bit key of its bytes in a hash table of
-the node ids, and a node counts as found only once its bytes equal the
-endpoint's, so ids of any length or content resolve exactly.  Node
-types and relations are compared byte for byte with the declared names,
-and only the weights of 4-field records are parsed, with ``float``.
-Each relation's CSR arrays use 32-bit indices when its shape allows,
-and scipy keeps that width through the products built from them.
-``build_graph`` puts in-memory records through the same checks.
+endpoint is looked up in a hash table of the node ids by a 64-bit key
+of its bytes, scrambled with a seed drawn per process, and a node counts
+as found only once its bytes equal the endpoint's, so ids of any length
+or content resolve exactly.  Node types and relations are looked up the
+same way in tables of the declared names, and only the weights of
+4-field records are parsed, with ``float``.  Each relation's CSR arrays
+use 32-bit indices when its shape allows, and scipy keeps that width
+through the products built from them.  ``build_graph`` puts in-memory
+records through the same checks.
 
 ``load_graph`` reads each of the three files once.  The graph it
 returns carries ``source_digest``: a sha256 over the sha256 digests of
@@ -60,6 +63,7 @@ loaded from.  Files with the same bytes parse to the same graph.
 import hashlib
 import io
 import math
+import os
 from dataclasses import dataclass, field
 from itertools import chain, compress, islice
 
@@ -172,12 +176,15 @@ class HeteroGraph:
         return "\n".join(lines)
 
 
-# Edge records of a file checked at once; a nodes file is checked whole.
-# A block's arrays take about 100 bytes per record, and each block costs a
-# fixed 0.1-0.2 ms.  Loading the 51k-edge paths_sparse network took 46 ms
-# in blocks of 2048 records, 34 ms in blocks of 8192 and 36 ms in one
-# block, whose peak traced memory was 2 MB higher (one core of a 2-vCPU
-# host).
+# Lines of a nodes or edges file cut into one block.  Each block of an
+# edges file is checked at once; the blocks of a nodes file are checked
+# together, since every edge needs all the ids.  A block that is not plain
+# is normalised on its own, so that text, its line list and its copies never
+# span more than one block.  A block's arrays take about 100 bytes per
+# record, and each block costs a fixed 0.1-0.2 ms.  Loading the 51k-edge
+# paths_sparse network took 46 ms in blocks of 2048 lines, 34 ms in blocks
+# of 8192 and 36 ms in one block, whose peak traced memory was 2 MB higher
+# (one core of a 2-vCPU host).
 BLOCK_RECORDS = 8192
 # In-memory edge records that build_graph checks at once.  Their Python
 # tuples dominate its cost, so larger chunks mostly add memory: with 8192,
@@ -185,14 +192,27 @@ BLOCK_RECORDS = 8192
 # benchmark process that builds it peaked 0.5 MB higher.
 CHUNK_RECORDS = 2048
 
-# Bytes a file may hold and be parsed as it is: tab, newline and printable
+# Bytes a block may hold and be parsed as it is: tab, newline and printable
 # ASCII except space and ``#``.
 _PLAIN_BYTES = b"\t\n" + bytes(b for b in range(0x21, 0x7F) if b != ord("#"))
 
 # _MASK[k] keeps the first k bytes of a little-endian 8-byte word.
 _MASK = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
-# Odd, so multiplying by it permutes the 64-bit keys.
-_MIX = np.uint64(0x9E3779B97F4A7C15)
+# Drawn per process and added before every scramble, so that no set of ids
+# chosen in advance shares one key or one home slot.
+_SEED = np.uint64(int.from_bytes(os.urandom(8), "little"))
+
+
+def _scramble(x):
+    """splitmix64's finaliser of ``x + _SEED``: a permutation of the 64-bit
+    words in which every output bit depends on every input bit."""
+    x = x + _SEED
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(0x94D049BB133111EB)
+    x ^= x >> np.uint64(31)
+    return x
 
 
 def _words(data):
@@ -207,13 +227,13 @@ def _heads(words, begin, length):
 
 
 def _keys(words, begin, length, head):
-    """A 64-bit key per field: its first word ``head``, mixed with each
-    later one.  Equal bytes give equal keys; unequal bytes may too."""
+    """A 64-bit key per field: its first word ``head``, with each later one
+    folded in.  Equal bytes give equal keys; unequal bytes may too."""
     key = head.copy()
     at, long = 8, np.flatnonzero(length > 8)
     while long.size:
         word = words[begin[long] + at] & _MASK[np.minimum(length[long] - at, 8)]
-        key[long] = key[long] * _MIX ^ word
+        key[long] = _scramble(key[long]) ^ word
         at += 8
         long = long[length[long] > at]
     return key
@@ -235,41 +255,139 @@ def _same_tail(words, begin, other_words, other_begin, length):
 
 def _home(keys, size):
     """Home slot of each key in a hash table of ``size`` (a power of two)
-    slots: the top bits of the key times an odd constant."""
-    return ((keys * _MIX) >> np.uint64(65 - size.bit_length())).astype(np.intp)
+    slots: the top bits of the scrambled key."""
+    return (_scramble(keys) >> np.uint64(65 - size.bit_length())).astype(np.intp)
 
 
-def _hash_table(keys):
-    """Open-addressing table of ``keys``: each slot holds the position of a
-    key, or -1.  A key sits at its home slot or, if that is taken, at the
-    first free slot after it (wrapping around); at most a quarter of the
-    slots are used."""
-    table = np.full(1 << max(1, (4 * keys.size).bit_length()), -1, np.intp)
+def _byte_table(words, begin, length):
+    """A hash table of the fields of ``length`` bytes at ``begin`` in
+    ``words``, for ``_find``.
+
+    Each slot holds the position of a field, or -1.  A field sits at its
+    key's home slot or, if that is taken, at the first free slot after it
+    (wrapping around); at most a quarter of the slots are used.
+    """
+    head = _heads(words, begin, length)
+    keys = _keys(words, begin, length, head)
+    position = np.int32 if keys.size < np.iinfo(np.int32).max else np.intp
+    table = np.full(1 << max(1, (4 * keys.size).bit_length()), -1, position)
     slot, pending = _home(keys, table.size), np.arange(keys.size)
     while pending.size:
         free = table[slot] == -1
         table[slot[free]] = pending[free]
         lost = table[slot] != pending
         pending, slot = pending[lost], (slot[lost] + 1) & (table.size - 1)
-    return table
+    # a last entry that matches no field answers the empty slot's -1
+    return words, begin, np.append(length, -1), np.append(head, np.uint64(0)), table
 
 
-def _normalise(data):
-    """(records, line of each) for file bytes that are not plain.
+def _name_table(names):
+    """The ``_byte_table`` of declared names, in their UTF-8 bytes."""
+    raw = [name.encode("utf-8", "surrogatepass") for name in names]
+    length = np.fromiter(map(len, raw), np.intp, len(raw))
+    return _byte_table(_words(b"".join(raw)), np.cumsum(length) - length, length)
 
-    ``data`` is decoded as UTF-8 and split into lines at ``\\n``,
-    ``\\r\\n`` and ``\\r``.  Blank lines and those whose first character
-    that is not whitespace is ``#`` are dropped; every field of the rest
-    is stripped.  The records are encoded again, one per line.
+
+def _find(table, records, c):
+    """Position in ``table`` of field ``c`` of each record, or -1.
+
+    Each field probes the table from its key's home slot on, and stops at
+    the entry whose bytes equal its own or at an empty slot.  An empty
+    field matches nothing.
     """
-    text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    words, begin, length, head, table = table
+    field_begin, field_length = records.column(c)
+    field_head = _heads(records.words, field_begin, field_length)
+    slot = _home(_keys(records.words, field_begin, field_length, field_head), table.size)
+    found = np.full(slot.size, -1, np.intp)
+    todo = np.arange(slot.size)
+    if not field_length.all():
+        todo = np.flatnonzero(field_length)
+        slot, field_begin, field_length, field_head = (
+            slot[todo], field_begin[todo], field_length[todo], field_head[todo])
+    while todo.size:
+        entry = table[slot]
+        same = (head[entry] == field_head) & (length[entry] == field_length)
+        long = np.flatnonzero(same & (field_length > 8))
+        if long.size:
+            same[long] = _same_tail(records.words, field_begin[long], words,
+                                    begin[entry[long]], field_length[long])
+        found[todo[same]] = entry[same]
+        more = ~same & (entry >= 0)
+        todo, slot = todo[more], (slot[more] + 1) & (table.size - 1)
+        field_begin, field_length, field_head = (
+            field_begin[more], field_length[more], field_head[more])
+    return found
+
+
+def _is_plain(block, ragged):
+    """Whether ``block``, whole lines ending in ``\\n``, is plain: it holds
+    only plain bytes and, unless ``ragged``, no line of it starts with a
+    tab or a newline, so no line is blank or a comment and no field has
+    whitespace to strip."""
+    return not (ragged or block.translate(None, _PLAIN_BYTES))
+
+
+def _normalise(block, first):
+    """(records, line of each) for a block of whole lines, each ending in
+    ``\\n``, whose first line is line ``first + 1`` of its file.
+
+    ``block`` is decoded as UTF-8 and split into lines.  Blank lines and
+    those whose first character that is not whitespace is ``#`` are
+    dropped; every field of the rest is stripped.  The records are encoded
+    again, one per line.
+    """
+    text = block.decode("utf-8")
     records, lines = [], []
-    for number, line in enumerate(text.split("\n"), start=1):
+    for number, line in enumerate(text.split("\n"), start=first + 1):
         head = line.lstrip()
         if head and not head.startswith("#"):
             records.append("\t".join([f.strip() for f in line.split("\t")]) + "\n")
             lines.append(number)
     return "".join(records).encode(), np.array(lines, np.intp)
+
+
+def _file_blocks(data, size):
+    """(records, line of each) of a file's bytes, ``size`` lines at a time
+    in file order.
+
+    A line ends at ``\\n``, ``\\r\\n`` or ``\\r``, like
+    ``open(path, encoding="utf-8")`` reads it, so a block never splits a
+    character or a line end.  Each block has its line ends turned into
+    ``\\n``, one added after a last line that has none.  A plain block is
+    then yielded as it is and any other is normalised; a block left with
+    no record is skipped.
+    """
+    codes = np.frombuffer(data, np.uint8)
+    # a megabyte at a time, so that each array of one bool per byte is small
+    ends = np.concatenate([np.flatnonzero(codes[a:a + (1 << 20)] == 10) + a
+                           for a in range(0, codes.size, 1 << 20)] or [np.empty(0, np.intp)])
+    cr = b"\r" in data
+    if cr and data.count(b"\r") > data.count(b"\r\n"):  # a \r that no \n follows
+        at = np.flatnonzero(codes == 13)
+        lone = at[codes[np.minimum(at + 1, codes.size - 1)] != 10]
+        ends = np.sort(np.concatenate([ends, lone]))
+        del at, lone
+    cuts = [0] + (ends[size - 1::size] + 1).tolist()  # byte offsets between blocks
+    # blocks with a line that starts with a tab, \n or \r, and so may be blank
+    first = np.append(codes[:1], codes[ends[ends < codes.size - 1] + 1])  # byte of each line
+    ragged = set((np.flatnonzero(first < 14) // size).tolist())
+    del codes, ends, first
+    if cuts[-1] < len(data):
+        cuts.append(len(data))
+    for k, (a, b) in enumerate(zip(cuts, cuts[1:])):
+        block = data[a:b]
+        if cr:
+            block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        if not block.endswith(b"\n"):
+            block += b"\n"
+        if _is_plain(block, k in ragged):
+            count = size if b < len(data) else block.count(b"\n")  # the last may be short
+            lines = np.arange(k * size + 1, k * size + count + 1)
+        else:
+            block, lines = _normalise(block, k * size)
+        if lines.size:
+            yield block, lines
 
 
 def _split(data):
@@ -286,39 +404,6 @@ def _split(data):
     count = last + 1
     np.subtract(last[1:], last[:-1], out=count[1:])
     return begin, ends - begin, count
-
-
-def _is_plain(data, ends):
-    """Whether ``data``, file bytes whose newlines sit at ``ends``, is
-    plain: it holds only plain bytes, and no line of it starts with a tab
-    or a newline, so no line is blank or a comment and no field has
-    whitespace to strip."""
-    codes = np.frombuffer(data, np.uint8)
-    return not (data.translate(None, _PLAIN_BYTES) or data[:1] in (b"\t", b"\n")
-                or (codes[ends[:-1] + 1] < 11).any())
-
-
-def _file_blocks(data, size=None):
-    """The records of a file's bytes as _Records of ``size`` records each
-    (the last may hold fewer), in file order; with no ``size``, one block
-    of all of them.  A file that is not plain is normalised first."""
-    if data and not data.endswith(b"\n"):
-        data += b"\n"
-    ends = np.flatnonzero(np.frombuffer(data, np.uint8) == 10)
-    lines = None
-    if not _is_plain(data, ends):
-        data, lines = _normalise(data)
-        ends = np.flatnonzero(np.frombuffer(data, np.uint8) == 10)
-    count, size = ends.size, size or max(ends.size, 1)
-    cuts = [0] + (ends[size - 1::size] + 1).tolist()  # byte offsets between blocks
-    del ends
-    if len(cuts) == 1 or cuts[-1] < len(data):
-        cuts.append(len(data))
-    for start, a, b in zip(range(0, count + 1, size), cuts, cuts[1:]):
-        stop = min(start + size, count)
-        block = data[a:b]
-        at = np.arange(start + 1, stop + 1) if lines is None else lines[start:stop]
-        yield _Records(block, *_split(block), lines=at)
 
 
 class _Records:
@@ -342,6 +427,12 @@ class _Records:
         self.lines = lines
         self.records = records
         self.id_fields = id_fields
+
+    @classmethod
+    def parse(cls, data, lines):
+        """Records from file bytes: whole lines, each ending in a newline,
+        that are plain or normalised; ``lines`` gives the line of each."""
+        return cls(data, *_split(data), lines=lines)
 
     @classmethod
     def from_records(cls, records, id_fields):
@@ -385,21 +476,6 @@ class _Records:
         data = self.data
         return [data[b:e].decode() for b, e in zip(begin.tolist(), (begin + length).tolist())]
 
-    def codes(self, c, names):
-        """Index in ``names`` of field ``c`` of each record; -1 for none."""
-        begin, length = self.column(c)
-        head = _heads(self.words, begin, length)
-        codes = np.full(length.size, -1, np.intp)
-        for k, name in enumerate(names):
-            raw = name.encode("utf-8", "surrogatepass")
-            if raw:
-                at = np.flatnonzero(head == np.uint64(int.from_bytes(raw[:8], "little")))
-                at = at[length[at] == len(raw)]
-                same = _same_tail(self.words, begin[at], _words(raw), np.zeros_like(at),
-                                  length[at])
-                codes[at[same]] = k
-        return codes
-
     def fields(self, r):
         """All fields of record ``r``."""
         if self.records is not None:
@@ -425,9 +501,10 @@ class _Ingest:
 
     Nodes are numbered globally in file order; ``_node_type`` and
     ``_node_local`` give each one's type code and index within its type.
-    No node id is empty, so an empty endpoint fails the same lookup as an
-    unknown one.  When a check fails, ``_record_error`` re-checks the
-    first failing record alone and builds the error that names it.
+    Node ids, node types and relations are each found through a
+    ``_byte_table``; an empty field matches none of them.  When a check
+    fails, ``_record_error`` re-checks the first failing record alone and
+    builds the error that names it.
     """
 
     def __init__(self, schema):
@@ -440,6 +517,8 @@ class _Ingest:
         self._rel_target = np.array(
             [types.index(r.target) for r in schema.relations] + [-2], np.intp
         )
+        self._types = _name_table(types)
+        self._relations = _name_table([r.name for r in schema.relations])
         # per relation: (source index, target index, weight) arrays, in file order
         self._edges = [[(np.empty(0, np.int32),) * 2 + (np.empty(0),)]
                        for _ in schema.relations]
@@ -447,7 +526,7 @@ class _Ingest:
     def add_nodes(self, records, path=None):
         n = records.count.size
         ids = records.values(0)
-        codes = records.codes(1, self.schema.node_types)
+        codes = _find(self._types, records, 1)
         types = self.schema.node_types
         self.ids, local = {}, np.empty(n, np.int32 if n <= np.iinfo(np.int32).max else np.intp)
         for k, t in enumerate(types):
@@ -467,36 +546,7 @@ class _Ingest:
                                      set(ids[:r]))
         self._node_type = np.append(codes, -1)  # the -1 answers node -1 (unknown)
         self._node_local = local
-        head = _heads(records.words, begin, length)
-        table = _hash_table(_keys(records.words, begin, length, head))
-        # a last entry that matches no field answers the empty slot's -1
-        self._node_bytes = (records.words, begin, np.append(length, -1),
-                            np.append(head, np.uint64(0)), table)
-
-    def _lookup(self, records, c):
-        """Global node number of the id in field ``c`` of each record, or -1.
-
-        Each field probes the node table from its key's home slot on, and
-        stops at the node whose bytes equal its own or at an empty slot.
-        """
-        words, begin, length, head, table = self._node_bytes
-        field_begin, field_length = records.column(c)
-        field_head = _heads(records.words, field_begin, field_length)
-        slot = _home(_keys(records.words, field_begin, field_length, field_head), table.size)
-        found = np.full(slot.size, -1, np.intp)
-        todo = np.arange(slot.size)
-        while todo.size:
-            node = table[slot]
-            same = (head[node] == field_head) & (length[node] == field_length)
-            long = np.flatnonzero(same & (field_length > 8))
-            same[long] = _same_tail(records.words, field_begin[long], words,
-                                    begin[node[long]], field_length[long])
-            found[todo[same]] = node[same]
-            more = ~same & (node >= 0)
-            todo, slot = todo[more], (slot[more] + 1) & (table.size - 1)
-            field_begin, field_length, field_head = (
-                field_begin[more], field_length[more], field_head[more])
-        return found
+        self._nodes = _byte_table(records.words, begin, length)
 
     def add_edges(self, records, path=None):
         n = records.count.size
@@ -508,8 +558,8 @@ class _Ingest:
             weights[four] = np.fromiter(map(float, text), np.float64, four.size)
         except (TypeError, ValueError):  # unparseable weights read as NaN and fail below
             weights[four] = np.fromiter(map(_float_or_nan, text), np.float64, four.size)
-        codes = records.codes(2, [r.name for r in self.schema.relations])
-        s, d = self._lookup(records, 0), self._lookup(records, 1)
+        codes = _find(self._relations, records, 2)
+        s, d = _find(self._nodes, records, 0), _find(self._nodes, records, 1)
         bad |= (codes < 0) | (s < 0) | (d < 0)
         bad |= self._node_type[s] != self._rel_source[codes]
         bad |= self._node_type[d] != self._rel_target[codes]
@@ -712,12 +762,19 @@ def load_graph(nodes_path, edges_path, schema_path):
     # decoded, and newlines translated, like open(path, encoding="utf-8")
     with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as fh:
         ingest = _Ingest(_parse_schema(fh, schema_path))
-    for path, add, size in ((nodes_path, ingest.add_nodes, None),
-                            (edges_path, ingest.add_edges, BLOCK_RECORDS)):
-        digest, data = _read(path)
-        digests.append(digest)
-        for block in _file_blocks(data, size):
-            add(block, path)
+    digest, data = _read(nodes_path)
+    digests.append(digest)
+    blocks = list(_file_blocks(data, BLOCK_RECORDS))  # checked at once: edges need every id
+    del data
+    lines = np.concatenate([lines for _, lines in blocks] or [np.empty(0, np.intp)])
+    ingest.add_nodes(_Records.parse(b"".join([block for block, _ in blocks]), lines),
+                     nodes_path)
+    del blocks, lines
+    digest, data = _read(edges_path)
+    digests.append(digest)
+    for block, lines in _file_blocks(data, BLOCK_RECORDS):
+        ingest.add_edges(_Records.parse(block, lines), edges_path)
+    del data
     return ingest.finish(_combine(digests))
 
 

@@ -188,31 +188,35 @@ def test_first_bad_edge_line_wins(tmp_path, edges, message):
     assert str(err.value) == paths[1] + message
 
 
-# Records in the long-file tests below: enough that a bad record sits
-# thousands of lines into its file.
-BLOCK_LINES = 2048
-
-
 @pytest.mark.parametrize("first, second", [(0, 1), (1, 5), (-3, -1)])
 def test_first_bad_edge_line_wins_across_blocks(tmp_path, first, second):
-    lines = ["a1\tp1\twrites"] * (BLOCK_LINES + 10)
-    lines[BLOCK_LINES - 1 + first] = "a1\tp1\twrites\theavy"
-    lines[BLOCK_LINES - 1 + second] = "a1\tp1"
-    paths = write_dataset(tmp_path, GOOD_NODES, "\n".join(lines) + "\n")
-    with pytest.raises(GraphFormatError) as err:
-        h.load_graph(*paths)
-    assert err.value.line == BLOCK_LINES + first
-    assert "unparseable weight 'heavy'" in str(err.value)
+    from hetecf.graph import BLOCK_RECORDS
+
+    lines = ["a1\tp1\twrites"] * (BLOCK_RECORDS + 10)
+    lines[BLOCK_RECORDS - 1 + first] = "a1\tp1\twrites\theavy"
+    lines[BLOCK_RECORDS - 1 + second] = "a1\tp1"
+    paths = write_dataset(tmp_path, GOOD_NODES, "")
+    # each block plain as it is, plain once its lone CR line ends are
+    # translated, and normalised, as each line has a space to strip
+    for end in ("\n", "\r", " \r\n"):
+        with open(paths[1], "w", encoding="utf-8", newline="") as fh:
+            fh.write(end.join(lines) + end)
+        with pytest.raises(GraphFormatError) as err:
+            h.load_graph(*paths)
+        assert err.value.line == BLOCK_RECORDS + first
+        assert "unparseable weight 'heavy'" in str(err.value)
 
 
 def test_duplicate_node_found_across_blocks(tmp_path):
-    lines = [f"a{i}\tAuthor" for i in range(BLOCK_LINES + 10)]
-    lines[BLOCK_LINES + 3] = "a7\tAuthor"
-    lines[BLOCK_LINES + 5] = "a8\tAuthor"
+    from hetecf.graph import BLOCK_RECORDS
+
+    lines = [f"a{i}\tAuthor" for i in range(BLOCK_RECORDS + 10)]
+    lines[BLOCK_RECORDS + 3] = "a7\tAuthor"
+    lines[BLOCK_RECORDS + 5] = "a8\tAuthor"
     paths = write_dataset(tmp_path, "\n".join(lines) + "\np1\tPaper\n", "")
     with pytest.raises(GraphFormatError) as err:
         h.load_graph(*paths)
-    assert str(err.value) == f"{paths[0]}:{BLOCK_LINES + 4}: duplicate node id 'a7'"
+    assert str(err.value) == f"{paths[0]}:{BLOCK_RECORDS + 4}: duplicate node id 'a7'"
 
 
 def test_crlf_padding_comments_and_mixed_field_counts(tmp_path):
@@ -280,13 +284,15 @@ def test_source_digest_covers_the_bytes_parsed(tmp_path):
 
 
 def test_load_and_build_agree_over_several_blocks(tmp_path):
+    from hetecf.graph import BLOCK_RECORDS
+
     rng = np.random.default_rng(3)
-    counts = {"Author": BLOCK_LINES // 2, "Paper": BLOCK_LINES, "Conf": 40}
+    counts = {"Author": BLOCK_RECORDS // 2, "Paper": BLOCK_RECORDS, "Conf": 40}
     nodes = [(f"{t[0].lower()}{i}", t) for t, n in counts.items() for i in range(n)]
     order = rng.permutation(len(nodes))
     nodes = [nodes[k] for k in order]  # types interleave within each block
     edges = []
-    for _ in range(2 * BLOCK_LINES + 100):
+    for _ in range(2 * BLOCK_RECORDS + 100):
         a, p = rng.integers(0, counts["Author"]), rng.integers(0, counts["Paper"])
         edge = (f"a{a}", f"p{p}", "writes")
         edges.append(edge + (float(rng.random()),) if rng.random() < 0.5 else edge)
@@ -331,6 +337,15 @@ def test_build_graph_checks_like_load_graph(biblio_schema, nodes, edges, message
         h.build_graph(biblio_schema, nodes, edges)
     assert str(err.value) == message
     assert err.value.line is None
+
+
+def test_empty_field_matches_no_empty_declared_name():
+    schema = h.Schema(("A", "B", ""), "A", "B",
+                      (h.Relation("", "A", "B"), h.Relation("r", "A", "")))
+    with pytest.raises(GraphFormatError, match="^empty relation$"):
+        h.build_graph(schema, [("a", "A"), ("b", "B")], [("a", "b", "")])
+    with pytest.raises(GraphFormatError, match="^empty node type$"):
+        h.build_graph(schema, [("a", "A"), ("x", "")], [])
 
 
 def test_parallel_edges_are_summed(tmp_path):
@@ -602,7 +617,7 @@ def test_random_ratings_density():
     assert 0 < r.density <= 1
 
 
-# ------------------------------------- normalised files and colliding keys
+# ------------------------------------ plain and normalised blocks, colliding keys
 
 PARITY_NODES = [
     "# people\n", "a1\tAuthor\n", "a2\tAuthor\n", "a3\tAuthor\n", "a4\tAuthor\n",
@@ -618,19 +633,20 @@ PARITY_EDGES = [
 ]
 
 
-def _load_as_is_and_forced(monkeypatch, paths, key_bytes):
-    """load_graph's outcome, then its outcome with every file normalised and
-    every lookup key cut to the first ``key_bytes`` bytes of its id, so that
-    ids which share them collide; and how many files the first load
-    normalised.  An outcome is the graph's ids, arrays and digests, or the
-    error text."""
+def _load_as_is_and_forced(monkeypatch, paths, block_lines):
+    """load_graph's outcome in blocks of ``block_lines`` lines, then its
+    outcome with every block normalised and every lookup key cut to the
+    first ``block_lines`` bytes of its id, so that ids which share them
+    collide; and (block, whether plain) for each block of the first load.
+    An outcome is the graph's ids, arrays and digests, or the error text."""
     from hetecf import graph as G
 
-    normalise, normalised = G._normalise, []
+    monkeypatch.setattr(G, "BLOCK_RECORDS", block_lines)
+    is_plain, blocks = G._is_plain, []
 
-    def spy(data):
-        normalised.append(len(data))
-        return normalise(data)
+    def spy(block, ragged):
+        blocks.append((block, is_plain(block, ragged)))
+        return blocks[-1][1]
 
     def load():
         try:
@@ -642,15 +658,15 @@ def _load_as_is_and_forced(monkeypatch, paths, key_bytes):
         return (g.node_ids, list(g._index.items()), arrays, h.content_hash(g),
                 g.source_digest)
 
-    monkeypatch.setattr(G, "_normalise", spy)
+    monkeypatch.setattr(G, "_is_plain", spy)
     as_is = load()
-    seen = len(normalised)
-    monkeypatch.setattr(G, "_PLAIN_BYTES", b"")  # no file is plain
+    seen = list(blocks)
+    monkeypatch.setattr(G, "_PLAIN_BYTES", b"")  # no block is plain
     monkeypatch.setattr(G, "_keys", lambda words, begin, length, head:
-                        head & G._MASK[np.minimum(length, key_bytes)])
-    normalised.clear()
+                        head & G._MASK[np.minimum(length, block_lines)])
+    blocks.clear()
     forced = load()
-    assert normalised
+    assert blocks and not any(plain for _, plain in blocks)
     return (as_is, forced), seen
 
 
@@ -662,13 +678,11 @@ def _write_lines(tmp_path, nodes, edges):
     return paths
 
 
-# In the two tests below, ``block_lines`` is the number of bytes each
-# lookup key is cut to.
 @pytest.mark.parametrize("block_lines", [1, 2, 3, 4, 7])
 def test_fast_blocks_parse_like_line_by_line(tmp_path, monkeypatch, block_lines):
     paths = _write_lines(tmp_path, PARITY_NODES, PARITY_EDGES)
     (as_is, forced), seen = _load_as_is_and_forced(monkeypatch, paths, block_lines)
-    assert seen == 2  # both files hold comments
+    assert any(plain for _, plain in seen) and not all(plain for _, plain in seen)
     assert as_is == forced
     want = h.build_graph(
         h.load_schema(paths[2]),
@@ -703,7 +717,9 @@ def test_bad_record_in_a_fast_block_names_the_same_line(tmp_path, monkeypatch, f
     lines.insert(3, record)  # among clean lines: line 4 of its file
     paths = _write_lines(tmp_path, nodes, edges)
     (as_is, forced), seen = _load_as_is_and_forced(monkeypatch, paths, block_lines)
-    assert seen == (1 if file == "nodes" else 2)  # the file that failed was normalised
+    # the one block that holds the bad record was plain
+    assert [plain for block, plain in seen
+            if ("\n" + record).encode() in b"\n" + block] == [True]
     assert as_is == forced
     assert as_is.startswith(f"{paths[0 if file == 'nodes' else 1]}:4: ")
     assert message in as_is
@@ -838,12 +854,39 @@ def test_ingest_matches_line_by_line_reference(tmp_path, monkeypatch, seed):
         want = (ids, index, arrays,
                 h.content_hash(h.HeteroGraph(schema, ids, matrices)), digest)
     normalise, normalised = G._normalise, []
-    monkeypatch.setattr(G, "_normalise", lambda data: normalised.append(1) or normalise(data))
+    monkeypatch.setattr(G, "_normalise",
+                        lambda block, first: normalised.append(1) or normalise(block, first))
     assert _ingest_outcome(paths) == want
     assert not normalised if plain else normalised
-    # every key equal: each lookup walks the whole table and compares bytes
+    # every key equal, so each lookup walks the whole table and compares
+    # bytes; and blocks of a few lines, so most records sit near a boundary
     monkeypatch.setattr(G, "_keys", lambda words, begin, length, head: np.zeros_like(head))
+    monkeypatch.setattr(G, "BLOCK_RECORDS", 1 + seed % 7)
     assert _ingest_outcome(paths) == want
+
+
+def test_ids_made_to_share_a_key_spread_under_another_seed(monkeypatch):
+    from hetecf import graph as G
+
+    # 16-byte ids whose second words are chosen, knowing the seed, so that
+    # every id folds to one key
+    monkeypatch.setattr(G, "_SEED", np.uint64(0))
+    heads = np.arange(1, 201, dtype=np.uint64)
+    target = np.uint64(0x0123456789ABCDEF)
+    tails = G._scramble(heads) ^ target
+    data = b"".join(int(a).to_bytes(8, "little") + int(b).to_bytes(8, "little")
+                    for a, b in zip(heads.tolist(), tails.tolist()))
+    words, begin, length = G._words(data), np.arange(0, len(data), 16), np.full(200, 16)
+
+    def keys():
+        return G._keys(words, begin, length, G._heads(words, begin, length))
+
+    assert set(keys().tolist()) == {int(target)}
+    monkeypatch.setattr(G, "_SEED", np.uint64(0x5EED))
+    assert len(set(keys().tolist())) == 200
+    # keys that differ only in their low bits get different home slots
+    top = (np.arange(200, dtype=np.uint64) << np.uint64(8))
+    assert len(set(G._home(top, 1024).tolist())) > 100
 
 
 # ------------------------------------------------------ hashes and index width
