@@ -19,7 +19,8 @@ is, when they are byte-identical to the trained ones: they would parse to
 the same graph, pass the graph-hash check and give the same ids.  In
 every other case it parses the files, compares their ``content_hash``
 with the model's, and looks the user up in the parsed graph.  Both paths
-print the same answer.
+print the same answer; with ``-v``, one INFO line names the path that
+answered and, for the parse path, why the model file could not.
 """
 
 import argparse
@@ -259,38 +260,60 @@ def cmd_predict(args):
     except (CliError, *_INPUT_ERRORS):
         load_graph(*files)  # a bad graph file is reported before a bad model
         raise
-    answer = _stored_answer(header, files, _setting(args, cfg, "user"))
+    answer, reason = _stored_answer(header, files, _setting(args, cfg, "user"))
     if answer is None:
         answer = _parsed_answer(model, header, load_graph(*files), args, cfg)
+        log.info("predict: answered from the parsed graph files: %s", reason)
+    else:
+        log.info("predict: answered from the model file: %s", reason)
     index, item_ids = answer
     k = _number(_setting(args, cfg, "top_k", 10), int, "top_k", 1)
     scores = model.predict_pairs(
         np.full(len(item_ids), index), np.arange(len(item_ids))
     )
-    ranked = sorted(zip(item_ids, scores), key=lambda t: (-t[1], t[0]))
-    for item_id, score in ranked[:k]:
+    for item_id, score in top_k(item_ids, scores, k):
         print(f"{item_id}\t{score:.10g}")
     return EXIT_OK
 
 
-def _stored_answer(header, files, user_id):
-    """(user index, item ids) from the model header, or None.
+def top_k(item_ids, scores, k):
+    """The ``k`` (item id, score) pairs of highest score, equal scores in
+    item-id order: ``sorted(zip(item_ids, scores), key=lambda t: (-t[1],
+    t[0]))[:k]`` for distinct ids and scores that are not NaN.
 
-    None unless the header records the user among its ids and the files
-    are byte-identical to the ones the model was trained on.
+    Only the candidates, the items that score at least the k-th highest
+    score, are sorted by that key; ties at the k-th place are all among
+    them.  The k-th score comes from a sort of the plain floats: with the
+    selection, an eighth of the time of sorting 600 items by the key.
     """
-    if user_id is None or "source_digest" not in header:
-        return None
+    values = scores.tolist()
+    picked = range(len(values))
+    if k < len(values):
+        picked = np.flatnonzero(scores >= sorted(values)[-k]).tolist()
+    candidates = [(item_ids[j], values[j]) for j in picked]
+    return sorted(candidates, key=lambda t: (-t[1], t[0]))[:k]
+
+
+def _stored_answer(header, files, user_id):
+    """((user index, item ids) from the model header, or None; the reason).
+
+    The answer is None unless the header records the user among its ids
+    and the files are byte-identical to the ones the model was trained on.
+    """
+    if "source_digest" not in header:
+        return None, "the model records no source digest"
+    if user_id is None:
+        return None, "no user given"
     try:
         index = header["user_ids"].index(str(user_id))
     except ValueError:
-        return None
+        return None, f"user {str(user_id)!r} is not a stored user id"
     try:
         if source_digest(*files) != header["source_digest"]:
-            return None
+            return None, "the files' source digest differs from the model's"
     except OSError:  # an unreadable file: the parse path reports it
-        return None
-    return index, header["item_ids"]
+        return None, "a graph file could not be read"
+    return (index, header["item_ids"]), "the files' source digest matches"
 
 
 def _parsed_answer(model, header, graph, args, cfg):

@@ -213,6 +213,12 @@ def reference_ingest(node_types, relations, files):
     return ids, list(index.items()), arrays, digest
 
 
+def reference_top_k(item_ids, scores, k):
+    """The ``k`` (item id, score) pairs of highest score, by a sort of
+    every pair: highest score first, equal scores in item-id order."""
+    return sorted(zip(item_ids, scores), key=lambda t: (-t[1], t[0]))[:k]
+
+
 def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-np.clip(x, -500, 500)))
 

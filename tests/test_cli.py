@@ -20,6 +20,8 @@ from hetecf import (
 from hetecf.cli import main
 from hetecf.model import Hyperparams, load_model, save_model
 
+from oracles import reference_top_k
+
 SAMPLE = pathlib.Path(__file__).resolve().parent.parent / "sample_data"
 GRAPH_FLAGS = [
     "--nodes", str(SAMPLE / "nodes.tsv"),
@@ -671,3 +673,157 @@ def test_parser_offers_exactly_the_four_subcommands():
     with pytest.raises(SystemExit) as exc:
         main(["benchmark"])
     assert exc.value.code == 2
+
+
+# ------------------------------------------------------------------- top-k
+
+
+def test_top_k_matches_a_full_sort():
+    """Random scores, half of them drawn from a few levels so that ties
+    cross the k-th place, against a sort of every (item, score) pair."""
+    seen = {"tie at the k-th place": 0, "k = 1": 0, "k = m": 0, "k > m": 0}
+    for seed in range(300):
+        rng = np.random.default_rng([seed, 0x70C])
+        m = int(rng.integers(1, 80))
+        if seed % 2:
+            levels = rng.random(int(rng.integers(1, 6)))
+            scores = levels[rng.integers(0, levels.size, m)]
+        else:
+            scores = rng.random(m)
+        # ids of mixed lengths in a random order, so id order is not index order
+        ids = [f"i{int(x)}" for x in rng.choice(10 ** int(rng.integers(2, 5)), m, replace=False)]
+        for k in {1, m, m + 1 + int(rng.integers(0, 5)), int(rng.integers(1, m + 1))}:
+            got, want = cli.top_k(ids, scores, k), reference_top_k(ids, scores, k)
+            assert [(i, float(s)) for i, s in got] == [(i, float(s)) for i, s in want]
+            assert all(type(s) is float for _, s in got)
+            if k < m and np.count_nonzero(scores == want[-1][1]) > 1:
+                seen["tie at the k-th place"] += 1
+            seen["k = 1"] += k == 1
+            seen["k = m"] += k == m
+            seen["k > m"] += k > m
+    assert min(seen.values()) >= 20, seen
+
+
+def test_top_k_with_ties_at_the_cut():
+    scores = np.array([0.5, 0.9, 0.5, 0.1, 0.5])
+    ids = ["e", "a", "c", "b", "d"]
+    assert cli.top_k(ids, scores, 3) == [("a", 0.9), ("c", 0.5), ("d", 0.5)]
+    assert cli.top_k(ids, scores, 1) == [("a", 0.9)]
+    assert cli.top_k(ids, scores, 9) == reference_top_k(ids, scores, 9)
+
+
+# ------------------------------------------------------------ observability
+
+
+@pytest.mark.parametrize("case,reason", [
+    ("stored", "answered from the model file: the files' source digest matches"),
+    ("no digest", "answered from the parsed graph files: the model records no source digest"),
+    ("digest differs", "answered from the parsed graph files: "
+                       "the files' source digest differs from the model's"),
+])
+def test_predict_verbose_names_the_path_that_answered(tmp_path, capsys, caplog, case, reason):
+    import logging
+
+    flags = copy_sample(tmp_path)
+    f = train_model(tmp_path, flags)
+    if case == "no digest":
+        f = without_source(f, tmp_path / "parsed.npz")
+    elif case == "digest differs":
+        edges = tmp_path / "edges.tsv"
+        edges.write_bytes(edges.read_bytes() + b"# appended\n")
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="hetecf"):
+        rc = main(["-v", "predict", *flags, "--model", str(f), "--user", "alice"])
+    assert rc == 0
+    assert [r.getMessage() for r in caplog.records
+            if r.getMessage().startswith("predict:")] == ["predict: " + reason]
+
+
+def test_predict_names_no_path_when_it_gives_no_answer(tmp_path, capsys, caplog):
+    import logging
+
+    f = train_model(tmp_path, GRAPH_FLAGS)
+    with caplog.at_level(logging.INFO, logger="hetecf"):
+        rc = main(["-v", "predict", *GRAPH_FLAGS, "--model", str(f), "--user", "p01"])
+    assert rc == 2
+    assert not [r for r in caplog.records if r.getMessage().startswith("predict:")]
+
+
+def test_predict_verbose_names_a_user_missing_from_the_stored_ids(tmp_path, capsys, caplog):
+    import logging
+
+    flags = copy_sample(tmp_path)
+    f = train_model(tmp_path, flags)
+    model, weights, header = load_model(str(f))
+    # the same graph, but a stored user list that lacks alice: the parse path answers
+    user_ids = ["x" + u if u == "alice" else u for u in header["user_ids"]]
+    source = (header["source_digest"], user_ids, header["item_ids"])
+    save_model(str(f), model, weights, Hyperparams(**header["hyperparams"]),
+               header["graph_hash"], source)
+    with caplog.at_level(logging.INFO, logger="hetecf"):
+        rc, out = predict(capsys, flags, f, "alice")
+    assert rc == 0 and out
+    assert [r.getMessage() for r in caplog.records if r.getMessage().startswith("predict:")] == [
+        "predict: answered from the parsed graph files: user 'alice' is not a stored user id"]
+
+
+# ------------------------------------------------------------ lazy node index
+
+
+def test_train_evaluate_and_setup_never_build_the_node_index(tmp_path, capsys, monkeypatch):
+    from hetecf import graph as G
+
+    built = []
+    node_index = G._node_index
+    monkeypatch.setattr(G, "_node_index", lambda *args: built.append(args) or node_index(*args))
+    flags = copy_sample(tmp_path)
+    f = train_model(tmp_path, flags)
+    setup = tmp_path / "setup.npz"  # a set-up: a train with no outer iteration
+    assert main(["train", *flags, "--paths", str(SAMPLE / "paths.txt"), "--target-path", TARGET,
+                 "--model-out", str(setup), *FAST, "--max-outer", "0"]) == 0
+    assert main(["evaluate", *flags, "--paths", str(SAMPLE / "paths.txt"), "--target-path",
+                 TARGET, "--methods", "hete_cf", "--fractions", "0.8", "--d-values", "2",
+                 "--trials", "1", "--max-inner", "2", "--max-outer", "1"]) == 0
+    assert predict(capsys, flags, f, "alice")[0] == 0  # from the model file
+    assert built == []
+    # the parse path looks the user up, and builds the index once
+    assert predict(capsys, flags, without_source(f, tmp_path / "p.npz"), "alice")[0] == 0
+    assert len(built) == 1
+
+
+def test_node_index_built_on_demand_is_in_file_order(tmp_path):
+    from hetecf import graph as G
+
+    nodes = "p2\tPaper\nbob\tAuthor\nc1\tConf\nalice\tAuthor\np1\tPaper\n"
+    (tmp_path / "nodes.tsv").write_text(nodes)
+    (tmp_path / "edges.tsv").write_text("bob\tp1\twrites\np1\tc1\tpublished_in\n")
+    (tmp_path / "schema.txt").write_text((SAMPLE / "schema.txt").read_text())
+    g = load_graph(*(str(tmp_path / n) for n in ("nodes.tsv", "edges.tsv", "schema.txt")))
+    assert "_index" not in vars(g)
+    assert list(g._index.items()) == [
+        ("p2", ("Paper", 0)), ("bob", ("Author", 0)), ("c1", ("Conf", 0)),
+        ("alice", ("Author", 1)), ("p1", ("Paper", 1)),
+    ]
+    assert g.node_index("alice") == ("Author", 1)
+    # a graph made in memory without file order: type by type
+    mem = G.HeteroGraph(g.schema, g.node_ids, g.matrices)
+    assert list(mem._index) == ["bob", "alice", "p2", "p1", "c1"]
+
+
+# ---------------------------------------------------------- invalid UTF-8
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("kind,line", [("nodes.tsv", 4), ("edges.tsv", 6), ("schema.txt", 3)])
+def test_file_that_is_not_utf8_names_its_file_and_line(tmp_path, caplog, kind, line, newline):
+    flags = copy_sample(tmp_path)
+    path = tmp_path / kind
+    lines = path.read_bytes().split(b"\n")
+    lines[line - 1] = lines[line - 1][:3] + b"\xff" + lines[line - 1][3:]
+    path.write_bytes(newline.encode().join(lines))
+    with pytest.raises(cli.GraphFormatError) as exc:
+        load_graph(*flags[1::2])
+    assert exc.value.line == line and exc.value.source_path == str(path)
+    rc = main(["validate", *flags])
+    assert rc == 2
+    assert f"{path}:{line}: not valid UTF-8 (invalid start byte 0xff)" in caplog.text

@@ -855,7 +855,7 @@ def test_ingest_matches_line_by_line_reference(tmp_path, monkeypatch, seed):
                 h.content_hash(h.HeteroGraph(schema, ids, matrices)), digest)
     normalise, normalised = G._normalise, []
     monkeypatch.setattr(G, "_normalise",
-                        lambda block, first: normalised.append(1) or normalise(block, first))
+                        lambda *args: normalised.append(1) or normalise(*args))
     assert _ingest_outcome(paths) == want
     assert not normalised if plain else normalised
     # every key equal, so each lookup walks the whole table and compares

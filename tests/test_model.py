@@ -444,7 +444,7 @@ def test_save_load_round_trip_bit_exact(tmp_path):
     assert np.array_equal(w2.beta, weights.beta)
     assert np.array_equal(w2.w, weights.w)
     assert header["graph_hash"] == "abc123"
-    assert header["format_version"] == 2
+    assert header["format_version"] == 3
     assert header["hyperparams"]["lam"] == 0.02
     assert (header["n"], header["m"], header["d"]) == (4, 5, 3)
 
@@ -470,14 +470,12 @@ def test_load_model_rejects_inconsistent_header(tmp_path):
     f = str(tmp_path / "m.npz")
     header = {
         "format_version": MODEL_FORMAT_VERSION, "n": 7, "m": 1, "d": 1,
-        "n_user_paths": 0, "n_item_paths": 0, "n_cross_paths": 0,
-        "hyperparams": {}, "graph_hash": "",
+        "alpha": [], "beta": [], "w": [], "hyperparams": {}, "graph_hash": "",
     }
     np.savez(
         f,
         header=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8),
         U=np.zeros((1, 1)), V=np.zeros((1, 1)),
-        alpha=np.zeros(0), beta=np.zeros(0), w=np.zeros(0),
     )
     with pytest.raises(ValueError, match="disagrees"):
         load_model(f)
@@ -498,20 +496,20 @@ def test_load_model_rejects_header_that_is_not_an_object(tmp_path, header):
         load_model(f)
 
 
-def write_model_with_header(path, **source):
-    """A 2-user, 1-item model file whose header adds the ``source`` keys."""
+def write_model_with_header(path, U=None, V=None, **keys):
+    """A 2-user, 1-item model file, with factors ``U`` and ``V`` (zeros by
+    default), whose header adds or replaces the given ``keys``."""
     import json
 
     header = {
         "format_version": MODEL_FORMAT_VERSION, "n": 2, "m": 1, "d": 1,
-        "n_user_paths": 0, "n_item_paths": 0, "n_cross_paths": 0,
-        "hyperparams": {}, "graph_hash": "", **source,
+        "alpha": [], "beta": [], "w": [], "hyperparams": {}, "graph_hash": "", **keys,
     }
     np.savez(
         path,
         header=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8),
-        U=np.zeros((2, 1)), V=np.zeros((1, 1)),
-        alpha=np.zeros(0), beta=np.zeros(0), w=np.zeros(0),
+        U=np.zeros((2, 1)) if U is None else U,
+        V=np.zeros((1, 1)) if V is None else V,
     )
     return path
 
@@ -559,3 +557,91 @@ def test_load_model_rejects_partial_source_keys(tmp_path, missing):
     f = write_model_with_header(str(tmp_path / "m.npz"), **source)
     with pytest.raises(ModelFormatError, match=f"but not {missing}"):
         load_model(f)
+
+
+def test_model_file_holds_only_header_and_factors(tmp_path):
+    rng = np.random.default_rng(3)
+    model = FactorModel(rng.normal(size=(3, 2)), rng.normal(size=(4, 2)))
+    # floats whose shortest repr needs all 17 digits, and ones at the ends of the range
+    weights = PathWeights([0.1 + 0.2, 5e-324], [np.nextafter(1.0, 2.0)],
+                          [1.7976931348623157e308, 0.0])
+    f = str(tmp_path / "m.npz")
+    save_model(f, model, weights, Hyperparams(d=2))
+    with np.load(f) as data:
+        assert sorted(data.files) == ["U", "V", "header"]
+        assert data["U"].dtype == data["V"].dtype == np.float64
+        assert data["U"].tobytes() == model.U.tobytes()
+        assert data["V"].tobytes() == model.V.tobytes()
+    _, w2, header = load_model(f)
+    for name in ("alpha", "beta", "w"):
+        assert getattr(w2, name).tobytes() == getattr(weights, name).tobytes()
+        assert header[name] == getattr(weights, name).tolist()
+    assert not {"n_user_paths", "n_item_paths", "n_cross_paths"} & set(header)
+
+
+def test_load_model_refuses_format_version_2(tmp_path):
+    import json
+
+    f = str(tmp_path / "m.npz")
+    header = {  # a version-2 file: weights as members, their counts in the header
+        "format_version": 2, "n": 2, "m": 1, "d": 1,
+        "n_user_paths": 1, "n_item_paths": 0, "n_cross_paths": 0,
+        "hyperparams": {}, "graph_hash": "",
+    }
+    np.savez(
+        f,
+        header=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8),
+        U=np.zeros((2, 1)), V=np.zeros((1, 1)),
+        alpha=np.ones(1), beta=np.zeros(0), w=np.zeros(0),
+    )
+    with pytest.raises(ModelFormatError, match="unsupported model format version 2$"):
+        load_model(f)
+
+
+@pytest.mark.parametrize("factor", ["U", "V"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_load_model_refuses_non_finite_factors(tmp_path, factor, value):
+    bad = np.zeros((2, 1) if factor == "U" else (1, 1))
+    bad[-1, 0] = value
+    f = write_model_with_header(str(tmp_path / "m.npz"), **{factor: bad})
+    with pytest.raises(ModelFormatError, match="factors are not all finite"):
+        load_model(f)
+
+
+@pytest.mark.parametrize("key", ["alpha", "beta", "w"])
+@pytest.mark.parametrize("value,message", [
+    (0.5, "is not a list of numbers"),            # a number, not a list
+    ({"0": 0.5}, "is not a list of numbers"),     # an object
+    (None, "is not a list of numbers"),
+    (["0.5"], "is not a list of numbers"),        # a string that float() would read
+    ([0.5, "x"], "is not a list of numbers"),
+    ([True], "is not a list of numbers"),         # a bool is not a number
+    ([[0.5]], "is not a list of numbers"),        # nested
+    ([-0.25], "must be finite and nonnegative"),
+    ([float("nan")], "must be finite and nonnegative"),   # json writes NaN
+    ([float("inf")], "must be finite and nonnegative"),
+    ([10 ** 400], "too large"),                   # an int no float holds
+])
+def test_load_model_refuses_malformed_weights(tmp_path, key, value, message):
+    f = write_model_with_header(str(tmp_path / "m.npz"), **{key: value})
+    with pytest.raises(ModelFormatError, match=message):
+        load_model(f)
+
+
+def test_load_model_requires_every_weight_list(tmp_path):
+    import json
+
+    f = str(tmp_path / "m.npz")
+    header = {"format_version": MODEL_FORMAT_VERSION, "n": 1, "m": 1, "d": 1,
+              "alpha": [], "beta": [], "hyperparams": {}, "graph_hash": ""}
+    np.savez(f, header=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8),
+             U=np.zeros((1, 1)), V=np.zeros((1, 1)))
+    with pytest.raises(ModelFormatError, match="unreadable model file .*'w'"):
+        load_model(f)
+
+
+def test_load_model_accepts_integer_weights(tmp_path):
+    f = write_model_with_header(str(tmp_path / "m.npz"), alpha=[1, 0], w=[2.5])
+    _, weights, _ = load_model(f)
+    assert weights.alpha.tolist() == [1.0, 0.0] and weights.alpha.dtype == np.float64
+    assert weights.counts == (2, 0, 1)
