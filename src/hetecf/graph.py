@@ -39,9 +39,9 @@ each record kept.  The records are then checked with array masks, the
 nodes file's all at once and the edges file's a block at a time.  The
 first bad record in file order raises a ``GraphFormatError`` naming its
 ``file:line``.  An empty node id, node type, edge endpoint or relation
-is an error.  A byte that is not valid UTF-8 raises one too, naming the
-line that holds it, when its block is normalised: before any record of
-that block is checked.  The schema file is decoded whole, first.
+is an error.  So is a byte that is not valid UTF-8, at its place in
+file order: it names its line, and the records before it are checked
+first.  The schema file is decoded whole, before any other check.
 
 Node ids are decoded to strings; edge endpoints never are.  Each
 endpoint is looked up in a hash table of the node ids by a 64-bit key
@@ -392,7 +392,9 @@ def _file_blocks(data, size, path):
     character or a line end.  Each block has its line ends turned into
     ``\\n``, one added after a last line that has none.  A plain block is
     then yielded as it is and any other is normalised; a block left with
-    no record is skipped.
+    no record is skipped.  A block with a byte that is not valid UTF-8
+    yields its lines before that byte's line, then raises the
+    GraphFormatError naming that line.
     """
     codes = np.frombuffer(data, np.uint8)
     # a megabyte at a time, so that each array of one bool per byte is small
@@ -421,7 +423,15 @@ def _file_blocks(data, size, path):
             count = size if b < len(data) else block.count(b"\n")  # the last may be short
             lines = np.arange(k * size + 1, k * size + count + 1)
         else:
-            block, lines = _normalise(block, k * size, path)
+            try:
+                block, lines = _normalise(block, k * size, path)
+            except GraphFormatError as exc:  # not UTF-8: the lines before it come first
+                good = exc.line - k * size - 1  # whole lines of the block before the bad one
+                ends = np.flatnonzero(np.frombuffer(block, np.uint8) == 10)
+                block, lines = _normalise(block[:ends[good - 1] + 1 if good else 0], k * size, path)
+                if lines.size:
+                    yield block, lines
+                raise
         if lines.size:
             yield block, lines
 
@@ -809,13 +819,19 @@ def load_graph(nodes_path, edges_path, schema_path):
     ingest = _Ingest(_parse_schema(data, schema_path))
     digest, data = _read(nodes_path)
     digests.append(digest)
-    # checked at once: edges need every id
-    blocks = list(_file_blocks(data, BLOCK_RECORDS, nodes_path))
+    blocks, bad_byte = [], None  # checked at once: edges need every id
+    try:
+        for block in _file_blocks(data, BLOCK_RECORDS, nodes_path):
+            blocks.append(block)
+    except GraphFormatError as exc:  # not UTF-8: the records before it are checked first
+        bad_byte = exc
     del data
     lines = np.concatenate([lines for _, lines in blocks] or [np.empty(0, np.intp)])
     ingest.add_nodes(_Records.parse(b"".join([block for block, _ in blocks]), lines),
                      nodes_path)
     del blocks, lines
+    if bad_byte is not None:
+        raise bad_byte
     digest, data = _read(edges_path)
     digests.append(digest)
     for block, lines in _file_blocks(data, BLOCK_RECORDS, edges_path):

@@ -827,3 +827,26 @@ def test_file_that_is_not_utf8_names_its_file_and_line(tmp_path, caplog, kind, l
     rc = main(["validate", *flags])
     assert rc == 2
     assert f"{path}:{line}: not valid UTF-8 (invalid start byte 0xff)" in caplog.text
+
+
+@pytest.mark.parametrize("block_records", [8192, 2])
+@pytest.mark.parametrize("bad_line", [3, 7])
+@pytest.mark.parametrize("kind", ["nodes.tsv", "edges.tsv"])
+def test_bad_record_before_a_byte_that_is_not_utf8_comes_first(tmp_path, monkeypatch, kind,
+                                                                bad_line, block_records):
+    from hetecf import graph as G
+
+    monkeypatch.setattr(G, "BLOCK_RECORDS", block_records)  # 2: lines 7 and 8 share a block
+    flags = copy_sample(tmp_path)
+    path = tmp_path / kind
+    lines = path.read_bytes().split(b"\n")
+    record = lines[bad_line - 1]
+    lines[7] += b"\xff"  # line 8
+    lines[bad_line - 1] = b"a\tb\tc\td\te"  # five fields: a bad node or edge
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(cli.GraphFormatError, match=f":{bad_line}: expected .* got 5 fields"):
+        load_graph(*flags[1::2])
+    lines[bad_line - 1] = record
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(cli.GraphFormatError, match=":8: not valid UTF-8"):
+        load_graph(*flags[1::2])
