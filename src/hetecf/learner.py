@@ -20,6 +20,24 @@ gathers otherwise.  The factor gradient is computed once per factor
 point: a rejected candidate leaves the factors and the frozen weights as
 they were.
 
+Worker thread: with two CPUs, a Problem shares its large sparse products
+with one worker thread, started on first use and stopped when ``train``
+ends.  Each Laplacian whose product costs at least ``PARALLEL_MIN_WORK``
+multiply-adds (stored entries x d) is cut once per Problem, at the row
+nearest half its entries, into two CSR row blocks that share its data
+and indices.  For every new product the worker multiplies the second
+block while this thread runs the entry half and then the first block; on
+the gather side the worker computes ``G.T @ U`` while this thread computes
+``G @ V``.  It is exact: every output row comes from the kernel scipy's
+``L @ X`` runs, over the same entries in the same order, and the traces
+and sums are taken on this thread after the join, so the model's bytes
+do not depend on the split.  The worker runs only scipy sparse kernels,
+which release the GIL and do no ufunc work (so no errstate applies), and
+never BLAS.  Below the threshold, or when ``os.sched_getaffinity`` gives
+one CPU, the same products run inline and no thread starts.  ``train``
+logs one INFO line saying whether the kernels ran on two threads, or why
+not.
+
 Active set: at the start of each factor phase :meth:`Problem.activate`
 keeps in the entry list only the rating block and the user-item relations
 whose weight is nonzero, rebuilding the list when that set changes, and
@@ -56,11 +74,14 @@ their values at the start of the iteration.  The weights take no part.
 
 import logging
 import math
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvecs
 
 from .model import (
     FactorModel,
@@ -87,6 +108,14 @@ _EPS = 1e-12
 # grids, from 0.2 up the dense pass is 1.7-3.2x faster there, and on a
 # 200 x 60 grid it is 2.3-8.4x faster at every density.
 DENSE_MIN_DENSITY = 0.2
+# Multiply-adds (stored entries x d) from which a sparse factor product is
+# shared with the worker thread.  Measured in paired training runs at
+# d = 10 on a 2-CPU host with one BLAS thread: splitting a Laplacian
+# product of 144k multiply-adds made a run 19% slower and one of 324k 4.5%
+# slower; 400k broke even; 576k and 1.3M made it 2.8% and 11% faster.  The
+# fit gradient's two products at 1.13M took 0.90x their one-thread time.
+# The threshold sits at twice the break-even.
+PARALLEL_MIN_WORK = 1_000_000
 # Pairs per gathered block on the sparse side.  Blocks of gathered rows
 # that stay in cache took the gather-and-dot of 113k pairs at d = 10 from
 # 7.3 ms to 2.8 ms; np.take gathers rows 2-3x faster than fancy indexing.
@@ -206,16 +235,52 @@ def _check_terms(values):
             raise NumericalError(f"objective term {label!r} is non-finite ({value!r})")
 
 
-def _relation_entries(sims):
-    """COO triples of each user-item similarity in ``sims`` (values are
-    not clipped: they are PathSim values, already in [0, 1])."""
+def _relation_entries(sims, m):
+    """(pair keys ``row * m + col``, values) of each user-item similarity
+    in ``sims``, in the order of coo_array(M); the values are M's own
+    array (not clipped: they are PathSim values, already in [0, 1])."""
     out = []
     for sim in sims:
         M = sp.csr_array(sim.matrix)
-        # the triples of coo_array(M), in the same order, without its checks
-        rows = np.repeat(np.arange(M.shape[0], dtype=np.int64), np.diff(M.indptr))
-        out.append((rows, M.indices.astype(np.int64), M.data.astype(np.float64)))
+        keys = np.repeat(np.arange(M.shape[0], dtype=np.int64) * m, np.diff(M.indptr))
+        keys += M.indices
+        out.append((keys, np.asarray(M.data, dtype=np.float64)))
     return out
+
+
+def _cpu_count():
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _row_halves(L):
+    """The two row blocks of the CSR matrix ``L`` cut at the row nearest
+    half its stored entries, each as (first row, end row, columns, indptr,
+    indices, data); ``indices`` and ``data`` are views of L's."""
+    cut = int(np.searchsorted(L.indptr, L.nnz // 2))
+    halves = []
+    for start, end in ((0, cut), (cut, L.shape[0])):
+        lo, hi = L.indptr[start], L.indptr[end]
+        halves.append((start, end, L.shape[1], L.indptr[start:end + 1] - lo,
+                       L.indices[lo:hi], L.data[lo:hi]))
+    return halves
+
+
+def _multiply_rows(block, X, out):
+    """Add rows ``start:end`` of ``L @ X`` into those of ``out`` through
+    the kernel that scipy's ``L @ X`` runs, so each of these rows of a
+    zeroed ``out`` gets the bytes ``L @ X`` gives it.  The kernel releases
+    the GIL and does no ufunc work, so no errstate applies to it."""
+    start, end, n_cols, indptr, indices, data = block
+    if (X.ndim != 2 or X.shape[0] != n_cols or out.shape[1:] != X.shape[1:]
+            or out.shape[0] < end or not out.flags.c_contiguous):
+        raise ValueError(f"row product of {n_cols} columns with X of shape {X.shape}"
+                         f" into an output of shape {out.shape}")
+    csr_matvecs(end - start, n_cols, X.shape[1], indptr, indices, data,
+                X.ravel(), out[start:end].ravel())
 
 
 class Problem:
@@ -226,6 +291,10 @@ class Problem:
     :meth:`activate` last ran (every relation before its first call).
     Likewise ``active_u`` and ``active_v`` name the Laplacians whose
     products each factor candidate computes.
+
+    With two CPUs, the sparse factor products of at least
+    ``PARALLEL_MIN_WORK`` multiply-adds are shared with one worker thread,
+    started on first use; :meth:`close` stops it.
     """
 
     def __init__(self, ratings, rels, hp, laps=None):
@@ -250,6 +319,60 @@ class Problem:
         self.density = flat.size / (self.n * self.m)
         self.dense = self.density >= DENSE_MIN_DENSITY
         self._index_pairs(flat)
+        self._two_cpus = _cpu_count() > 1
+        self._pool = None
+        self._worker_tasks = 0
+        # the largest sparse product, for the report of why none was shared
+        self._largest_nnz = max(
+            [L.nnz for L in self.laps.user + self.laps.item] + [0 if self.dense else flat.size]
+        )
+        # row halves of the Laplacians whose products the worker shares
+        self._halves = tuple(
+            [_row_halves(L) if self._shared(L) else None for L in laps]
+            for laps in (self.laps.user, self.laps.item)
+        )
+
+    def _shared(self, M):
+        """Whether a product of the sparse matrix ``M`` with a factor
+        matrix is shared with the worker thread."""
+        return (self._two_cpus and sp.issparse(M) and M.format == "csr"
+                and M.nnz * self.hp.d >= PARALLEL_MIN_WORK)
+
+    def _beside(self, side, main):
+        """``(main(), side())``, with ``side`` run on the worker thread
+        while ``main`` runs on this one.  An exception ``main`` raises
+        propagates once ``side`` has finished; one ``side`` raises
+        propagates unchanged from reading its result."""
+        if self._pool is None:
+            self._pool = ThreadPoolExecutor(1, thread_name_prefix="hetecf-kernels")
+        future = self._pool.submit(side)
+        self._worker_tasks += 1
+        try:
+            result = main()
+        finally:
+            wait([future])
+        return result, future.result()
+
+    def close(self):
+        """Stop the worker thread, if one was started."""
+        if self._pool is not None:
+            self._pool.shutdown()
+            self._pool = None
+
+    def kernel_report(self):
+        """Whether the sparse factor products ran on two threads, or why not."""
+        if self._worker_tasks:
+            split = [
+                name
+                for names, halves in zip(self._names, self._halves)
+                for name, half in zip(names, halves) if half is not None
+            ]
+            return (f"ran on two threads, {self._worker_tasks} tasks on the worker;"
+                    f" Laplacians split by rows: {', '.join(split) or 'none'}")
+        if not self._two_cpus:
+            return "ran on one thread: one CPU available"
+        return (f"ran on one thread: below the threshold (largest sparse product"
+                f" {self._largest_nnz} nnz x d {self.hp.d} < {PARALLEL_MIN_WORK})")
 
     @property
     def graph_products(self):
@@ -261,21 +384,31 @@ class Problem:
         one entry list; returns the sorted distinct pair keys."""
         ratings = self._ratings
         # block 0 holds the ratings, block k + 1 the k-th active relation
-        blocks = [(ratings.rows, ratings.cols, ratings.vals)] + _relation_entries(
-            [self._user_item[k] for k in self.active]
+        blocks = [(ratings.rows * self.m + ratings.cols, ratings.vals)] + _relation_entries(
+            [self._user_item[k] for k in self.active], self.m
         )
-        self.bounds = np.cumsum([0] + [len(b[2]) for b in blocks])
+        self.bounds = np.cumsum([0] + [len(vals) for _, vals in blocks])
         self._block_sizes = np.diff(self.bounds)
-        rows, cols, self.vals = (np.concatenate([b[i] for b in blocks]) for i in range(3))
-        keys = rows * self.m + cols
+        keys = np.concatenate([keys for keys, _ in blocks])
+        self.vals = np.concatenate([vals for _, vals in blocks])
+        del blocks  # free the per-block keys before the sort below
         # one entry per pair, in pair order: the entries need no gather by
         # pair and no sum over pairs; covering the whole grid, they are the
         # dense prediction matrix itself
         self._in_order = bool(np.all(keys[1:] > keys[:-1]))
         if self._in_order:
             flat, self.pair = keys, np.arange(keys.size)
-        else:
-            flat, self.pair = np.unique(keys, return_inverse=True)
+        else:  # np.unique(keys, return_inverse=True), with fewer temporaries
+            order = np.argsort(keys, kind="stable")
+            keys = keys[order]
+            first = np.empty(keys.size, dtype=bool)
+            first[:1] = True
+            np.not_equal(keys[1:], keys[:-1], out=first[1:])
+            flat = keys[first]
+            np.cumsum(first, out=keys)  # 1 + each entry's pair, in sorted order
+            keys -= 1
+            self.pair = np.empty(keys.size, dtype=np.intp)
+            self.pair[order] = keys
         self.n_pairs = flat.size
         self._whole_grid = self._in_order and flat.size == self.n * self.m
         return flat
@@ -286,14 +419,12 @@ class Problem:
             self._flat = flat
         else:
             self._pair_rows, self._pair_cols = np.divmod(flat, self.m)
-            # CSR pattern of the distinct pairs (sorted row-major); every
-            # fit gradient reuses its index arrays, already in scipy's dtype
-            self._pattern = sp.csr_array(
-                (np.zeros(flat.size), self._pair_cols,
-                 np.concatenate([[0], np.cumsum(np.bincount(self._pair_rows,
-                                                            minlength=self.n))])),
-                shape=(self.n, self.m),
-            )
+            # CSR indices and indptr of the distinct pairs (sorted
+            # row-major), which every fit gradient reuses
+            index = np.int32 if max(self.n, self.m, flat.size) < 2**31 else np.int64
+            indptr = np.zeros(self.n + 1, dtype=index)
+            np.cumsum(np.bincount(self._pair_rows, minlength=self.n), out=indptr[1:])
+            self._pattern = (self._pair_cols.astype(index), indptr)
 
     def activate(self, weights):
         """Make the active sets the relations whose ``w_k`` and the
@@ -395,17 +526,39 @@ class Problem:
             return base
         tr_u = base.tr_u.copy() if base else np.zeros(len(LU))
         tr_v = base.tr_v.copy() if base else np.zeros(len(LV))
-        for laps, X, new, products, tr in (
-            (self.laps.user, U, new_u, LU, tr_u),
-            (self.laps.item, V, new_v, LV, tr_v),
-        ):
-            for k in new:
-                products[k] = laps[k] @ X
-                tr[k] = trace_quad(laps[k], X, products[k])
-        if same_entries:
-            entries = {k: getattr(base, k) for k in ("slope", "resid", "fit", "rel_ssq")}
-        else:
-            entries = self._entry_half(U, V)
+        new = [  # (L, its row halves or None, X, products, k, traces) per new product
+            (laps[k], halves[k], X, products, k, tr)
+            for laps, halves, X, ks, products, tr in (
+                (self.laps.user, self._halves[0], U, new_u, LU, tr_u),
+                (self.laps.item, self._halves[1], V, new_v, LV, tr_v),
+            )
+            for k in ks
+        ]
+        split = [job for job in new if job[1] is not None]
+        for L, _, X, products, k, _ in split:
+            products[k] = np.zeros((L.shape[0], X.shape[1]))
+
+        def main():
+            if same_entries:
+                entries = {k: getattr(base, k) for k in ("slope", "resid", "fit", "rel_ssq")}
+            else:
+                entries = self._entry_half(U, V)
+            for L, halves, X, products, k, _ in new:
+                if halves is None:
+                    products[k] = L @ X
+                else:
+                    _multiply_rows(halves[0], X, products[k])
+            return entries
+
+        def side():
+            for _, halves, X, products, k, _ in split:
+                _multiply_rows(halves[1], X, products[k])
+
+        # the worker multiplies the second halves while this thread runs
+        # the entry half and then the first halves
+        entries = self._beside(side, main)[0] if split else main()
+        for L, _, X, products, k, tr in new:
+            tr[k] = trace_quad(L, X, products[k])
         factor_ridge = base.factor_ridge if base else (
             float(self.n_user @ np.sum(U**2, axis=1))
             + float(self.n_item @ np.sum(V**2, axis=1))
@@ -472,10 +625,14 @@ class Problem:
             G = G.reshape(self.n, self.m)
         else:
             G = sp.csr_array(
-                (g, self._pattern.indices, self._pattern.indptr), shape=(self.n, self.m)
+                (g, *self._pattern), shape=(self.n, self.m)
             )
-        dU = 2.0 * lam * self.n_user[:, None] * U + G @ V
-        dV = 2.0 * lam * self.n_item[:, None] * V + G.T @ U
+        if self._shared(G):
+            GV, GtU = self._beside(lambda: G.T @ U, lambda: G @ V)
+        else:
+            GV, GtU = G @ V, G.T @ U
+        dU = 2.0 * lam * self.n_user[:, None] * U + GV
+        dV = 2.0 * lam * self.n_item[:, None] * V + GtU
         for a, LU in zip(weights.alpha, point.LU):
             if a != 0.0:
                 dU += (2.0 * a) * LU
@@ -698,6 +855,15 @@ def train(ratings, rels, hp, laps=None):
     ``laps`` is the LaplacianSet of ``rels`` when the caller has it.
     """
     data = build_problem(ratings, rels, hp, laps)
+    try:
+        return _train(data, ratings, rels, hp)
+    finally:
+        data.close()
+        log.info("factor kernels %s", data.kernel_report())
+
+
+def _train(data, ratings, rels, hp):
+    """The outer loop of :func:`train` on the Problem ``data``."""
     n_uu, n_ii, n_ui = rels.counts
     state = init(hp, (ratings.n, ratings.m, n_uu, n_ii, n_ui))
     state.j_value = data.value(_point(state, data), state.weights)

@@ -337,8 +337,9 @@ def save_model(path, model, weights, hp, graph_hash="", source=None):
     np.savez(
         buf,
         header=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8),
-        U=model.U,
-        V=model.V,
+        # the C-ordered little-endian float64 members load_model reads
+        U=np.ascontiguousarray(model.U, dtype="<f8"),
+        V=np.ascontiguousarray(model.V, dtype="<f8"),
     )
     atomic_write_bytes(path, buf.getvalue())
 
@@ -346,26 +347,62 @@ def save_model(path, model, weights, hp, graph_hash="", source=None):
 _WEIGHT_KEYS = ("alpha", "beta", "w")
 
 
+# The .npy header np.savez writes for each member of a model file: format
+# 1.0, a dtype, C order and a 1-d or 2-d shape, padded with spaces.
+_NPY_HEADER = re.compile(
+    rb"\x93NUMPY\x01\x00(?P<size>..)\{'descr': '(?P<descr>[^']*)', "
+    rb"'fortran_order': False, 'shape': \((?P<rows>\d+),(?: (?P<cols>\d+))?\), \} *\n",
+    re.DOTALL,
+)
+
+
+def _npy_member(archive, name, descr, ndim):
+    """The payload and shape of the ``.npy`` member ``name`` of ``archive``.
+
+    ``ZipFile.read`` checks the member's CRC.  A member whose header is not
+    the one ``np.savez`` writes for a C-ordered ``ndim``-dimensional array
+    of dtype ``descr`` (little-endian float64 factors, byte header) raises
+    ValueError.
+    """
+    raw = archive.read(name)
+    match = _NPY_HEADER.match(raw)
+    shape = match and tuple(int(x) for x in match.group("rows", "cols") if x is not None)
+    if (match is None or match["descr"] != descr.encode() or len(shape) != ndim
+            or match.end() != 10 + int.from_bytes(match["size"], "little")):
+        raise ValueError(f"member {name} is not a C-ordered {ndim}-d {descr} array")
+    return memoryview(raw)[match.end():], shape
+
+
+def _factor(archive, name):
+    """A writeable float64 factor matrix read from member ``name``; a
+    payload of another size than its shape raises ValueError."""
+    payload, shape = _npy_member(archive, name, "<f8", 2)
+    return np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+
+
 def load_model(path):
     """Read a model file; returns (FactorModel, PathWeights, header dict).
 
     A file that is not a model of this format version raises
-    ModelFormatError.  So does one whose header disagrees with its
+    ModelFormatError: one that is not a zip archive, a member whose CRC
+    fails, and factors that are not C-ordered 2-d little-endian float64
+    arrays are among them.  So does one whose header disagrees with its
     factors, whose factors are not finite, or whose weights are not lists
     of finite nonnegative numbers; and one whose header has only some of
     the source keys (``source_digest``, ``user_ids``, ``item_ids``) or a
     malformed one.  A header with none of them loads.
     """
     try:
-        with np.load(path) as data:
-            header = json.loads(bytes(data["header"]).decode())
+        with zipfile.ZipFile(path) as archive:
+            text, _ = _npy_member(archive, "header.npy", "|u1", 1)
+            header = json.loads(str(text, "utf-8"))
             if not isinstance(header, dict):
                 raise ModelFormatError("model file header is not a JSON object")
             if header.get("format_version") != MODEL_FORMAT_VERSION:
                 raise ModelFormatError(
                     f"unsupported model format version {header.get('format_version')!r}"
                 )
-            model = FactorModel(data["U"], data["V"])
+            model = FactorModel(_factor(archive, "U.npy"), _factor(archive, "V.npy"))
         shape = (header["n"], header["m"], header["d"])
         weights = [header[key] for key in _WEIGHT_KEYS]
     except ModelFormatError:

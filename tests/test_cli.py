@@ -1,8 +1,11 @@
 """End-to-end command-line tests against the bundled sample dataset."""
 
+import csv
 import json
+import math
 import os
 import pathlib
+import zipfile
 
 import numpy as np
 import pytest
@@ -13,12 +16,13 @@ from hetecf import (
     PathWeights,
     cli,
     content_hash,
+    learner,
     load_graph,
     save_graph,
     synth,
 )
 from hetecf.cli import main
-from hetecf.model import Hyperparams, load_model, save_model
+from hetecf.model import Hyperparams, ModelFormatError, load_model, save_model
 
 from oracles import reference_top_k
 
@@ -326,6 +330,49 @@ def test_predict_shape_mismatch(tmp_path, caplog):
     assert "does not match graph" in caplog.text
 
 
+def flip_last_byte_of(member):
+    """A corruption that flips the last stored byte of ``member``'s data."""
+    def corrupt(f):
+        raw = f.read_bytes()
+        with zipfile.ZipFile(f) as zf:
+            payload = zf.read(member)
+        at = raw.index(payload) + len(payload) - 1
+        f.write_bytes(raw[:at] + bytes([raw[at] ^ 0x01]) + raw[at + 1:])
+    return corrupt
+
+
+def replace_factor(**arrays):
+    """A corruption that rewrites the file with other factor members."""
+    def corrupt(f):
+        with np.load(f) as data:
+            members = {key: data[key] for key in data.files}
+        np.savez(f, **{**members, **arrays})
+    return corrupt
+
+
+@pytest.mark.parametrize("corrupt", [
+    flip_last_byte_of("header.npy"),
+    flip_last_byte_of("U.npy"),
+    flip_last_byte_of("V.npy"),
+    lambda f: f.write_bytes(f.read_bytes()[: f.stat().st_size // 2]),  # truncated
+    lambda f: f.write_bytes(b"PK\x03\x04 not a zip file"),
+    lambda f: np.save(f.open("wb"), np.zeros((6, 2))),                 # a bare .npy
+    replace_factor(U=np.zeros((6, 2), dtype="<f4")),
+    replace_factor(U=np.zeros((6, 2), dtype=">f8")),
+    replace_factor(U=np.asfortranarray(np.arange(12.0).reshape(6, 2))),
+    replace_factor(U=np.zeros((6, 2, 1))),
+], ids=["header-byte", "U-byte", "V-byte", "truncated", "not-zip", "npy",
+        "U-f4", "U-big-endian", "U-fortran", "U-3d"])
+def test_damaged_model_file_is_refused(tmp_path, caplog, corrupt):
+    f = zero_model(tmp_path)
+    corrupt(f)
+    with pytest.raises(ModelFormatError):
+        load_model(str(f))
+    rc = main(["predict", *GRAPH_FLAGS, "--model", str(f), "--user", "alice"])
+    assert rc == 2
+    assert "model file" in caplog.text
+
+
 # ------------------------------------------------- predict from the model
 
 
@@ -379,8 +426,8 @@ def count_calls(monkeypatch, name):
     return calls
 
 
-def synth_files(tmp_path):
-    graph = synth.generate(synth.SynthSpec(seed=3))
+def synth_files(tmp_path, spec=synth.SynthSpec(seed=3)):
+    graph = synth.generate(spec)
     files = [tmp_path / n for n in ("nodes.tsv", "edges.tsv", "schema.txt")]
     save_graph(graph, *map(str, files))
     paths = tmp_path / "paths.txt"
@@ -850,3 +897,43 @@ def test_bad_record_before_a_byte_that_is_not_utf8_comes_first(tmp_path, monkeyp
     path.write_bytes(b"\n".join(lines))
     with pytest.raises(cli.GraphFormatError, match=":8: not valid UTF-8"):
         load_graph(*flags[1::2])
+
+
+# ------------------------------------------------------ the worker thread
+
+# 80 x 24, rated at 12% density with user-item relations: the factor
+# products gather the rated pairs, so the fit gradient is sparse too
+SPARSE_SYNTH = synth.SynthSpec(
+    seed=3, link_prob={"writes": 0.02, "published_in": 0.03, "cites": 0.005}
+).scaled(2)
+
+
+@pytest.mark.parametrize("network", ["sample", "sparse synth"])
+def test_worker_thread_leaves_model_and_log_bytes_unchanged(tmp_path, monkeypatch, caplog,
+                                                           network):
+    import logging
+
+    if network == "sample":
+        flags, paths = GRAPH_FLAGS, SAMPLE / "paths.txt"
+    else:
+        flags, paths, _ = synth_files(tmp_path, SPARSE_SYNTH)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    runs = {}
+    for threshold in (0, math.inf):  # every sparse product on the worker, or none
+        monkeypatch.setattr(learner, "PARALLEL_MIN_WORK", threshold)
+        model, log_out = tmp_path / f"{threshold}.npz", tmp_path / f"{threshold}.csv"
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="hetecf"):
+            assert main(["-v", "train", *flags, "--paths", str(paths), "--target-path", TARGET,
+                         "--model-out", str(model), "--log-out", str(log_out), *FAST]) == 0
+        with log_out.open(newline="") as fh:
+            rows = [{k: v for k, v in row.items() if not k.endswith("_seconds")}
+                    for row in csv.DictReader(fh)]
+        report = [r.getMessage() for r in caplog.records
+                  if r.getMessage().startswith("factor kernels")]
+        runs[threshold] = (model.read_bytes(), rows, report)
+    assert runs[0][:2] == runs[math.inf][:2]
+    assert len(runs[0][2]) == 1 and runs[0][2][0].startswith("factor kernels ran on two threads")
+    assert len(runs[math.inf][2]) == 1
+    assert runs[math.inf][2][0].startswith("factor kernels ran on one thread: below the threshold")
+

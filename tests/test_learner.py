@@ -1175,3 +1175,112 @@ def test_factor_gradient_once_per_factor_point(monkeypatch):
         stop = phases[k + 1][0][1] if k + 1 < len(phases) else len(grads)
         models = grads[start:stop]
         assert len({id(m) for m in models}) == len(models)
+
+
+# ------------------------------------------------------ the worker thread
+
+
+def two_cpus(monkeypatch, threshold=0):
+    """Share every sparse product of at least ``threshold`` multiply-adds."""
+    import os
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(learner, "PARALLEL_MIN_WORK", threshold)
+
+
+@pytest.mark.parametrize("shape,density", [
+    ((7, 7), 0.5), ((40, 40), 0.1), ((30, 12), 0.3), ((5, 5), 0.0), ((1, 9), 0.5),
+])
+@pytest.mark.parametrize("d", [1, 3, 10])
+def test_row_halves_give_the_bytes_of_the_whole_product(shape, density, d):
+    import scipy.sparse as sp
+
+    rng = np.random.default_rng(d)
+    L = sp.random_array(shape, density=density, format="csr", rng=rng)
+    L.data -= 0.5
+    if shape == (40, 40):  # one row holds most entries
+        L = sp.csr_array(L + sp.csr_array((rng.random(40), (np.zeros(40, int), np.arange(40))),
+                                          shape=shape))
+    X = rng.normal(size=(shape[1], d))
+    halves = learner._row_halves(L)
+    assert [h[:2] for h in halves] == [(0, halves[0][1]), (halves[0][1], shape[0])]
+    assert halves[0][4].size + halves[1][4].size == L.nnz
+    for half in halves:
+        assert half[4].size == 0 or np.shares_memory(half[4], L.indices)
+        assert half[5].size == 0 or np.shares_memory(half[5], L.data)
+    out = np.zeros((shape[0], d))
+    for half in halves[::-1]:
+        learner._multiply_rows(half, X, out)
+    assert out.tobytes() == (L @ X).tobytes()
+    with pytest.raises(ValueError, match="row product"):
+        learner._multiply_rows(halves[0], X[:-1], out)
+
+
+def test_row_halves_split_the_entries_evenly():
+    import scipy.sparse as sp
+
+    L = sp.csr_array(np.ones((10, 10)))
+    (_, cut, *_), _ = learner._row_halves(L)
+    assert cut == 5
+
+
+def test_worker_exception_surfaces_unchanged(monkeypatch):
+    import threading
+    import time
+
+    two_cpus(monkeypatch)
+    _, _, _, problem, state = two_path_instance("gather")
+    boom = RuntimeError("raised on the worker")
+    multiply = learner._multiply_rows
+
+    def failing(block, X, out):
+        if threading.current_thread() is not threading.main_thread():
+            raise boom
+        multiply(block, X, out)
+
+    monkeypatch.setattr(learner, "_multiply_rows", failing)
+    with pytest.raises(RuntimeError) as exc:
+        problem.evaluate(state.model)
+    assert exc.value is boom
+
+    # an exception on this thread propagates once the worker has finished
+    finished = threading.Event()
+
+    def slow(block, X, out):
+        if threading.current_thread() is not threading.main_thread():
+            time.sleep(0.05)
+            finished.set()
+        multiply(block, X, out)
+
+    monkeypatch.setattr(learner, "_multiply_rows", slow)
+    main_error = ValueError("raised on the main thread")
+    monkeypatch.setattr(problem, "_entry_half", lambda U, V: (_ for _ in ()).throw(main_error))
+    with pytest.raises(ValueError) as exc:
+        problem.evaluate(FactorModel(state.model.U.copy(), state.model.V.copy()))
+    assert exc.value is main_error and finished.is_set()
+    problem.close()
+
+
+def test_one_cpu_starts_no_thread(monkeypatch, caplog):
+    import os
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(learner, "PARALLEL_MIN_WORK", 0)
+    monkeypatch.setattr(learner, "ThreadPoolExecutor",
+                        lambda *a, **k: pytest.fail("started a worker thread"))
+    ratings, rels, hp, _, _ = two_path_instance("gather")
+    with caplog.at_level("INFO", logger="hetecf.learner"):
+        train(ratings, rels, hp)
+    assert "factor kernels ran on one thread: one CPU available" in caplog.messages
+
+
+def test_training_stops_its_worker_thread(monkeypatch, caplog):
+    import threading
+
+    two_cpus(monkeypatch)
+    ratings, rels, hp, _, _ = two_path_instance("gather")
+    with caplog.at_level("INFO", logger="hetecf.learner"):
+        train(ratings, rels, hp)
+    report = [m for m in caplog.messages if m.startswith("factor kernels")]
+    assert len(report) == 1 and report[0].startswith("factor kernels ran on two threads")
+    assert not [t for t in threading.enumerate() if t.name.startswith("hetecf-kernels")]
