@@ -3,7 +3,8 @@
 Subcommands: validate, train, evaluate, predict.
 Every subcommand accepts ``--config <file.json>`` supplying defaults for
 its flags; explicit flags override the config file, and keys no
-subcommand reads (such as ``cache_dir`` and ``optimizer``) are ignored.
+subcommand reads (such as ``cache_dir``, ``optimizer`` and ``variant``)
+are ignored.
 Exit codes: 0 success, 2 invalid input (files, schema, paths, arguments,
 model files), 3 numerical failure (divergence or non-finite objective).
 Any other exception is an internal error and propagates.
@@ -168,9 +169,8 @@ def cmd_validate(args):
 def _prepare_training(graph, args, cfg):
     groups = metapath.load_path_spec(_require(args, cfg, "paths"), graph.schema)
     target = metapath.parse_path(_require(args, cfg, "target_path"), graph.schema)
-    variant = _setting(args, cfg, "variant", "rowcol")
-    ratings = derive_ratings(graph, target, variant=variant)
-    rels = metapath.build_relation_set(graph, groups, variant=variant)
+    ratings = derive_ratings(graph, target)
+    rels = metapath.build_relation_set(graph, groups)
     return groups, ratings, rels
 
 
@@ -384,7 +384,6 @@ def build_parser():
     p.add_argument("--paths")
     p.add_argument("--target-path", dest="target_path",
                    help="user->item meta-path whose similarities are the ratings")
-    p.add_argument("--variant", choices=["rowcol", "diagonal"])
     p.add_argument("--model-out", dest="model_out")
     p.add_argument("--log-out", dest="log_out", help="training log CSV")
     p.add_argument("--weights-out", dest="weights_out", help="weight report CSV")
@@ -396,7 +395,6 @@ def build_parser():
     _add_graph_flags(p)
     p.add_argument("--paths")
     p.add_argument("--target-path", dest="target_path")
-    p.add_argument("--variant", choices=["rowcol", "diagonal"])
     p.add_argument("--methods", help="comma list from: " + ",".join(evaluate_mod.METHODS))
     p.add_argument("--fractions", help="comma list of training fractions")
     p.add_argument("--d-values", dest="d_values", help="comma list of dimensions")

@@ -69,7 +69,7 @@ import hashlib
 import io
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, compress, islice
 
 import numpy as np
@@ -146,20 +146,17 @@ class HeteroGraph:
     parsed, and None for a graph built in memory.
 
     ``_index`` maps every node id to its (type, index).  It is built on
-    first use, since only ``node_index`` reads it: in file order when
-    ``_file_types`` gives the type code of each node in file order, as
-    ``load_graph`` and ``build_graph`` set it, and type by type otherwise.
+    first use, type by type, since only ``node_index`` reads it.
     """
 
     schema: Schema
     node_ids: dict
     matrices: dict
-    _file_types: np.ndarray = field(repr=False, compare=False, default=None)
     source_digest: str = None
 
     @functools.cached_property
     def _index(self):
-        return _node_index(self.schema.node_types, self.node_ids, self._file_types)
+        return _node_index(self.schema.node_types, self.node_ids)
 
     def node_count(self, node_type):
         if node_type not in self.node_ids:
@@ -183,18 +180,10 @@ class HeteroGraph:
         return "\n".join(lines)
 
 
-def _node_index(node_types, node_ids, codes=None):
-    """A dict from every node id to its (type, index): in file order when
-    ``codes`` gives the type code of each node in that order, else type by
-    type in ``node_types`` order."""
-    if codes is None:
-        return {nid: (t, i) for t in node_types for i, nid in enumerate(node_ids[t])}
-    places = [iter(enumerate(node_ids[t])) for t in node_types]
-    index = {}
-    for c in codes.tolist():
-        i, nid = next(places[c])
-        index[nid] = (node_types[c], i)
-    return index
+def _node_index(node_types, node_ids):
+    """A dict from every node id to its (type, index), type by type in
+    ``node_types`` order."""
+    return {nid: (t, i) for t in node_types for i, nid in enumerate(node_ids[t])}
 
 
 # Lines of a nodes or edges file cut into one block.  Each block of an
@@ -610,7 +599,7 @@ class _Ingest:
         bad |= ~(np.isfinite(weights) & (weights >= 0))
         if bad.any():
             r = int(bad.argmax())
-            known = _node_index(self.schema.node_types, self.ids, self._node_type[:-1])
+            known = _node_index(self.schema.node_types, self.ids)
             raise self._record_error("edge", records.fields(r), path, records.line(r), known)
         for k, parts in enumerate(self._edges):
             sel = codes == k
@@ -690,7 +679,7 @@ class _Ingest:
                                      cols.astype(index, copy=False))), shape=shape).tocsr()
             m.sum_duplicates()  # parallel edges collapse to one weighted edge
             matrices[r.name] = m
-        return HeteroGraph(self.schema, self.ids, matrices, self._node_type[:-1], source_digest)
+        return HeteroGraph(self.schema, self.ids, matrices, source_digest)
 
 
 def build_graph(schema, nodes, edges):
@@ -995,7 +984,7 @@ class RatingMatrix:
         )
 
 
-def derive_ratings(graph, target_path, variant="rowcol"):
+def derive_ratings(graph, target_path):
     """Rating matrix from meta-path similarity along the user-item target path.
 
     R[i, j] is the similarity of user i and item j under ``target_path``;
@@ -1013,5 +1002,4 @@ def derive_ratings(graph, target_path, variant="rowcol"):
             f"{schema.user_type!r} -> {schema.item_type!r}"
         )
     pc = metapath.path_count(graph, target_path)
-    sim = metapath.pathsim(pc, variant=variant)
-    return RatingMatrix.from_sparse(sim.matrix)
+    return RatingMatrix.from_sparse(metapath.pathsim(pc).matrix)

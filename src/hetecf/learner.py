@@ -11,12 +11,13 @@ the factors frozen, projecting the weights onto [0, inf) after every step.
 
 Factor phase: :meth:`Problem.evaluate` computes once per candidate (U, V)
 what every term needs from the factors: the residuals and logistic slopes
-of the entries, ``L @ U`` and ``L @ V`` with their traces, and the factor
-ridge.  The objective value and the next gradient both read this
-:class:`Point`, so an accepted candidate's gradient gathers no rows
-again.  The predictions come from one dense ``U @ V.T`` when the entries
-cover at least ``DENSE_MIN_DENSITY`` of the user-item grid, and from row
-gathers otherwise.  The factor gradient is computed once per factor
+of the entries, ``L @ U`` or ``L @ V`` with its trace for each Laplacian
+(one list, user-user first), and the factor ridge.  The objective value
+and the next gradient both read this :class:`Point`, so an accepted
+candidate's gradient gathers no rows again.  The predictions come from
+one dense ``U @ V.T`` when the entries cover at least
+``DENSE_MIN_DENSITY`` of the user-item grid, and from row gathers
+otherwise.  The factor gradient is computed once per factor
 point: a rejected candidate leaves the factors and the frozen weights as
 they were.
 
@@ -194,10 +195,11 @@ class Point:
     A Point depends on which weights are zero.  It holds the residuals of
     the rating block and of the relations in the Problem's active set
     (``active``) when it was evaluated, and the Problem values or
-    differentiates it only while that set is current.  It holds ``L @ U``
-    or ``L @ V`` and its trace only for the Laplacians it was asked for;
-    the others read ``None`` and a trace of 0.  It may be used under any
-    weights whose nonzero ``alpha_k`` and ``beta_k`` it holds products for.
+    differentiates it only while that set is current.  Its Laplacians are
+    the Problem's, user-user first: for each it holds ``L @ U`` or
+    ``L @ V`` and its trace only if it was asked for; the others read
+    ``None`` and a trace of 0.  It may be used under any weights whose
+    nonzero ``alpha_k`` and ``beta_k`` it holds products for.
     The sets change only at the start of a factor phase, and the weight
     phase first completes the Point with every trace, so one Point serves
     every weight candidate of a weight phase.
@@ -209,10 +211,8 @@ class Point:
     resid: np.ndarray  # f(U_i . V_j) - target per entry
     fit: float  # rating residual sum of squares
     rel_ssq: np.ndarray  # residual sum of squares per user-item relation, 0 if inactive
-    LU: list  # L @ U per user-user Laplacian, None where not computed
-    LV: list  # L @ V per item-item Laplacian, None where not computed
-    tr_u: np.ndarray  # Tr(U^T L U) per user-user Laplacian, 0 where not computed
-    tr_v: np.ndarray  # Tr(V^T L V) per item-item Laplacian, 0 where not computed
+    LX: list  # L @ U or L @ V per Laplacian, None where not computed
+    tr: np.ndarray  # Tr(U^T L U) or Tr(V^T L V) per Laplacian, 0 where not computed
     factor_ridge: float  # sum_i c_i ||U_i||^2 + sum_j c_j ||V_j||^2
 
 
@@ -289,7 +289,8 @@ class Problem:
     The entry list holds the rating block and the blocks of the *active*
     user-item relations, those whose weight was nonzero when
     :meth:`activate` last ran (every relation before its first call).
-    Likewise ``active_u`` and ``active_v`` name the Laplacians whose
+    ``graph`` lists every Laplacian, user-user first, with the side it
+    multiplies (0 for U, 1 for V), and ``active_graph`` names those whose
     products each factor candidate computes.
 
     With two CPUs, the sparse factor products of at least
@@ -306,12 +307,12 @@ class Problem:
         self._ratings = ratings
         self._user_item = list(rels.user_item)
         self._counts = (len(self.laps.user), len(self.laps.item), len(self._user_item))
+        self.graph = [(0, L) for L in self.laps.user] + [(1, L) for L in self.laps.item]
         self._names = tuple(
             [sim.path.to_string() for sim in group]
-            for group in (rels.user_user, rels.item_item, rels.user_item)
+            for group in (rels.user_user + rels.item_item, rels.user_item)
         )
-        self.active_u = tuple(range(len(self.laps.user)))
-        self.active_v = tuple(range(len(self.laps.item)))
+        self.active_graph = tuple(range(len(self.graph)))
         self.active = tuple(range(len(self._user_item)))
         self._inactive = ()
         flat = self._set_entries()
@@ -324,13 +325,10 @@ class Problem:
         self._worker_tasks = 0
         # the largest sparse product, for the report of why none was shared
         self._largest_nnz = max(
-            [L.nnz for L in self.laps.user + self.laps.item] + [0 if self.dense else flat.size]
+            [L.nnz for _, L in self.graph] + [0 if self.dense else flat.size]
         )
         # row halves of the Laplacians whose products the worker shares
-        self._halves = tuple(
-            [_row_halves(L) if self._shared(L) else None for L in laps]
-            for laps in (self.laps.user, self.laps.item)
-        )
+        self._halves = [_row_halves(L) if self._shared(L) else None for _, L in self.graph]
 
     def _shared(self, M):
         """Whether a product of the sparse matrix ``M`` with a factor
@@ -362,11 +360,8 @@ class Problem:
     def kernel_report(self):
         """Whether the sparse factor products ran on two threads, or why not."""
         if self._worker_tasks:
-            split = [
-                name
-                for names, halves in zip(self._names, self._halves)
-                for name, half in zip(names, halves) if half is not None
-            ]
+            split = [name for name, half in zip(self._names[0], self._halves)
+                     if half is not None]
             return (f"ran on two threads, {self._worker_tasks} tasks on the worker;"
                     f" Laplacians split by rows: {', '.join(split) or 'none'}")
         if not self._two_cpus:
@@ -377,7 +372,7 @@ class Problem:
     @property
     def graph_products(self):
         """Laplacian products each factor candidate computes."""
-        return len(self.active_u) + len(self.active_v)
+        return len(self.active_graph)
 
     def _set_entries(self):
         """Concatenate the rating block and the active relation blocks into
@@ -434,30 +429,28 @@ class Problem:
         Exact for any weight rule: while the weights are frozen, a path
         whose weight is 0 adds exactly 0 to J and to the factor gradient.
         """
-        new = (
-            active_relations(weights.alpha),
-            active_relations(weights.beta),
-            active_relations(weights.w),
-        )
-        old = (self.active_u, self.active_v, self.active)
+        new = (active_relations(_graph_weights(weights)), active_relations(weights.w))
+        old = (self.active_graph, self.active)
         if new == old:
             return
         left, back = [], []
         for names, now, before in zip(self._names, new, old):
             left += [names[k] for k in before if k not in now]
             back += [names[k] for k in now if k not in before]
-        self.active_u, self.active_v = new[0], new[1]
-        if new[2] != self.active:
-            self.active = new[2]
+        self.active_graph = new[0]
+        if new[1] != self.active:
+            self.active = new[1]
             self._inactive = tuple(
                 k for k in range(len(self._user_item)) if k not in self.active
             )
             self._index_pairs(self._set_entries())
+        n_user = len(self.laps.user)
+        user = sum(k < n_user for k in self.active_graph)
         log.info(
             "active set: %d of %d user-item paths, %d pairs, %d of %d user-user"
             " and %d of %d item-item Laplacians; re-entered: %s; left: %s",
-            len(self.active), len(self._user_item), self.n_pairs,
-            len(self.active_u), len(self.laps.user), len(self.active_v), len(self.laps.item),
+            len(self.active), len(self._user_item), self.n_pairs, user, n_user,
+            len(self.active_graph) - user, len(self.laps.item),
             ", ".join(back) or "none", ", ".join(left) or "none",
         )
 
@@ -476,10 +469,9 @@ class Problem:
             )
         if any(weights.w[k] != 0.0 for k in self._inactive):
             raise ValueError("a user-item weight outside the active set is nonzero")
-        for products, wts in ((point.LU, weights.alpha), (point.LV, weights.beta)):
-            for X, a in zip(products, wts):
-                if X is None and a != 0.0:
-                    raise ValueError("Point lacks the Laplacian product of a nonzero weight")
+        for X, a in zip(point.LX, _graph_weights(weights)):
+            if X is None and a != 0.0:
+                raise ValueError("Point lacks the Laplacian product of a nonzero weight")
 
     def _entry_half(self, U, V):
         """Slopes, residuals and residual sums of the entry list at (U, V)."""
@@ -516,57 +508,47 @@ class Problem:
         """
         if base is not None and base.model is not model:
             raise ValueError("base Point is of other factors")
-        U, V = model.U, model.V
-        LU = list(base.LU) if base else [None] * len(self.laps.user)
-        LV = list(base.LV) if base else [None] * len(self.laps.item)
-        new_u = [k for k in (range(len(LU)) if every_path else self.active_u) if LU[k] is None]
-        new_v = [k for k in (range(len(LV)) if every_path else self.active_v) if LV[k] is None]
+        U, V = factors = model.U, model.V
+        LX = list(base.LX) if base else [None] * len(self.graph)
+        wanted = range(len(LX)) if every_path else self.active_graph
+        new = [k for k in wanted if LX[k] is None]
         same_entries = base is not None and base.active == self.active
-        if same_entries and not new_u and not new_v:
+        if same_entries and not new:
             return base
-        tr_u = base.tr_u.copy() if base else np.zeros(len(LU))
-        tr_v = base.tr_v.copy() if base else np.zeros(len(LV))
-        new = [  # (L, its row halves or None, X, products, k, traces) per new product
-            (laps[k], halves[k], X, products, k, tr)
-            for laps, halves, X, ks, products, tr in (
-                (self.laps.user, self._halves[0], U, new_u, LU, tr_u),
-                (self.laps.item, self._halves[1], V, new_v, LV, tr_v),
-            )
-            for k in ks
-        ]
-        split = [job for job in new if job[1] is not None]
-        for L, _, X, products, k, _ in split:
-            products[k] = np.zeros((L.shape[0], X.shape[1]))
+        tr = base.tr.copy() if base else np.zeros(len(LX))
+        split = [k for k in new if self._halves[k] is not None]
+        for k in split:
+            LX[k] = np.zeros((self.graph[k][1].shape[0], U.shape[1]))
 
         def main():
             if same_entries:
                 entries = {k: getattr(base, k) for k in ("slope", "resid", "fit", "rel_ssq")}
             else:
                 entries = self._entry_half(U, V)
-            for L, halves, X, products, k, _ in new:
-                if halves is None:
-                    products[k] = L @ X
+            for k in new:
+                on, L = self.graph[k]
+                if self._halves[k] is None:
+                    LX[k] = L @ factors[on]
                 else:
-                    _multiply_rows(halves[0], X, products[k])
+                    _multiply_rows(self._halves[k][0], factors[on], LX[k])
             return entries
 
         def side():
-            for _, halves, X, products, k, _ in split:
-                _multiply_rows(halves[1], X, products[k])
+            for k in split:
+                _multiply_rows(self._halves[k][1], factors[self.graph[k][0]], LX[k])
 
         # the worker multiplies the second halves while this thread runs
         # the entry half and then the first halves
         entries = self._beside(side, main)[0] if split else main()
-        for L, _, X, products, k, tr in new:
-            tr[k] = trace_quad(L, X, products[k])
+        for k in new:
+            on, L = self.graph[k]
+            tr[k] = trace_quad(L, factors[on], LX[k])
         factor_ridge = base.factor_ridge if base else (
             float(self.n_user @ np.sum(U**2, axis=1))
             + float(self.n_item @ np.sum(V**2, axis=1))
         )
-        return Point(
-            model=model, active=self.active, LU=LU, LV=LV, tr_u=tr_u, tr_v=tr_v,
-            factor_ridge=factor_ridge, **entries,
-        )
+        return Point(model=model, active=self.active, LX=LX, tr=tr,
+                     factor_ridge=factor_ridge, **entries)
 
     def _term_values(self, point, weights):
         """The five objective terms, in ``TERMS`` order, unchecked."""
@@ -574,8 +556,8 @@ class Problem:
         a, b, w = weights.alpha, weights.beta, weights.w
         return (
             float(point.fit),
-            float(a @ point.tr_u),
-            float(b @ point.tr_v),
+            float(a @ point.tr[:a.size]),
+            float(b @ point.tr[a.size:]),
             float(self.mu * float(w @ point.rel_ssq)),
             float(self.hp.lam * (point.factor_ridge + float(a @ a) + float(b @ b) + float(w @ w))),
         )
@@ -633,12 +615,10 @@ class Problem:
             GV, GtU = G @ V, G.T @ U
         dU = 2.0 * lam * self.n_user[:, None] * U + GV
         dV = 2.0 * lam * self.n_item[:, None] * V + GtU
-        for a, LU in zip(weights.alpha, point.LU):
-            if a != 0.0:
-                dU += (2.0 * a) * LU
-        for b, LV in zip(weights.beta, point.LV):
-            if b != 0.0:
-                dV += (2.0 * b) * LV
+        for (on, _), c, LX in zip(self.graph, _graph_weights(weights), point.LX):
+            if c != 0.0:
+                grad = dV if on else dU
+                grad += (2.0 * c) * LX
         if not (np.isfinite(dU).all() and np.isfinite(dV).all()):
             raise NumericalError("non-finite factor gradient")
         return dU, dV
@@ -652,12 +632,12 @@ class Problem:
         for why that is exact.
         """
         self._check(point, weights)
-        if any(X is None for X in point.LU + point.LV):
+        if any(X is None for X in point.LX):
             raise ValueError("the weight gradient needs the trace of every Laplacian")
-        lam = self.hp.lam
+        lam, a = self.hp.lam, weights.alpha
         grads = (
-            point.tr_u + 2.0 * lam * weights.alpha,
-            point.tr_v + 2.0 * lam * weights.beta,
+            point.tr[:a.size] + 2.0 * lam * a,
+            point.tr[a.size:] + 2.0 * lam * weights.beta,
             self.mu * point.rel_ssq + 2.0 * lam * weights.w,
         )
         if not np.isfinite(np.concatenate(grads)).all():
@@ -666,8 +646,13 @@ class Problem:
 
 
 def active_relations(w):
-    """Indices of the user-item relations whose weight is nonzero."""
+    """Indices of the relations whose weight is nonzero."""
     return tuple(np.flatnonzero(w != 0.0).tolist())
+
+
+def _graph_weights(weights):
+    """alpha and then beta, one weight per Laplacian of ``Problem.graph``."""
+    return np.concatenate([weights.alpha, weights.beta])
 
 
 def build_problem(ratings, rels, hp, laps=None):
@@ -700,9 +685,10 @@ def grad_weights(state, data):
 
 
 def _norm(x):
-    """``np.linalg.norm(x)`` of a real array, without its argument handling."""
+    """``np.linalg.norm(x)`` of a real array, without its argument handling
+    and without BLAS, whose threads may keep spinning after a call."""
     x = x.ravel(order="K")
-    return np.sqrt(x.dot(x))
+    return math.sqrt(np.einsum("i,i->", x, x))
 
 
 def _rel_change(new, old):
@@ -869,11 +855,8 @@ def _train(data, ratings, rels, hp):
     state.j_value = data.value(_point(state, data), state.weights)
     state.j_trace.append(state.j_value)
     for outer in range(1, hp.max_outer + 1):
-        before = (
-            state.model.U.copy(),
-            state.model.V.copy(),
-            state.weights.copy(),
-        )
+        # no candidate changes the factors or the weights in place
+        before = (state.model.U, state.model.V, state.weights)
         factor = _run_phase("factor", update_factors, state, data)
         factor_pairs, graph_products = data.n_pairs, data.graph_products
         weight = _run_phase("weight", update_weights, state, data)

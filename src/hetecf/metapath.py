@@ -30,6 +30,7 @@ every other user-user and item-item similarity against its transpose
 once and averages only those that differ.
 """
 
+import io
 import logging
 import re
 from dataclasses import dataclass
@@ -139,12 +140,8 @@ def parse_path(text, schema):
             raise PathError(f"malformed type token {t!r} in path {text!r}")
         if t not in schema.node_types:
             raise PathError(f"undeclared node type {t!r} in path {text!r}")
-    path = make_path(schema, steps)
-    if tuple(types) != path.node_types:
-        raise PathError(
-            f"path {text!r} writes types {tuple(types)} but its relations "
-            f"traverse {path.node_types}"
-        )
+    path = MetaPath(tuple(Step(*step) for step in steps), tuple(types))
+    validate_path(path, schema)
     return path
 
 
@@ -192,18 +189,12 @@ class SimilarityMatrix:
 
 def validate_path(path, schema):
     """Check every step against the schema's relation declarations."""
-    at = path.node_types[0]
-    if at not in schema.node_types:
-        raise PathError(f"undeclared node type {at!r}")
-    for step, nxt in zip(path.steps, path.node_types[1:]):
-        rel = schema.relation(step.relation)
-        src, dst = (rel.source, rel.target) if step.forward else (rel.target, rel.source)
-        if src != at or dst != nxt:
-            raise PathError(
-                f"step {step.relation!r} runs {src!r} -> {dst!r}, path expects "
-                f"{at!r} -> {nxt!r}"
-            )
-        at = nxt
+    walked = make_path(schema, [(step.relation, step.forward) for step in path.steps])
+    if walked.node_types != path.node_types:
+        raise PathError(
+            f"path {path} writes types {path.node_types} but its relations "
+            f"traverse {walked.node_types}"
+        )
 
 
 def path_count(graph, path):
@@ -306,9 +297,10 @@ class PathGroups:
 
 
 def parse_path_spec(text, schema, source=None):
-    """Parse a path-set file body into PathGroups (see module docstring)."""
+    """Parse a path-set file body into PathGroups (see module docstring),
+    split into lines as ``open(path, encoding="utf-8")`` reads them."""
     groups = {g: [] for g in GROUPS}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -390,7 +382,7 @@ def _warn_if_inert(group, sim):
         )
 
 
-def build_relation_set(graph, groups, variant="rowcol"):
+def build_relation_set(graph, groups):
     """Compute the similarity matrix of every declared path.
 
     User-user and item-item matrices are made exactly symmetric for the
@@ -410,7 +402,7 @@ def build_relation_set(graph, groups, variant="rowcol"):
     ):
         sims = []
         for path in paths:
-            sim = pathsim(path_count(graph, path), variant=variant)
+            sim = pathsim(path_count(graph, path))
             if group in ("UU", "II"):
                 sim = _symmetric(sim)
                 _warn_if_inert(group, sim)

@@ -272,9 +272,7 @@ def mu_from_density(ratings):
     context only; nothing at this repository's scale reproduces them.
     Pass ``mu`` explicitly in :class:`Hyperparams` to override the rule.
     """
-    if ratings.n * ratings.m == 0:
-        raise ValueError("empty matrix dimensions")
-    return ratings.nnz / (ratings.n * ratings.m)
+    return ratings.density
 
 
 def effective_mu(hp, ratings):

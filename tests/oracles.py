@@ -99,12 +99,12 @@ def reference_pathsim(counts, variant="rowcol"):
     return out
 
 
-def reference_relation_set(graph, groups, variant="rowcol"):
+def reference_relation_set(graph, groups):
     """Similarity matrices per group (UU, II, UI) by the plain route: every
     user-user and item-item matrix is averaged with its transpose."""
     out = []
     for name in ("user_user", "item_item", "user_item"):
-        mats = [reference_pathsim(reference_count(graph, p), variant)
+        mats = [reference_pathsim(reference_count(graph, p))
                 for p in getattr(groups, name)]
         if name != "user_item":
             mats = [sp.csr_array((S + S.T) * 0.5) for S in mats]

@@ -140,9 +140,12 @@ def test_train_deterministic_model_bytes(tmp_path):
 
 
 def test_train_ignores_config_cache_dir(tmp_path):
+    # training always normalises with rowcol, so a config "variant" is
+    # ignored too, and --variant is no flag
     cache = tmp_path / "cache"
     models = []
-    for name, ignored in (("a.npz", {"cache_dir": str(cache), "optimizer": "sgd"}),
+    for name, ignored in (("a.npz", {"cache_dir": str(cache), "optimizer": "sgd",
+                                     "variant": "diagonal"}),
                           ("b.npz", {})):
         cfg = tmp_path / f"{name}.json"
         cfg.write_text(json.dumps({
@@ -158,9 +161,10 @@ def test_train_ignores_config_cache_dir(tmp_path):
         models.append((tmp_path / name).read_bytes())
     assert models[0] == models[1]
     assert not cache.exists()
-    with pytest.raises(SystemExit) as exc:
-        main(train_flags(tmp_path, ["--optimizer", "batch"]))
-    assert exc.value.code == 2
+    for flag in ("--optimizer", "batch"), ("--variant", "rowcol"):
+        with pytest.raises(SystemExit) as exc:
+            main(train_flags(tmp_path, flag))
+        assert exc.value.code == 2
 
 
 def test_train_mu_flag_recorded(tmp_path):
@@ -838,7 +842,7 @@ def test_train_evaluate_and_setup_never_build_the_node_index(tmp_path, capsys, m
     assert len(built) == 1
 
 
-def test_node_index_built_on_demand_is_in_file_order(tmp_path):
+def test_node_index_built_on_demand(tmp_path):
     from hetecf import graph as G
 
     nodes = "p2\tPaper\nbob\tAuthor\nc1\tConf\nalice\tAuthor\np1\tPaper\n"
@@ -847,14 +851,13 @@ def test_node_index_built_on_demand_is_in_file_order(tmp_path):
     (tmp_path / "schema.txt").write_text((SAMPLE / "schema.txt").read_text())
     g = load_graph(*(str(tmp_path / n) for n in ("nodes.tsv", "edges.tsv", "schema.txt")))
     assert "_index" not in vars(g)
-    assert list(g._index.items()) == [
-        ("p2", ("Paper", 0)), ("bob", ("Author", 0)), ("c1", ("Conf", 0)),
-        ("alice", ("Author", 1)), ("p1", ("Paper", 1)),
-    ]
+    assert g._index == {
+        "p2": ("Paper", 0), "bob": ("Author", 0), "c1": ("Conf", 0),
+        "alice": ("Author", 1), "p1": ("Paper", 1),
+    }
     assert g.node_index("alice") == ("Author", 1)
-    # a graph made in memory without file order: type by type
     mem = G.HeteroGraph(g.schema, g.node_ids, g.matrices)
-    assert list(mem._index) == ["bob", "alice", "p2", "p1", "c1"]
+    assert mem._index == g._index
 
 
 # ---------------------------------------------------------- invalid UTF-8

@@ -301,7 +301,7 @@ def test_load_and_build_agree_over_several_blocks(tmp_path):
     loaded = h.load_graph(*paths)
     built = h.build_graph(h.load_schema(paths[2]), nodes, edges)
     assert loaded.node_ids == built.node_ids
-    assert list(loaded._index.items()) == list(built._index.items())
+    assert loaded._index == built._index
     assert h.content_hash(loaded) == h.content_hash(built)
     for name, m in built.matrices.items():
         other = loaded.matrices[name]
@@ -655,8 +655,7 @@ def _load_as_is_and_forced(monkeypatch, paths, block_lines):
             return str(exc)
         arrays = {name: [(a.dtype, a.tobytes()) for a in (m.indptr, m.indices, m.data)]
                   for name, m in g.matrices.items()}
-        return (g.node_ids, list(g._index.items()), arrays, h.content_hash(g),
-                g.source_digest)
+        return g.node_ids, g._index, arrays, h.content_hash(g), g.source_digest
 
     monkeypatch.setattr(G, "_is_plain", spy)
     as_is = load()
@@ -825,7 +824,7 @@ def _ingest_outcome(paths):
     arrays = {name: tuple(np.asarray(a, dtype).tobytes() for a, dtype in
                           ((m.indptr, "<i8"), (m.indices, "<i8"), (m.data, "<f8")))
               for name, m in g.matrices.items()}
-    return g.node_ids, list(g._index.items()), arrays, h.content_hash(g), g.source_digest
+    return g.node_ids, g._index, arrays, h.content_hash(g), g.source_digest
 
 
 @pytest.mark.parametrize("seed", range(48))
@@ -851,7 +850,7 @@ def test_ingest_matches_line_by_line_reference(tmp_path, monkeypatch, seed):
                     in zip(REF_RELATIONS, arrays.values())}
         assert all(m.indices.dtype == np.int64 for m in matrices.values())
         arrays = {name: tuple(a.tobytes() for a in parts) for name, parts in arrays.items()}
-        want = (ids, index, arrays,
+        want = (ids, dict(index), arrays,
                 h.content_hash(h.HeteroGraph(schema, ids, matrices)), digest)
     normalise, normalised = G._normalise, []
     monkeypatch.setattr(G, "_normalise",

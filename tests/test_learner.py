@@ -155,6 +155,39 @@ def test_weight_gradient_matches_finite_differences():
     assert np.allclose(got, num, rtol=1e-6, atol=1e-8)
 
 
+@pytest.mark.parametrize("n_uu, n_ii", [(2, 0), (0, 2)])
+def test_graph_paths_of_one_side_only_match_the_oracle(n_uu, n_ii):
+    # the Problem keeps the Laplacians in one list, user-user first: with
+    # paths of one side only, the boundary sits at either end of the list
+    rng = np.random.default_rng(36 + n_uu)
+    n, m, d = 5, 4, 2
+    ratings, rels, hp = random_instance(rng, n=n, m=m, d=d, n_uu=n_uu, n_ii=n_ii)
+    data = build_problem(ratings, rels, hp)
+    state = init(hp, (n, m, n_uu, n_ii, 2))
+    state.model = FactorModel(
+        rng.normal(scale=0.5, size=(n, d)), rng.normal(scale=0.5, size=(m, d))
+    )
+    dU, dV = grad_factors(state, data)
+    dA, dB, dW = grad_weights(state, data)
+    k = (n + m) * d
+
+    def f(vec):
+        model = FactorModel(vec[: n * d].reshape(n, d), vec[n * d:k].reshape(m, d))
+        theta = vec[k:]
+        wts = PathWeights(theta[:n_uu], theta[n_uu:n_uu + n_ii], theta[n_uu + n_ii:])
+        return objective(model, wts, ratings, rels, hp)
+
+    wts = state.weights
+    x0 = np.concatenate([state.model.U.ravel(), state.model.V.ravel(),
+                         wts.alpha, wts.beta, wts.w])
+    got = np.concatenate([dU.ravel(), dV.ravel(), dA, dB, dW])
+    assert dA.shape == (n_uu,) and dB.shape == (n_ii,)
+    assert np.allclose(got, central_difference(f, x0), rtol=1e-5, atol=1e-7)
+    assert data.value(state.point, wts) == pytest.approx(f(x0), rel=1e-12)
+    terms = data.terms(state.point, wts)
+    assert (terms["user_graph"] > 0.0, terms["item_graph"] > 0.0) == (n_uu > 0, n_ii > 0)
+
+
 def test_cold_user_gradient_is_pure_ridge():
     # a user with no ratings and no auxiliary paths: gradient reduces to the
     # fallback-count ridge term 2 * lam * U_i
@@ -918,8 +951,7 @@ def all_laplacians(monkeypatch):
 
     def every_laplacian(self, weights):
         activate(self, weights)
-        self.active_u = tuple(range(len(self.laps.user)))
-        self.active_v = tuple(range(len(self.laps.item)))
+        self.active_graph = tuple(range(len(self.graph)))
 
     monkeypatch.setattr(learner.Problem, "activate", every_laplacian)
 
@@ -962,9 +994,9 @@ def skipped_path_state(side):
     state.weights = PathWeights([0.0, 0.4], [0.3, 0.0], state.weights.w)
     update_factors(state, problem)
     assert state.factor_steps > 0
-    assert (problem.active_u, problem.active_v) == ((1,), (0,))
+    assert problem.active_graph == (1, 2)  # user-user 1 and item-item 0
     assert problem.graph_products == 2
-    assert state.point.LU[0] is None and state.point.LV[1] is None
+    assert state.point.LX[0] is None and state.point.LX[3] is None
     return problem, state
 
 
@@ -1029,8 +1061,8 @@ def test_point_that_lacks_a_needed_product_is_refused():
     state.weights = needs
     grad_factors(state, problem)
     new = state.point
-    assert new is not point and new.LU[0] is not None and new.LV[1] is None
-    assert new.LU[1] is point.LU[1] and new.resid is point.resid
+    assert new is not point and new.LX[0] is not None and new.LX[3] is None
+    assert new.LX[1] is point.LX[1] and new.resid is point.resid
     fresh = problem.evaluate(state.model)
     assert problem.terms(new, needs) == problem.terms(fresh, needs)
 
@@ -1042,7 +1074,7 @@ def test_point_of_a_changed_entry_list_keeps_its_products():
     problem.activate(weights)
     point = problem.evaluate(state.model, base)
     assert point.active == (0,) and point.resid.size < base.resid.size
-    assert all(a is b for a, b in zip(point.LU + point.LV, base.LU + base.LV))
+    assert all(a is b for a, b in zip(point.LX, base.LX))
     fresh = problem.evaluate(state.model)
     assert problem.terms(point, weights) == problem.terms(fresh, weights)
     assert problem.value(point, weights) == problem.value(fresh, weights)

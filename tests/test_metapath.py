@@ -480,6 +480,24 @@ def test_load_path_spec_reports_file_and_line(tmp_path, biblio_schema):
     assert ":3:" in str(err.value)
 
 
+@pytest.mark.parametrize("inside", ["\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+def test_path_spec_lines_end_only_at_line_ends(tmp_path, biblio_schema, inside):
+    # str.splitlines also breaks at these characters: it would cut the path
+    # line in two, and turn the comment's tail into a line of its own that
+    # shifts every later line number
+    text = (f"# a comment{inside}that goes on\r\n"
+            f"UU: Author -writes-> Paper{inside}<-writes- Author\r"
+            "II: Conf <-published_in- Paper -published_in-> Conf\n")
+    groups = parse_path_spec(text, biblio_schema)
+    assert groups.counts == (1, 1, 0)
+    assert str(groups.user_user[0]) == "Author -writes-> Paper <-writes- Author"
+    f = tmp_path / "paths.txt"
+    f.write_bytes((text + "bogus line\n").encode("utf-8"))
+    with pytest.raises(PathSpecError) as err:
+        load_path_spec(str(f), biblio_schema)
+    assert str(err.value).startswith(f"{f}:4: ")
+
+
 def test_build_relation_set_counts_and_symmetry(toy_graph, biblio_schema):
     groups = parse_path_spec(SPEC_TEXT, biblio_schema)
     rels = build_relation_set(toy_graph, groups)
@@ -546,9 +564,9 @@ def _groups_of(schema, texts):
     return PathGroups(running(u, u), running(i, i), running(u, i))
 
 
-def _assert_matches_reference(graph, groups, variant):
-    rels = build_relation_set(graph, groups, variant=variant)
-    want = reference_relation_set(graph, groups, variant)
+def _assert_matches_reference(graph, groups):
+    rels = build_relation_set(graph, groups)
+    want = reference_relation_set(graph, groups)
     got = [rels.user_user, rels.item_item, rels.user_item]
     for sims, mats in zip(got, want):
         assert [_arrays(s.matrix) for s in sims] == [_arrays(m) for m in mats]
@@ -566,16 +584,11 @@ def _assert_matches_reference(graph, groups, variant):
 def test_relation_sets_and_laplacians_match_reference_route_on_corpus(graph_corpus):
     from conftest import CITE_SCHEMA, PATH_TEXTS
 
-    rowcol = _groups_of(CITE_SCHEMA, PATH_TEXTS)
-    diagonal = PathGroups(
-        [p for p in rowcol.user_user if p.is_palindromic],
-        [p for p in rowcol.item_item if p.is_palindromic], [],
-    )
-    assert rowcol.counts == (3, 2, 2) and diagonal.counts == (2, 1, 0)
+    groups = _groups_of(CITE_SCHEMA, PATH_TEXTS)
+    assert groups.counts == (3, 2, 2)
     marked = 0
     for g in graph_corpus:
-        rels = _assert_matches_reference(g, rowcol, "rowcol")
-        _assert_matches_reference(g, diagonal, "diagonal")
+        rels = _assert_matches_reference(g, groups)
         marked += sum(s.symmetric for s in rels.user_user + rels.item_item)
     assert marked >= 300  # every palindromic path of every graph
 
@@ -583,7 +596,7 @@ def test_relation_sets_and_laplacians_match_reference_route_on_corpus(graph_corp
 def test_relation_set_matches_reference_route_on_sample_data():
     g = h.load_graph(*(str(SAMPLE / f) for f in ("nodes.tsv", "edges.tsv", "schema.txt")))
     groups = load_path_spec(str(SAMPLE / "paths.txt"), g.schema)
-    rels = _assert_matches_reference(g, groups, "rowcol")
+    rels = _assert_matches_reference(g, groups)
     flags = [(str(s.path), s.symmetric) for s in rels.user_user + rels.item_item]
     assert flags == [
         ("Author -writes-> Paper <-writes- Author", True),
