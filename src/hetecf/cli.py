@@ -64,7 +64,6 @@ _INPUT_ERRORS = (
     SchemaError,
     RatingMatrixError,
     metapath.PathError,
-    metapath.PathSpecError,
     ModelFormatError,
     FileNotFoundError,
     IsADirectoryError,

@@ -36,12 +36,15 @@ no field has whitespace to strip.  Any other block is first normalised
 on its own: decoded as UTF-8, rid of blank and ``#`` lines and of the
 whitespace around each field, and encoded again, with the line number of
 each record kept.  The records are then checked with array masks, the
-nodes file's all at once and the edges file's a block at a time.  The
-first bad record in file order raises a ``GraphFormatError`` naming its
-``file:line``.  An empty node id, node type, edge endpoint or relation
-is an error.  So is a byte that is not valid UTF-8, at its place in
-file order: it names its line, and the records before it are checked
-first.  The schema file is decoded whole, before any other check.
+nodes file's all at once and the edges file's a block at a time, one
+mask per check.  The first bad record in file order raises a
+``GraphFormatError`` naming its ``file:line`` and the first check it
+fails, in the order ``_Ingest`` lists them; the message is built from
+the record's fields.  An empty node id, node type, edge endpoint or
+relation is an error.  So is a byte that is not valid UTF-8, at its
+place in file order: it names its line, and the records before it are
+checked first.  The schema file is decoded whole, before any other
+check.
 
 Node ids are decoded to strings; edge endpoints never are.  Each
 endpoint is looked up in a hash table of the node ids by a 64-bit key
@@ -54,7 +57,7 @@ use 32-bit indices when its shape allows, and scipy keeps that width
 through the products built from them.  ``build_graph`` puts in-memory
 records through the same checks.  The dict from every node id to its
 type and index is built only when ``HeteroGraph.node_index`` is first
-called, or for the message of an edge that fails a check.
+called.
 
 ``load_graph`` reads each of the three files once.  The graph it
 returns carries ``source_digest``: a sha256 over the sha256 digests of
@@ -524,11 +527,23 @@ class _Records:
         return None if self.lines is None else int(self.lines[r])
 
 
-def _float_or_nan(text):
+def _float_or_none(value):
     try:
-        return float(text)
+        return float(value)
     except (TypeError, ValueError):
-        return math.nan
+        return None
+
+
+def _raise_first(records, path, checks):
+    """Raise the GraphFormatError of the first record in file order that
+    fails one of ``checks``: (mask, message) pairs in the order the checks
+    run.  The record is reported under the first check it fails, worded
+    by ``message(fields, r)`` from its fields and its position ``r``."""
+    bad = np.any([mask for mask, _ in checks], axis=0)
+    if bad.any():
+        r = int(bad.argmax())
+        message = next(message for mask, message in checks if mask[r])
+        raise GraphFormatError(message(records.fields(r), r), path, records.line(r))
 
 
 class _Ingest:
@@ -537,9 +552,13 @@ class _Ingest:
     Nodes are numbered globally in file order; ``_node_type`` and
     ``_node_local`` give each one's type code and index within its type.
     Node ids, node types and relations are each found through a
-    ``_byte_table``; an empty field matches none of them.  When a check
-    fails, ``_record_error`` re-checks the first failing record alone and
-    builds the error that names it.
+    ``_byte_table``; an empty field matches none of them.  Each check is
+    a mask, and the masks are listed in the order the checks run.  Nodes:
+    field count, empty id, empty type, declared type, duplicate id.
+    Edges: field count, empty source, target and relation, weight parse,
+    relation, source id and type, target id and type, weight value.  A
+    mask may also hold records that an earlier check fails; the first bad
+    record is reported under the first mask that holds it.
     """
 
     def __init__(self, schema):
@@ -569,103 +588,62 @@ class _Ingest:
             local[mask] = np.arange(np.count_nonzero(mask))
             self.ids[t] = list(compress(ids, mask.tolist()))
         begin, length = records.column(0)
-        bad = (records.count != 2) | (codes < 0) | (length == 0)
-        if len(set(ids)) < n:  # an id repeated
+        repeated = np.zeros(n, bool)
+        if len(set(ids)) < n:
             first = dict(zip(reversed(ids), range(n - 1, -1, -1)))
-            bad |= np.fromiter(map(first.__getitem__, ids), np.intp, n) != np.arange(n)
-        if bad.any():
-            r = int(bad.argmax())
-            raise self._record_error("node", records.fields(r), path, records.line(r),
-                                     set(ids[:r]))
+            repeated = np.fromiter(map(first.__getitem__, ids), np.intp, n) != np.arange(n)
+        _raise_first(records, path, [
+            (records.count != 2,
+             lambda f, r: f"expected '<node_id>\\t<node_type>', got {len(f)} fields"),
+            (length == 0, lambda f, r: "empty node id"),
+            (records.column(1)[1] == 0, lambda f, r: "empty node type"),
+            (codes < 0, lambda f, r: f"node {f[0]!r} has undeclared type {f[1]!r}"),
+            (repeated, lambda f, r: f"duplicate node id {f[0]!r}"),
+        ])
         self._node_type = np.append(codes, -1)  # the -1 answers node -1 (unknown)
         self._node_local = local
         self._nodes = _byte_table(records.words, begin, length)
 
     def add_edges(self, records, path=None):
         n = records.count.size
-        bad = (records.count < 3) | (records.count > 4)
-        weights = np.ones(n)
+        weights, unparsed = np.ones(n), np.zeros(n, bool)
         four = np.flatnonzero(records.count == 4)
         text = records.values(3, four)
         try:
             weights[four] = np.fromiter(map(float, text), np.float64, four.size)
-        except (TypeError, ValueError):  # unparseable weights read as NaN and fail below
-            weights[four] = np.fromiter(map(_float_or_nan, text), np.float64, four.size)
+        except (TypeError, ValueError):  # a weight that does not parse fails its own check
+            parsed = list(map(_float_or_none, text))
+            unparsed[four] = [w is None for w in parsed]
+            weights[four] = [math.nan if w is None else w for w in parsed]
         codes = _find(self._relations, records, 2)
         s, d = _find(self._nodes, records, 0), _find(self._nodes, records, 1)
-        bad |= (codes < 0) | (s < 0) | (d < 0)
-        bad |= self._node_type[s] != self._rel_source[codes]
-        bad |= self._node_type[d] != self._rel_target[codes]
-        bad |= ~(np.isfinite(weights) & (weights >= 0))
-        if bad.any():
-            r = int(bad.argmax())
-            known = _node_index(self.schema.node_types, self.ids)
-            raise self._record_error("edge", records.fields(r), path, records.line(r), known)
+        types, relations = self.schema.node_types, self.schema.relations
+
+        def mismatch(role, c, node):  # the endpoint in field c, found as node
+            return lambda f, r: (
+                f"edge {f[0]!r} -> {f[1]!r} via {f[2]!r}: {role} node {f[c]!r} has type "
+                f"{types[self._node_type[node[r]]]!r}, "
+                f"expected {getattr(relations[codes[r]], role)!r}")
+
+        _raise_first(records, path, [
+            ((records.count < 3) | (records.count > 4),
+             lambda f, r: "expected '<src>\\t<dst>\\t<relation>[\\t<weight>]', got "
+                          f"{len(f)} fields"),
+            (records.column(0)[1] == 0, lambda f, r: "empty source id"),
+            (records.column(1)[1] == 0, lambda f, r: "empty target id"),
+            (records.column(2)[1] == 0, lambda f, r: "empty relation"),
+            (unparsed, lambda f, r: f"unparseable weight {f[3]!r}"),
+            (codes < 0, lambda f, r: f"unknown relation {f[2]!r}"),
+            (s < 0, lambda f, r: f"edge references unknown node id {f[0]!r}"),
+            (self._node_type[s] != self._rel_source[codes], mismatch("source", 0, s)),
+            (d < 0, lambda f, r: f"edge references unknown node id {f[1]!r}"),
+            (self._node_type[d] != self._rel_target[codes], mismatch("target", 1, d)),
+            (~(np.isfinite(weights) & (weights >= 0)),
+             lambda f, r: f"edge {f[0]!r} -> {f[1]!r} has invalid weight {float(weights[r])!r}"),
+        ])
         for k, parts in enumerate(self._edges):
             sel = codes == k
             parts.append((self._node_local[s[sel]], self._node_local[d[sel]], weights[sel]))
-
-    def _record_error(self, kind, fields, path, line, known):
-        """The GraphFormatError for one record's first failing check.
-
-        ``known`` holds the node ids valid so far: for a node record, those
-        of the records before it; for an edge record, the graph's index.
-        Checks run in a fixed order.  Nodes: field count, empty fields,
-        declared type, duplicate id.  Edges: field count, empty fields,
-        weight parse, relation, source id and type, target id and type,
-        weight value.
-        """
-
-        def error(message):
-            return GraphFormatError(message, path, line)
-
-        if kind == "node":
-            if len(fields) != 2:
-                return error(
-                    f"expected '<node_id>\\t<node_type>', got {len(fields)} fields"
-                )
-            node_id, node_type = fields
-            for value, what in ((node_id, "node id"), (node_type, "node type")):
-                if value == "":
-                    return error(f"empty {what}")
-            if node_type not in self.schema.node_types:
-                return error(f"node {node_id!r} has undeclared type {node_type!r}")
-            if node_id in known:
-                return error(f"duplicate node id {node_id!r}")
-        else:
-            if len(fields) not in (3, 4):
-                return error(
-                    f"expected '<src>\\t<dst>\\t<relation>[\\t<weight>]', got "
-                    f"{len(fields)} fields"
-                )
-            src, dst, relation = fields[:3]
-            for value, what in ((src, "source id"), (dst, "target id"),
-                                (relation, "relation")):
-                if value == "":
-                    return error(f"empty {what}")
-            weight = 1.0
-            if len(fields) == 4:
-                try:
-                    weight = float(fields[3])
-                except (TypeError, ValueError):
-                    return error(f"unparseable weight {fields[3]!r}")
-            names = [r.name for r in self.schema.relations]
-            if relation not in names:
-                return error(f"unknown relation {relation!r}")
-            rel = self.schema.relations[names.index(relation)]
-            for nid, want, role in ((src, rel.source, "source"),
-                                    (dst, rel.target, "target")):
-                if nid not in known:
-                    return error(f"edge references unknown node id {nid!r}")
-                got = known[nid][0]
-                if got != want:
-                    return error(
-                        f"edge {src!r} -> {dst!r} via {relation!r}: {role} node "
-                        f"{nid!r} has type {got!r}, expected {want!r}"
-                    )
-            if not math.isfinite(weight) or weight < 0:
-                return error(f"edge {src!r} -> {dst!r} has invalid weight {weight!r}")
-        raise RuntimeError(f"{kind} record {fields!r} failed a mask but no check")
 
     def finish(self, source_digest=None):
         matrices = {}
@@ -830,7 +808,15 @@ def load_graph(nodes_path, edges_path, schema_path):
 
 
 def save_graph(graph, nodes_path, edges_path, schema_path):
-    """Serialize a graph back to the three-file format (round-trips load_graph)."""
+    """Serialize a graph back to the three-file format (round-trips load_graph).
+
+    A node id that would not load back as itself is refused before any
+    file is written: one that is empty, holds a tab or a line end, has
+    whitespace around it, or starts with ``#``.
+    """
+    for nid in chain.from_iterable(graph.node_ids[t] for t in graph.schema.node_types):
+        if nid != nid.strip() or nid[:1] in ("", "#") or any(c in nid for c in "\t\n\r"):
+            raise ValueError(f"node id {nid!r} cannot be saved: it would not load back")
     lines = []
     for t in graph.schema.node_types:
         flag = ""

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import adjacency
+from .graph import GraphFormatError, _decode, adjacency
 
 _FORWARD = re.compile(r"-([A-Za-z_]\w*)->")
 _BACKWARD = re.compile(r"<-([A-Za-z_]\w*)-")
@@ -273,14 +273,8 @@ def pathsim(pc, variant="rowcol"):
     return SimilarityMatrix(pc.path, variant, out, symmetric=pc.symmetric)
 
 
-class PathSpecError(ValueError):
-    """Malformed meta-path set file."""
-
-    def __init__(self, message, path=None, line=None):
-        prefix = ""
-        if path is not None:
-            prefix = f"{path}:{line}: " if line is not None else f"{path}: "
-        super().__init__(prefix + message)
+class PathSpecError(GraphFormatError):
+    """Malformed meta-path set file, annotated with file and line."""
 
 
 @dataclass
@@ -329,8 +323,10 @@ def parse_path_spec(text, schema, source=None):
 
 
 def load_path_spec(path, schema):
-    with open(path, encoding="utf-8") as fh:
-        return parse_path_spec(fh.read(), schema, source=path)
+    """The PathGroups of file ``path``; a byte that is not valid UTF-8
+    raises a GraphFormatError naming its line."""
+    with open(path, "rb") as fh:
+        return parse_path_spec(_decode(fh.read(), path), schema, source=path)
 
 
 @dataclass

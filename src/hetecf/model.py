@@ -84,23 +84,11 @@ class FactorModel:
     def d(self):
         return self.U.shape[1]
 
-    def predict(self, i, j):
-        """Predicted rating f(U_i . V_j) for one (user, item) pair."""
-        if not (0 <= i < self.n and 0 <= j < self.m):
-            raise IndexError(f"pair ({i}, {j}) outside ({self.n}, {self.m})")
-        return float(logistic(self.U[i] @ self.V[j]))
-
     def predict_pairs(self, rows, cols):
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         z = np.einsum("ij,ij->i", self.U[rows], self.V[cols])
         return logistic(z)
-
-    def predict_full(self):
-        return logistic(self.U @ self.V.T)
-
-    def copy(self):
-        return FactorModel(self.U.copy(), self.V.copy())
 
 
 @dataclass
@@ -122,9 +110,6 @@ class PathWeights:
     @property
     def counts(self):
         return (self.alpha.size, self.beta.size, self.w.size)
-
-    def copy(self):
-        return PathWeights(self.alpha.copy(), self.beta.copy(), self.w.copy())
 
 
 def require_integer(value, name, minimum):
@@ -187,6 +172,8 @@ def laplacian(similarity, tol=1e-9):
     asymmetry beyond ``tol`` (max absolute entry of S - S^T) is an error.
     A SimilarityMatrix marked ``symmetric`` was checked to equal its
     transpose exactly when it was built, so its check is skipped.
+    scipy assembles ``diags_array(deg) - S``, which stores no entry
+    equal to 0.
     """
     S = getattr(similarity, "matrix", similarity)
     S = sp.csr_array(S, dtype=np.float64)
@@ -203,38 +190,7 @@ def laplacian(similarity, tol=1e-9):
                 f"(max |S - S^T| = {np.max(np.abs(gap.data)):.3e})"
             )
     deg = np.asarray(S.sum(axis=1)).ravel()
-    return _degree_minus(deg, S)
-
-
-def _degree_minus(deg, S):
-    """``diags_array(deg) - S`` for a canonical CSR ``S``, entry for entry:
-    the diagonal entry is ``deg_i - S_ii`` (``deg_i`` where S stores none),
-    every other entry is ``-S_ij``, and entries equal to 0 are not stored.
-    scipy assembles the same matrix through a DIA matrix and a merge of
-    two CSR matrices, at 2-4x the cost on a full 120-node graph."""
-    n = S.shape[0]
-    counts = np.diff(S.indptr)
-    rows = np.repeat(np.arange(n, dtype=S.indices.dtype), counts)
-    cols = S.indices
-    vals = -S.data
-    on_diag = np.flatnonzero(cols == rows)
-    vals[on_diag] = deg[rows[on_diag]] - S.data[on_diag]
-    lacking = deg != 0.0  # a zero degree where S stores no diagonal stays unstored
-    lacking[rows[on_diag]] = False
-    lacking = np.flatnonzero(lacking).astype(cols.dtype)
-    if lacking.size:
-        # a row's diagonal goes after its entries of smaller column
-        at = np.searchsorted(rows.astype(np.int64) * n + cols, lacking.astype(np.int64) * (n + 1))
-        rows, cols = np.insert(rows, at, lacking), np.insert(cols, at, lacking)
-        vals = np.insert(vals, at, deg[lacking])
-        counts[lacking] += 1
-    zero = vals == 0.0
-    if zero.any():
-        counts -= np.bincount(rows[zero], minlength=n)
-        cols, vals = cols[~zero], vals[~zero]
-    indptr = np.zeros(n + 1, dtype=cols.dtype)
-    np.cumsum(counts, out=indptr[1:])
-    return sp.csr_array((vals, cols, indptr), shape=S.shape)
+    return sp.csr_array(sp.diags_array(deg) - S)
 
 
 @dataclass

@@ -18,6 +18,7 @@ from hetecf import (
     content_hash,
     learner,
     load_graph,
+    metapath,
     save_graph,
     synth,
 )
@@ -354,13 +355,19 @@ def replace_factor(**arrays):
     return corrupt
 
 
+def write_bare_npy(f):
+    """A corruption that overwrites the file with a bare ``.npy``."""
+    with f.open("wb") as fh:
+        np.save(fh, np.zeros((6, 2)))
+
+
 @pytest.mark.parametrize("corrupt", [
     flip_last_byte_of("header.npy"),
     flip_last_byte_of("U.npy"),
     flip_last_byte_of("V.npy"),
     lambda f: f.write_bytes(f.read_bytes()[: f.stat().st_size // 2]),  # truncated
     lambda f: f.write_bytes(b"PK\x03\x04 not a zip file"),
-    lambda f: np.save(f.open("wb"), np.zeros((6, 2))),                 # a bare .npy
+    write_bare_npy,
     replace_factor(U=np.zeros((6, 2), dtype="<f4")),
     replace_factor(U=np.zeros((6, 2), dtype=">f8")),
     replace_factor(U=np.asfortranarray(np.arange(12.0).reshape(6, 2))),
@@ -877,6 +884,23 @@ def test_file_that_is_not_utf8_names_its_file_and_line(tmp_path, caplog, kind, l
     rc = main(["validate", *flags])
     assert rc == 2
     assert f"{path}:{line}: not valid UTF-8 (invalid start byte 0xff)" in caplog.text
+
+
+def test_path_file_that_is_not_utf8_names_its_file_and_line(tmp_path, caplog):
+    flags = copy_sample(tmp_path)
+    path = tmp_path / "paths.txt"
+    lines = path.read_bytes().split(b"\n")
+    lines[1] = lines[1][:3] + b"\xe9" + lines[1][3:]  # inside the comment on line 2
+    path.write_bytes(b"\n".join(lines))
+    schema = load_graph(*flags[1::2]).schema
+    with pytest.raises(cli.GraphFormatError) as exc:
+        metapath.load_path_spec(str(path), schema)
+    assert exc.value.line == 2 and exc.value.source_path == str(path)
+    rc = main(["train", *flags, "--paths", str(path), "--target-path", TARGET,
+               "--model-out", str(tmp_path / "model.npz"), *FAST])
+    assert rc == 2
+    assert f"{path}:2: not valid UTF-8 (invalid continuation byte 0xe9)" in caplog.text
+    assert not (tmp_path / "model.npz").exists()
 
 
 @pytest.mark.parametrize("block_records", [8192, 2])

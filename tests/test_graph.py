@@ -1,6 +1,7 @@
 """Graph ingestion, validation, adjacency, rating derivation, round trips."""
 
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -264,7 +265,7 @@ def test_source_digest_covers_the_bytes_parsed(tmp_path):
     g = h.load_graph(np_, ep, sp_)
     assert g.node_ids["Author"] == ["a1", "a\x0cb\u2028c"]
     want = hashlib.sha256(b"".join(
-        hashlib.sha256(open(p, "rb").read()).digest() for p in (sp_, np_, ep)
+        hashlib.sha256(pathlib.Path(p).read_bytes()).digest() for p in (sp_, np_, ep)
     )).hexdigest()
     assert g.source_digest == h.source_digest(np_, ep, sp_) == want
     built = h.build_graph(
@@ -466,6 +467,26 @@ def test_save_load_round_trip(tmp_path, toy_graph):
     for rel in toy_graph.schema.relations:
         assert (g2.matrices[rel.name] != toy_graph.matrices[rel.name]).nnz == 0
     assert h.content_hash(g2) == h.content_hash(toy_graph)
+
+
+@pytest.mark.parametrize("bad", ["#a", " a", "a ", "a\tb", "a\nb", "a\rb", "\u3000a", ""])
+def test_save_graph_refuses_an_id_that_would_not_load_back(tmp_path, biblio_schema, bad):
+    # '#a' would read as a comment, ' a' as 'a', 'a\tb' as three fields
+    nodes = [("a1", "Author"), ("p1", "Paper"), ("c1", "Conf")]
+    g = h.build_graph(biblio_schema, nodes, [("a1", "p1", "writes")])
+    g.node_ids["Paper"][0] = bad
+    paths = [str(tmp_path / n) for n in ("n.tsv", "e.tsv", "s.txt")]
+    with pytest.raises(ValueError, match=f"node id {re.escape(repr(bad))} cannot be saved"):
+        h.save_graph(g, *paths)
+    assert list(tmp_path.iterdir()) == []  # refused before any file is written
+
+
+def test_save_graph_keeps_ids_with_inner_spaces_and_hashes(tmp_path, biblio_schema):
+    nodes = [("a #1", "Author"), ("p\x0c1", "Paper"), ("c\u20281", "Conf")]
+    g = h.build_graph(biblio_schema, nodes, [("a #1", "p\x0c1", "writes")])
+    paths = [str(tmp_path / n) for n in ("n.tsv", "e.tsv", "s.txt")]
+    h.save_graph(g, *paths)
+    assert h.content_hash(h.load_graph(*paths)) == h.content_hash(g)
 
 
 def test_content_hash_ignores_edge_order(tmp_path, biblio_schema):
@@ -766,7 +787,8 @@ def _random_weight(rng):
 def _random_files(rng, plain, bad=None):
     """(nodes bytes, edges bytes) of a random network; unless ``plain``, with
     comments, blank lines, padded fields, CRLF and lone CR line ends.  With
-    ``bad``, one bad record of that kind (0-13) sits among the others."""
+    ``bad``, one bad record of that kind sits among the others: kinds 0-13
+    fail one check each, kinds 14-21 two or three at once."""
     ids = {t: _random_ids(rng, t[0].lower(), int(rng.integers(2, 25)), plain)
            for t in REF_TYPES}
     nodes = [[nid, t] for t in REF_TYPES for nid in ids[t]]
@@ -783,16 +805,25 @@ def _random_files(rng, plain, bad=None):
             weight = [_random_weight(rng)] if rng.random() < 0.5 else []
             edges.append([src, dst, name] + weight)
     if bad is not None:
-        a, p = rng.choice(ids["Author"]), rng.choice(ids["Paper"])
+        a, p, c = (rng.choice(ids[t]) for t in REF_TYPES)
         record = [
-            [rng.choice(ids["Conf"]), "Author"], [a, "Author", "x"], ["zz9", "Person"],
+            [c, "Author"], [a, "Author", "x"], ["zz9", "Person"],
             ["", "Paper"],
             [a[:-1] if a[:-1] not in ids["Author"] else "a", p, "writes"],
             ["journals/a/9999999", p, "writes"], [p, p, "writes"],
             [a, p, "writes", "heavy"], [a, p, "writes", "-1"], [a, p, "writes", "nan"],
             [a, p, "reads"], [a, p], [a, p, "writes", "1", "2"], [a, p, ""],
+            # empty id, undeclared type; undeclared type, maybe a duplicate;
+            # empty type, undeclared type, maybe a duplicate
+            ["", "Person"], [c, "Person"], [a, ""],
+            # unparseable weight, source type, unknown target; source type,
+            # unknown target; empty target, unknown relation, invalid weight;
+            # unknown relation, invalid weight; unknown source, target type,
+            # invalid weight
+            [c, "zz8", "writes", "heavy"], [c, "zz8", "writes"], [a, "", "reads", "nan"],
+            [a, p, "reads", "-1"], ["zz7", c, "writes", "inf"],
         ][bad]
-        lines = nodes if bad < 4 else edges
+        lines = nodes if bad < 4 or 14 <= bad < 17 else edges
         lines.insert(int(rng.integers(len(lines) + 1)), record)
     return tuple(_decorate(rng, lines, plain) for lines in (nodes, edges))
 
@@ -833,7 +864,11 @@ def test_ingest_matches_line_by_line_reference(tmp_path, monkeypatch, seed):
     from oracles import reference_ingest
 
     rng = np.random.default_rng([seed, 0x1D])
-    plain, bad = seed % 3 == 0, (seed // 3) % 14 if seed % 3 == 2 else None
+    plain, bad = seed % 3 == 0, None
+    if seed % 3 == 2:
+        bad = (seed // 3) % 14  # a record that fails one check
+    elif seed % 6 == 4:
+        bad = 14 + seed // 6  # a record that fails two or three
     paths = write_dataset(tmp_path, "", "", schema=REF_SCHEMA)
     files = {"schema": (paths[2], REF_SCHEMA.encode())}
     for kind, path, data in zip(("nodes", "edges"), paths, _random_files(rng, plain, bad)):

@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 
 import hetecf as h
-from hetecf import PathError, PathSpecError
+from hetecf import GraphFormatError, PathError, PathSpecError
 from hetecf.metapath import (
     PathGroups,
     SimilarityMatrix,
@@ -477,7 +477,9 @@ def test_load_path_spec_reports_file_and_line(tmp_path, biblio_schema):
     f.write_text("# ok\nUU: Author -writes-> Paper <-writes- Author\nbogus line\n")
     with pytest.raises(PathSpecError) as err:
         load_path_spec(str(f), biblio_schema)
-    assert ":3:" in str(err.value)
+    assert isinstance(err.value, GraphFormatError)  # located the same way
+    assert err.value.line == 3 and err.value.source_path == str(f)
+    assert str(err.value).startswith(f"{f}:3: expected")
 
 
 @pytest.mark.parametrize("inside", ["\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])

@@ -75,8 +75,8 @@ def test_logistic_slope():
 
 def test_predict_zero_factors_gives_half():
     model = FactorModel(np.zeros((3, 2)), np.zeros((4, 2)))
-    assert model.predict(0, 0) == 0.5
-    assert np.all(model.predict_full() == 0.5)
+    rows, cols = np.divmod(np.arange(12), 4)
+    assert np.all(model.predict_pairs(rows, cols) == 0.5)
 
 
 def test_predict_matches_manual():
@@ -84,32 +84,17 @@ def test_predict_matches_manual():
     model = FactorModel(rng.normal(size=(3, 4)), rng.normal(size=(5, 4)))
     i, j = 2, 3
     want = 1.0 / (1.0 + np.exp(-(model.U[i] @ model.V[j])))
-    assert model.predict(i, j) == pytest.approx(want, rel=1e-15)
     pairs = model.predict_pairs([0, 2], [1, 3])
     assert pairs[1] == pytest.approx(want, rel=1e-15)
-    full = model.predict_full()
-    assert full.shape == (3, 5)
-    assert np.all((full > 0) & (full < 1))
-
-
-def test_predict_bounds_checked():
-    model = FactorModel(np.zeros((2, 2)), np.zeros((2, 2)))
-    with pytest.raises(IndexError):
-        model.predict(2, 0)
-    with pytest.raises(IndexError):
-        model.predict(0, -1)
+    rows, cols = np.divmod(np.arange(15), 5)
+    every = model.predict_pairs(rows, cols)
+    assert every.shape == (15,)
+    assert np.all((every > 0) & (every < 1))
 
 
 def test_factor_dim_mismatch():
     with pytest.raises(ValueError, match="dimension mismatch"):
         FactorModel(np.zeros((2, 3)), np.zeros((2, 4)))
-
-
-def test_model_copy_is_deep():
-    model = FactorModel(np.ones((2, 2)), np.ones((2, 2)))
-    c = model.copy()
-    c.U[0, 0] = 9.0
-    assert model.U[0, 0] == 1.0
 
 
 # -------------------------------------------------------------- PathWeights
@@ -122,13 +107,6 @@ def test_path_weights_validation():
         PathWeights([-0.1], [], [])
     with pytest.raises(ValueError, match="w"):
         PathWeights([], [], [np.nan])
-
-
-def test_path_weights_copy_independent():
-    w = PathWeights([1.0], [2.0], [3.0])
-    c = w.copy()
-    c.alpha[0] = 7.0
-    assert w.alpha[0] == 1.0
 
 
 # -------------------------------------------------------------- Hyperparams
