@@ -12,6 +12,22 @@ Any other exception is an internal error and propagates.
 Output artifacts (model files, CSVs) are written atomically via
 a temporary file and rename.
 
+Set-up of ``train`` and ``evaluate``: after the graph is loaded, the
+ratings (the target path's ``derive_ratings``) and one chain per
+declared path (counts, PathSim and, for a UU or II path, its Laplacian)
+are independent tasks.  This thread and the worker thread of a
+``learner.Worker`` each take the next task in that order, UU paths
+first, then II, then UI, each group in file order; with one CPU they
+run here, in order.  Every task runs the same code on the same inputs as
+a one-thread run, so every similarity, Laplacian and model byte is the
+same.  After the join, this thread logs the inert-path warnings in path
+order and, under ``-v``, one INFO line per path (its group, the stored
+entries of its counts, similarity and Laplacian, its seconds and the
+thread that ran it) and one line with the seconds of loading, of the
+ratings and of the relation set with its Laplacians.  Training then
+holds only the Laplacians and the paths of the UU and II groups, not
+their similarity matrices.
+
 ``train`` records in the model file the ``source_digest`` of the schema,
 nodes and edges files it parsed, and the user and item ids in index
 order.  ``predict`` answers from the model file alone when the user is
@@ -25,15 +41,19 @@ answered and, for the parse path, why the model file could not.
 """
 
 import argparse
+import dataclasses
 import functools
 import json
 import logging
 import sys
+import threading
+import time
 
 import numpy as np
 
 from . import evaluate as evaluate_mod
 from . import learner, metapath
+from . import model as model_mod
 from .graph import (
     GraphFormatError,
     RatingMatrixError,
@@ -45,6 +65,7 @@ from .graph import (
 )
 from .model import (
     Hyperparams,
+    LaplacianSet,
     ModelFormatError,
     NumericalError,
     atomic_write_bytes,
@@ -165,12 +186,69 @@ def cmd_validate(args):
     return EXIT_OK
 
 
-def _prepare_training(graph, args, cfg):
+def _timed(task, *args):
+    """(``task(*args)``, its seconds, the name of the thread that ran it)."""
+    start = time.perf_counter()
+    result = task(*args)
+    return result, time.perf_counter() - start, threading.current_thread().name
+
+
+def _set_up_path(graph, group, path):
+    """(similarity, Laplacian, nnz, inert) of one declared path.
+
+    The Laplacian and inert flag are those of a UU or II path, whose
+    similarity is returned without its matrix: training reads only its
+    path and Laplacian.  ``nnz`` lists the stored entries of the counts,
+    the similarity and, for a UU or II path, the Laplacian.  Runs as a
+    ``Worker`` task: no BLAS call and no logging.
+    """
+    counts, sim = metapath.similarity(graph, group, path)
+    nnz = (counts.matrix.nnz, sim.matrix.nnz)
+    del counts  # freed before the Laplacian is assembled
+    if group == "UI":
+        return sim, None, nnz, False
+    lap = model_mod.laplacian(sim)
+    return (dataclasses.replace(sim, matrix=None), lap, nnz + (lap.nnz,),
+            metapath.inert(sim))
+
+
+def _prepare_training(args, cfg):
+    """(graph, path groups, ratings, relation set, LaplacianSet) of a
+    ``train`` or ``evaluate`` call, set up on two threads as the module
+    docstring describes."""
+    start = time.perf_counter()
+    graph = _load_graph_from(args, cfg)
+    load_s = time.perf_counter() - start
     groups = metapath.load_path_spec(_require(args, cfg, "paths"), graph.schema)
     target = metapath.parse_path(_require(args, cfg, "target_path"), graph.schema)
-    ratings = derive_ratings(graph, target)
-    rels = metapath.build_relation_set(graph, groups)
-    return groups, ratings, rels
+    declared = metapath.declared(groups)
+    start = time.perf_counter()
+    with learner.Worker() as worker:
+        (ratings, ratings_s, _), *done = worker.share(
+            [functools.partial(_timed, derive_ratings, graph, target)]
+            + [functools.partial(_timed, _set_up_path, graph, group, path)
+               for group, path in declared]
+        )
+    wall_s = time.perf_counter() - start
+    sims = {group: [] for group in metapath.GROUPS}
+    laps = LaplacianSet()
+    for (group, path), ((sim, lap, nnz, inert), seconds, thread) in zip(declared, done):
+        if inert:
+            metapath.warn_inert(group, path)
+        sims[group].append(sim)
+        if lap is not None:
+            (laps.user if group == "UU" else laps.item).append(lap)
+        log.info("set-up: %s path %s: nnz of counts %d, similarity %d%s; %.4fs on %s",
+                 group, path, *nnz[:2], "" if lap is None else f", Laplacian {nnz[2]}",
+                 seconds, thread)
+    log.info(
+        "set-up: load %.4fs; ratings %.4fs and relation set with Laplacians %.4fs"
+        " of task time, %.4fs wall on %s",
+        load_s, ratings_s, sum(seconds for _, seconds, _ in done), wall_s,
+        "two threads" if worker.two_threads else "one thread",
+    )
+    rels = metapath.RelationSet(sims["UU"], sims["II"], sims["UI"])
+    return graph, groups, ratings, rels, laps
 
 
 def cmd_train(args):
@@ -178,15 +256,14 @@ def cmd_train(args):
     model_out = _require(args, cfg, "model_out")
     log_out = _setting(args, cfg, "log_out")
     weights_out = _setting(args, cfg, "weights_out")
-    graph = _load_graph_from(args, cfg)
+    graph, groups, ratings, rels, laps = _prepare_training(args, cfg)
     ghash = content_hash(graph)
-    groups, ratings, rels = _prepare_training(graph, args, cfg)
     hp = _hyperparams(args, cfg)
     log.info(
         "training: %d users, %d items, %d observed ratings, mu=%g, d=%d",
         ratings.n, ratings.m, ratings.nnz, effective_mu(hp, ratings), hp.d,
     )
-    state = learner.train(ratings, rels, hp)
+    state = learner.train(ratings, rels, hp, laps)
     schema = graph.schema
     source = (graph.source_digest, graph.node_ids[schema.user_type],
               graph.node_ids[schema.item_type])
@@ -213,7 +290,7 @@ def cmd_train(args):
 def cmd_evaluate(args):
     cfg = _load_config(args.config)
     report_out = _setting(args, cfg, "report_out")
-    _, ratings, rels = _prepare_training(_load_graph_from(args, cfg), args, cfg)
+    _, _, ratings, rels, laps = _prepare_training(args, cfg)
     methods = _setting(args, cfg, "methods", list(evaluate_mod.METHODS))
     if isinstance(methods, str):
         methods = [m.strip() for m in methods.split(",") if m.strip()]
@@ -243,6 +320,7 @@ def cmd_evaluate(args):
         trials=trials,
         seed=seed,
         hp=hp,
+        laps=laps,
     )
     print(report.format_table())
     if report_out:

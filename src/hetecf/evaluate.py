@@ -235,19 +235,19 @@ def run_experiment(
     trials=10,
     seed=0,
     hp=None,
+    laps=None,
 ):
     """Full protocol grid: methods x fractions x d x {MAE, RMSE}.
 
     A failing (method, fraction, d, trial) cell is recorded in
     ``report.failures`` and skipped in the aggregates; other methods
-    are unaffected.  The Laplacians of ``rels`` are built once and shared
-    by every hete_cf fit.
+    are unaffected.  ``laps``, the LaplacianSet of ``rels``, is shared by
+    every hete_cf fit; without it, the first hete_cf fit builds it.
     """
     hp = hp or Hyperparams()
     for method in methods:
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}; known: {', '.join(METHODS)}")
-    laps = None  # the Laplacians of rels, built by the first hete_cf fit
     report = MetricReport()
     for fraction in fractions:
         spec = SplitSpec(train_fraction=fraction, trials=trials, seed=seed)

@@ -22,9 +22,10 @@ point: a rejected candidate leaves the factors and the frozen weights as
 they were.
 
 Worker thread: with two CPUs, a Problem shares its large sparse products
-with one worker thread, started on first use and stopped when ``train``
-ends.  Each Laplacian whose product costs at least ``PARALLEL_MIN_WORK``
-multiply-adds (stored entries x d) is cut once per Problem, at the row
+with the thread of one :class:`Worker`, started on first use and stopped
+when ``train`` ends; the CLI's set-up runs its tasks on another.  Each
+Laplacian whose product costs at least ``PARALLEL_MIN_WORK`` multiply-adds
+(stored entries x d) is cut once per Problem, at the row
 nearest half its entries, into two CSR row blocks that share its data
 and indices.  For every new product the worker multiplies the second
 block while this thread runs the entry half and then the first block; on
@@ -76,8 +77,9 @@ their values at the start of the iteration.  The weights take no part.
 import logging
 import math
 import os
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -256,6 +258,76 @@ def _cpu_count():
         return os.cpu_count() or 1
 
 
+class Worker:
+    """This thread and, when the process may run on two CPUs, one worker
+    thread, started on first use and stopped by :meth:`close` (or on
+    leaving a ``with`` block).
+
+    Every task given to :meth:`share` but the first may run on the worker
+    thread.  So such a task makes no BLAS call (a multi-threaded OpenBLAS
+    keeps its threads spinning after one, on the CPU the other thread
+    needs), no ufunc work whose result an ``np.errstate`` of the caller
+    should govern (errstate is per thread), and no logging.
+    """
+
+    def __init__(self):
+        self.two_threads = _cpu_count() > 1
+        self.tasks = 0  # tasks the worker thread ran
+        self._pool = None
+
+    def share(self, tasks):
+        """The results of the callables ``tasks``, in task order.
+
+        This thread runs the first task and the worker the second; then
+        each takes the next task in order until none is left.  Every task
+        runs once.  When tasks raise, the first exception in task order is
+        raised, unchanged, once both threads are done.  With one CPU, or
+        fewer than two tasks, the tasks run here in order and no thread
+        starts.
+        """
+        if not self.two_threads or len(tasks) < 2:
+            return [task() for task in tasks]
+        outcomes = [None] * len(tasks)  # (result, exception) per task
+        rest = iter(range(2, len(tasks)))
+        lock = threading.Lock()
+
+        def run(k):
+            ran = 0
+            while k is not None:
+                try:
+                    outcomes[k] = (tasks[k](), None)
+                except BaseException as exc:  # raised below, after the join
+                    outcomes[k] = (None, exc)
+                ran += 1
+                with lock:
+                    k = next(rest, None)
+            return ran
+
+        if self._pool is None:
+            self._pool = ThreadPoolExecutor(1, thread_name_prefix="hetecf-worker")
+        future = self._pool.submit(run, 1)
+        try:
+            run(0)
+        finally:
+            self.tasks += future.result()  # waits for the worker
+        for _, exc in outcomes:
+            if exc is not None:
+                raise exc
+        return [result for result, _ in outcomes]
+
+    def close(self):
+        """Stop the worker thread, if one was started."""
+        if self._pool is not None:
+            self._pool.shutdown()
+            self._pool = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+
 def _row_halves(L):
     """The two row blocks of the CSR matrix ``L`` cut at the row nearest
     half its stored entries, each as (first row, end row, columns, indptr,
@@ -294,8 +366,8 @@ class Problem:
     products each factor candidate computes.
 
     With two CPUs, the sparse factor products of at least
-    ``PARALLEL_MIN_WORK`` multiply-adds are shared with one worker thread,
-    started on first use; :meth:`close` stops it.
+    ``PARALLEL_MIN_WORK`` multiply-adds are shared with the thread of a
+    :class:`Worker`, started on first use; :meth:`close` stops it.
     """
 
     def __init__(self, ratings, rels, hp, laps=None):
@@ -320,9 +392,7 @@ class Problem:
         self.density = flat.size / (self.n * self.m)
         self.dense = self.density >= DENSE_MIN_DENSITY
         self._index_pairs(flat)
-        self._two_cpus = _cpu_count() > 1
-        self._pool = None
-        self._worker_tasks = 0
+        self._worker = Worker()
         # the largest sparse product, for the report of why none was shared
         self._largest_nnz = max(
             [L.nnz for _, L in self.graph] + [0 if self.dense else flat.size]
@@ -333,38 +403,21 @@ class Problem:
     def _shared(self, M):
         """Whether a product of the sparse matrix ``M`` with a factor
         matrix is shared with the worker thread."""
-        return (self._two_cpus and sp.issparse(M) and M.format == "csr"
+        return (self._worker.two_threads and sp.issparse(M) and M.format == "csr"
                 and M.nnz * self.hp.d >= PARALLEL_MIN_WORK)
-
-    def _beside(self, side, main):
-        """``(main(), side())``, with ``side`` run on the worker thread
-        while ``main`` runs on this one.  An exception ``main`` raises
-        propagates once ``side`` has finished; one ``side`` raises
-        propagates unchanged from reading its result."""
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(1, thread_name_prefix="hetecf-kernels")
-        future = self._pool.submit(side)
-        self._worker_tasks += 1
-        try:
-            result = main()
-        finally:
-            wait([future])
-        return result, future.result()
 
     def close(self):
         """Stop the worker thread, if one was started."""
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
+        self._worker.close()
 
     def kernel_report(self):
         """Whether the sparse factor products ran on two threads, or why not."""
-        if self._worker_tasks:
+        if self._worker.tasks:
             split = [name for name, half in zip(self._names[0], self._halves)
                      if half is not None]
-            return (f"ran on two threads, {self._worker_tasks} tasks on the worker;"
+            return (f"ran on two threads, {self._worker.tasks} tasks on the worker;"
                     f" Laplacians split by rows: {', '.join(split) or 'none'}")
-        if not self._two_cpus:
+        if not self._worker.two_threads:
             return "ran on one thread: one CPU available"
         return (f"ran on one thread: below the threshold (largest sparse product"
                 f" {self._largest_nnz} nnz x d {self.hp.d} < {PARALLEL_MIN_WORK})")
@@ -538,8 +591,9 @@ class Problem:
                 _multiply_rows(self._halves[k][1], factors[self.graph[k][0]], LX[k])
 
         # the worker multiplies the second halves while this thread runs
-        # the entry half and then the first halves
-        entries = self._beside(side, main)[0] if split else main()
+        # the entry half (whose dense product may call BLAS) and then the
+        # first halves
+        entries = self._worker.share([main, side])[0] if split else main()
         for k in new:
             on, L = self.graph[k]
             tr[k] = trace_quad(L, factors[on], LX[k])
@@ -610,7 +664,7 @@ class Problem:
                 (g, *self._pattern), shape=(self.n, self.m)
             )
         if self._shared(G):
-            GV, GtU = self._beside(lambda: G.T @ U, lambda: G @ V)
+            GV, GtU = self._worker.share([lambda: G @ V, lambda: G.T @ U])
         else:
             GV, GtU = G @ V, G.T @ U
         dU = 2.0 * lam * self.n_user[:, None] * U + GV
@@ -694,6 +748,14 @@ def _norm(x):
 def _rel_change(new, old):
     denom = _norm(old) + _EPS
     return _norm(new - old) / denom
+
+
+def _weights_rel_change(new, old):
+    """``_rel_change`` of two blocks of path weights, in Python floats:
+    for a handful of weights, that is cheaper than numpy's calls."""
+    new, old = new.tolist(), old.tolist()
+    change = math.sqrt(sum((a - b) * (a - b) for a, b in zip(new, old)))
+    return change / (math.sqrt(sum(b * b for b in old)) + _EPS)
 
 
 def _descend(state, data, propose, phase):
@@ -801,9 +863,9 @@ def update_weights(state, data):
         beta = np.maximum(wts.beta - eta * dB, 0.0)
         w = np.maximum(wts.w - eta * dW, 0.0)
         rel = max(
-            _rel_change(alpha, wts.alpha),
-            _rel_change(beta, wts.beta),
-            _rel_change(w, wts.w),
+            _weights_rel_change(alpha, wts.alpha),
+            _weights_rel_change(beta, wts.beta),
+            _weights_rel_change(w, wts.w),
         )
         return (state.point, PathWeights(alpha, beta, w)), rel
 
@@ -866,9 +928,9 @@ def _train(data, ratings, rels, hp):
         rels_change = {
             "U": _rel_change(state.model.U, before[0]),
             "V": _rel_change(state.model.V, before[1]),
-            "alpha": _rel_change(state.weights.alpha, before[2].alpha),
-            "beta": _rel_change(state.weights.beta, before[2].beta),
-            "w": _rel_change(state.weights.w, before[2].w),
+            "alpha": _weights_rel_change(state.weights.alpha, before[2].alpha),
+            "beta": _weights_rel_change(state.weights.beta, before[2].beta),
+            "w": _weights_rel_change(state.weights.w, before[2].w),
         }
         terms = data.terms(_point(state, data), state.weights)
         state.log_rows.append(

@@ -28,6 +28,11 @@ PathSim reads the row sums as the column sums, so the similarity is
 exactly symmetric too and is marked so.  ``build_relation_set`` checks
 every other user-user and item-item similarity against its transpose
 once and averages only those that differ.
+
+One path's chain, :func:`similarity`, depends on the graph alone, reads
+``graph.matrices`` without writing them, makes no BLAS call and logs
+nothing, so the CLI runs the chains of different paths on two threads.
+:func:`inert` only tests a similarity; :func:`warn_inert` logs.
 """
 
 import io
@@ -178,7 +183,10 @@ class SimilarityMatrix:
 
     ``symmetric`` is True only when ``matrix`` equals its own transpose
     array for array: built so from symmetric counts by ``pathsim``, or
-    checked so by ``build_relation_set``.
+    checked so by ``build_relation_set``.  The relation set that ``train``
+    and ``evaluate`` hand to training holds no ``matrix`` (None) for a
+    user-user or item-item path: training reads only its path and its
+    Laplacian.
     """
 
     path: MetaPath
@@ -261,11 +269,13 @@ def pathsim(pc, variant="rowcol"):
     else:
         by_row = np.asarray(pc.matrix.sum(axis=1)).ravel()
         by_col = by_row if pc.symmetric else np.asarray(pc.matrix.sum(axis=0)).ravel()
-    denom = np.repeat(by_row, per_row) + by_col[counts.indices]
+    denom = np.repeat(by_row, per_row)
+    denom += by_col[counts.indices]
     positive = denom > 0
     data = counts.data * 2.0
     np.divide(data, denom, out=data, where=positive)
     data[~positive] = 0.0
+    del denom, positive  # freed before the index arrays are copied
     out = sp.csr_array(
         (data, counts.indices.copy(), counts.indptr.copy()), shape=counts.shape
     )
@@ -359,8 +369,8 @@ def _symmetric(sim):
     return SimilarityMatrix(sim.path, sim.variant, sp.csr_array((S + T) * 0.5))
 
 
-def _warn_if_inert(group, sim):
-    """Warn when a similarity has no off-diagonal entry: its Laplacian is zero.
+def inert(sim):
+    """Whether a similarity has no off-diagonal entry: its Laplacian is zero.
 
     ``sim.matrix`` is canonical (no duplicate entries), so it stores at
     most one diagonal entry per row, and an inert S has nnz <= n.  A larger
@@ -369,13 +379,36 @@ def _warn_if_inert(group, sim):
     S = sim.matrix
     n = S.shape[0]
     if S.nnz > n:
-        return
+        return False
     rows = np.repeat(np.arange(n), np.diff(S.indptr))
-    if np.array_equal(S.indices, rows):
-        log.warning(
-            "%s path %s is inert: its similarity has no entries off the "
-            "diagonal, so its Laplacian is zero", group, sim.path,
-        )
+    return bool(np.array_equal(S.indices, rows))
+
+
+def warn_inert(group, path):
+    """Log that the ``group`` path ``path`` is inert (see :func:`inert`)."""
+    log.warning(
+        "%s path %s is inert: its similarity has no entries off the "
+        "diagonal, so its Laplacian is zero", group, path,
+    )
+
+
+def declared(groups):
+    """(group, path) of every path of ``groups``: UU, then II, then UI,
+    each in file order."""
+    return [
+        (group, path)
+        for group, paths in zip(GROUPS, (groups.user_user, groups.item_item, groups.user_item))
+        for path in paths
+    ]
+
+
+def similarity(graph, group, path):
+    """(counts, similarity) of the ``group`` path ``path``: its
+    ``path_count``, and its ``pathsim`` made exactly symmetric (see
+    :func:`build_relation_set`) when ``group`` is UU or II."""
+    counts = path_count(graph, path)
+    sim = pathsim(counts)
+    return counts, sim if group == "UI" else _symmetric(sim)
 
 
 def build_relation_set(graph, groups):
@@ -390,18 +423,10 @@ def build_relation_set(graph, groups):
     user-user or item-item path whose similarity has no entries off the
     diagonal is logged as inert: its Laplacian is all zero.
     """
-    out = {}
-    for group, paths in (
-        ("UU", groups.user_user),
-        ("II", groups.item_item),
-        ("UI", groups.user_item),
-    ):
-        sims = []
-        for path in paths:
-            sim = pathsim(path_count(graph, path))
-            if group in ("UU", "II"):
-                sim = _symmetric(sim)
-                _warn_if_inert(group, sim)
-            sims.append(sim)
-        out[group] = sims
+    out = {group: [] for group in GROUPS}
+    for group, path in declared(groups):
+        _, sim = similarity(graph, group, path)
+        if group != "UI" and inert(sim):
+            warn_inert(group, path)
+        out[group].append(sim)
     return RelationSet(out["UU"], out["II"], out["UI"])

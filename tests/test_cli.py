@@ -964,3 +964,140 @@ def test_worker_thread_leaves_model_and_log_bytes_unchanged(tmp_path, monkeypatc
     assert len(runs[math.inf][2]) == 1
     assert runs[math.inf][2][0].startswith("factor kernels ran on one thread: below the threshold")
 
+
+
+# ------------------------------------------------------ set-up on two threads
+
+
+def _cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def _network(tmp_path, network):
+    """Graph flags of the sample or a sparse synthetic network; both take
+    the sample's five paths, an inert one and a one-way one among them."""
+    if network == "sample":
+        return GRAPH_FLAGS
+    return synth_files(tmp_path, SPARSE_SYNTH)[0]
+
+
+@pytest.mark.parametrize("network", ["sample", "sparse synth"])
+def test_set_up_on_two_threads_leaves_every_output_unchanged(tmp_path, monkeypatch, caplog,
+                                                              capsys, network):
+    import logging
+
+    flags = _network(tmp_path, network)
+    runs = {}
+    for count in (1, 2):
+        _cpus(monkeypatch, count)
+        out = tmp_path / f"cpus{count}"
+        out.mkdir()
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="hetecf"):
+            assert main(["train", *flags, "--paths", str(SAMPLE / "paths.txt"),
+                         "--target-path", TARGET, "--model-out", str(out / "model.npz"),
+                         "--log-out", str(out / "log.csv"),
+                         "--weights-out", str(out / "weights.csv"), *FAST]) == 0
+        with (out / "log.csv").open(newline="") as fh:
+            rows = [{k: v for k, v in row.items() if not k.endswith("_seconds")}
+                    for row in csv.DictReader(fh)]
+        warnings = [(r.name, r.getMessage()) for r in caplog.records
+                    if r.levelno >= logging.WARNING]
+        runs[count] = ((out / "model.npz").read_bytes(),
+                       capsys.readouterr().out.replace(str(out), "OUT"),
+                       (out / "weights.csv").read_bytes(), rows, warnings)
+    assert runs[1] == runs[2]
+    inert = [m for _, m in runs[2][4] if "is inert" in m]
+    assert len(inert) == len(runs[2][4])
+    if network == "sample":
+        assert inert == ["II path Conf <-published_in- Paper -published_in-> Conf is inert: "
+                         "its similarity has no entries off the diagonal, so its Laplacian "
+                         "is zero"]
+
+
+def _csr_arrays(M):
+    return [(a.dtype.str, a.tobytes()) for a in (M.indptr, M.indices, M.data)]
+
+
+@pytest.mark.parametrize("network", ["sample", "sparse synth"])
+def test_set_up_arrays_match_one_thread_and_the_library_route(tmp_path, monkeypatch,
+                                                               network):
+    from hetecf.model import LaplacianSet
+
+    flags = _network(tmp_path, network)
+    args = cli.build_parser().parse_args(
+        ["train", *flags, "--paths", str(SAMPLE / "paths.txt"), "--target-path", TARGET])
+    outputs = {}
+    for count in (1, 2):
+        _cpus(monkeypatch, count)
+        graph, groups, ratings, rels, laps = cli._prepare_training(args, {})
+        outputs[count] = (
+            [ratings.rows.tobytes(), ratings.cols.tobytes(), ratings.vals.tobytes()],
+            [(str(s.path), s.symmetric, s.matrix) for s in rels.user_user + rels.item_item],
+            [(str(s.path), _csr_arrays(s.matrix)) for s in rels.user_item],
+            [_csr_arrays(L) for L in laps.user + laps.item],
+        )
+    assert outputs[1] == outputs[2]
+
+    # the serial library route gives the same similarities and Laplacians;
+    # training keeps no UU or II similarity matrix, only its path
+    library = metapath.build_relation_set(graph, groups)
+    library_laps = LaplacianSet.from_relation_set(library)
+    assert outputs[2][1] == [(str(s.path), s.symmetric, None)
+                             for s in library.user_user + library.item_item]
+    assert outputs[2][2] == [(str(s.path), _csr_arrays(s.matrix)) for s in library.user_item]
+    assert outputs[2][3] == [_csr_arrays(L) for L in library_laps.user + library_laps.item]
+
+    # the two-thread set-up left the graph's own matrices as loaded
+    fresh = load_graph(*flags[1::2])
+    assert graph.matrices.keys() == fresh.matrices.keys()
+    for name, M in graph.matrices.items():
+        assert _csr_arrays(M) == _csr_arrays(fresh.matrices[name])
+
+
+def test_no_worker_thread_outlives_train_or_evaluate(tmp_path, monkeypatch):
+    import threading
+
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(learner, "PARALLEL_MIN_WORK", 0)  # the factor kernels share too
+    paths = ["--paths", str(SAMPLE / "paths.txt"), "--target-path", TARGET]
+    assert main(["train", *GRAPH_FLAGS, *paths, "--model-out", str(tmp_path / "m.npz"),
+                 *FAST]) == 0
+    assert not [t for t in threading.enumerate() if t.name.startswith("hetecf-")]
+    assert main(["evaluate", *GRAPH_FLAGS, *paths, "--methods", "hete_cf,user_mean",
+                 "--fractions", "0.6", "--d-values", "2", "--trials", "2", *FAST]) == 0
+    assert not [t for t in threading.enumerate() if t.name.startswith("hetecf-")]
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_verbose_set_up_logs_each_path_and_the_totals(tmp_path, monkeypatch, caplog, capsys,
+                                                      command):
+    import logging
+    import re
+
+    _cpus(monkeypatch, 2)
+    argv = [command, *GRAPH_FLAGS, "--paths", str(SAMPLE / "paths.txt"),
+            "--target-path", TARGET, *FAST]
+    argv += (["--model-out", str(tmp_path / "m.npz")] if command == "train"
+             else ["--methods", "hete_cf", "--fractions", "0.6", "--d-values", "2",
+                   "--trials", "2"])
+    assert main(argv) == 0
+    quiet = capsys.readouterr().out
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="hetecf"):
+        assert main(["-v", *argv]) == 0
+    assert capsys.readouterr().out == quiet  # nothing added to stdout
+    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("set-up")]
+    declared = [line.split(":", 1) for line in (SAMPLE / "paths.txt").read_text().splitlines()
+                if line and not line.startswith("#")]
+    assert len(lines) == len(declared) + 1  # evaluate sets up once, for every fit
+    for line, (group, path) in zip(lines, declared):
+        laplacian = r", Laplacian \d+" if group != "UI" else ""
+        assert re.fullmatch(
+            rf"set-up: {group} path {re.escape(path.strip())}: nnz of counts \d+, "
+            rf"similarity \d+{laplacian}; \d+\.\d+s on (MainThread|hetecf-worker_0)", line
+        ), line
+    assert "on hetecf-worker_0" in lines[0]  # the worker takes the first path
+    assert re.fullmatch(r"set-up: load \d+\.\d+s; ratings \d+\.\d+s and relation set with "
+                        r"Laplacians \d+\.\d+s of task time, \d+\.\d+s wall on two threads",
+                        lines[-1]), lines[-1]

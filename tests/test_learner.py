@@ -1315,4 +1315,145 @@ def test_training_stops_its_worker_thread(monkeypatch, caplog):
         train(ratings, rels, hp)
     report = [m for m in caplog.messages if m.startswith("factor kernels")]
     assert len(report) == 1 and report[0].startswith("factor kernels ran on two threads")
-    assert not [t for t in threading.enumerate() if t.name.startswith("hetecf-kernels")]
+    assert not [t for t in threading.enumerate() if t.name.startswith("hetecf-")]
+
+
+# ------------------------------------------------ tasks on two threads
+
+
+def test_share_returns_results_in_task_order(monkeypatch):
+    import os
+    import threading
+    import time
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    delays = [0.03, 0.0, 0.01, 0.0, 0.02, 0.0, 0.0]
+    ran_on = {}
+
+    def task(k):
+        def run():
+            time.sleep(delays[k])
+            ran_on.setdefault(k, []).append(threading.current_thread().name)
+            return k * k
+        return run
+
+    with learner.Worker() as worker:
+        assert worker.share([task(k) for k in range(7)]) == [k * k for k in range(7)]
+        assert worker.share([]) == [] and worker.share([task(6)]) == [36]
+    # every task ran once; this thread took the first, the worker the second
+    assert sorted(ran_on) == list(range(7)) and ran_on[6] == [ran_on[6][0]] * 2
+    assert all(len(names) == 1 for k, names in ran_on.items() if k != 6)
+    assert ran_on[0] == [threading.current_thread().name]
+    assert ran_on[1][0].startswith("hetecf-worker")
+    assert worker.tasks == sum(names[0].startswith("hetecf-worker")
+                               for k, names in ran_on.items() if k != 6)
+
+
+def test_share_raises_the_first_exception_in_task_order_once_both_threads_finish(
+        monkeypatch):
+    import os
+    import threading
+    import time
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    ran = []
+    finished = threading.Event()
+    on_worker = RuntimeError("task 1, raised on the worker")
+
+    def slow_failure():  # task 1 runs on the worker
+        time.sleep(0.05)
+        finished.set()
+        raise on_worker
+
+    def fast_failure():
+        ran.append(2)
+        raise ValueError("task 2, raised later in task order")
+
+    with learner.Worker() as worker:
+        with pytest.raises(RuntimeError) as exc:
+            worker.share([lambda: ran.append(0), slow_failure, fast_failure,
+                          lambda: ran.append(3)])
+        assert exc.value is on_worker and finished.is_set()
+        assert sorted(ran) == [0, 2, 3]  # every task ran
+
+        # an exception of this thread's task waits for the worker's task too
+        finished.clear()
+        on_this_thread = ValueError("task 0, raised on this thread")
+
+        def slow():
+            time.sleep(0.05)
+            finished.set()
+
+        with pytest.raises(ValueError) as exc:
+            worker.share([lambda: (_ for _ in ()).throw(on_this_thread), slow])
+        assert exc.value is on_this_thread and finished.is_set()
+
+
+def test_share_on_one_cpu_runs_every_task_here(monkeypatch):
+    import os
+    import threading
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(learner, "ThreadPoolExecutor",
+                        lambda *a, **k: pytest.fail("started a worker thread"))
+    names = []
+
+    def task(k):
+        return lambda: names.append(threading.current_thread().name) or k
+
+    with learner.Worker() as worker:
+        assert not worker.two_threads
+        assert worker.share([task(k) for k in range(5)]) == list(range(5))
+    assert names == [threading.current_thread().name] * 5 and worker.tasks == 0
+
+
+def test_share_runs_each_task_once_under_frequent_thread_switches(monkeypatch):
+    import os
+    import sys
+    import threading
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    counts = [0] * 400
+    lock = threading.Lock()
+
+    def task(k):
+        def run():
+            with lock:
+                counts[k] += 1
+            return k
+        return run
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with learner.Worker() as worker:
+            for _ in range(5):
+                assert worker.share([task(k) for k in range(400)]) == list(range(400))
+    finally:
+        sys.setswitchinterval(interval)
+    assert counts == [5] * 400
+    assert not [t for t in threading.enumerate() if t.name.startswith("hetecf-")]
+
+
+def test_training_without_laplacians_builds_them_on_this_thread(monkeypatch):
+    """``learner.train(ratings, rels, hp)``, which the scaling benchmark
+    times, assembles its Laplacians inline and starts no thread for them."""
+    import math
+    import threading
+
+    from hetecf import model
+
+    two_cpus(monkeypatch, threshold=math.inf)
+    monkeypatch.setattr(learner, "ThreadPoolExecutor",
+                        lambda *a, **k: pytest.fail("started a worker thread"))
+    ratings, rels, hp, _, _ = two_path_instance("gather")
+    names = []
+    laplacian = model.laplacian
+
+    def recorded(similarity):
+        names.append(threading.current_thread().name)
+        return laplacian(similarity)
+
+    monkeypatch.setattr(model, "laplacian", recorded)
+    train(ratings, rels, hp)
+    assert names == [threading.current_thread().name] * 4
