@@ -13,20 +13,26 @@ Output artifacts (model files, CSVs) are written atomically via
 a temporary file and rename.
 
 Set-up of ``train`` and ``evaluate``: after the graph is loaded, the
-ratings (the target path's ``derive_ratings``) and one chain per
-declared path (counts, PathSim and, for a UU or II path, its Laplacian)
-are independent tasks.  This thread and the worker thread of a
-``learner.Worker`` each take the next task in that order, UU paths
-first, then II, then UI, each group in file order; with one CPU they
-run here, in order.  Every task runs the same code on the same inputs as
-a one-thread run, so every similarity, Laplacian and model byte is the
-same.  After the join, this thread logs the inert-path warnings in path
-order and, under ``-v``, one INFO line per path (its group, the stored
-entries of its counts, similarity and Laplacian, its seconds and the
-thread that ran it) and one line with the seconds of loading, of the
-ratings and of the relation set with its Laplacians.  Training then
-holds only the Laplacians and the paths of the UU and II groups, not
-their similarity matrices.
+ratings (the target path's ``derive_ratings``), one chain per declared
+path (counts, PathSim and, for a UU or II path, its Laplacian) and, for
+``train``, the graph's ``content_hash`` are independent tasks.  This
+thread and the worker thread of a ``learner.Worker`` each take the next
+task in this order: the ratings, then the chains, costliest first, then
+the hash.  A chain's cost is estimated by its path's instance count
+(``metapath.instance_count``, a few sparse products with a vector); equal
+estimates keep the declared order (UU, then II, then UI, each group in
+file order).  So the worker starts on the costliest chain while this
+thread runs the ratings and then the cheaper chains.  With one CPU the
+tasks run here, in the same order.  Every task runs the same code on the
+same inputs as a one-thread run, so every similarity, Laplacian, hash
+and model byte is the same.  After the join, this thread logs, in
+declared order, the inert-path warnings and, under ``-v``, one INFO line
+per path (its group, the stored entries of its counts, similarity and
+Laplacian, its instance count, its seconds and the thread that ran it);
+then one line with the seconds of loading, of the ratings and of the
+relation set with its Laplacians.  Training then holds only the
+Laplacians and the paths of the UU and II groups, not their similarity
+matrices.
 
 ``train`` records in the model file the ``source_digest`` of the schema,
 nodes and edges files it parsed, and the user and item ids in index
@@ -212,8 +218,9 @@ def _set_up_path(graph, group, path):
             metapath.inert(sim))
 
 
-def _prepare_training(args, cfg):
-    """(graph, path groups, ratings, relation set, LaplacianSet) of a
+def _prepare_training(args, cfg, graph_tasks=()):
+    """(graph, path groups, ratings, relation set, LaplacianSet, then the
+    result of each callable of ``graph_tasks`` on the graph) of a
     ``train`` or ``evaluate`` call, set up on two threads as the module
     docstring describes."""
     start = time.perf_counter()
@@ -223,32 +230,40 @@ def _prepare_training(args, cfg):
     target = metapath.parse_path(_require(args, cfg, "target_path"), graph.schema)
     declared = metapath.declared(groups)
     start = time.perf_counter()
+    estimates = [metapath.instance_count(graph, path) for _, path in declared]
+    # costliest first, so that the worker starts on it; ties in declared order
+    order = sorted(range(len(declared)), key=lambda k: -estimates[k])
     with learner.Worker() as worker:
         (ratings, ratings_s, _), *done = worker.share(
             [functools.partial(_timed, derive_ratings, graph, target)]
-            + [functools.partial(_timed, _set_up_path, graph, group, path)
-               for group, path in declared]
+            + [functools.partial(_timed, _set_up_path, graph, *declared[k]) for k in order]
+            + [functools.partial(task, graph) for task in graph_tasks]
         )
     wall_s = time.perf_counter() - start
+    extra = done[len(order):]
+    chains = [None] * len(declared)
+    for k, outcome in zip(order, done):
+        chains[k] = outcome
     sims = {group: [] for group in metapath.GROUPS}
     laps = LaplacianSet()
-    for (group, path), ((sim, lap, nnz, inert), seconds, thread) in zip(declared, done):
+    for (group, path), ((sim, lap, nnz, inert), seconds, thread), estimate in zip(
+            declared, chains, estimates):
         if inert:
             metapath.warn_inert(group, path)
         sims[group].append(sim)
         if lap is not None:
             (laps.user if group == "UU" else laps.item).append(lap)
-        log.info("set-up: %s path %s: nnz of counts %d, similarity %d%s; %.4fs on %s",
-                 group, path, *nnz[:2], "" if lap is None else f", Laplacian {nnz[2]}",
-                 seconds, thread)
+        log.info("set-up: %s path %s: nnz of counts %d, similarity %d%s; %.6g instances,"
+                 " %.4fs on %s", group, path, *nnz[:2],
+                 "" if lap is None else f", Laplacian {nnz[2]}", estimate, seconds, thread)
     log.info(
         "set-up: load %.4fs; ratings %.4fs and relation set with Laplacians %.4fs"
         " of task time, %.4fs wall on %s",
-        load_s, ratings_s, sum(seconds for _, seconds, _ in done), wall_s,
+        load_s, ratings_s, sum(seconds for _, seconds, _ in chains), wall_s,
         "two threads" if worker.two_threads else "one thread",
     )
     rels = metapath.RelationSet(sims["UU"], sims["II"], sims["UI"])
-    return graph, groups, ratings, rels, laps
+    return (graph, groups, ratings, rels, laps, *extra)
 
 
 def cmd_train(args):
@@ -256,8 +271,7 @@ def cmd_train(args):
     model_out = _require(args, cfg, "model_out")
     log_out = _setting(args, cfg, "log_out")
     weights_out = _setting(args, cfg, "weights_out")
-    graph, groups, ratings, rels, laps = _prepare_training(args, cfg)
-    ghash = content_hash(graph)
+    graph, groups, ratings, rels, laps, ghash = _prepare_training(args, cfg, [content_hash])
     hp = _hyperparams(args, cfg)
     log.info(
         "training: %d users, %d items, %d observed ratings, mu=%g, d=%d",

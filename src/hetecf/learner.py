@@ -22,23 +22,30 @@ point: a rejected candidate leaves the factors and the frozen weights as
 they were.
 
 Worker thread: with two CPUs, a Problem shares its large sparse products
-with the thread of one :class:`Worker`, started on first use and stopped
-when ``train`` ends; the CLI's set-up runs its tasks on another.  Each
-Laplacian whose product costs at least ``PARALLEL_MIN_WORK`` multiply-adds
-(stored entries x d) is cut once per Problem, at the row
-nearest half its entries, into two CSR row blocks that share its data
-and indices.  For every new product the worker multiplies the second
-block while this thread runs the entry half and then the first block; on
-the gather side the worker computes ``G.T @ U`` while this thread computes
+and its gathered entry half with the thread of one :class:`Worker`,
+started on first use and stopped when ``train`` ends; the CLI's set-up
+runs its tasks on another.  Each Laplacian whose product costs at least
+``PARALLEL_MIN_WORK`` multiply-adds (stored entries x d) is cut once per
+Problem, at the row nearest half its entries, into two CSR row blocks
+that share its data and indices.  On the gather side, once the distinct
+pairs x d reach the same threshold, the pairs are cut at the
+``_GATHER_CHUNK`` boundary nearest half of them.  For every new Point the
+worker multiplies the second row blocks and then predicts the second
+range of pairs (the logistic value and slope of each), while this thread
+predicts the first range and then multiplies the first blocks; the fit
+gradient's ``G.T @ U`` runs on the worker while this thread computes
 ``G @ V``.  It is exact: every output row comes from the kernel scipy's
-``L @ X`` runs, over the same entries in the same order, and the traces
-and sums are taken on this thread after the join, so the model's bytes
-do not depend on the split.  The worker runs only scipy sparse kernels,
-which release the GIL and do no ufunc work (so no errstate applies), and
-never BLAS.  Below the threshold, or when ``os.sched_getaffinity`` gives
-one CPU, the same products run inline and no thread starts.  ``train``
-logs one INFO line saying whether the kernels ran on two threads, or why
-not.
+``L @ X`` runs, over the same entries in the same order, every gathered
+block is the one a one-thread run takes, the logistic is elementwise, and
+the residuals, traces and sums are taken on this thread after the join,
+so the model's bytes do not depend on the split.  The worker runs scipy
+sparse kernels, row gathers, ``np.einsum`` and ufuncs under the caller's
+``np.errstate``, and never BLAS; the dense side's entry half, whose
+``U @ V.T`` calls BLAS, stays on this thread.  Below the threshold, or
+when ``os.sched_getaffinity`` gives one CPU, the same work runs inline
+and no thread starts.  ``train`` logs one INFO line saying whether the
+kernels ran on two threads, with how many entry halves were split, or
+why not.
 
 Active set: at the start of each factor phase :meth:`Problem.activate`
 keeps in the entry list only the rating block and the user-item relations
@@ -111,8 +118,9 @@ _EPS = 1e-12
 # grids, from 0.2 up the dense pass is 1.7-3.2x faster there, and on a
 # 200 x 60 grid it is 2.3-8.4x faster at every density.
 DENSE_MIN_DENSITY = 0.2
-# Multiply-adds (stored entries x d) from which a sparse factor product is
-# shared with the worker thread.  Measured in paired training runs at
+# Multiply-adds (stored entries x d) from which a sparse factor product, or
+# the gathered entry half (distinct pairs x d), is shared with the worker
+# thread.  Measured in paired training runs at
 # d = 10 on a 2-CPU host with one BLAS thread: splitting a Laplacian
 # product of 144k multiply-adds made a run 19% slower and one of 324k 4.5%
 # slower; 400k broke even; 576k and 1.3M made it 2.8% and 11% faster.  The
@@ -266,8 +274,8 @@ class Worker:
     Every task given to :meth:`share` but the first may run on the worker
     thread.  So such a task makes no BLAS call (a multi-threaded OpenBLAS
     keeps its threads spinning after one, on the CPU the other thread
-    needs), no ufunc work whose result an ``np.errstate`` of the caller
-    should govern (errstate is per thread), and no logging.
+    needs) and no logging.  It runs under the caller's ``np.errstate``,
+    which :meth:`share` carries over, since errstate is per thread.
     """
 
     def __init__(self):
@@ -281,7 +289,8 @@ class Worker:
         This thread runs the first task and the worker the second; then
         each takes the next task in order until none is left.  Every task
         runs once.  When tasks raise, the first exception in task order is
-        raised, unchanged, once both threads are done.  With one CPU, or
+        raised, unchanged, once both threads are done.  The worker runs
+        its tasks under this thread's ``np.errstate``.  With one CPU, or
         fewer than two tasks, the tasks run here in order and no thread
         starts.
         """
@@ -290,6 +299,7 @@ class Worker:
         outcomes = [None] * len(tasks)  # (result, exception) per task
         rest = iter(range(2, len(tasks)))
         lock = threading.Lock()
+        errors = dict(np.geterr(), call=np.geterrcall())
 
         def run(k):
             ran = 0
@@ -303,9 +313,13 @@ class Worker:
                     k = next(rest, None)
             return ran
 
+        def work():
+            with np.errstate(**errors):
+                return run(1)
+
         if self._pool is None:
             self._pool = ThreadPoolExecutor(1, thread_name_prefix="hetecf-worker")
-        future = self._pool.submit(run, 1)
+        future = self._pool.submit(work)
         try:
             run(0)
         finally:
@@ -365,9 +379,10 @@ class Problem:
     multiplies (0 for U, 1 for V), and ``active_graph`` names those whose
     products each factor candidate computes.
 
-    With two CPUs, the sparse factor products of at least
-    ``PARALLEL_MIN_WORK`` multiply-adds are shared with the thread of a
-    :class:`Worker`, started on first use; :meth:`close` stops it.
+    With two CPUs, the sparse factor products and the gathered entry half
+    of at least ``PARALLEL_MIN_WORK`` multiply-adds are shared with the
+    thread of a :class:`Worker`, started on first use; :meth:`close` stops
+    it.
     """
 
     def __init__(self, ratings, rels, hp, laps=None):
@@ -387,12 +402,13 @@ class Problem:
         self.active_graph = tuple(range(len(self.graph)))
         self.active = tuple(range(len(self._user_item)))
         self._inactive = ()
+        self._worker = Worker()
+        self._entry_splits = 0  # evaluations whose entry half the worker shared
         flat = self._set_entries()
         # dense or gathered products, decided once on every entry
         self.density = flat.size / (self.n * self.m)
         self.dense = self.density >= DENSE_MIN_DENSITY
         self._index_pairs(flat)
-        self._worker = Worker()
         # the largest sparse product, for the report of why none was shared
         self._largest_nnz = max(
             [L.nnz for _, L in self.graph] + [0 if self.dense else flat.size]
@@ -416,6 +432,7 @@ class Problem:
             split = [name for name, half in zip(self._names[0], self._halves)
                      if half is not None]
             return (f"ran on two threads, {self._worker.tasks} tasks on the worker;"
+                    f" entry halves split: {self._entry_splits};"
                     f" Laplacians split by rows: {', '.join(split) or 'none'}")
         if not self._worker.two_threads:
             return "ran on one thread: one CPU available"
@@ -462,10 +479,17 @@ class Problem:
         return flat
 
     def _index_pairs(self, flat):
-        """Index the distinct pairs for the dense or the gathered products."""
+        """Index the distinct pairs for the dense or the gathered products,
+        and find where the worker takes over the gathered entry half: at
+        the ``_GATHER_CHUNK`` boundary nearest half the pairs, once the
+        pairs x d reach ``PARALLEL_MIN_WORK`` (``_cut`` None otherwise)."""
+        self._cut = None
         if self.dense:
             self._flat = flat
         else:
+            if self._worker.two_threads and flat.size * self.hp.d >= PARALLEL_MIN_WORK:
+                cut = round(flat.size / (2 * _GATHER_CHUNK)) * _GATHER_CHUNK
+                self._cut = cut if 0 < cut < flat.size else None
             self._pair_rows, self._pair_cols = np.divmod(flat, self.m)
             # CSR indices and indptr of the distinct pairs (sorted
             # row-major), which every fit gradient reuses
@@ -533,17 +557,27 @@ class Problem:
         elif self.dense:
             z = np.take((U @ V.T).ravel(), self._flat)
         else:
-            z = np.empty(self.n_pairs)
-            for s in range(0, self.n_pairs, _GATHER_CHUNK):
-                rows = self._pair_rows[s:s + _GATHER_CHUNK]
-                cols = self._pair_cols[s:s + _GATHER_CHUNK]
-                np.einsum(
-                    "ij,ij->i",
-                    np.take(U, rows, axis=0),
-                    np.take(V, cols, axis=0),
-                    out=z[s:s + _GATHER_CHUNK],
-                )
-        p, slope = logistic_and_slope(z)
+            p, slope = np.empty(self.n_pairs), np.empty(self.n_pairs)
+            self._predict(U, V, p, slope, 0, self.n_pairs)
+            return self._residuals(p, slope)
+        return self._residuals(*logistic_and_slope(z, (z, np.empty_like(z))))
+
+    def _predict(self, U, V, p, slope, start, end):
+        """Write f(U_i . V_j) into ``p`` and f'(U_i . V_j) into ``slope``
+        for the gathered pairs ``start:end``, where ``start`` is a multiple
+        of ``_GATHER_CHUNK``: every block is the one the whole range has."""
+        for s in range(start, end, _GATHER_CHUNK):
+            block = slice(s, min(s + _GATHER_CHUNK, end))
+            np.einsum(
+                "ij,ij->i",
+                np.take(U, self._pair_rows[block], axis=0),
+                np.take(V, self._pair_cols[block], axis=0),
+                out=p[block],
+            )
+        logistic_and_slope(p[start:end], (p[start:end], slope[start:end]))
+
+    def _residuals(self, p, slope):
+        """The entry half's dict from f and f' of every distinct pair."""
         resid = (p if self._in_order else np.take(p, self.pair)) - self.vals
         ssq = [np.sum(resid[a:b] ** 2) for a, b in zip(self.bounds[:-1], self.bounds[1:])]
         rel_ssq = np.zeros(len(self._user_item))
@@ -558,6 +592,13 @@ class Problem:
         ``base``, a Point of the same factors, lends what is still valid:
         its products, and its entry half when it was evaluated on the
         current entry list.  A ``base`` that lacks nothing is returned.
+
+        With two CPUs, the worker multiplies the second row blocks of the
+        split Laplacians and then, when the gathered entry half is split,
+        predicts its second range of pairs; this thread predicts the first
+        range (or runs the whole entry half, whose dense product may call
+        BLAS) and then multiplies the first blocks.  The residuals, sums
+        and traces are taken here after the join.
         """
         if base is not None and base.model is not model:
             raise ValueError("base Point is of other factors")
@@ -572,12 +613,19 @@ class Problem:
         split = [k for k in new if self._halves[k] is not None]
         for k in split:
             LX[k] = np.zeros((self.graph[k][1].shape[0], U.shape[1]))
+        cut = None if same_entries else self._cut
+        if cut is not None:
+            p, slope = np.empty(self.n_pairs), np.empty(self.n_pairs)
+            self._entry_splits += 1
 
         def main():
+            entries = None
             if same_entries:
                 entries = {k: getattr(base, k) for k in ("slope", "resid", "fit", "rel_ssq")}
-            else:
+            elif cut is None:
                 entries = self._entry_half(U, V)
+            else:
+                self._predict(U, V, p, slope, 0, cut)
             for k in new:
                 on, L = self.graph[k]
                 if self._halves[k] is None:
@@ -589,11 +637,15 @@ class Problem:
         def side():
             for k in split:
                 _multiply_rows(self._halves[k][1], factors[self.graph[k][0]], LX[k])
+            if cut is not None:
+                self._predict(U, V, p, slope, cut, self.n_pairs)
 
-        # the worker multiplies the second halves while this thread runs
-        # the entry half (whose dense product may call BLAS) and then the
-        # first halves
-        entries = self._worker.share([main, side])[0] if split else main()
+        if split or cut is not None:
+            entries = self._worker.share([main, side])[0]
+        else:
+            entries = main()
+        if cut is not None:
+            entries = self._residuals(p, slope)
         for k in new:
             on, L = self.graph[k]
             tr[k] = trace_quad(L, factors[on], LX[k])

@@ -31,8 +31,9 @@ once and averages only those that differ.
 
 One path's chain, :func:`similarity`, depends on the graph alone, reads
 ``graph.matrices`` without writing them, makes no BLAS call and logs
-nothing, so the CLI runs the chains of different paths on two threads.
-:func:`inert` only tests a similarity; :func:`warn_inert` logs.
+nothing, so the CLI runs the chains of different paths on two threads,
+costliest first by :func:`instance_count`.  :func:`inert` only tests a
+similarity; :func:`warn_inert` logs.
 """
 
 import io
@@ -400,6 +401,18 @@ def declared(groups):
         for group, paths in zip(GROUPS, (groups.user_user, groups.item_item, groups.user_item))
         for path in paths
     ]
+
+
+def instance_count(graph, path):
+    """The instances of ``path`` in ``graph``, weighted by the product of
+    their edge weights: the sum 1^T A_1 ... A_k 1 of its counts, from
+    sparse products of ``graph.matrices`` with a vector, without a
+    transposed copy.  It estimates the cost of the path's chain."""
+    x = np.ones(graph.node_count(path.target_type))
+    for step in reversed(path.steps):
+        m = graph.matrices[step.relation]
+        x = m @ x if step.forward else m.T @ x
+    return float(x.sum())
 
 
 def similarity(graph, group, path):

@@ -48,10 +48,17 @@ def logistic(x):
     return expit(np.asarray(x, dtype=np.float64))
 
 
-def logistic_and_slope(x):
-    """Return (f(x), f'(x)) with f'(x) = f(x) * (1 - f(x))."""
-    p = logistic(x)
-    return p, p * (1.0 - p)
+def logistic_and_slope(x, out=None):
+    """Return (f(x), f'(x)) with f'(x) = f(x) * (1 - f(x)), written into
+    ``out``, a pair of float arrays of x's shape (x itself may be the
+    first), when given.  Elementwise, so each element has the same value
+    whether computed alone or as part of a larger array."""
+    x = np.asarray(x, dtype=np.float64)
+    p, slope = (np.empty_like(x), np.empty_like(x)) if out is None else out
+    expit(x, out=p)
+    np.subtract(1.0, p, out=slope)
+    np.multiply(p, slope, out=slope)
+    return p, slope
 
 
 @dataclass

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import zipfile
 
 import numpy as np
@@ -945,6 +946,9 @@ def test_worker_thread_leaves_model_and_log_bytes_unchanged(tmp_path, monkeypatc
     else:
         flags, paths, _ = synth_files(tmp_path, SPARSE_SYNTH)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    # small gathered blocks, so that the worker shares the synthetic
+    # network's entry half too, cut off its middle
+    monkeypatch.setattr(learner, "_GATHER_CHUNK", 37)
     runs = {}
     for threshold in (0, math.inf):  # every sparse product on the worker, or none
         monkeypatch.setattr(learner, "PARALLEL_MIN_WORK", threshold)
@@ -961,6 +965,8 @@ def test_worker_thread_leaves_model_and_log_bytes_unchanged(tmp_path, monkeypatc
         runs[threshold] = (model.read_bytes(), rows, report)
     assert runs[0][:2] == runs[math.inf][:2]
     assert len(runs[0][2]) == 1 and runs[0][2][0].startswith("factor kernels ran on two threads")
+    split = re.search(r"; entry halves split: (\d+);", runs[0][2][0])
+    assert split and (int(split[1]) > 0) == (network == "sparse synth"), runs[0][2][0]
     assert len(runs[math.inf][2]) == 1
     assert runs[math.inf][2][0].startswith("factor kernels ran on one thread: below the threshold")
 
@@ -1091,13 +1097,67 @@ def test_verbose_set_up_logs_each_path_and_the_totals(tmp_path, monkeypatch, cap
     declared = [line.split(":", 1) for line in (SAMPLE / "paths.txt").read_text().splitlines()
                 if line and not line.startswith("#")]
     assert len(lines) == len(declared) + 1  # evaluate sets up once, for every fit
+    estimates = []
     for line, (group, path) in zip(lines, declared):
         laplacian = r", Laplacian \d+" if group != "UI" else ""
-        assert re.fullmatch(
+        match = re.fullmatch(
             rf"set-up: {group} path {re.escape(path.strip())}: nnz of counts \d+, "
-            rf"similarity \d+{laplacian}; \d+\.\d+s on (MainThread|hetecf-worker_0)", line
-        ), line
-    assert "on hetecf-worker_0" in lines[0]  # the worker takes the first path
+            rf"similarity \d+{laplacian}; (\d+) instances, \d+\.\d+s on "
+            rf"(MainThread|hetecf-worker_0)", line
+        )
+        assert match, line
+        estimates.append(int(match[1]))
+    # the worker takes the path of most instances (the first of them)
+    assert "on hetecf-worker_0" in lines[estimates.index(max(estimates))]
     assert re.fullmatch(r"set-up: load \d+\.\d+s; ratings \d+\.\d+s and relation set with "
                         r"Laplacians \d+\.\d+s of task time, \d+\.\d+s wall on two threads",
                         lines[-1]), lines[-1]
+
+
+@pytest.mark.parametrize("network", ["sample", "sparse synth"])
+def test_costliest_path_is_the_workers_first_task_wherever_it_is_declared(
+        tmp_path, monkeypatch, caplog, capsys, network):
+    import logging
+    import threading
+
+    flags = _network(tmp_path, network)
+    # the sample's five paths, then a UI path of more instances than any
+    paths = tmp_path / "paths.txt"
+    costliest = "Author -writes-> Paper <-writes- Author -writes-> Paper -published_in-> Conf"
+    paths.write_text((SAMPLE / "paths.txt").read_text() + f"UI: {costliest}\n")
+    set_up_path = cli._set_up_path
+    runs = {}
+    for count in (1, 2):
+        _cpus(monkeypatch, count)
+        calls = []
+
+        def recorded(graph, group, path):
+            calls.append((threading.current_thread().name, str(path)))
+            return set_up_path(graph, group, path)
+
+        monkeypatch.setattr(cli, "_set_up_path", recorded)
+        out = tmp_path / f"cpus{count}"
+        out.mkdir()
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="hetecf"):
+            assert main(["-v", "train", *flags, "--paths", str(paths), "--target-path", TARGET,
+                         "--model-out", str(out / "model.npz"),
+                         "--weights-out", str(out / "weights.csv"), *FAST]) == 0
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("set-up")]
+        estimates = [float(re.search(r"; (\S+) instances, ", line)[1]) for line in lines[:-1]]
+        runs[count] = ((out / "model.npz").read_bytes(), (out / "weights.csv").read_bytes(),
+                       capsys.readouterr().out.replace(str(out), "OUT"),
+                       [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING],
+                       [line.split(" instances, ")[0] for line in lines[:-1]])
+        # the estimate ranks the last declared path first
+        assert lines[-2].startswith(f"set-up: UI path {costliest}: ")
+        assert estimates[-1] > max(estimates[:-1])
+        if count == 1:
+            assert calls[0] == (threading.current_thread().name, costliest)
+        else:
+            on_worker = [path for name, path in calls if name.startswith("hetecf-worker")]
+            assert on_worker[0] == costliest
+            assert lines[-2].endswith("on hetecf-worker_0")
+    assert runs[1] == runs[2]
+    assert all("is inert" in m for m in runs[2][3])
+    assert len(runs[2][3]) == (network == "sample")

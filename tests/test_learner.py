@@ -1318,6 +1318,78 @@ def test_training_stops_its_worker_thread(monkeypatch, caplog):
     assert not [t for t in threading.enumerate() if t.name.startswith("hetecf-")]
 
 
+@pytest.mark.parametrize("relations", [True, False])
+def test_split_entry_half_gives_the_one_cpu_point(monkeypatch, relations):
+    """With UI relations the entries repeat pairs (``_in_order`` False);
+    with the ratings alone they are the pairs, in order.  Small gathered
+    blocks put the cut off the middle of the pairs."""
+    import os
+
+    from hetecf import synth
+    from hetecf.metapath import parse_path_spec
+
+    monkeypatch.setattr(learner, "_GATHER_CHUNK", 29)
+    graph = synth.generate(synth.SynthSpec(
+        seed=3, link_prob={"writes": 0.02, "published_in": 0.03, "cites": 0.005}).scaled(2))
+    target = parse_path("Author -writes-> Paper -published_in-> Conf", graph.schema)
+    groups = parse_path_spec(
+        "UU: Author -writes-> Paper <-writes- Author\n"
+        "II: Conf <-published_in- Paper -published_in-> Conf\n"
+        "UI: Author -writes-> Paper -cites-> Paper -published_in-> Conf\n", graph.schema)
+    rels = build_relation_set(graph, groups)
+    if not relations:
+        rels = RelationSet(rels.user_user, rels.item_item, [])
+    ratings = derive_ratings(graph, target)
+    hp = Hyperparams(d=3, seed=0)
+    monkeypatch.setattr(learner, "PARALLEL_MIN_WORK", 0)
+    problems = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, c=cpus: set(range(c)),
+                            raising=False)
+        problems[cpus] = build_problem(ratings, rels, hp)
+    one, two = problems[1], problems[2]
+    assert not two.dense and two._in_order == (not relations) and one._cut is None
+    assert two._cut % 29 == 0 and abs(two._cut - two.n_pairs / 2) <= 29 / 2
+    assert two._cut != two.n_pairs / 2
+    rng = np.random.default_rng(5)
+    model = FactorModel(rng.normal(size=(ratings.n, 3)), rng.normal(size=(ratings.m, 3)))
+    points = [p.evaluate(model, every_path=True) for p in (one, two)]
+    two.close()
+    assert two._entry_splits == 1 and two._worker.tasks > 0
+    for key in ("slope", "resid", "fit", "rel_ssq", "tr"):
+        a, b = (getattr(point, key) for point in points)
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), key
+    assert [X.tobytes() for X in points[0].LX] == [X.tobytes() for X in points[1].LX]
+
+
+def test_worker_tasks_run_under_the_callers_errstate(monkeypatch):
+    import os
+    import threading
+    import time
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    big = np.array([1e308])
+
+    def overflow(delay=0.0):  # task 1 runs on the worker
+        def run():
+            time.sleep(delay)
+            assert threading.current_thread() is not threading.main_thread()
+            return big * 10.0
+        return run
+
+    with learner.Worker() as worker:
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            worker.share([lambda: None, overflow()])
+        # filterwarnings = error: an overflow warning would raise here
+        with np.errstate(over="ignore"):
+            assert worker.share([lambda: None, overflow()])[1].tolist() == [np.inf]
+        # the first exception in task order is still the one raised
+        later = ValueError("task 2, raised first in time")
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            worker.share([lambda: None, overflow(0.05), lambda: (_ for _ in ()).throw(later)])
+        assert worker.tasks == 3
+
+
 # ------------------------------------------------ tasks on two threads
 
 
