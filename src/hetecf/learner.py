@@ -17,17 +17,21 @@ and the next gradient both read this :class:`Point`, so an accepted
 candidate's gradient gathers no rows again.  The predictions come from
 one dense ``U @ V.T`` when the entries cover at least
 ``DENSE_MIN_DENSITY`` of the user-item grid, and from row gathers
-otherwise.  The factor gradient is computed once per factor
-point: a rejected candidate leaves the factors and the frozen weights as
-they were.
+otherwise.  Every Laplacian product takes one route: the CSR kernel that
+scipy's ``L @ X`` runs, called on row blocks fixed once per Problem (all
+of L's rows as one block, or the two halves below when the worker shares
+the product), so each ``L @ X`` has the bytes scipy's gives.  The
+logistic is ``model.logistic``, numpy's vectorised exp in one formula.
+The factor gradient is computed once per factor point: a rejected
+candidate leaves the factors and the frozen weights as they were.
 
 Worker thread: with two CPUs, a Problem shares its large sparse products
 and its gathered entry half with the thread of one :class:`Worker`,
 started on first use and stopped when ``train`` ends; the CLI's set-up
 runs its tasks on another.  Each Laplacian whose product costs at least
 ``PARALLEL_MIN_WORK`` multiply-adds (stored entries x d) is cut once per
-Problem, at the row nearest half its entries, into two CSR row blocks
-that share its data and indices.  On the gather side, once the distinct
+Problem, at the row nearest half its entries, into two row blocks that
+share its data and indices.  On the gather side, once the distinct
 pairs x d reach the same threshold, the pairs are cut at the
 ``_GATHER_CHUNK`` boundary nearest half of them.  For every new Point the
 worker multiplies the second row blocks and then predicts the second
@@ -342,17 +346,20 @@ class Worker:
         self.close()
 
 
+def _row_block(L, start, end):
+    """Rows ``start:end`` of the CSR matrix ``L`` as (first row, end row,
+    columns, indptr, indices, data); ``indices`` and ``data`` are views of
+    L's."""
+    lo, hi = L.indptr[start], L.indptr[end]
+    return (start, end, L.shape[1], L.indptr[start:end + 1] - lo,
+            L.indices[lo:hi], L.data[lo:hi])
+
+
 def _row_halves(L):
     """The two row blocks of the CSR matrix ``L`` cut at the row nearest
-    half its stored entries, each as (first row, end row, columns, indptr,
-    indices, data); ``indices`` and ``data`` are views of L's."""
+    half its stored entries."""
     cut = int(np.searchsorted(L.indptr, L.nnz // 2))
-    halves = []
-    for start, end in ((0, cut), (cut, L.shape[0])):
-        lo, hi = L.indptr[start], L.indptr[end]
-        halves.append((start, end, L.shape[1], L.indptr[start:end + 1] - lo,
-                       L.indices[lo:hi], L.data[lo:hi]))
-    return halves
+    return [_row_block(L, 0, cut), _row_block(L, cut, L.shape[0])]
 
 
 def _multiply_rows(block, X, out):
@@ -394,7 +401,9 @@ class Problem:
         self._ratings = ratings
         self._user_item = list(rels.user_item)
         self._counts = (len(self.laps.user), len(self.laps.item), len(self._user_item))
-        self.graph = [(0, L) for L in self.laps.user] + [(1, L) for L in self.laps.item]
+        self.graph = [(side, sp.csr_array(L, dtype=np.float64))
+                      for side, group in enumerate((self.laps.user, self.laps.item))
+                      for L in group]
         self._names = tuple(
             [sim.path.to_string() for sim in group]
             for group in (rels.user_user + rels.item_item, rels.user_item)
@@ -413,8 +422,10 @@ class Problem:
         self._largest_nnz = max(
             [L.nnz for _, L in self.graph] + [0 if self.dense else flat.size]
         )
-        # row halves of the Laplacians whose products the worker shares
-        self._halves = [_row_halves(L) if self._shared(L) else None for _, L in self.graph]
+        # the row blocks of each Laplacian: its halves when the worker
+        # shares its products, else all its rows
+        self._blocks = [_row_halves(L) if self._shared(L) else [_row_block(L, 0, L.shape[0])]
+                        for _, L in self.graph]
 
     def _shared(self, M):
         """Whether a product of the sparse matrix ``M`` with a factor
@@ -429,8 +440,8 @@ class Problem:
     def kernel_report(self):
         """Whether the sparse factor products ran on two threads, or why not."""
         if self._worker.tasks:
-            split = [name for name, half in zip(self._names[0], self._halves)
-                     if half is not None]
+            split = [name for name, blocks in zip(self._names[0], self._blocks)
+                     if len(blocks) > 1]
             return (f"ran on two threads, {self._worker.tasks} tasks on the worker;"
                     f" entry halves split: {self._entry_splits};"
                     f" Laplacians split by rows: {', '.join(split) or 'none'}")
@@ -452,14 +463,14 @@ class Problem:
         blocks = [(ratings.rows * self.m + ratings.cols, ratings.vals)] + _relation_entries(
             [self._user_item[k] for k in self.active], self.m
         )
-        self.bounds = np.cumsum([0] + [len(vals) for _, vals in blocks])
-        self._block_sizes = np.diff(self.bounds)
+        bounds = np.cumsum([0] + [len(vals) for _, vals in blocks]).tolist()
+        self._block_slices = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+        self._active_list = list(self.active)
         keys = np.concatenate([keys for keys, _ in blocks])
         self.vals = np.concatenate([vals for _, vals in blocks])
         del blocks  # free the per-block keys before the sort below
         # one entry per pair, in pair order: the entries need no gather by
-        # pair and no sum over pairs; covering the whole grid, they are the
-        # dense prediction matrix itself
+        # pair and no sum over pairs
         self._in_order = bool(np.all(keys[1:] > keys[:-1]))
         if self._in_order:
             flat, self.pair = keys, np.arange(keys.size)
@@ -475,7 +486,8 @@ class Problem:
             self.pair = np.empty(keys.size, dtype=np.intp)
             self.pair[order] = keys
         self.n_pairs = flat.size
-        self._whole_grid = self._in_order and flat.size == self.n * self.m
+        # pairs covering the whole grid are the dense matrix's positions in order
+        self._whole_grid = flat.size == self.n * self.m
         return flat
 
     def _index_pairs(self, flat):
@@ -506,7 +518,8 @@ class Problem:
         Exact for any weight rule: while the weights are frozen, a path
         whose weight is 0 adds exactly 0 to J and to the factor gradient.
         """
-        new = (active_relations(_graph_weights(weights)), active_relations(weights.w))
+        new = (active_relations(np.array(_graph_weights(weights))),
+               active_relations(weights.w))
         old = (self.active_graph, self.active)
         if new == old:
             return
@@ -577,11 +590,14 @@ class Problem:
         logistic_and_slope(p[start:end], (p[start:end], slope[start:end]))
 
     def _residuals(self, p, slope):
-        """The entry half's dict from f and f' of every distinct pair."""
+        """The entry half's dict from f and f' of every distinct pair; the
+        block slices and the active relations' indices are fixed with the
+        entry list."""
         resid = (p if self._in_order else np.take(p, self.pair)) - self.vals
-        ssq = [np.sum(resid[a:b] ** 2) for a, b in zip(self.bounds[:-1], self.bounds[1:])]
+        squares = resid**2
+        ssq = [np.add.reduce(squares[block]) for block in self._block_slices]
         rel_ssq = np.zeros(len(self._user_item))
-        rel_ssq[list(self.active)] = ssq[1:]
+        rel_ssq[self._active_list] = ssq[1:]
         return {"slope": slope, "resid": resid, "fit": ssq[0], "rel_ssq": rel_ssq}
 
     def evaluate(self, model, base=None, every_path=False):
@@ -593,6 +609,9 @@ class Problem:
         its products, and its entry half when it was evaluated on the
         current entry list.  A ``base`` that lacks nothing is returned.
 
+        Each product ``L @ U`` or ``L @ V`` is summed into zeros, block by
+        block, by ``_multiply_rows``: the first row block of every
+        Laplacian on this thread, the second, if it has one, on the worker.
         With two CPUs, the worker multiplies the second row blocks of the
         split Laplacians and then, when the gathered entry half is split,
         predicts its second range of pairs; this thread predicts the first
@@ -610,9 +629,9 @@ class Problem:
         if same_entries and not new:
             return base
         tr = base.tr.copy() if base else np.zeros(len(LX))
-        split = [k for k in new if self._halves[k] is not None]
-        for k in split:
+        for k in new:
             LX[k] = np.zeros((self.graph[k][1].shape[0], U.shape[1]))
+        split = [k for k in new if len(self._blocks[k]) > 1]
         cut = None if same_entries else self._cut
         if cut is not None:
             p, slope = np.empty(self.n_pairs), np.empty(self.n_pairs)
@@ -627,16 +646,12 @@ class Problem:
             else:
                 self._predict(U, V, p, slope, 0, cut)
             for k in new:
-                on, L = self.graph[k]
-                if self._halves[k] is None:
-                    LX[k] = L @ factors[on]
-                else:
-                    _multiply_rows(self._halves[k][0], factors[on], LX[k])
+                _multiply_rows(self._blocks[k][0], factors[self.graph[k][0]], LX[k])
             return entries
 
         def side():
             for k in split:
-                _multiply_rows(self._halves[k][1], factors[self.graph[k][0]], LX[k])
+                _multiply_rows(self._blocks[k][1], factors[self.graph[k][0]], LX[k])
             if cut is not None:
                 self._predict(U, V, p, slope, cut, self.n_pairs)
 
@@ -650,8 +665,8 @@ class Problem:
             on, L = self.graph[k]
             tr[k] = trace_quad(L, factors[on], LX[k])
         factor_ridge = base.factor_ridge if base else (
-            float(self.n_user @ np.sum(U**2, axis=1))
-            + float(self.n_item @ np.sum(V**2, axis=1))
+            float(self.n_user @ np.add.reduce(U**2, axis=1))
+            + float(self.n_item @ np.add.reduce(V**2, axis=1))
         )
         return Point(model=model, active=self.active, LX=LX, tr=tr,
                      factor_ridge=factor_ridge, **entries)
@@ -690,21 +705,16 @@ class Problem:
         self._check(point, weights)
         U, V = point.model.U, point.model.V
         lam = self.hp.lam
-        if self.active:
-            coef = 2.0 * np.repeat(
-                np.concatenate([[1.0], self.mu * weights.w[list(self.active)]]),
-                self._block_sizes,
-            )
-        else:  # the rating block alone, coefficient 1
-            coef = 2.0
-        if self._in_order:
-            g = coef * point.slope * point.resid
-        else:
-            g = np.bincount(
-                self.pair,
-                weights=coef * np.take(point.slope, self.pair) * point.resid,
-                minlength=self.n_pairs,
-            )
+        # 2 x each block's coefficient: 1 for the ratings, mu * w_k for the
+        # k-th active relation
+        coefs = [2.0] + [2.0 * (self.mu * x) for x in weights.w[self._active_list].tolist()]
+        slope = point.slope if self._in_order else np.take(point.slope, self.pair)
+        g = np.empty_like(slope)
+        for block, c in zip(self._block_slices, coefs):
+            np.multiply(slope[block], c, out=g[block])
+        g *= point.resid
+        if not self._in_order:
+            g = np.bincount(self.pair, weights=g, minlength=self.n_pairs)
         if self._whole_grid:
             G = g.reshape(self.n, self.m)
         elif self.dense:
@@ -757,8 +767,9 @@ def active_relations(w):
 
 
 def _graph_weights(weights):
-    """alpha and then beta, one weight per Laplacian of ``Problem.graph``."""
-    return np.concatenate([weights.alpha, weights.beta])
+    """alpha and then beta as Python floats, one weight per Laplacian of
+    ``Problem.graph``."""
+    return weights.alpha.tolist() + weights.beta.tolist()
 
 
 def build_problem(ratings, rels, hp, laps=None):
@@ -803,9 +814,9 @@ def _rel_change(new, old):
 
 
 def _weights_rel_change(new, old):
-    """``_rel_change`` of two blocks of path weights, in Python floats:
-    for a handful of weights, that is cheaper than numpy's calls."""
-    new, old = new.tolist(), old.tolist()
+    """``_rel_change`` of two blocks of path weights given as lists of
+    Python floats: for a handful of weights, that is cheaper than numpy's
+    calls."""
     change = math.sqrt(sum((a - b) * (a - b) for a, b in zip(new, old)))
     return change / (math.sqrt(sum(b * b for b in old)) + _EPS)
 
@@ -910,16 +921,13 @@ def update_weights(state, data):
 
     def propose(state, eta):
         wts = state.weights
-        dA, dB, dW = grad_weights(state, data)
-        alpha = np.maximum(wts.alpha - eta * dA, 0.0)
-        beta = np.maximum(wts.beta - eta * dB, 0.0)
-        w = np.maximum(wts.w - eta * dW, 0.0)
-        rel = max(
-            _weights_rel_change(alpha, wts.alpha),
-            _weights_rel_change(beta, wts.beta),
-            _weights_rel_change(w, wts.w),
-        )
-        return (state.point, PathWeights(alpha, beta, w)), rel
+        old = (wts.alpha.tolist(), wts.beta.tolist(), wts.w.tolist())
+        # the projected step max(theta - eta * grad, 0) in Python floats,
+        # which give the bits numpy's elementwise arithmetic gives
+        new = [[max(x - eta * g, 0.0) for x, g in zip(block, grad.tolist())]
+               for block, grad in zip(old, grad_weights(state, data))]
+        rel = max(_weights_rel_change(*pair) for pair in zip(new, old))
+        return (state.point, PathWeights(*new)), rel
 
     return _descend(state, data, propose, "weight")
 
@@ -980,9 +988,9 @@ def _train(data, ratings, rels, hp):
         rels_change = {
             "U": _rel_change(state.model.U, before[0]),
             "V": _rel_change(state.model.V, before[1]),
-            "alpha": _weights_rel_change(state.weights.alpha, before[2].alpha),
-            "beta": _weights_rel_change(state.weights.beta, before[2].beta),
-            "w": _weights_rel_change(state.weights.w, before[2].w),
+            "alpha": _weights_rel_change(state.weights.alpha.tolist(), before[2].alpha.tolist()),
+            "beta": _weights_rel_change(state.weights.beta.tolist(), before[2].beta.tolist()),
+            "w": _weights_rel_change(state.weights.w.tolist(), before[2].w.tolist()),
         }
         terms = data.terms(_point(state, data), state.weights)
         state.log_rows.append(

@@ -346,9 +346,10 @@ class PlainLogisticMF:
     and moved U, V and J by less than ``outer_tol`` relative to their
     values at its start.  Written independently as the oracle for the
     reduction-equivalence test: it takes none of the learner's constants.
-    It shares the scipy ``expit`` primitive so that trajectory comparisons
-    are not perturbed by last-ulp sigmoid differences; everything else is
-    reimplemented.
+    It computes the logistic with scipy's ``expit``, which the package does
+    not use: the package evaluates the same formula with numpy's ``exp``,
+    within 4 ulp of ``expit``, far inside the reduction tests' tolerances;
+    everything else is reimplemented.
     """
 
     def __init__(self, hp):

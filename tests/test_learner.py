@@ -1256,6 +1256,46 @@ def test_row_halves_split_the_entries_evenly():
     assert cut == 5
 
 
+@pytest.mark.parametrize("index", [np.int32, np.int64])
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_every_laplacian_product_gives_the_bytes_of_scipys(monkeypatch, cpus, index):
+    """Every ``L @ U`` and ``L @ V`` of a Point runs through the one row-block
+    route: all rows as one block, or two halves when the worker shares the
+    product.  Laplacians with empty rows and one with no stored entry (an
+    inert path's) are among them."""
+    import os
+
+    import scipy.sparse as sp
+
+    from hetecf.model import LaplacianSet, laplacian
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(learner, "PARALLEL_MIN_WORK", 0)
+    rng = np.random.default_rng(8)
+    n, m = 9, 7
+    ratings, rels, hp = random_instance(rng, n=n, m=m, d=4)
+
+    def with_empty_rows(size, empty):
+        S = sp.random_array((size, size), density=0.6, rng=rng).toarray()
+        S = S + S.T
+        S[empty, :] = S[:, empty] = 0.0
+        return laplacian(sp.csr_array(S))
+
+    laps = [with_empty_rows(n, [2, 5]), sp.csr_array((n, n)),
+            with_empty_rows(m, [0]), with_empty_rows(m, [6])]
+    for L in laps:
+        L.indices, L.indptr = L.indices.astype(index), L.indptr.astype(index)
+    assert laps[0].indptr[3] == laps[0].indptr[2] and laps[1].nnz == 0
+    problem = build_problem(ratings, rels, hp, LaplacianSet(laps[:2], laps[2:]))
+    assert [L.indices.dtype for _, L in problem.graph] == [np.dtype(index)] * 4
+    assert [len(blocks) for blocks in problem._blocks] == [cpus] * 4
+    model = FactorModel(rng.normal(size=(n, 4)), rng.normal(size=(m, 4)))
+    point = problem.evaluate(model, every_path=True)
+    problem.close()
+    for (side, _), L, LX in zip(problem.graph, laps, point.LX):
+        assert LX.tobytes() == (L @ (model.U, model.V)[side]).tobytes()
+
+
 def test_worker_exception_surfaces_unchanged(monkeypatch):
     import threading
     import time

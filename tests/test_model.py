@@ -70,6 +70,49 @@ def test_logistic_slope():
     assert s == pytest.approx(p * (1 - p))
 
 
+def test_logistic_within_4_ulp_of_expit():
+    from scipy.special import expit
+
+    x = np.linspace(-745.0, 745.0, 1_000_001)
+    got, want = logistic(x), expit(x)
+    # nonnegative doubles order like their bit patterns
+    assert np.abs(got.view(np.int64) - want.view(np.int64)).max() <= 4
+
+
+def test_logistic_equals_expit_at_pinned_points():
+    from scipy.special import expit
+
+    x = np.array([0.0, 1.0, -1.0, 3.0, 500.0, -500.0, 1e300, -1e300, np.inf, -np.inf])
+    assert logistic(x).tobytes() == expit(x).tobytes()
+    assert logistic(x).tolist()[-4:] == [1.0, 0.0, 1.0, 0.0]
+    p, s = logistic_and_slope(np.array([np.nan, -np.inf, np.inf]))
+    assert np.isnan(p[0]) and np.isnan(s[0])
+    assert p[1:].tolist() == [0.0, 1.0] and s[1:].tolist() == [0.0, 0.0]
+
+
+def test_logistic_limits_are_the_documented_ones():
+    # filterwarnings = error: an overflow warning from exp(-x) would raise
+    low, high = -709.782712893384, 36.7368005696771
+    assert logistic(np.nextafter(low, -np.inf)) == 0.0 < logistic(low)
+    assert logistic(high) < 1.0 == logistic(np.nextafter(high, np.inf))
+    assert logistic(np.array([-1e300, -746.0, -710.0])).tolist() == [0.0, 0.0, 0.0]
+
+
+def test_logistic_of_a_slice_view_or_element_gives_the_whole_arrays_bytes():
+    """The split entry half computes f of two ranges of one array."""
+    x = np.random.default_rng(4).uniform(-40.0, 40.0, 10_001)
+    whole = logistic(x)
+    for part in (slice(3, 7000), slice(1, None, 3), slice(None, None, -2), slice(5, 6)):
+        assert logistic(x[part]).tobytes() == whole[part].tobytes()
+        p, s = logistic_and_slope(x[part])
+        assert p.tobytes() == whole[part].tobytes()
+    for k in (0, 17, 10_000):
+        assert logistic(x[k]).tobytes() == whole[k:k + 1].tobytes()
+    out = np.zeros(2 * x.size)
+    logistic(x, out[::2])  # written into a strided view
+    assert out[::2].tobytes() == whole.tobytes()
+
+
 # -------------------------------------------------------------- FactorModel
 
 
