@@ -32,7 +32,6 @@ from .metapath import (
     RelationSet,
     SimilarityMatrix,
     Step,
-    build_relation_set,
     load_path_spec,
     make_path,
     parse_path,
@@ -61,6 +60,7 @@ from .learner import (
     grad_factors,
     grad_weights,
     init,
+    set_up,
     train,
     update_factors,
     update_weights,

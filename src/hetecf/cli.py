@@ -12,27 +12,11 @@ Any other exception is an internal error and propagates.
 Output artifacts (model files, CSVs) are written atomically via
 a temporary file and rename.
 
-Set-up of ``train`` and ``evaluate``: after the graph is loaded, the
-ratings (the target path's ``derive_ratings``), one chain per declared
-path (counts, PathSim and, for a UU or II path, its Laplacian) and, for
-``train``, the graph's ``content_hash`` are independent tasks.  This
-thread and the worker thread of a ``learner.Worker`` each take the next
-task in this order: the ratings, then the chains, costliest first, then
-the hash.  A chain's cost is estimated by its path's instance count
-(``metapath.instance_count``, a few sparse products with a vector); equal
-estimates keep the declared order (UU, then II, then UI, each group in
-file order).  So the worker starts on the costliest chain while this
-thread runs the ratings and then the cheaper chains.  With one CPU the
-tasks run here, in the same order.  Every task runs the same code on the
-same inputs as a one-thread run, so every similarity, Laplacian, hash
-and model byte is the same.  After the join, this thread logs, in
-declared order, the inert-path warnings and, under ``-v``, one INFO line
-per path (its group, the stored entries of its counts, similarity and
-Laplacian, its instance count, its seconds and the thread that ran it);
-then one line with the seconds of loading, of the ratings and of the
-relation set with its Laplacians.  Training then holds only the
-Laplacians and the paths of the UU and II groups, not their similarity
-matrices.
+Set-up of ``train`` and ``evaluate``: after the graph is loaded,
+``learner.set_up`` builds the ratings, the relation set and its
+Laplacians on two threads, and, for ``train``, the graph's
+``content_hash``.  ``-v`` then logs one INFO line per path, in declared
+order, and one line of totals.
 
 ``train`` records in the model file the ``source_digest`` of the schema,
 nodes and edges files it parsed, and the user and item ids in index
@@ -47,31 +31,26 @@ answered and, for the parse path, why the model file could not.
 """
 
 import argparse
-import dataclasses
 import functools
 import json
 import logging
 import sys
-import threading
 import time
 
 import numpy as np
 
 from . import evaluate as evaluate_mod
 from . import learner, metapath
-from . import model as model_mod
 from .graph import (
     GraphFormatError,
     RatingMatrixError,
     SchemaError,
     content_hash,
-    derive_ratings,
     load_graph,
     source_digest,
 )
 from .model import (
     Hyperparams,
-    LaplacianSet,
     ModelFormatError,
     NumericalError,
     atomic_write_bytes,
@@ -192,78 +171,27 @@ def cmd_validate(args):
     return EXIT_OK
 
 
-def _timed(task, *args):
-    """(``task(*args)``, its seconds, the name of the thread that ran it)."""
-    start = time.perf_counter()
-    result = task(*args)
-    return result, time.perf_counter() - start, threading.current_thread().name
-
-
-def _set_up_path(graph, group, path):
-    """(similarity, Laplacian, nnz, inert) of one declared path.
-
-    The Laplacian and inert flag are those of a UU or II path, whose
-    similarity is returned without its matrix: training reads only its
-    path and Laplacian.  ``nnz`` lists the stored entries of the counts,
-    the similarity and, for a UU or II path, the Laplacian.  Runs as a
-    ``Worker`` task: no BLAS call and no logging.
-    """
-    counts, sim = metapath.similarity(graph, group, path)
-    nnz = (counts.matrix.nnz, sim.matrix.nnz)
-    del counts  # freed before the Laplacian is assembled
-    if group == "UI":
-        return sim, None, nnz, False
-    lap = model_mod.laplacian(sim)
-    return (dataclasses.replace(sim, matrix=None), lap, nnz + (lap.nnz,),
-            metapath.inert(sim))
-
-
 def _prepare_training(args, cfg, graph_tasks=()):
     """(graph, path groups, ratings, relation set, LaplacianSet, then the
     result of each callable of ``graph_tasks`` on the graph) of a
-    ``train`` or ``evaluate`` call, set up on two threads as the module
-    docstring describes."""
+    ``train`` or ``evaluate`` call, set up by ``learner.set_up``."""
     start = time.perf_counter()
     graph = _load_graph_from(args, cfg)
     load_s = time.perf_counter() - start
     groups = metapath.load_path_spec(_require(args, cfg, "paths"), graph.schema)
     target = metapath.parse_path(_require(args, cfg, "target_path"), graph.schema)
-    declared = metapath.declared(groups)
-    start = time.perf_counter()
-    estimates = [metapath.instance_count(graph, path) for _, path in declared]
-    # costliest first, so that the worker starts on it; ties in declared order
-    order = sorted(range(len(declared)), key=lambda k: -estimates[k])
-    with learner.Worker() as worker:
-        (ratings, ratings_s, _), *done = worker.share(
-            [functools.partial(_timed, derive_ratings, graph, target)]
-            + [functools.partial(_timed, _set_up_path, graph, *declared[k]) for k in order]
-            + [functools.partial(task, graph) for task in graph_tasks]
-        )
-    wall_s = time.perf_counter() - start
-    extra = done[len(order):]
-    chains = [None] * len(declared)
-    for k, outcome in zip(order, done):
-        chains[k] = outcome
-    sims = {group: [] for group in metapath.GROUPS}
-    laps = LaplacianSet()
-    for (group, path), ((sim, lap, nnz, inert), seconds, thread), estimate in zip(
-            declared, chains, estimates):
-        if inert:
-            metapath.warn_inert(group, path)
-        sims[group].append(sim)
-        if lap is not None:
-            (laps.user if group == "UU" else laps.item).append(lap)
+    inputs = learner.set_up(graph, groups, target, graph_tasks)
+    for group, path, nnz, instances, seconds, thread in inputs.paths:
         log.info("set-up: %s path %s: nnz of counts %d, similarity %d%s; %.6g instances,"
                  " %.4fs on %s", group, path, *nnz[:2],
-                 "" if lap is None else f", Laplacian {nnz[2]}", estimate, seconds, thread)
+                 "" if group == "UI" else f", Laplacian {nnz[2]}", instances, seconds, thread)
     log.info(
         "set-up: load %.4fs; ratings %.4fs and relation set with Laplacians %.4fs"
         " of task time, %.4fs wall on %s",
-        load_s, ratings_s, sum(seconds for _, seconds, _ in chains), wall_s,
-        "two threads" if worker.two_threads else "one thread",
+        load_s, inputs.ratings_seconds, sum(seconds for *_, seconds, _ in inputs.paths),
+        inputs.wall_seconds, "two threads" if inputs.two_threads else "one thread",
     )
-    rels = metapath.RelationSet(sims["UU"], sims["II"], sims["UI"])
-    return (graph, groups, ratings, rels, laps, *extra)
+    return (graph, groups, inputs.ratings, inputs.rels, inputs.laps, *inputs.results)
 
 
 def cmd_train(args):

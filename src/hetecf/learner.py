@@ -1,9 +1,11 @@
 """Two-phase alternating gradient descent on the unified objective.
 
-One :class:`Problem` is built per training run.  It merges the ratings
-and the user-item relation entries into one coefficient-weighted entry
-list (coefficient 1 for a rating, ``mu * w_k`` for an entry of relation
-k) and holds the Laplacians, mu and the per-node rating counts.
+:func:`set_up` builds a run's inputs from a graph: the ratings, the
+relation set and its Laplacians.  One :class:`Problem` is built per
+training run.  It merges the ratings and the user-item relation entries
+into one coefficient-weighted entry list (coefficient 1 for a rating,
+``mu * w_k`` for an entry of relation k) and holds the Laplacians, mu and
+the per-node rating counts.
 
 Each outer iteration first descends the latent factors (U, V) with the
 path weights frozen, then descends the path weights (alpha, beta, w) with
@@ -27,7 +29,7 @@ candidate leaves the factors and the frozen weights as they were.
 
 Worker thread: with two CPUs, a Problem shares its large sparse products
 and its gathered entry half with the thread of one :class:`Worker`,
-started on first use and stopped when ``train`` ends; the CLI's set-up
+started on first use and stopped when ``train`` ends; :func:`set_up`
 runs its tasks on another.  Each Laplacian whose product costs at least
 ``PARALLEL_MIN_WORK`` multiply-adds (stored entries x d) is cut once per
 Problem, at the row nearest half its entries, into two row blocks that
@@ -85,18 +87,21 @@ step and changes U, V and J each by less than ``outer_tol`` relative to
 their values at the start of the iteration.  The weights take no part.
 """
 
+import functools
 import logging
 import math
 import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse._sparsetools import csr_matvecs
 
+from . import metapath
+from .graph import RatingMatrix, derive_ratings
 from .model import (
     FactorModel,
     LaplacianSet,
@@ -104,6 +109,7 @@ from .model import (
     PathWeights,
     atomic_write_bytes,
     effective_mu,
+    laplacian,
     logistic_and_slope,
     rating_counts,
     trace_quad,
@@ -346,6 +352,85 @@ class Worker:
         self.close()
 
 
+@dataclass
+class SetUp:
+    """The result of :func:`set_up`.  ``paths`` holds, per declared path in
+    declared order, (group, path, nnz, instance count, seconds, thread):
+    ``nnz`` lists the stored entries of its counts, its similarity and,
+    for a UU or II path, its Laplacian; the seconds and the thread are
+    those of its chain.  ``results`` holds the results of the ``tasks``."""
+
+    ratings: RatingMatrix
+    rels: metapath.RelationSet
+    laps: LaplacianSet
+    paths: list
+    ratings_seconds: float
+    wall_seconds: float
+    two_threads: bool
+    results: list
+
+
+def set_up(graph, groups, target, tasks=()):
+    """The ratings of the target path ``target``, the relation set of the
+    path groups ``groups`` with its Laplacians, and the result of each
+    callable of ``tasks`` on ``graph``, as a :class:`SetUp`.
+
+    The ratings, one chain per declared path (counts, PathSim and, for a
+    UU or II path, its Laplacian) and the ``tasks`` are the tasks of one
+    :meth:`Worker.share`, in this order: the ratings, the chains, costliest
+    first, then the ``tasks``.  A chain's cost is estimated by its path's
+    ``metapath.instance_count``; equal estimates keep the declared order
+    (UU, then II, then UI, each group in file order).  So the worker
+    starts on the costliest chain while this thread runs the ratings and
+    the cheaper chains.  Every task runs the same code on the same inputs
+    as a one-thread run, so every similarity, Laplacian and model byte is
+    the same.  After the join this thread warns, in declared order, of
+    each inert UU or II path.  The relation set keeps no similarity matrix
+    of a UU or II path, only its path: training reads its Laplacian.
+    """
+    def timed(task, *args):
+        start = time.perf_counter()
+        result = task(*args)
+        return result, time.perf_counter() - start, threading.current_thread().name
+
+    def chain(group, path):  # no BLAS call and no logging: it may run on the worker
+        counts, sim = metapath.similarity(graph, group, path)
+        nnz = (counts.matrix.nnz, sim.matrix.nnz)
+        del counts  # freed before the Laplacian is assembled
+        if group == "UI":
+            return sim, None, nnz, False
+        lap = laplacian(sim)
+        return replace(sim, matrix=None), lap, nnz + (lap.nnz,), metapath.inert(sim)
+
+    declared = metapath.declared(groups)
+    start = time.perf_counter()
+    estimates = [metapath.instance_count(graph, path) for _, path in declared]
+    # costliest first, so that the worker starts on it; ties in declared order
+    order = sorted(range(len(declared)), key=lambda k: -estimates[k])
+    with Worker() as worker:
+        (ratings, ratings_s, _), *done = worker.share(
+            [functools.partial(timed, derive_ratings, graph, target)]
+            + [functools.partial(timed, chain, *declared[k]) for k in order]
+            + [functools.partial(task, graph) for task in tasks]
+        )
+    wall_s = time.perf_counter() - start
+    chains = dict(zip(order, done))
+    sims = {group: [] for group in metapath.GROUPS}
+    laps = LaplacianSet()
+    facts = []
+    for k, (group, path) in enumerate(declared):
+        (sim, lap, nnz, inert), seconds, thread = chains[k]
+        if inert:
+            metapath.warn_inert(group, path)
+        sims[group].append(sim)
+        if lap is not None:
+            (laps.user if group == "UU" else laps.item).append(lap)
+        facts.append((group, path, nnz, estimates[k], seconds, thread))
+    rels = metapath.RelationSet(sims["UU"], sims["II"], sims["UI"])
+    return SetUp(ratings, rels, laps, facts, ratings_s, wall_s, worker.two_threads,
+                 done[len(order):])
+
+
 def _row_block(L, start, end):
     """Rows ``start:end`` of the CSR matrix ``L`` as (first row, end row,
     columns, indptr, indices, data); ``indices`` and ``data`` are views of
@@ -384,7 +469,9 @@ class Problem:
     :meth:`activate` last ran (every relation before its first call).
     ``graph`` lists every Laplacian, user-user first, with the side it
     multiplies (0 for U, 1 for V), and ``active_graph`` names those whose
-    products each factor candidate computes.
+    products each factor candidate computes.  They are ``laps``, as
+    :func:`set_up` returns them; without ``laps``, which only a relation
+    set made in memory may leave out, they are assembled from ``rels``.
 
     With two CPUs, the sparse factor products and the gathered entry half
     of at least ``PARALLEL_MIN_WORK`` multiply-adds are shared with the
@@ -773,8 +860,8 @@ def _graph_weights(weights):
 
 
 def build_problem(ratings, rels, hp, laps=None):
-    """The Problem of one training run on ``ratings`` and ``rels``; pass
-    ``laps``, the LaplacianSet of ``rels``, when it is already at hand."""
+    """The Problem of one training run on ``ratings`` and ``rels``, with
+    ``laps`` as in :func:`train`."""
     return Problem(ratings, rels, hp, laps)
 
 
@@ -960,7 +1047,9 @@ def train(ratings, rels, hp, laps=None):
     ``converged`` is set on the first outer iteration that accepts a step
     and changes U, V and J each by less than ``outer_tol`` relative to
     the start of the iteration; how the weights move does not count.
-    ``laps`` is the LaplacianSet of ``rels`` when the caller has it.
+    ``laps`` is the LaplacianSet of ``rels`` that :func:`set_up` returns;
+    a relation set made in memory, which holds every similarity matrix,
+    may leave it out, and the Problem then assembles it.
     """
     data = build_problem(ratings, rels, hp, laps)
     try:

@@ -21,19 +21,20 @@ is no on-disk cache so that no stored copy can go stale: an earlier
 cache was removed together with the invalidation it needed and its
 ``cache_dir`` setting.
 
-A palindromic path H H^-1 is counted from its first half H alone, as
-M M^T (the commuting matrix of PathSim), which comes out exactly
-symmetric and with sorted indices, so PathSim needs no re-sort.  Its
-PathSim reads the row sums as the column sums, so the similarity is
-exactly symmetric too and is marked so.  ``build_relation_set`` checks
-every other user-user and item-item similarity against its transpose
-once and averages only those that differ.
+PathSim has one form, 2*PC(s, t) / (rowsum(s) + colsum(t)), defined for
+every path shape.  A palindromic path H H^-1 is counted from its first
+half H alone, as M M^T (the commuting matrix of PathSim), which comes out
+exactly symmetric and with sorted indices, so PathSim needs no re-sort.
+Its PathSim reads the row sums as the column sums, so the similarity is
+exactly symmetric too and is marked so.  :func:`similarity` checks every
+other user-user and item-item similarity against its transpose once and
+averages only those that differ.
 
 One path's chain, :func:`similarity`, depends on the graph alone, reads
 ``graph.matrices`` without writing them, makes no BLAS call and logs
-nothing, so the CLI runs the chains of different paths on two threads,
-costliest first by :func:`instance_count`.  :func:`inert` only tests a
-similarity; :func:`warn_inert` logs.
+nothing, so ``learner.set_up`` runs the chains of different paths on two
+threads, costliest first by :func:`instance_count`.  :func:`inert` only
+tests a similarity; :func:`warn_inert` logs.
 """
 
 import io
@@ -184,14 +185,12 @@ class SimilarityMatrix:
 
     ``symmetric`` is True only when ``matrix`` equals its own transpose
     array for array: built so from symmetric counts by ``pathsim``, or
-    checked so by ``build_relation_set``.  The relation set that ``train``
-    and ``evaluate`` hand to training holds no ``matrix`` (None) for a
-    user-user or item-item path: training reads only its path and its
-    Laplacian.
+    checked so by ``similarity``.  The relation set of ``learner.set_up``
+    holds no ``matrix`` (None) for a user-user or item-item path:
+    training reads only its path and its Laplacian.
     """
 
     path: MetaPath
-    variant: str
     matrix: sp.csr_array
     symmetric: bool = False
 
@@ -241,35 +240,22 @@ def path_count(graph, path):
     return PathCountMatrix(path, product, symmetric=palindromic)
 
 
-def pathsim(pc, variant="rowcol"):
-    """Normalize path counts to [0, 1] similarities.
-
-    ``rowcol`` (default): sim(s, t) = 2*PC(s, t) / (rowsum(s) + colsum(t)),
-    i.e. paths from s plus paths into t.  ``diagonal``: the classic
-    2*PC(s, t) / (PC(s, s) + PC(t, t)), defined only for palindromic paths.
-    A zero denominator yields similarity 0.
+def pathsim(pc):
+    """Normalize path counts to [0, 1] similarities:
+    sim(s, t) = 2*PC(s, t) / (rowsum(s) + colsum(t)), i.e. paths from s
+    plus paths into t.  A zero denominator yields similarity 0.
 
     For counts marked ``symmetric`` the row sums serve as the column sums,
     so S(s, t) and S(t, s) are computed from the same operands and S is
     returned marked ``symmetric``.
     """
-    if variant not in ("rowcol", "diagonal"):
-        raise PathError(f"unknown PathSim variant {variant!r}")
     counts = pc.matrix
     if not counts.has_sorted_indices:  # sort a copy; pc.matrix is untouched
         counts = sp.csr_array(counts, copy=True)
         counts.sort_indices()
     per_row = np.diff(counts.indptr)
-    if variant == "diagonal":
-        if not pc.path.is_palindromic:
-            raise PathError(
-                f"diagonal variant needs a palindromic path, got "
-                f"{pc.path.to_string()!r}"
-            )
-        by_row = by_col = pc.matrix.diagonal()
-    else:
-        by_row = np.asarray(pc.matrix.sum(axis=1)).ravel()
-        by_col = by_row if pc.symmetric else np.asarray(pc.matrix.sum(axis=0)).ravel()
+    by_row = np.asarray(pc.matrix.sum(axis=1)).ravel()
+    by_col = by_row if pc.symmetric else np.asarray(pc.matrix.sum(axis=0)).ravel()
     denom = np.repeat(by_row, per_row)
     denom += by_col[counts.indices]
     positive = denom > 0
@@ -281,7 +267,7 @@ def pathsim(pc, variant="rowcol"):
         (data, counts.indices.copy(), counts.indptr.copy()), shape=counts.shape
     )
     out.eliminate_zeros()
-    return SimilarityMatrix(pc.path, variant, out, symmetric=pc.symmetric)
+    return SimilarityMatrix(pc.path, out, symmetric=pc.symmetric)
 
 
 class PathSpecError(GraphFormatError):
@@ -366,8 +352,8 @@ def _symmetric(sim):
     T = S.T.tocsr()
     if all(np.array_equal(a, b) for a, b in
            ((S.indptr, T.indptr), (S.indices, T.indices), (S.data, T.data))):
-        return SimilarityMatrix(sim.path, sim.variant, S, symmetric=True)
-    return SimilarityMatrix(sim.path, sim.variant, sp.csr_array((S + T) * 0.5))
+        return SimilarityMatrix(sim.path, S, symmetric=True)
+    return SimilarityMatrix(sim.path, sp.csr_array((S + T) * 0.5))
 
 
 def inert(sim):
@@ -417,29 +403,15 @@ def instance_count(graph, path):
 
 def similarity(graph, group, path):
     """(counts, similarity) of the ``group`` path ``path``: its
-    ``path_count``, and its ``pathsim`` made exactly symmetric (see
-    :func:`build_relation_set`) when ``group`` is UU or II."""
-    counts = path_count(graph, path)
-    sim = pathsim(counts)
-    return counts, sim if group == "UI" else _symmetric(sim)
+    ``path_count`` and its ``pathsim``.
 
-
-def build_relation_set(graph, groups):
-    """Compute the similarity matrix of every declared path.
-
-    User-user and item-item matrices are made exactly symmetric for the
+    A user-user or item-item similarity is made exactly symmetric for the
     graph regularizer.  A palindromic path's S is symmetric by
     construction and already marked so.  Every other one is transposed
     once: when the transpose has the same CSR arrays, S is kept and
     marked ``symmetric``; otherwise S becomes (S + S^T)/2.  ``laplacian``
-    skips its own check for a marked S.  A
-    user-user or item-item path whose similarity has no entries off the
-    diagonal is logged as inert: its Laplacian is all zero.
+    skips its own check for a marked S.
     """
-    out = {group: [] for group in GROUPS}
-    for group, path in declared(groups):
-        _, sim = similarity(graph, group, path)
-        if group != "UI" and inert(sim):
-            warn_inert(group, path)
-        out[group].append(sim)
-    return RelationSet(out["UU"], out["II"], out["UI"])
+    counts = path_count(graph, path)
+    sim = pathsim(counts)
+    return counts, sim if group == "UI" else _symmetric(sim)

@@ -226,6 +226,9 @@ class LaplacianSet:
 
     @classmethod
     def from_relation_set(cls, rels):
+        if any(sim.matrix is None for sim in rels.user_user + rels.item_item):
+            raise ValueError("the relation set holds no user-user or item-item similarity "
+                             "matrix: pass the Laplacians that learner.set_up returned")
         return cls(
             [laplacian(s) for s in rels.user_user],
             [laplacian(s) for s in rels.item_item],

@@ -16,7 +16,7 @@ from statistics import median
 import numpy as np
 
 from . import learner, metapath
-from .graph import Schema, Relation, build_graph, derive_ratings
+from .graph import Schema, Relation, build_graph
 
 DEFAULT_LINK_PROB = 0.2
 
@@ -122,11 +122,11 @@ class TimingRow:
 
 
 def _cell_inputs(spec):
-    """(ratings, relation set, edge count) of one benchmark cell's network."""
+    """(ratings, relation set, Laplacians, edge count) of one benchmark
+    cell's network."""
     graph = generate(spec)
-    ratings = derive_ratings(graph, default_target_path(spec.schema))
-    rels = metapath.build_relation_set(graph, default_paths(spec.schema))
-    return ratings, rels, sum(m.nnz for m in graph.matrices.values())
+    inputs = learner.set_up(graph, default_paths(spec.schema), default_target_path(spec.schema))
+    return inputs.ratings, inputs.rels, inputs.laps, sum(m.nnz for m in graph.matrices.values())
 
 
 # Shortest timed sample: a cell whose training run is quicker than this is
@@ -135,12 +135,12 @@ def _cell_inputs(spec):
 MIN_SAMPLE_SECONDS = 0.1
 
 
-def _time_training(ratings, rels, hp, runs):
+def _time_training(ratings, rels, laps, hp, runs):
     """Mean wall-clock seconds of ``runs`` back-to-back trainings, and the
     last run's accepted step count."""
     t0 = time.perf_counter()
     for _ in range(runs):
-        state = learner.train(ratings, rels, hp)
+        state = learner.train(ratings, rels, hp, laps)
     return (time.perf_counter() - t0) / runs, state.factor_steps + state.weight_steps
 
 
@@ -158,11 +158,13 @@ def scaling_benchmark(
     Returns a list of TimingRow, one per cell, with the median, min and
     max over ``repeats`` samples of the wall-clock time of one training
     run; training cost is linear in d and in the user-item grid size, so
-    both sweeps should regress linearly.  A sample averages back-to-back
-    runs lasting at least MIN_SAMPLE_SECONDS (the batch size is set by an
-    untimed first run per cell), and the samples go round-robin over the
-    cells, so a stretch of host load or a clock change is shared by every
-    cell instead of shifting one cell's median.
+    both sweeps should regress linearly.  A training run starts from its
+    cell's ratings, relation set and Laplacians, which ``learner.set_up``
+    builds once per cell, outside the timed runs.  A sample averages
+    back-to-back runs lasting at least MIN_SAMPLE_SECONDS (the batch size
+    is set by an untimed first run per cell), and the samples go
+    round-robin over the cells, so a stretch of host load or a clock
+    change is shared by every cell instead of shifting one cell's median.
     """
     from .model import Hyperparams
 
@@ -174,16 +176,16 @@ def scaling_benchmark(
     for spec, d in [(base_spec, d) for d in d_values] + [
         (base_spec.scaled(factor), fixed_d) for factor in size_multipliers
     ]:
-        ratings, rels, edges = _cell_inputs(spec)
+        ratings, rels, laps, edges = _cell_inputs(spec)
         hp_cell = hp.with_overrides(d=int(d))
-        first, _ = _time_training(ratings, rels, hp_cell, 1)
+        first, _ = _time_training(ratings, rels, laps, hp_cell, 1)
         runs = max(1, math.ceil(MIN_SAMPLE_SECONDS / max(first, 1e-9)))
-        cells.append((ratings, rels, edges, hp_cell, runs))
+        cells.append((ratings, rels, laps, edges, hp_cell, runs))
     times = [[] for _ in cells]
     iterations = [0] * len(cells)
     for _ in range(repeats):
-        for k, (ratings, rels, _, hp_cell, runs) in enumerate(cells):
-            seconds, iterations[k] = _time_training(ratings, rels, hp_cell, runs)
+        for k, (ratings, rels, laps, _, hp_cell, runs) in enumerate(cells):
+            seconds, iterations[k] = _time_training(ratings, rels, laps, hp_cell, runs)
             times[k].append(seconds)
     return [
         TimingRow(
@@ -196,5 +198,5 @@ def scaling_benchmark(
             seconds_min=float(min(ts)),
             seconds_max=float(max(ts)),
         )
-        for (ratings, _, edges, hp_cell, _), ts, its in zip(cells, times, iterations)
+        for (ratings, _, _, edges, hp_cell, _), ts, its in zip(cells, times, iterations)
     ]

@@ -65,18 +65,18 @@ def random_instance(rng, n=8, m=6, d=3, n_uu=2, n_ii=2, n_ui=2,
     p_ii = make_path(schema, [("r2", False), ("r2", True)])
     p_ui = make_path(schema, [("r1", True), ("r2", True)])
     uu = [
-        SimilarityMatrix(p_uu, "rowcol", random_symmetric_similarity(n, density, rng))
+        SimilarityMatrix(p_uu, random_symmetric_similarity(n, density, rng))
         for _ in range(n_uu)
     ]
     ii = [
-        SimilarityMatrix(p_ii, "rowcol", random_symmetric_similarity(m, density, rng))
+        SimilarityMatrix(p_ii, random_symmetric_similarity(m, density, rng))
         for _ in range(n_ii)
     ]
     ui = []
     for _ in range(n_ui):
         mask = rng.random((n, m)) < density
         ui.append(
-            SimilarityMatrix(p_ui, "rowcol", sp.csr_array(mask * rng.random((n, m))))
+            SimilarityMatrix(p_ui, sp.csr_array(mask * rng.random((n, m))))
         )
     rels = RelationSet(uu, ii, ui)
     total = n * m

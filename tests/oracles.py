@@ -50,7 +50,7 @@ def dfs_path_count(graph, path):
     return out
 
 
-def naive_pathsim(counts, variant="rowcol"):
+def naive_pathsim(counts):
     """Entrywise PathSim from a dense path-count matrix."""
     counts = np.asarray(counts, dtype=float)
     ns, nt = counts.shape
@@ -59,10 +59,7 @@ def naive_pathsim(counts, variant="rowcol"):
     out = np.zeros_like(counts)
     for s in range(ns):
         for t in range(nt):
-            if variant == "rowcol":
-                denom = rowsum[s] + colsum[t]
-            else:
-                denom = counts[s, s] + counts[t, t]
+            denom = rowsum[s] + colsum[t]
             out[s, t] = 2.0 * counts[s, t] / denom if denom > 0 else 0.0
     return out
 
@@ -81,16 +78,12 @@ def reference_count(graph, path):
     return out
 
 
-def reference_pathsim(counts, variant="rowcol"):
+def reference_pathsim(counts):
     """PathSim of sorted CSR counts, entry by entry over the stored entries."""
     rows = np.repeat(np.arange(counts.shape[0]), np.diff(counts.indptr))
     cols = counts.indices
-    if variant == "diagonal":
-        diag = counts.diagonal()
-        denom = diag[rows] + diag[cols]
-    else:
-        denom = (np.asarray(counts.sum(axis=1)).ravel()[rows]
-                 + np.asarray(counts.sum(axis=0)).ravel()[cols])
+    denom = (np.asarray(counts.sum(axis=1)).ravel()[rows]
+             + np.asarray(counts.sum(axis=0)).ravel()[cols])
     data = np.zeros(counts.nnz)
     positive = denom > 0
     data[positive] = 2.0 * counts.data[positive] / denom[positive]

@@ -16,12 +16,10 @@ from scipy.special import expit
 import hetecf as h
 from hetecf import Hyperparams, PathWeights, RatingMatrix, SplitSpec, split, train
 from hetecf.evaluate import METHODS, NMFPredictor, rmse, run_experiment
-from hetecf.graph import derive_ratings
-from hetecf.learner import build_problem, grad_factors, grad_weights, init
+from hetecf.learner import build_problem, grad_factors, grad_weights, init, set_up
 from hetecf.metapath import (
     RelationSet,
     SimilarityMatrix,
-    build_relation_set,
     path_count,
     pathsim,
 )
@@ -174,17 +172,13 @@ def test_3_pathsim_range_and_palindromic_symmetry(capsys, graph_corpus):
     for g in graph_corpus:
         for p in paths:
             pc = path_count(g, p)
-            mats = [pathsim(pc, variant="rowcol").matrix]
+            dense = pathsim(pc).matrix.toarray()
+            if dense.size:
+                lo = min(lo, float(dense.min()))
+                hi = max(hi, float(dense.max()))
             if p.is_palindromic:
-                mats.append(pathsim(pc, variant="diagonal").matrix)
-            for s in mats:
-                dense = s.toarray()
-                if dense.size:
-                    lo = min(lo, float(dense.min()))
-                    hi = max(hi, float(dense.max()))
-                if p.is_palindromic:
-                    asym = max(asym, float(np.abs(dense - dense.T).max()))
-                    n_sym += 1
+                asym = max(asym, float(np.abs(dense - dense.T).max()))
+                n_sym += 1
     ok = lo >= 0.0 and hi <= 1.0 and asym <= 1e-12
     _report(
         capsys, 3, "similarity range and palindromic symmetry", ok,
@@ -302,22 +296,22 @@ def _recovery_trial(seed):
     p_ii = h.make_path(schema, [("r", False), ("r", True)])
     p_ui = h.make_path(schema, [("r", True)])
     uu = [
-        SimilarityMatrix(p_uu, "rowcol", _knn_similarity(u_true, k, sim_scale)),
-        SimilarityMatrix(p_uu, "rowcol", _noise_similarity(n, 2 * k / n, sim_scale, rng)),
+        SimilarityMatrix(p_uu, _knn_similarity(u_true, k, sim_scale)),
+        SimilarityMatrix(p_uu, _noise_similarity(n, 2 * k / n, sim_scale, rng)),
     ]
     ii = [
-        SimilarityMatrix(p_ii, "rowcol", _knn_similarity(v_true, k, sim_scale)),
-        SimilarityMatrix(p_ii, "rowcol", _noise_similarity(m, 2 * k / m, sim_scale, rng)),
+        SimilarityMatrix(p_ii, _knn_similarity(v_true, k, sim_scale)),
+        SimilarityMatrix(p_ii, _noise_similarity(m, 2 * k / m, sim_scale, rng)),
     ]
     extra = (rng.random((n, m)) < 0.10) & ~observed
     r2, c2 = np.nonzero(extra)
     r3, c3 = np.nonzero(rng.random((n, m)) < 0.10)
     ui = [
         SimilarityMatrix(
-            p_ui, "rowcol", sp.csr_array((full[r2, c2], (r2, c2)), shape=(n, m))
+            p_ui, sp.csr_array((full[r2, c2], (r2, c2)), shape=(n, m))
         ),
         SimilarityMatrix(
-            p_ui, "rowcol",
+            p_ui,
             sp.csr_array(
                 (rng.integers(0, 2, r3.size) * 0.998 + 0.001, (r3, c3)), shape=(n, m)
             ),
@@ -427,16 +421,14 @@ def test_8_training_time_linear_in_d_and_grid_size(capsys):
 
 def test_9_experiment_grid_shape_and_metric_order(capsys):
     spec = SynthSpec(seed=9)
-    graph = generate(spec)
-    ratings = derive_ratings(graph, default_target_path(spec.schema))
-    rels = build_relation_set(graph, default_paths(spec.schema))
+    inputs = set_up(generate(spec), default_paths(spec.schema), default_target_path(spec.schema))
     hp = Hyperparams(
         d=5, lam=0.01, learn_rate=0.1, inner_tol=1e-4, outer_tol=1e-4,
         max_inner=5, max_outer=2, seed=0,
     )
     report = run_experiment(
-        ratings, rels, methods=METHODS, fractions=(0.4, 0.6),
-        d_values=(5, 10), trials=10, seed=0, hp=hp,
+        inputs.ratings, inputs.rels, methods=METHODS, fractions=(0.4, 0.6),
+        d_values=(5, 10), trials=10, seed=0, hp=hp, laps=inputs.laps,
     )
     expected_cells = len(METHODS) * 2 * 2 * 2
     shape_ok = len(report.cells) == expected_cells and not report.failures

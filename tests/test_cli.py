@@ -589,6 +589,7 @@ def test_evaluate_builds_the_laplacians_once(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(model, "laplacian", counting)
+    monkeypatch.setattr(learner, "laplacian", counting)  # set_up's binding
     rc = main([
         "evaluate", *GRAPH_FLAGS,
         "--paths", str(SAMPLE / "paths.txt"),
@@ -1025,34 +1026,44 @@ def _csr_arrays(M):
     return [(a.dtype.str, a.tobytes()) for a in (M.indptr, M.indices, M.data)]
 
 
+def _rating_arrays(ratings):
+    return [(a.dtype.str, a.tobytes()) for a in (ratings.rows, ratings.cols, ratings.vals)]
+
+
 @pytest.mark.parametrize("network", ["sample", "sparse synth"])
 def test_set_up_arrays_match_one_thread_and_the_library_route(tmp_path, monkeypatch,
                                                                network):
-    from hetecf.model import LaplacianSet
+    from hetecf import derive_ratings, laplacian
 
     flags = _network(tmp_path, network)
-    args = cli.build_parser().parse_args(
-        ["train", *flags, "--paths", str(SAMPLE / "paths.txt"), "--target-path", TARGET])
+    graph = load_graph(*flags[1::2])
+    groups = metapath.load_path_spec(str(SAMPLE / "paths.txt"), graph.schema)
+    target = metapath.parse_path(TARGET, graph.schema)
     outputs = {}
     for count in (1, 2):
         _cpus(monkeypatch, count)
-        graph, groups, ratings, rels, laps = cli._prepare_training(args, {})
+        inputs = learner.set_up(graph, groups, target)
+        rels, laps = inputs.rels, inputs.laps
         outputs[count] = (
-            [ratings.rows.tobytes(), ratings.cols.tobytes(), ratings.vals.tobytes()],
+            _rating_arrays(inputs.ratings),
             [(str(s.path), s.symmetric, s.matrix) for s in rels.user_user + rels.item_item],
             [(str(s.path), _csr_arrays(s.matrix)) for s in rels.user_item],
             [_csr_arrays(L) for L in laps.user + laps.item],
         )
     assert outputs[1] == outputs[2]
 
-    # the serial library route gives the same similarities and Laplacians;
-    # training keeps no UU or II similarity matrix, only its path
-    library = metapath.build_relation_set(graph, groups)
-    library_laps = LaplacianSet.from_relation_set(library)
-    assert outputs[2][1] == [(str(s.path), s.symmetric, None)
-                             for s in library.user_user + library.item_item]
-    assert outputs[2][2] == [(str(s.path), _csr_arrays(s.matrix)) for s in library.user_item]
-    assert outputs[2][3] == [_csr_arrays(L) for L in library_laps.user + library_laps.item]
+    # the library's functions, called one path after another, give the same
+    # arrays; training keeps no UU or II similarity matrix, only its path
+    graph_sims, user_item, graph_laps = [], [], []
+    for group, path in metapath.declared(groups):
+        _, sim = metapath.similarity(graph, group, path)
+        if group == "UI":
+            user_item.append((str(path), _csr_arrays(sim.matrix)))
+        else:
+            graph_sims.append((str(path), sim.symmetric, None))
+            graph_laps.append(_csr_arrays(laplacian(sim)))
+    assert outputs[2] == (_rating_arrays(derive_ratings(graph, target)),
+                          graph_sims, user_item, graph_laps)
 
     # the two-thread set-up left the graph's own matrices as loaded
     fresh = load_graph(*flags[1::2])
@@ -1125,7 +1136,7 @@ def test_costliest_path_is_the_workers_first_task_wherever_it_is_declared(
     paths = tmp_path / "paths.txt"
     costliest = "Author -writes-> Paper <-writes- Author -writes-> Paper -published_in-> Conf"
     paths.write_text((SAMPLE / "paths.txt").read_text() + f"UI: {costliest}\n")
-    set_up_path = cli._set_up_path
+    similarity = metapath.similarity  # the first call of each path's chain
     runs = {}
     for count in (1, 2):
         _cpus(monkeypatch, count)
@@ -1133,9 +1144,9 @@ def test_costliest_path_is_the_workers_first_task_wherever_it_is_declared(
 
         def recorded(graph, group, path):
             calls.append((threading.current_thread().name, str(path)))
-            return set_up_path(graph, group, path)
+            return similarity(graph, group, path)
 
-        monkeypatch.setattr(cli, "_set_up_path", recorded)
+        monkeypatch.setattr(metapath, "similarity", recorded)
         out = tmp_path / f"cpus{count}"
         out.mkdir()
         caplog.clear()

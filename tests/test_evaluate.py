@@ -252,7 +252,7 @@ def test_run_experiment_records_a_bad_relation_set_as_hete_cf_failures():
 
     rng = np.random.default_rng(10)
     ratings = random_ratings(rng, 5, 4, density=0.5)
-    bad = SimilarityMatrix(None, "rowcol", sp.csr_array(np.triu(np.ones((5, 5)), 1)))
+    bad = SimilarityMatrix(None, sp.csr_array(np.triu(np.ones((5, 5)), 1)))
     report = run_experiment(
         ratings, RelationSet([bad], [], []), methods=("user_mean", "hete_cf"),
         fractions=(0.5,), d_values=(2,), trials=2, hp=fast_hp(),

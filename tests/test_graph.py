@@ -605,7 +605,7 @@ def test_derive_ratings_matches_dfs_oracle(biblio_schema):
     g = h.build_graph(biblio_schema, nodes, edges)
     target = h.parse_path("Author -writes-> Paper -published_in-> Conf", biblio_schema)
     r = h.derive_ratings(g, target)
-    expected = naive_pathsim(dfs_path_count(g, target), "rowcol")
+    expected = naive_pathsim(dfs_path_count(g, target))
     assert np.allclose(r.to_csr().toarray(), expected, atol=1e-12)
 
 
@@ -946,6 +946,7 @@ def test_sample_data_digests_are_pinned():
 def test_32_bit_indices_where_pair_keys_need_64(tmp_path):
     # n * m > 2**31, so a user-item pair key rows * m + cols overflows in 32 bits
     from hetecf import learner
+    from hetecf.metapath import declared, similarity
 
     n = m = 50_001
     schema = "nodetype User user\nnodetype Item item\nrelation rates User Item\n"
@@ -955,20 +956,20 @@ def test_32_bit_indices_where_pair_keys_need_64(tmp_path):
     edges = "".join(f"u{i}\ti{(i * 7919) % m}\trates\n" for i in users.tolist())
     edges += "".join(f"u{i}\ti{m - 1 - i}\trates\n" for i in users[::5].tolist())
     g = h.load_graph(*write_dataset(tmp_path, nodes, edges, schema=schema))
-    target = h.parse_path("User -rates-> Item", g.schema)
-    ratings = h.derive_ratings(g, target)
     groups = h.parse_path_spec(
         "UU: User -rates-> Item <-rates- User\n"
         "II: Item <-rates- User -rates-> Item\n"
         "UI: User -rates-> Item\n", g.schema)
-    rels = h.build_relation_set(g, groups)
-    for matrix in [g.matrices["rates"]] + [sim.matrix for group in (
-            rels.user_user, rels.item_item, rels.user_item) for sim in group]:
+    inputs = h.set_up(g, groups, h.parse_path("User -rates-> Item", g.schema))
+    ratings, rels, laps = inputs.ratings, inputs.rels, inputs.laps
+    sims = [similarity(g, group, path)[1].matrix for group, path in declared(groups)]
+    for matrix in [g.matrices["rates"], *sims, *laps.user, *laps.item,
+                   *(sim.matrix for sim in rels.user_item)]:
         assert matrix.indices.dtype == matrix.indptr.dtype == np.int32
     assert ratings.nnz == n + len(users[::5]) and int(ratings.rows.max()) * m > 2**31
     hp = h.Hyperparams(d=2, max_inner=1, max_outer=1)
-    state = learner.train(ratings, rels, hp)
-    data = learner.build_problem(ratings, rels, hp)
+    state = learner.train(ratings, rels, hp, laps)
+    data = learner.build_problem(ratings, rels, hp, laps)
     point = data.evaluate(state.model)
     # the rating block leads the entry list; its predictions are f(U_i . V_j)
     predicted = point.resid[:ratings.nnz] + data.vals[:ratings.nnz]

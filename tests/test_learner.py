@@ -14,8 +14,6 @@ from hetecf import (
     NumericalError,
     PathWeights,
     RatingMatrix,
-    build_relation_set,
-    derive_ratings,
     load_graph,
     load_path_spec,
     parse_path,
@@ -26,6 +24,7 @@ from hetecf.learner import (
     grad_factors,
     grad_weights,
     init,
+    set_up,
     update_factors,
     update_weights,
     write_training_log,
@@ -296,7 +295,7 @@ def weight_phase_state(rel_vals, w0, hp, n=4, m=3, nnz=6):
     mat = sps.csr_array(
         (np.full(nnz, rel_vals), (rows, cols)), shape=(n, m)
     )
-    rels = RelationSet([], [], [SimilarityMatrix(path, "rowcol", mat)])
+    rels = RelationSet([], [], [SimilarityMatrix(path, mat)])
     ratings = RatingMatrix(n, m, [0], [0], [0.5])
     data = build_problem(ratings, rels, hp)
     state = init(hp, (n, m, 0, 0, 1))
@@ -344,7 +343,7 @@ def test_informative_path_decays_slower_than_noise():
 
     def sim(v):
         return SimilarityMatrix(
-            path, "rowcol",
+            path,
             sps.csr_array((np.full(nnz, v), (rows, cols)), shape=(n, m)),
         )
 
@@ -639,8 +638,8 @@ def test_halvings_are_the_rejected_candidates_of_both_phases():
     cfg = json.loads((root / "sample_data" / "config.json").read_text())
     graph = load_graph(*(str(root / cfg[k]) for k in ("nodes", "edges", "schema")))
     groups = load_path_spec(str(root / cfg["paths"]), graph.schema)
-    ratings = derive_ratings(graph, parse_path(cfg["target_path"], graph.schema))
-    state = train(ratings, build_relation_set(graph, groups), Hyperparams(**cfg["hyperparams"]))
+    inputs = set_up(graph, groups, parse_path(cfg["target_path"], graph.schema))
+    state = train(inputs.ratings, inputs.rels, Hyperparams(**cfg["hyperparams"]), inputs.laps)
     assert state.factor_rejected > 0
     assert state.halvings == state.factor_rejected + state.weight_rejected
     logged = sum(r["factor_rejected"] + r["weight_rejected"] for r in state.log_rows)
@@ -756,7 +755,7 @@ def two_path_instance(side):
         (Relation("r1", "U", "X"), Relation("r2", "X", "I")),
     )
     path = make_path(schema, [("r1", True), ("r1", False), ("r1", True), ("r2", True)])
-    rels.user_item[1] = SimilarityMatrix(path, "rowcol", rels.user_item[1].matrix)
+    rels.user_item[1] = SimilarityMatrix(path, rels.user_item[1].matrix)
     problem = build_problem(ratings, rels, hp)
     assert problem.dense == (side == "dense")
     state = init(hp, (n, m, 2, 2, 2))
@@ -881,7 +880,7 @@ def test_sorted_entries_that_repeat_a_pair_are_summed_per_pair():
     schema = Schema(("U", "I"), "U", "I", (Relation("r", "U", "I"),))
     path = make_path(schema, [("r", True)])
     mat = sps.csr_array(([0.3, 0.9], ([0, 1], [1, 0])), shape=(2, 2))
-    rels = RelationSet([], [], [SimilarityMatrix(path, "rowcol", mat)])
+    rels = RelationSet([], [], [SimilarityMatrix(path, mat)])
     ratings = RatingMatrix(2, 2, [0, 0], [0, 1], [0.2, 0.7])
     hp = Hyperparams(d=2, lam=0.01, mu=0.5, seed=4)
     problem = build_problem(ratings, rels, hp)
@@ -1168,13 +1167,10 @@ def test_factor_gradient_once_per_factor_point(monkeypatch):
     # steps from the same factors with the same weights: it takes no new
     # gradient, and every other factor candidate takes one
     from hetecf import synth
-    from hetecf.graph import derive_ratings
-    from hetecf.metapath import build_relation_set
 
     spec = synth.SynthSpec(seed=0)  # 40 x 12
-    graph = synth.generate(spec)
-    ratings = derive_ratings(graph, synth.default_target_path(spec.schema))
-    rels = build_relation_set(graph, synth.default_paths(spec.schema))
+    inputs = set_up(synth.generate(spec), synth.default_paths(spec.schema),
+                    synth.default_target_path(spec.schema))
     hp = Hyperparams(d=6, max_inner=20, max_outer=6, seed=3)
     grads = []
     grad = learner.grad_factors
@@ -1195,7 +1191,7 @@ def test_factor_gradient_once_per_factor_point(monkeypatch):
         return descend(state, data, recorded, phase)
 
     monkeypatch.setattr(learner, "_descend", spy)
-    state = train(ratings, rels, hp)
+    state = train(inputs.ratings, inputs.rels, hp, inputs.laps)
     candidates = sum(len(p) for p in phases)
     after_rejection = sum(
         1 for p in phases for (acc, _), (acc_next, _) in zip(p, p[1:]) if acc_next == acc
@@ -1376,17 +1372,17 @@ def test_split_entry_half_gives_the_one_cpu_point(monkeypatch, relations):
         "UU: Author -writes-> Paper <-writes- Author\n"
         "II: Conf <-published_in- Paper -published_in-> Conf\n"
         "UI: Author -writes-> Paper -cites-> Paper -published_in-> Conf\n", graph.schema)
-    rels = build_relation_set(graph, groups)
+    inputs = set_up(graph, groups, target)
+    ratings, rels = inputs.ratings, inputs.rels
     if not relations:
         rels = RelationSet(rels.user_user, rels.item_item, [])
-    ratings = derive_ratings(graph, target)
     hp = Hyperparams(d=3, seed=0)
     monkeypatch.setattr(learner, "PARALLEL_MIN_WORK", 0)
     problems = {}
     for cpus in (1, 2):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, c=cpus: set(range(c)),
                             raising=False)
-        problems[cpus] = build_problem(ratings, rels, hp)
+        problems[cpus] = build_problem(ratings, rels, hp, inputs.laps)
     one, two = problems[1], problems[2]
     assert not two.dense and two._in_order == (not relations) and one._cut is None
     assert two._cut % 29 == 0 and abs(two._cut - two.n_pairs / 2) <= 29 / 2
@@ -1436,29 +1432,37 @@ def test_worker_tasks_run_under_the_callers_errstate(monkeypatch):
 def test_share_returns_results_in_task_order(monkeypatch):
     import os
     import threading
-    import time
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    delays = [0.03, 0.0, 0.01, 0.0, 0.02, 0.0, 0.0]
+    # tasks 1 to 5 each wait until the next task has started.  So the worker,
+    # held in task 1, leaves task 2 to this thread; this thread, held in task
+    # 2, leaves task 3 to the worker; and so on: the threads alternate by
+    # these events alone, not by how long a task takes
+    started = [threading.Event() for _ in range(7)]
     ran_on = {}
 
     def task(k):
         def run():
-            time.sleep(delays[k])
+            started[k].set()
             ran_on.setdefault(k, []).append(threading.current_thread().name)
+            if 0 < k < 6:
+                assert started[k + 1].wait(timeout=60), f"task {k + 1} never started"
             return k * k
         return run
 
     with learner.Worker() as worker:
         assert worker.share([task(k) for k in range(7)]) == [k * k for k in range(7)]
         assert worker.share([]) == [] and worker.share([task(6)]) == [36]
+    here = threading.current_thread().name
     # every task ran once; this thread took the first, the worker the second
-    assert sorted(ran_on) == list(range(7)) and ran_on[6] == [ran_on[6][0]] * 2
+    assert sorted(ran_on) == list(range(7))
     assert all(len(names) == 1 for k, names in ran_on.items() if k != 6)
-    assert ran_on[0] == [threading.current_thread().name]
+    assert ran_on[0] == [here]
     assert ran_on[1][0].startswith("hetecf-worker")
+    assert [ran_on[k][0] == here for k in range(7)] == [k % 2 == 0 for k in range(7)]
+    assert ran_on[6] == [here, here]  # the one-task share ran here
     assert worker.tasks == sum(names[0].startswith("hetecf-worker")
-                               for k, names in ran_on.items() if k != 6)
+                               for k, names in ran_on.items()) == 3
 
 
 def test_share_raises_the_first_exception_in_task_order_once_both_threads_finish(
@@ -1548,8 +1552,8 @@ def test_share_runs_each_task_once_under_frequent_thread_switches(monkeypatch):
 
 
 def test_training_without_laplacians_builds_them_on_this_thread(monkeypatch):
-    """``learner.train(ratings, rels, hp)``, which the scaling benchmark
-    times, assembles its Laplacians inline and starts no thread for them."""
+    """``learner.train(ratings, rels, hp)`` on a relation set made in
+    memory assembles its Laplacians inline and starts no thread for them."""
     import math
     import threading
 
@@ -1569,3 +1573,65 @@ def test_training_without_laplacians_builds_them_on_this_thread(monkeypatch):
     monkeypatch.setattr(model, "laplacian", recorded)
     train(ratings, rels, hp)
     assert names == [threading.current_thread().name] * 4
+
+
+# ------------------------------------------------------------------ set-up
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_set_up_warns_and_reports_in_declared_order(monkeypatch, caplog, cpus):
+    import logging
+    import os
+    import threading
+
+    from hetecf import Relation, Schema, build_graph, content_hash
+    from hetecf.metapath import parse_path_spec
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    schema = Schema(("Author", "Paper", "Conf"), "Author", "Conf", (
+        Relation("writes", "Author", "Paper"), Relation("published_in", "Paper", "Conf"),
+        Relation("cites", "Paper", "Paper")))
+    # one author and one conf per paper: the A-P-A and C-P-C paths are inert
+    edges = [(f"a{k % 3}", f"p{k}", "writes") for k in range(6)]
+    edges += [(f"p{k}", f"c{k % 2}", "published_in") for k in range(6)]
+    edges += [(f"p{k}", f"p{j}", "cites") for k in range(6) for j in range(6) if j != k]
+    graph = build_graph(schema, [(f"a{k}", "Author") for k in range(3)]
+                        + [(f"p{k}", "Paper") for k in range(6)]
+                        + [(f"c{k}", "Conf") for k in range(2)], edges)
+    declared = [
+        ("UU", "Author -writes-> Paper <-writes- Author"),
+        ("UU", "Author -writes-> Paper -cites-> Paper <-writes- Author"),
+        ("II", "Conf <-published_in- Paper -published_in-> Conf"),
+        ("II", "Conf <-published_in- Paper <-cites- Paper -published_in-> Conf"),
+        ("UI", "Author -writes-> Paper -published_in-> Conf"),
+        ("UI", "Author -writes-> Paper -cites-> Paper -cites-> Paper -published_in-> Conf"),
+    ]
+    groups = parse_path_spec("".join(f"{g}: {p}\n" for g, p in declared), schema)
+    with caplog.at_level(logging.WARNING, logger="hetecf.metapath"):
+        inputs = set_up(graph, groups, groups.user_item[0], [content_hash])
+    assert [r.getMessage() for r in caplog.records] == [
+        f"{group} path {path} is inert: its similarity has no entries off the diagonal,"
+        " so its Laplacian is zero" for group, path in (declared[0], declared[2])]
+    names, paths, nnz, instances, _, threads = zip(*inputs.paths)
+    assert list(zip(names, map(str, paths))) == declared
+    assert instances[-1] > max(instances[:-1])  # the costliest is declared last
+    if cpus == 1:
+        assert set(threads) == {threading.current_thread().name}
+    else:
+        assert threads[-1] == "hetecf-worker_0"  # the worker's first task
+    assert inputs.two_threads == (cpus == 2)
+    assert inputs.results == [content_hash(graph)]
+    assert [len(n) for n in nnz] == [3, 3, 3, 3, 2, 2]
+    assert [lap.nnz for lap in inputs.laps.user + inputs.laps.item] == [n[2] for n in nnz[:4]]
+    assert inputs.laps.user[0].nnz == inputs.laps.item[0].nnz == 0
+
+
+def test_set_up_relation_set_without_its_laplacians_is_refused(toy_graph, biblio_schema):
+    from hetecf.metapath import parse_path_spec
+
+    groups = parse_path_spec("UU: Author -writes-> Paper <-writes- Author\n", biblio_schema)
+    inputs = set_up(toy_graph, groups,
+                    parse_path("Author -writes-> Paper -published_in-> Conf", biblio_schema))
+    with pytest.raises(ValueError, match="pass the Laplacians that learner.set_up returned"):
+        train(inputs.ratings, inputs.rels, Hyperparams(d=2, max_outer=1))
+    assert train(inputs.ratings, inputs.rels, Hyperparams(d=2, max_outer=1), inputs.laps)

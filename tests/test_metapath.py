@@ -8,17 +8,19 @@ import scipy.sparse as sp
 
 import hetecf as h
 from hetecf import GraphFormatError, PathError, PathSpecError
+from hetecf.learner import set_up
 from hetecf.metapath import (
     PathGroups,
     SimilarityMatrix,
     _symmetric,
-    build_relation_set,
+    declared,
     load_path_spec,
     parse_path_spec,
     path_count,
     pathsim,
+    similarity,
 )
-from hetecf.model import LaplacianSet, laplacian
+from hetecf.model import laplacian
 
 from oracles import (
     dfs_path_count,
@@ -28,6 +30,7 @@ from oracles import (
 )
 
 SAMPLE = pathlib.Path(__file__).resolve().parent.parent / "sample_data"
+TARGET = "Author -writes-> Paper -published_in-> Conf"
 
 
 def cite_schema():
@@ -241,26 +244,17 @@ def test_path_count_validates_against_schema(toy_graph):
 
 def test_pathsim_rowcol_frozen_toy_values(toy_graph, biblio_schema):
     p = h.parse_path("Author -writes-> Paper <-writes- Author", biblio_schema)
-    sim = pathsim(path_count(toy_graph, p), variant="rowcol")
+    sim = pathsim(path_count(toy_graph, p))
     # counts: row sums (6, 4, 2); 2*2 / (6 + 4) = 0.4
     assert sim.matrix[0, 1] == pytest.approx(0.4, abs=1e-15)
     assert sim.matrix[1, 0] == pytest.approx(0.4, abs=1e-15)
 
 
-def test_pathsim_diagonal_frozen_toy_values(toy_graph, biblio_schema):
-    p = h.parse_path("Author -writes-> Paper <-writes- Author", biblio_schema)
-    sim = pathsim(path_count(toy_graph, p), variant="diagonal")
-    # 2*2 / (3 + 2) = 0.8
-    assert sim.matrix[0, 1] == pytest.approx(0.8, abs=1e-15)
-
-
 def test_pathsim_matches_naive_oracle(toy_graph, biblio_schema):
     p = h.parse_path("Author -writes-> Paper <-writes- Author", biblio_schema)
     pc = path_count(toy_graph, p)
-    for variant in ("rowcol", "diagonal"):
-        got = pathsim(pc, variant=variant).matrix.toarray()
-        want = naive_pathsim(pc.matrix.toarray(), variant)
-        assert np.allclose(got, want, atol=1e-15)
+    got = pathsim(pc).matrix.toarray()
+    assert np.allclose(got, naive_pathsim(pc.matrix.toarray()), atol=1e-15)
 
 
 def test_pathsim_single_instance_is_one(biblio_schema):
@@ -270,7 +264,7 @@ def test_pathsim_single_instance_is_one(biblio_schema):
         [("a1", "p1", "writes"), ("p1", "c1", "published_in")],
     )
     p = h.parse_path("Author -writes-> Paper -published_in-> Conf", biblio_schema)
-    sim = pathsim(path_count(g, p), variant="rowcol")
+    sim = pathsim(path_count(g, p))
     assert sim.matrix[0, 0] == pytest.approx(1.0)
 
 
@@ -281,17 +275,10 @@ def test_pathsim_zero_denominator_gives_zero(biblio_schema):
         [("a1", "p1", "writes")],
     )
     p = h.parse_path("Author -writes-> Paper <-writes- Author", biblio_schema)
-    sim = pathsim(path_count(g, p), variant="diagonal")
+    sim = pathsim(path_count(g, p))
     # a2 has no paths at all: the (a2, a2) denominator is 0
     assert sim.matrix[1, 1] == 0.0
     assert sim.matrix[0, 0] == pytest.approx(1.0)
-
-
-def test_pathsim_diagonal_self_similarity_is_one(toy_graph, biblio_schema):
-    p = h.parse_path("Author -writes-> Paper <-writes- Author", biblio_schema)
-    sim = pathsim(path_count(toy_graph, p), variant="diagonal")
-    for i in range(3):
-        assert sim.matrix[i, i] == pytest.approx(1.0)
 
 
 def test_pathsim_range_and_symmetry_random():
@@ -314,26 +301,20 @@ def test_pathsim_range_and_symmetry_random():
             for i in range(np_) for j in range(nc) if rng.random() < 0.4
         ]
         g = h.build_graph(schema, nodes, edges)
-        for path, variants in ((pal, ("rowcol", "diagonal")), (ui, ("rowcol",))):
-            pc = path_count(g, path)
-            for variant in variants:
-                m = pathsim(pc, variant=variant).matrix.toarray()
-                assert m.min() >= 0.0 and m.max() <= 1.0 + 1e-15
-                if path is pal:
-                    assert np.allclose(m, m.T, atol=1e-12)
+        for path in (pal, ui):
+            m = pathsim(path_count(g, path)).matrix.toarray()
+            assert m.min() >= 0.0 and m.max() <= 1.0 + 1e-15
+            if path is pal:
+                assert np.allclose(m, m.T, atol=1e-12)
 
 
-def _coo_pathsim(pc, variant):
+def _coo_pathsim(pc):
     """PathSim rebuilt from COO triples into a fresh canonical CSR; the
     column sums of counts marked symmetric are their row sums."""
     m = sp.csr_array(pc.matrix, dtype=np.float64).tocoo()
-    if variant == "diagonal":
-        diag = pc.matrix.diagonal()
-        denom = diag[m.row] + diag[m.col]
-    else:
-        rowsum = np.asarray(pc.matrix.sum(axis=1)).ravel()
-        colsum = rowsum if pc.symmetric else np.asarray(pc.matrix.sum(axis=0)).ravel()
-        denom = rowsum[m.row] + colsum[m.col]
+    rowsum = np.asarray(pc.matrix.sum(axis=1)).ravel()
+    colsum = rowsum if pc.symmetric else np.asarray(pc.matrix.sum(axis=0)).ravel()
+    denom = rowsum[m.row] + colsum[m.col]
     with np.errstate(divide="ignore", invalid="ignore"):
         vals = np.where(denom > 0, 2.0 * m.data / np.where(denom > 0, denom, 1.0), 0.0)
     out = sp.csr_array((vals, (m.row, m.col)), shape=m.shape)
@@ -346,13 +327,12 @@ def test_pathsim_bitwise_equals_coo_reference():
     schema = cite_schema()
     rng = np.random.default_rng(7)
     paths = [
-        (h.parse_path(text, schema), variants)
-        for text, variants in (
-            ("Author -writes-> Paper <-writes- Author", ("rowcol", "diagonal")),
-            ("Conf <-published_in- Paper -cites-> Paper <-cites- Paper"
-             " -published_in-> Conf", ("rowcol", "diagonal")),
-            ("Author -writes-> Paper -cites-> Paper -published_in-> Conf", ("rowcol",)),
-            ("Author -writes-> Paper", ("rowcol",)),
+        h.parse_path(text, schema)
+        for text in (
+            "Author -writes-> Paper <-writes- Author",
+            "Conf <-published_in- Paper -cites-> Paper <-cites- Paper -published_in-> Conf",
+            "Author -writes-> Paper -cites-> Paper -published_in-> Conf",
+            "Author -writes-> Paper",
         )
     ]
     unsorted = 0
@@ -371,33 +351,19 @@ def test_pathsim_bitwise_equals_coo_reference():
             for i in range(np_) for j in range(np_) if rng.random() < 0.1
         ] + [(f"p{i}", f"c{rng.integers(0, nc)}", "published_in") for i in range(np_)]
         g = h.build_graph(schema, nodes, edges)
-        for path, variants in paths:
+        for path in paths:
             pc = path_count(g, path)
             before = [a.copy() for a in (pc.matrix.indptr, pc.matrix.indices, pc.matrix.data)]
             unsorted += not pc.matrix.has_sorted_indices
-            for variant in variants:
-                got = pathsim(pc, variant=variant).matrix
-                want = _coo_pathsim(pc, variant)
-                for a, b in ((got.indptr, want.indptr), (got.indices, want.indices),
-                             (got.data, want.data)):
-                    assert a.dtype == b.dtype and np.array_equal(a, b)
-                assert np.allclose(got.toarray(),
-                                   naive_pathsim(pc.matrix.toarray(), variant), atol=1e-12)
+            got = pathsim(pc).matrix
+            want = _coo_pathsim(pc)
+            for a, b in ((got.indptr, want.indptr), (got.indices, want.indices),
+                         (got.data, want.data)):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+            assert np.allclose(got.toarray(), naive_pathsim(pc.matrix.toarray()), atol=1e-12)
             after = (pc.matrix.indptr, pc.matrix.indices, pc.matrix.data)
             assert all(np.array_equal(a, b) for a, b in zip(before, after))
     assert unsorted > 0
-
-
-def test_pathsim_diagonal_requires_palindromic(toy_graph, biblio_schema):
-    p = h.parse_path("Author -writes-> Paper -published_in-> Conf", biblio_schema)
-    with pytest.raises(PathError, match="palindromic"):
-        pathsim(path_count(toy_graph, p), variant="diagonal")
-
-
-def test_pathsim_unknown_variant(toy_graph, biblio_schema):
-    p = h.parse_path("Author -writes-> Paper <-writes- Author", biblio_schema)
-    with pytest.raises(PathError, match="variant"):
-        pathsim(path_count(toy_graph, p), variant="cosine")
 
 
 # ----------------------------------------------------------- path-set files
@@ -500,12 +466,16 @@ def test_path_spec_lines_end_only_at_line_ends(tmp_path, biblio_schema, inside):
     assert str(err.value).startswith(f"{f}:4: ")
 
 
-def test_build_relation_set_counts_and_symmetry(toy_graph, biblio_schema):
+def test_set_up_counts_and_symmetry(toy_graph, biblio_schema):
     groups = parse_path_spec(SPEC_TEXT, biblio_schema)
-    rels = build_relation_set(toy_graph, groups)
+    inputs = set_up(toy_graph, groups, h.parse_path(TARGET, biblio_schema))
+    rels = inputs.rels
     assert rels.counts == (1, 1, 1)
-    for sims, size in ((rels.user_user, 3), (rels.item_item, 2)):
-        m = sims[0].matrix.toarray()
+    # a UU or II path keeps its Laplacian, which is symmetric as S is
+    for sims, laps, size in ((rels.user_user, inputs.laps.user, 3),
+                             (rels.item_item, inputs.laps.item, 2)):
+        assert sims[0].matrix is None and sims[0].symmetric
+        m = laps[0].toarray()
         assert m.shape == (size, size)
         assert np.array_equal(m, m.T)
     assert rels.user_item[0].matrix.shape == (3, 2)
@@ -537,7 +507,7 @@ def test_one_step_paths_leave_the_graph_unchanged():
         "UI: Author -writes-> Paper -published_in-> Conf\n",
         schema,
     )
-    build_relation_set(g, groups)
+    set_up(g, groups, groups.user_item[0])
     assert path_count(g, h.parse_path("Author -writes-> Paper", schema)).matrix.nnz == 1
     for name, arrays in before.items():
         m = g.matrices[name]
@@ -567,16 +537,21 @@ def _groups_of(schema, texts):
 
 
 def _assert_matches_reference(graph, groups):
-    rels = build_relation_set(graph, groups)
+    inputs = set_up(graph, groups, h.parse_path(TARGET, graph.schema))
+    rels, laps = inputs.rels, inputs.laps
     want = reference_relation_set(graph, groups)
-    got = [rels.user_user, rels.item_item, rels.user_item]
+    # set_up keeps no UU or II similarity matrix; similarity gives it
+    graph_sims = [similarity(graph, group, path)[1]
+                  for group, path in declared(groups) if group != "UI"]
+    got = [graph_sims[:len(want[0])], graph_sims[len(want[0]):], rels.user_item]
     for sims, mats in zip(got, want):
         assert [_arrays(s.matrix) for s in sims] == [_arrays(m) for m in mats]
-    laps = LaplacianSet.from_relation_set(rels)
     assert [_arrays(L) for L in laps.user + laps.item] == [
         _arrays(reference_laplacian(S)) for S in want[0] + want[1]
     ]
-    for sim in rels.user_user + rels.item_item:
+    assert [s.symmetric for s in graph_sims] == [
+        s.symmetric for s in rels.user_user + rels.item_item]
+    for sim in graph_sims:
         dense = sim.matrix.toarray()
         if sim.symmetric:
             assert np.array_equal(dense, dense.T)
@@ -614,12 +589,14 @@ def test_non_palindromic_user_path_is_averaged_and_left_unmarked():
     assert not path.is_palindromic
     raw = pathsim(path_count(g, path)).matrix
     assert (raw != raw.T).nnz > 0
-    sim = build_relation_set(g, PathGroups([path], [], [])).user_user[0]
-    assert not sim.symmetric
-    assert _arrays(sim.matrix) == _arrays(sp.csr_array((raw + raw.T) * 0.5))
+    inputs = set_up(g, PathGroups([path], [], []), h.parse_path(TARGET, g.schema))
+    assert not inputs.rels.user_user[0].symmetric
+    averaged = sp.csr_array((raw + raw.T) * 0.5)
+    assert _arrays(similarity(g, "UU", path)[1].matrix) == _arrays(averaged)
+    assert _arrays(inputs.laps.user[0]) == _arrays(laplacian(averaged))
     # unmarked, the raw counts' similarity fails laplacian's own check
     with pytest.raises(ValueError, match="asymmetric"):
-        laplacian(SimilarityMatrix(path, "rowcol", raw))
+        laplacian(SimilarityMatrix(path, raw))
 
 
 def test_symmetric_is_set_only_for_exact_transposes(biblio_schema):
@@ -627,10 +604,10 @@ def test_symmetric_is_set_only_for_exact_transposes(biblio_schema):
     path = h.parse_path("Author -writes-> Paper <-writes- Author", biblio_schema)
     S = sp.csr_array(np.array([[0.0, 0.3], [0.3 + 2**-54, 0.0]]))
     assert (S != S.T).nnz == 2
-    sim = _symmetric(SimilarityMatrix(path, "rowcol", S))
+    sim = _symmetric(SimilarityMatrix(path, S))
     assert not sim.symmetric
     assert np.array_equal(sim.matrix.toarray(), sim.matrix.toarray().T)
-    exact = _symmetric(SimilarityMatrix(path, "rowcol", sim.matrix))
+    exact = _symmetric(SimilarityMatrix(path, sim.matrix))
     assert exact.symmetric and exact.matrix is sim.matrix
 
 
@@ -662,7 +639,7 @@ def test_inert_path_is_logged_once(caplog):
     g = h.load_graph(*(str(SAMPLE / f) for f in ("nodes.tsv", "edges.tsv", "schema.txt")))
     groups = load_path_spec(str(SAMPLE / "paths.txt"), g.schema)
     with caplog.at_level("WARNING", logger="hetecf.metapath"):
-        build_relation_set(g, groups)
+        set_up(g, groups, h.parse_path(TARGET, g.schema))
     assert [r.getMessage() for r in caplog.records] == [
         "II path Conf <-published_in- Paper -published_in-> Conf is inert: its "
         "similarity has no entries off the diagonal, so its Laplacian is zero"
@@ -717,15 +694,14 @@ def test_palindromic_similarity_is_exactly_symmetric_with_float_weights():
             assert pc.symmetric
             rows, cols = pc.matrix.sum(axis=1), pc.matrix.sum(axis=0)
             sums_differ += not np.array_equal(rows, cols)
-            for variant in ("rowcol", "diagonal"):
-                sim = pathsim(pc, variant=variant)
-                assert sim.symmetric
-                T = sim.matrix.T.tocsr()
-                assert _arrays(sim.matrix) == _arrays(T), (text, variant)
-                assert np.allclose(sim.matrix.toarray(),
-                                   naive_pathsim(pc.matrix.toarray(), variant), atol=1e-12)
-                # marked, it is kept as it is: no transposition, no average
-                assert _symmetric(sim) is sim
+            sim = pathsim(pc)
+            assert sim.symmetric
+            T = sim.matrix.T.tocsr()
+            assert _arrays(sim.matrix) == _arrays(T), text
+            assert np.allclose(sim.matrix.toarray(),
+                               naive_pathsim(pc.matrix.toarray()), atol=1e-12)
+            # marked, it is kept as it is: no transposition, no average
+            assert _symmetric(sim) is sim
     # summed by columns, the float counts of some paths differ from their
     # row sums in the last place: then the column sums would break symmetry
     assert sums_differ > 0
@@ -738,9 +714,11 @@ def test_non_palindromic_counts_are_not_marked():
     path = h.parse_path("Author -writes-> Paper -cites-> Paper <-writes- Author", schema)
     pc = path_count(g, path)
     assert not pc.symmetric and not pathsim(pc).symmetric
-    sim = build_relation_set(g, PathGroups([path], [], [])).user_user[0]
+    inputs = set_up(g, PathGroups([path], [], []), h.parse_path(TARGET, schema))
+    assert not inputs.rels.user_user[0].symmetric
     raw = pathsim(pc).matrix
-    assert _arrays(sim.matrix) == _arrays(sp.csr_array((raw + raw.T) * 0.5))
+    averaged = sp.csr_array((raw + raw.T) * 0.5)
+    assert _arrays(similarity(g, "UU", path)[1].matrix) == _arrays(averaged)
 
 
 def _bench_networks():
@@ -769,14 +747,16 @@ def test_laplacians_equal_the_checked_route_byte_for_byte(network, tmp_path):
         files = net.write(str(tmp_path))
     g = h.load_graph(files["nodes"], files["edges"], files["schema"])
     groups = load_path_spec(files["paths"], g.schema)
-    rels = build_relation_set(g, groups)
+    inputs = set_up(g, groups, h.parse_path(TARGET, g.schema))
     palindromic = 0
-    for sims, paths in ((rels.user_user, groups.user_user), (rels.item_item, groups.item_item)):
-        for sim, path in zip(sims, paths):
+    for group, sims, laps, paths in (
+            ("UU", inputs.rels.user_user, inputs.laps.user, groups.user_user),
+            ("II", inputs.rels.item_item, inputs.laps.item, groups.item_item)):
+        for sim, lap, path in zip(sims, laps, paths):
             pc = path_count(g, path)
             palindromic += pc.symmetric
             checked = _symmetric(pathsim(h.PathCountMatrix(path, pc.matrix)))
             assert checked.symmetric == sim.symmetric
-            assert _arrays(sim.matrix) == _arrays(checked.matrix)
-            assert _arrays(laplacian(sim)) == _arrays(laplacian(checked))
+            assert _arrays(similarity(g, group, path)[1].matrix) == _arrays(checked.matrix)
+            assert _arrays(lap) == _arrays(laplacian(checked))
     assert palindromic >= 2

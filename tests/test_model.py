@@ -220,7 +220,7 @@ def test_laplacian_accepts_similarity_wrapper(toy_graph, biblio_schema):
     from hetecf.metapath import path_count, pathsim
 
     p = h.parse_path("Author -writes-> Paper <-writes- Author", biblio_schema)
-    sim = pathsim(path_count(toy_graph, p), variant="diagonal")
+    sim = pathsim(path_count(toy_graph, p))
     L = laplacian(sim)
     assert L.shape == (3, 3)
 
@@ -239,10 +239,10 @@ def test_laplacian_checks_every_matrix_not_marked_symmetric(biblio_schema):
         with pytest.raises(ValueError, match="asymmetric"):
             laplacian(raw)
     with pytest.raises(ValueError, match="asymmetric"):
-        laplacian(SimilarityMatrix(path, "rowcol", sp.csr_array(asym)))
+        laplacian(SimilarityMatrix(path, sp.csr_array(asym)))
     # a matrix marked when built is trusted, and gives the checked result
     S = random_symmetric_similarity(9, 0.5, np.random.default_rng(5))
-    marked = laplacian(SimilarityMatrix(path, "rowcol", S, symmetric=True))
+    marked = laplacian(SimilarityMatrix(path, S, symmetric=True))
     checked = laplacian(S)
     for a, b in ((marked.indptr, checked.indptr), (marked.indices, checked.indices),
                  (marked.data, checked.data)):

@@ -102,13 +102,12 @@ def test_default_paths_align_with_default_schema():
 def test_end_to_end_pipeline_on_synthetic_graph():
     spec = small_spec(seed=7)
     g = generate(spec)
-    target = default_target_path(spec.schema)
-    ratings = h.derive_ratings(g, target)
+    inputs = h.set_up(g, default_paths(spec.schema), default_target_path(spec.schema))
+    ratings = inputs.ratings
     assert ratings.n == 15 and ratings.m == 5
     assert ratings.nnz > 0
-    rels = h.build_relation_set(g, default_paths(spec.schema))
     hp = Hyperparams(d=2, max_inner=3, max_outer=2, learn_rate=0.05)
-    state = h.train(ratings, rels, hp)
+    state = h.train(ratings, inputs.rels, hp, inputs.laps)
     assert state.j_trace[-1] <= state.j_trace[0]
 
 
