@@ -242,12 +242,21 @@ def run_experiment(
     A failing (method, fraction, d, trial) cell is recorded in
     ``report.failures`` and skipped in the aggregates; other methods
     are unaffected.  ``laps``, the LaplacianSet of ``rels``, is shared by
-    every hete_cf fit; without it, the first hete_cf fit builds it.
+    every hete_cf fit; without it, it is built once, before the grid.  If
+    that fails, one warning is logged and every hete_cf cell is recorded
+    as failed with its message.
     """
     hp = hp or Hyperparams()
     for method in methods:
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}; known: {', '.join(METHODS)}")
+    laps_error = None
+    if laps is None and "hete_cf" in methods and fractions and d_values:
+        try:
+            laps = LaplacianSet.from_relation_set(rels)
+        except Exception as exc:  # noqa: BLE001 - recorded per hete_cf cell
+            log.warning("hete_cf failed: no Laplacians for its relation set: %s", exc)
+            laps_error = str(exc)
     report = MetricReport()
     for fraction in fractions:
         spec = SplitSpec(train_fraction=fraction, trials=trials, seed=seed)
@@ -257,9 +266,10 @@ def run_experiment(
             for method in methods:
                 scores = {"MAE": [], "RMSE": []}
                 for trial, (train, test) in enumerate(splits):
+                    if method == "hete_cf" and laps_error is not None:
+                        report.failures.append((method, fraction, d, trial, laps_error))
+                        continue
                     try:
-                        if method == "hete_cf" and laps is None:
-                            laps = LaplacianSet.from_relation_set(rels)
                         predictor = fit_method(
                             method, train, rels, hp_d, trial_seed=hp_d.seed + trial,
                             laps=laps,

@@ -19,29 +19,35 @@ and the next gradient both read this :class:`Point`, so an accepted
 candidate's gradient gathers no rows again.  The predictions come from
 one dense ``U @ V.T`` when the entries cover at least
 ``DENSE_MIN_DENSITY`` of the user-item grid, and from row gathers
-otherwise.  Every Laplacian product takes one route: the CSR kernel that
-scipy's ``L @ X`` runs, called on row blocks fixed once per Problem (all
-of L's rows as one block, or the two halves below when the worker shares
-the product), so each ``L @ X`` has the bytes scipy's gives.  The
-logistic is ``model.logistic``, numpy's vectorised exp in one formula.
-The factor gradient is computed once per factor point: a rejected
-candidate leaves the factors and the frozen weights as they were.
+otherwise.  Every Laplacian product has one entry point,
+``_multiply_rows``, called on row blocks fixed once per Problem (all of
+L's rows as one block, or the two halves below when the worker shares the
+product), with one kernel per Laplacian, also fixed once per Problem: a
+Laplacian that stores at least ``DENSE_MIN_FILL`` of its n x n entries
+keeps a dense copy, multiplied by a BLAS-free ``np.einsum`` contraction
+whose cost stays linear in d; every other one runs the CSR kernel that
+scipy's ``L @ X`` runs, with the bytes scipy's gives.  The logistic is
+``model.logistic``, numpy's vectorised exp in one formula.  The factor
+gradient, and the norms that scale a candidate's relative change, are
+computed once per factor point: a rejected candidate leaves the factors
+and the frozen weights as they were.
 
-Worker thread: with two CPUs, a Problem shares its large sparse products
+Worker thread: with two CPUs, a Problem shares its large factor products
 and its gathered entry half with the thread of one :class:`Worker`,
 started on first use and stopped when ``train`` ends; :func:`set_up`
 runs its tasks on another.  Each Laplacian whose product costs at least
-``PARALLEL_MIN_WORK`` multiply-adds (stored entries x d) is cut once per
-Problem, at the row nearest half its entries, into two row blocks that
-share its data and indices.  On the gather side, once the distinct
+``PARALLEL_MIN_WORK`` multiply-adds (entries read x d: the stored
+entries, or all n x n of a dense copy) is cut once per Problem, at the
+row nearest half its entries, into two row blocks that share its
+operands.  On the gather side, once the distinct
 pairs x d reach the same threshold, the pairs are cut at the
 ``_GATHER_CHUNK`` boundary nearest half of them.  For every new Point the
 worker multiplies the second row blocks and then predicts the second
 range of pairs (the logistic value and slope of each), while this thread
 predicts the first range and then multiplies the first blocks; the fit
 gradient's ``G.T @ U`` runs on the worker while this thread computes
-``G @ V``.  It is exact: every output row comes from the kernel scipy's
-``L @ X`` runs, over the same entries in the same order, every gathered
+``G @ V``.  It is exact: every output row comes from the same kernel
+over the same entries in the same order as in one block, every gathered
 block is the one a one-thread run takes, the logistic is elementwise, and
 the residuals, traces and sums are taken on this thread after the join,
 so the model's bytes do not depend on the split.  The worker runs scipy
@@ -69,7 +75,8 @@ Weight phase: with the factors frozen the objective is
 (alpha, beta, w) and c = (Tr(U^T L U) per user path, Tr(V^T L V) per item
 path, mu * residual sum of squares per relation) is read off the Point.
 The traces of the paths the factor phase skipped are computed once per
-weight phase, at the frozen factors.  A weight candidate therefore costs
+weight phase, at the frozen factors, and c is read once per weight phase
+through :meth:`Problem.weight_costs`.  A weight candidate therefore costs
 O(number of paths), and :meth:`Problem.value` gives it exactly the value
 a full evaluation at those factors and weights would.
 
@@ -128,8 +135,8 @@ _EPS = 1e-12
 # grids, from 0.2 up the dense pass is 1.7-3.2x faster there, and on a
 # 200 x 60 grid it is 2.3-8.4x faster at every density.
 DENSE_MIN_DENSITY = 0.2
-# Multiply-adds (stored entries x d) from which a sparse factor product, or
-# the gathered entry half (distinct pairs x d), is shared with the worker
+# Multiply-adds (entries read x d) from which a factor product, or the
+# gathered entry half (distinct pairs x d), is shared with the worker
 # thread.  Measured in paired training runs at
 # d = 10 on a 2-CPU host with one BLAS thread: splitting a Laplacian
 # product of 144k multiply-adds made a run 19% slower and one of 324k 4.5%
@@ -137,6 +144,12 @@ DENSE_MIN_DENSITY = 0.2
 # fit gradient's two products at 1.13M took 0.90x their one-thread time.
 # The threshold sits at twice the break-even.
 PARALLEL_MIN_WORK = 1_000_000
+# Share of its n x n entries from which a Laplacian keeps a dense copy, whose
+# products run as a BLAS-free contraction instead of the CSR kernel.
+# Measured at d = 10, one BLAS thread, n = 60, 200 and 600: fill 0.6-0.7
+# broke even; at 0.8 the dense kernel took 0.79-0.95x the CSR kernel's
+# time, and on a full Laplacian 0.62-0.75x.
+DENSE_MIN_FILL = 0.8
 # Pairs per gathered block on the sparse side.  Blocks of gathered rows
 # that stay in cache took the gather-and-dot of 113k pairs at d = 10 from
 # 7.3 ms to 2.8 ms; np.take gathers rows 2-3x faster than fancy indexing.
@@ -432,33 +445,50 @@ def set_up(graph, groups, target, tasks=()):
 
 
 def _row_block(L, start, end):
-    """Rows ``start:end`` of the CSR matrix ``L`` as (first row, end row,
-    columns, indptr, indices, data); ``indices`` and ``data`` are views of
-    L's."""
+    """Rows ``start:end`` of ``L`` as (first row, end row, columns,
+    operands): for a dense array the operand is a view of those rows, for
+    a CSR matrix they are (indptr, indices, data), whose ``indices`` and
+    ``data`` are views of L's."""
+    if isinstance(L, np.ndarray):
+        return (start, end, L.shape[1], L[start:end])
     lo, hi = L.indptr[start], L.indptr[end]
     return (start, end, L.shape[1], L.indptr[start:end + 1] - lo,
             L.indices[lo:hi], L.data[lo:hi])
 
 
 def _row_halves(L):
-    """The two row blocks of the CSR matrix ``L`` cut at the row nearest
-    half its stored entries."""
-    cut = int(np.searchsorted(L.indptr, L.nnz // 2))
+    """The two row blocks of ``L`` cut at the row nearest half its stored
+    entries: half its rows for a dense array."""
+    if isinstance(L, np.ndarray):
+        cut = L.shape[0] // 2
+    else:
+        cut = int(np.searchsorted(L.indptr, L.nnz // 2))
     return [_row_block(L, 0, cut), _row_block(L, cut, L.shape[0])]
 
 
 def _multiply_rows(block, X, out):
-    """Add rows ``start:end`` of ``L @ X`` into those of ``out`` through
-    the kernel that scipy's ``L @ X`` runs, so each of these rows of a
-    zeroed ``out`` gets the bytes ``L @ X`` gives it.  The kernel releases
-    the GIL and does no ufunc work, so no errstate applies to it."""
-    start, end, n_cols, indptr, indices, data = block
+    """Write rows ``start:end`` of ``L @ X`` into those of ``out``, which
+    must be zero there: the one entry point of every Laplacian product,
+    with one kernel per kind of block.
+
+    A CSR block runs the kernel that scipy's ``L @ X`` runs, adding into
+    the zeros, so these rows get the bytes ``L @ X`` gives them.  A dense
+    block runs ``np.einsum("ij,kj->ik", rows, Xᵀ)`` on a C-contiguous
+    copy of Xᵀ: each entry is one dot product of two contiguous rows,
+    whose bytes do not depend on the block's rows or on how either
+    operand is aligned.  It never calls BLAS, so its cost stays linear in
+    d and its bytes do not depend on BLAS threads.  Neither kernel does
+    ufunc work, so no errstate applies to them; both release the GIL."""
+    start, end, n_cols, *operands = block
     if (X.ndim != 2 or X.shape[0] != n_cols or out.shape[1:] != X.shape[1:]
             or out.shape[0] < end or not out.flags.c_contiguous):
         raise ValueError(f"row product of {n_cols} columns with X of shape {X.shape}"
                          f" into an output of shape {out.shape}")
-    csr_matvecs(end - start, n_cols, X.shape[1], indptr, indices, data,
-                X.ravel(), out[start:end].ravel())
+    if len(operands) == 1:
+        np.einsum("ij,kj->ik", operands[0], np.ascontiguousarray(X.T), out=out[start:end])
+    else:
+        csr_matvecs(end - start, n_cols, X.shape[1], *operands,
+                    X.ravel(), out[start:end].ravel())
 
 
 class Problem:
@@ -473,10 +503,9 @@ class Problem:
     :func:`set_up` returns them; without ``laps``, which only a relation
     set made in memory may leave out, they are assembled from ``rels``.
 
-    With two CPUs, the sparse factor products and the gathered entry half
-    of at least ``PARALLEL_MIN_WORK`` multiply-adds are shared with the
-    thread of a :class:`Worker`, started on first use; :meth:`close` stops
-    it.
+    With two CPUs, the factor products and the gathered entry half of at
+    least ``PARALLEL_MIN_WORK`` multiply-adds are shared with the thread
+    of a :class:`Worker`, started on first use; :meth:`close` stops it.
     """
 
     def __init__(self, ratings, rels, hp, laps=None):
@@ -505,37 +534,47 @@ class Problem:
         self.density = flat.size / (self.n * self.m)
         self.dense = self.density >= DENSE_MIN_DENSITY
         self._index_pairs(flat)
-        # the largest sparse product, for the report of why none was shared
-        self._largest_nnz = max(
-            [L.nnz for _, L in self.graph] + [0 if self.dense else flat.size]
-        )
+        # each Laplacian's product operand: a dense copy when it stores at
+        # least DENSE_MIN_FILL of its entries, else its CSR matrix
+        operands = [L.toarray() if L.nnz >= DENSE_MIN_FILL * L.shape[0] * L.shape[1] else L
+                    for _, L in self.graph]
+        self._dense_graph = [k for k, A in enumerate(operands) if isinstance(A, np.ndarray)]
+        # the entries each product reads, all n^2 of a dense copy
+        work = [A.size if isinstance(A, np.ndarray) else A.nnz for A in operands]
+        # the largest product, for the report of why none was shared
+        self._largest_work = max(work + [0 if self.dense else flat.size])
         # the row blocks of each Laplacian: its halves when the worker
         # shares its products, else all its rows
-        self._blocks = [_row_halves(L) if self._shared(L) else [_row_block(L, 0, L.shape[0])]
-                        for _, L in self.graph]
+        self._blocks = [_row_halves(A) if self._shared(w) else [_row_block(A, 0, A.shape[0])]
+                        for A, w in zip(operands, work)]
+        # the factor ridge's gradient coefficients 2 lam c_i, as columns
+        self._ridge_coefs = (2.0 * hp.lam * self.n_user[:, None],
+                             2.0 * hp.lam * self.n_item[:, None])
 
-    def _shared(self, M):
-        """Whether a product of the sparse matrix ``M`` with a factor
-        matrix is shared with the worker thread."""
-        return (self._worker.two_threads and sp.issparse(M) and M.format == "csr"
-                and M.nnz * self.hp.d >= PARALLEL_MIN_WORK)
+    def _shared(self, work):
+        """Whether a product that reads ``work`` entries of its matrix per
+        factor column is shared with the worker thread."""
+        return self._worker.two_threads and work * self.hp.d >= PARALLEL_MIN_WORK
 
     def close(self):
         """Stop the worker thread, if one was started."""
         self._worker.close()
 
     def kernel_report(self):
-        """Whether the sparse factor products ran on two threads, or why not."""
+        """Whether the factor products ran on two threads, or why not, and
+        which Laplacians, if any, took the dense kernel."""
+        dense = [self._names[0][k] for k in self._dense_graph]
+        dense = f"; dense Laplacians: {', '.join(dense)}" if dense else ""
         if self._worker.tasks:
             split = [name for name, blocks in zip(self._names[0], self._blocks)
                      if len(blocks) > 1]
             return (f"ran on two threads, {self._worker.tasks} tasks on the worker;"
                     f" entry halves split: {self._entry_splits};"
-                    f" Laplacians split by rows: {', '.join(split) or 'none'}")
+                    f" Laplacians split by rows: {', '.join(split) or 'none'}{dense}")
         if not self._worker.two_threads:
-            return "ran on one thread: one CPU available"
-        return (f"ran on one thread: below the threshold (largest sparse product"
-                f" {self._largest_nnz} nnz x d {self.hp.d} < {PARALLEL_MIN_WORK})")
+            return f"ran on one thread: one CPU available{dense}"
+        return (f"ran on one thread: below the threshold (largest product"
+                f" {self._largest_work} entries x d {self.hp.d} < {PARALLEL_MIN_WORK}){dense}")
 
     @property
     def graph_products(self):
@@ -696,9 +735,10 @@ class Problem:
         its products, and its entry half when it was evaluated on the
         current entry list.  A ``base`` that lacks nothing is returned.
 
-        Each product ``L @ U`` or ``L @ V`` is summed into zeros, block by
-        block, by ``_multiply_rows``: the first row block of every
-        Laplacian on this thread, the second, if it has one, on the worker.
+        Each product ``L @ U`` or ``L @ V`` is written into zeros, block by
+        block, by ``_multiply_rows``, through the Laplacian's dense or CSR
+        kernel: the first row block of every Laplacian on this thread, the
+        second, if it has one, on the worker.
         With two CPUs, the worker multiplies the second row blocks of the
         split Laplacians and then, when the gathered entry half is split,
         predicts its second range of pairs; this thread predicts the first
@@ -791,7 +831,6 @@ class Problem:
         """Gradient of J with respect to U and V at ``point``."""
         self._check(point, weights)
         U, V = point.model.U, point.model.V
-        lam = self.hp.lam
         # 2 x each block's coefficient: 1 for the ratings, mu * w_k for the
         # k-th active relation
         coefs = [2.0] + [2.0 * (self.mu * x) for x in weights.w[self._active_list].tolist()]
@@ -812,12 +851,12 @@ class Problem:
             G = sp.csr_array(
                 (g, *self._pattern), shape=(self.n, self.m)
             )
-        if self._shared(G):
+        if sp.issparse(G) and self._shared(G.nnz):
             GV, GtU = self._worker.share([lambda: G @ V, lambda: G.T @ U])
         else:
             GV, GtU = G @ V, G.T @ U
-        dU = 2.0 * lam * self.n_user[:, None] * U + GV
-        dV = 2.0 * lam * self.n_item[:, None] * V + GtU
+        dU = self._ridge_coefs[0] * U + GV
+        dV = self._ridge_coefs[1] * V + GtU
         for (on, _), c, LX in zip(self.graph, _graph_weights(weights), point.LX):
             if c != 0.0:
                 grad = dV if on else dU
@@ -826,23 +865,30 @@ class Problem:
             raise NumericalError("non-finite factor gradient")
         return dU, dV
 
-    def weight_gradient(self, point, weights):
-        """Gradient ``c + 2 lam theta`` of J with respect to (alpha, beta, w).
+    def weight_costs(self, point, weights):
+        """The weight phase's cost vector c at ``point``'s factors, as the
+        (alpha, beta, w) blocks: Tr(U^T L U) per user path, Tr(V^T L V) per
+        item path and ``mu`` x the residual sum of squares per relation.
 
         ``point`` must hold the trace of every Laplacian (evaluate it with
-        ``every_path``).  The ``c_k`` of a relation outside the user-item
-        active set is not computed and reads 0; see :func:`update_weights`
-        for why that is exact.
+        ``every_path``), and ``weights`` must pass the Point's checks.  The
+        ``c_k`` of a relation outside the user-item active set is not
+        computed and reads 0; see :func:`update_weights` for why that is
+        exact.
         """
         self._check(point, weights)
         if any(X is None for X in point.LX):
             raise ValueError("the weight gradient needs the trace of every Laplacian")
-        lam, a = self.hp.lam, weights.alpha
-        grads = (
-            point.tr[:a.size] + 2.0 * lam * a,
-            point.tr[a.size:] + 2.0 * lam * weights.beta,
-            self.mu * point.rel_ssq + 2.0 * lam * weights.w,
-        )
+        n_user = len(self.laps.user)
+        return point.tr[:n_user], point.tr[n_user:], self.mu * point.rel_ssq
+
+    def weight_gradient(self, point, weights):
+        """Gradient ``c + 2 lam theta`` of J with respect to (alpha, beta,
+        w), with c from :meth:`weight_costs`; a non-finite entry raises
+        NumericalError."""
+        lam = self.hp.lam
+        grads = tuple(c + 2.0 * lam * x for c, x in zip(
+            self.weight_costs(point, weights), (weights.alpha, weights.beta, weights.w)))
         if not np.isfinite(np.concatenate(grads)).all():
             raise NumericalError("non-finite weight gradient")
         return grads
@@ -969,20 +1015,22 @@ def update_factors(state, data):
 
     The gradient is computed once per factor point: a rejected candidate
     leaves the factors and the weights as they were, so the next candidate
-    steps along the same gradient, with a halved step.
+    steps along the same gradient, with a halved step.  The norms that
+    scale each candidate's relative change are kept beside that gradient.
     """
     data.activate(state.weights)
-    at = None  # (factors, dU, dV) of the current point
+    at = None  # (factors, dU, dV, ||U|| + eps, ||V|| + eps) of the current point
 
     def propose(state, step):
         nonlocal at
         model = state.model
         if at is None or at[0] is not model:
-            at = (model, *grad_factors(state, data))
-        _, dU, dV = at
+            at = (model, *grad_factors(state, data),
+                  _norm(model.U) + _EPS, _norm(model.V) + _EPS)
+        _, dU, dV, scale_U, scale_V = at
         U = model.U - step * dU
         V = model.V - step * dV
-        rel = max(_rel_change(U, model.U), _rel_change(V, model.V))
+        rel = max(_norm(U - model.U) / scale_U, _norm(V - model.V) / scale_V)
         return (data.evaluate(FactorModel(U, V)), state.weights), rel
 
     return _descend(state, data, propose, "factor")
@@ -1001,20 +1049,29 @@ def update_weights(state, data):
     every ``c_k >= 0``.  This is the one place that depends on the descent
     rule: a rule that can move a zero weight must compute ``c_k`` for the
     inactive relations.
+
+    The factors stay frozen, so c is read once per phase, through
+    :meth:`Problem.weight_costs`, and each candidate's gradient
+    ``c + 2 lam theta`` is taken in Python floats, with the bits and the
+    non-finite check of :meth:`Problem.weight_gradient`.
     """
     if sum(state.weights.counts) == 0:
         return state
-    _point(state, data, every_path=True)
+    point = _point(state, data, every_path=True)
+    costs = [c.tolist() for c in data.weight_costs(point, state.weights)]
+    ridge = 2.0 * data.hp.lam
 
     def propose(state, eta):
         wts = state.weights
         old = (wts.alpha.tolist(), wts.beta.tolist(), wts.w.tolist())
+        grads = [[c + ridge * x for c, x in zip(*pair)] for pair in zip(costs, old)]
+        if not all(math.isfinite(g) for grad in grads for g in grad):
+            raise NumericalError("non-finite weight gradient")
         # the projected step max(theta - eta * grad, 0) in Python floats,
         # which give the bits numpy's elementwise arithmetic gives
-        new = [[max(x - eta * g, 0.0) for x, g in zip(block, grad.tolist())]
-               for block, grad in zip(old, grad_weights(state, data))]
+        new = [[max(x - eta * g, 0.0) for x, g in zip(*pair)] for pair in zip(old, grads)]
         rel = max(_weights_rel_change(*pair) for pair in zip(new, old))
-        return (state.point, PathWeights(*new)), rel
+        return (point, PathWeights(*new)), rel
 
     return _descend(state, data, propose, "weight")
 

@@ -262,6 +262,43 @@ def test_run_experiment_records_a_bad_relation_set_as_hete_cf_failures():
     assert len(report.cell("user_mean", 0.5, 2, "MAE").values) == 2
 
 
+def test_run_experiment_builds_missing_laplacians_once(
+        monkeypatch, caplog, toy_graph, biblio_schema):
+    # set_up's relation set keeps no user-user similarity, so without its
+    # Laplacians none can be built: one attempt and one warning before the
+    # grid, then one failure per hete_cf cell, as when each cell tried
+    from hetecf import parse_path
+    from hetecf.learner import set_up
+    from hetecf.metapath import parse_path_spec
+    from hetecf.model import LaplacianSet
+
+    groups = parse_path_spec("UU: Author -writes-> Paper <-writes- Author\n", biblio_schema)
+    inputs = set_up(toy_graph, groups,
+                    parse_path("Author -writes-> Paper -published_in-> Conf", biblio_schema))
+    attempts = []
+    build = LaplacianSet.from_relation_set.__func__
+    monkeypatch.setattr(LaplacianSet, "from_relation_set",
+                        classmethod(lambda cls, rels: attempts.append(rels) or build(cls, rels)))
+    grid = dict(methods=("user_mean", "hete_cf"), fractions=(0.5, 0.6), d_values=(2,),
+                trials=2, hp=fast_hp())
+    with caplog.at_level("WARNING", logger="hetecf.evaluate"):
+        report = run_experiment(inputs.ratings, inputs.rels, **grid)
+    assert len(attempts) == 1
+    assert len(caplog.records) == 1
+    assert "pass the Laplacians that learner.set_up returned" in caplog.records[0].getMessage()
+    assert [f[:4] for f in report.failures] == [
+        ("hete_cf", fraction, 2, trial) for fraction in (0.5, 0.6) for trial in (0, 1)
+    ]
+    assert all("pass the Laplacians" in f[4] for f in report.failures)
+    assert report.cell("hete_cf", 0.5, 2, "RMSE").values == []
+    with_laps = run_experiment(inputs.ratings, inputs.rels, laps=inputs.laps, **grid)
+    assert with_laps.failures == [] and len(attempts) == 1
+    for fraction in (0.5, 0.6):
+        assert (report.cell("user_mean", fraction, 2, "RMSE")
+                == with_laps.cell("user_mean", fraction, 2, "RMSE"))
+        assert len(with_laps.cell("hete_cf", fraction, 2, "RMSE").values) == 2
+
+
 def test_run_experiment_rejects_unknown_method():
     rng = np.random.default_rng(8)
     ratings = random_ratings(rng, 5, 4, density=0.5)

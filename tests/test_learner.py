@@ -986,6 +986,14 @@ def test_skipping_zero_weight_laplacians_bit_identical_to_all_laplacians(
     assert comparable_rows(got) == comparable_rows(want)
 
 
+def route_product(problem, k, X):
+    """``L @ X`` of the Problem's k-th Laplacian, through its row blocks."""
+    out = np.zeros((problem.graph[k][1].shape[0], X.shape[1]))
+    for block in problem._blocks[k]:
+        learner._multiply_rows(block, X, out)
+    return out
+
+
 def skipped_path_state(side):
     """Factors after one factor phase in which the first user-user and the
     second item-item Laplacian were skipped."""
@@ -1011,8 +1019,12 @@ def test_weight_gradient_of_a_skipped_path_is_its_trace(side, monkeypatch):
     assert len(calls) == 2  # the two skipped traces, once for the whole phase
     dA, dB, _ = grad_weights(state, problem)
     alpha, beta = state.weights.alpha, state.weights.beta
-    assert dA[0] - 2 * problem.hp.lam * alpha[0] == trace_quad(problem.laps.user[0], U)
-    assert dB[1] - 2 * problem.hp.lam * beta[1] == trace_quad(problem.laps.item[1], V)
+    # the trace of the product the Problem's route gives: the dense
+    # kernel's on the dense side's full Laplacians, scipy's bytes otherwise
+    assert dA[0] - 2 * problem.hp.lam * alpha[0] == trace_quad(
+        problem.laps.user[0], U, route_product(problem, 0, U))
+    assert dB[1] - 2 * problem.hp.lam * beta[1] == trace_quad(
+        problem.laps.item[1], V, route_product(problem, 3, V))
     assert dA[0] > 0.0 and dB[1] > 0.0
 
 
@@ -1252,13 +1264,162 @@ def test_row_halves_split_the_entries_evenly():
     assert cut == 5
 
 
+# ------------------------------------------- the dense Laplacian kernel
+
+
+def full_laplacian(n, rng):
+    """The Laplacian of a random similarity that links every two nodes: it
+    stores all n x n entries."""
+    import scipy.sparse as sp
+
+    from hetecf.model import laplacian
+
+    S = rng.random((n, n))
+    return laplacian(sp.csr_array(S + S.T))
+
+
+def shifted(a, by):
+    """A C-contiguous copy of ``a`` that starts ``by`` floats into a fresh
+    buffer, so that it is aligned otherwise than ``a``."""
+    buf = np.empty(a.size + 4)
+    out = buf[by:by + a.size].reshape(a.shape)
+    out[...] = a
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 7, 60, 201])
+@pytest.mark.parametrize("d", [1, 3, 10])
+def test_dense_row_halves_give_the_bytes_of_the_whole_product(n, d):
+    rng = np.random.default_rng(n * d)
+    A = full_laplacian(n, rng).toarray()
+    X = rng.normal(size=(n, d))
+    whole = np.zeros((n, d))
+    learner._multiply_rows(learner._row_block(A, 0, n), X, whole)
+    halves = learner._row_halves(A)
+    assert [h[:2] for h in halves] == [(0, n // 2), (n // 2, n)]
+    assert all(np.shares_memory(h[3], A) for h in halves if h[3].size)
+    out = np.zeros((n, d))
+    for half in halves[::-1]:
+        learner._multiply_rows(half, X, out)
+    assert out.tobytes() == whole.tobytes()
+    # operands and outputs at other alignments, and a Fortran-ordered X
+    for by in (1, 2, 3):
+        out = shifted(np.zeros((n, d)), by)
+        block = learner._row_block(shifted(A, 4 - by), 0, n)
+        learner._multiply_rows(block, shifted(X, by), out)
+        assert out.tobytes() == whole.tobytes()
+    out = np.zeros((n, d))
+    learner._multiply_rows(halves[0], np.asfortranarray(X), out)
+    learner._multiply_rows(halves[1], np.asfortranarray(X), out)
+    assert out.tobytes() == whole.tobytes()
+    with pytest.raises(ValueError, match="row product"):
+        learner._multiply_rows(halves[1], X[:-1], out)
+
+
+@pytest.mark.parametrize("n", [7, 60, 200])
+@pytest.mark.parametrize("d", [1, 10, 40])
+def test_dense_kernel_stays_within_2e_15_of_scipys_product(n, d):
+    rng = np.random.default_rng(n + d)
+    L = full_laplacian(n, rng)
+    X = rng.normal(size=(n, d))
+    out = np.zeros((n, d))
+    learner._multiply_rows(learner._row_block(L.toarray(), 0, n), X, out)
+    want = L @ X
+    assert np.abs(out - want).max() <= 2e-15 * np.abs(want).max()
+
+
+def test_laplacians_from_dense_min_fill_take_the_dense_kernel(caplog):
+    """A Laplacian that stores just under ``DENSE_MIN_FILL`` of its n x n
+    entries keeps the CSR kernel; one that stores that share takes the
+    dense kernel, and the kernel report names it."""
+    import math
+
+    import scipy.sparse as sp
+
+    from hetecf.model import LaplacianSet
+
+    rng = np.random.default_rng(5)
+    n = 10
+    ratings, rels, hp = random_instance(rng, n=n, m=4, d=3, n_uu=2, n_ii=1, n_ui=0)
+    at = math.ceil(learner.DENSE_MIN_FILL * n * n)
+
+    def storing(count):
+        M = rng.random((n, n)) + 0.5
+        M.ravel()[count:] = 0.0
+        return sp.csr_array(M)
+
+    user = [storing(at - 1), storing(at)]
+    assert [L.nnz for L in user] == [at - 1, at]
+    problem = build_problem(ratings, rels, hp, LaplacianSet(user, [full_laplacian(4, rng)]))
+    problem.close()
+    assert problem._dense_graph == [1, 2]
+    assert [len(blocks[0]) for blocks in problem._blocks] == [6, 4, 4]
+    names = [sim.path.to_string() for sim in rels.user_user + rels.item_item]
+    assert problem.kernel_report().endswith(f"; dense Laplacians: {names[1]}, {names[2]}")
+    # the report reaches the log once per training run (these matrices
+    # are not Laplacians, so no descent runs on them)
+    with caplog.at_level("INFO", logger="hetecf.learner"):
+        train(ratings, rels, hp.with_overrides(max_outer=0),
+              LaplacianSet(user, [full_laplacian(4, rng)]))
+    report = [m for m in caplog.messages if m.startswith("factor kernels")]
+    assert len(report) == 1 and report[0].endswith(f"dense Laplacians: {names[1]}, {names[2]}")
+
+
+def test_sparse_laplacians_leave_the_kernel_report_as_it_was():
+    _, _, _, problem, _ = two_path_instance("gather")
+    problem.close()
+    assert problem._dense_graph == []
+    assert "dense" not in problem.kernel_report()
+
+
+def test_full_laplacian_products_independent_of_blas_threads(tmp_path):
+    """A 600-user and a 660-item full Laplacian take the dense kernel, shared
+    with the worker.  OpenBLAS gives ``A @ X`` of these sizes other bytes on
+    two threads than on one (not at 640, where its blocks line up), so
+    equal bytes show that the kernel stays off BLAS."""
+    import os
+    import subprocess
+    import sys
+
+    script = """if True:
+        import hashlib
+        import numpy as np
+        from conftest import random_instance
+        from hetecf import FactorModel, learner
+        from hetecf.model import LaplacianSet
+
+        rng = np.random.default_rng(0)
+        ratings, rels, hp = random_instance(rng, n=600, m=660, d=10, n_uu=1, n_ii=1,
+                                            n_ui=0, density=1.0)
+        laps = LaplacianSet.from_relation_set(rels)
+        problem = learner.build_problem(ratings, rels, hp, laps)
+        assert problem._dense_graph == [0, 1], problem._dense_graph
+        model = FactorModel(rng.normal(size=(600, 10)), rng.normal(size=(660, 10)))
+        point = problem.evaluate(model, every_path=True)
+        problem.close()
+        print(hashlib.sha256(b"".join(X.tobytes() for X in point.LX)).hexdigest())
+    """
+    here = pathlib.Path(__file__).resolve().parent
+    path = os.pathsep.join([str(here.parent / "src"), str(here),
+                            os.environ.get("PYTHONPATH", "")])
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
+        run = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                             capture_output=True, text=True, cwd=tmp_path)
+        digests.append(run.stdout)
+    assert len(digests[0]) == 65 and digests[0] == digests[1]
+
+
 @pytest.mark.parametrize("index", [np.int32, np.int64])
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_every_laplacian_product_gives_the_bytes_of_scipys(monkeypatch, cpus, index):
     """Every ``L @ U`` and ``L @ V`` of a Point runs through the one row-block
-    route: all rows as one block, or two halves when the worker shares the
-    product.  Laplacians with empty rows and one with no stored entry (an
-    inert path's) are among them."""
+    entry point: all rows as one block, or two halves when the worker
+    shares the product.  Laplacians with empty rows and one with no stored
+    entry (an inert path's) are among them, and take the CSR kernel, with
+    scipy's bytes; a full one takes the dense kernel, with the bytes of
+    ``np.einsum`` on its dense copy."""
     import os
 
     import scipy.sparse as sp
@@ -1269,7 +1430,7 @@ def test_every_laplacian_product_gives_the_bytes_of_scipys(monkeypatch, cpus, in
     monkeypatch.setattr(learner, "PARALLEL_MIN_WORK", 0)
     rng = np.random.default_rng(8)
     n, m = 9, 7
-    ratings, rels, hp = random_instance(rng, n=n, m=m, d=4)
+    ratings, rels, hp = random_instance(rng, n=n, m=m, d=4, n_uu=3)
 
     def with_empty_rows(size, empty):
         S = sp.random_array((size, size), density=0.6, rng=rng).toarray()
@@ -1277,19 +1438,28 @@ def test_every_laplacian_product_gives_the_bytes_of_scipys(monkeypatch, cpus, in
         S[empty, :] = S[:, empty] = 0.0
         return laplacian(sp.csr_array(S))
 
+    full = rng.random((n, n))
     laps = [with_empty_rows(n, [2, 5]), sp.csr_array((n, n)),
+            laplacian(sp.csr_array(full + full.T)),
             with_empty_rows(m, [0]), with_empty_rows(m, [6])]
     for L in laps:
         L.indices, L.indptr = L.indices.astype(index), L.indptr.astype(index)
     assert laps[0].indptr[3] == laps[0].indptr[2] and laps[1].nnz == 0
-    problem = build_problem(ratings, rels, hp, LaplacianSet(laps[:2], laps[2:]))
-    assert [L.indices.dtype for _, L in problem.graph] == [np.dtype(index)] * 4
-    assert [len(blocks) for blocks in problem._blocks] == [cpus] * 4
+    assert laps[2].nnz == n * n
+    problem = build_problem(ratings, rels, hp, LaplacianSet(laps[:3], laps[3:]))
+    assert [L.indices.dtype for _, L in problem.graph] == [np.dtype(index)] * 5
+    assert [len(blocks) for blocks in problem._blocks] == [cpus] * 5
+    assert problem._dense_graph == [2]
     model = FactorModel(rng.normal(size=(n, 4)), rng.normal(size=(m, 4)))
     point = problem.evaluate(model, every_path=True)
     problem.close()
-    for (side, _), L, LX in zip(problem.graph, laps, point.LX):
-        assert LX.tobytes() == (L @ (model.U, model.V)[side]).tobytes()
+    for k, ((side, _), L, LX) in enumerate(zip(problem.graph, laps, point.LX)):
+        X = (model.U, model.V)[side]
+        if k == 2:
+            want = np.einsum("ij,kj->ik", L.toarray(), np.ascontiguousarray(X.T))
+        else:
+            want = L @ X
+        assert LX.tobytes() == want.tobytes()
 
 
 def test_worker_exception_surfaces_unchanged(monkeypatch):
