@@ -23,14 +23,15 @@ otherwise.  Every Laplacian product has one entry point,
 ``_multiply_rows``, called on row blocks fixed once per Problem (all of
 L's rows as one block, or the two halves below when the worker shares the
 product), with one kernel per Laplacian, also fixed once per Problem: a
-Laplacian that stores at least ``DENSE_MIN_FILL`` of its n x n entries
-keeps a dense copy, multiplied by a BLAS-free ``np.einsum`` contraction
-whose cost stays linear in d; every other one runs the CSR kernel that
-scipy's ``L @ X`` runs, with the bytes scipy's gives.  The logistic is
-``model.logistic``, numpy's vectorised exp in one formula.  The factor
-gradient, and the norms that scale a candidate's relative change, are
-computed once per factor point: a rejected candidate leaves the factors
-and the frozen weights as they were.
+Laplacian of at most ``DENSE_MAX_NODES`` nodes that stores at least
+``DENSE_MIN_FILL`` of its n x n entries keeps a dense copy, multiplied by
+a BLAS-free ``np.einsum`` contraction whose cost stays linear in d; every
+other one runs the CSR kernel that scipy's ``L @ X`` runs, with the bytes
+scipy's gives.  The logistic is ``model.logistic``, numpy's vectorised
+exp in one formula.  The factor gradient, and the norms that scale a
+candidate's relative change, are computed once per factor point: a
+rejected candidate leaves the factors and the frozen weights as they
+were.
 
 Worker thread: with two CPUs, a Problem shares its large factor products
 and its gathered entry half with the thread of one :class:`Worker`,
@@ -144,12 +145,18 @@ DENSE_MIN_DENSITY = 0.2
 # fit gradient's two products at 1.13M took 0.90x their one-thread time.
 # The threshold sits at twice the break-even.
 PARALLEL_MIN_WORK = 1_000_000
-# Share of its n x n entries from which a Laplacian keeps a dense copy, whose
-# products run as a BLAS-free contraction instead of the CSR kernel.
-# Measured at d = 10, one BLAS thread, n = 60, 200 and 600: fill 0.6-0.7
-# broke even; at 0.8 the dense kernel took 0.79-0.95x the CSR kernel's
-# time, and on a full Laplacian 0.62-0.75x.
+# Share of its n x n entries from which a Laplacian of at most
+# DENSE_MAX_NODES nodes keeps a dense copy, whose products run as a
+# BLAS-free contraction instead of the CSR kernel.  Measured per product
+# with one BLAS thread.  At d = 10 and n = 60-600, fill 0.6-0.7 broke even;
+# at 0.8 the dense kernel took 0.74-1.00x the CSR kernel's time, and on a
+# full Laplacian 0.61-0.81x.  At n = 1000-2000 it took 1.08-1.28x at fill
+# 0.8 and 0.89-1.05x on a full one, so larger Laplacians keep CSR; a dense
+# copy of 600 nodes holds 2.9 MB.  The dense kernel's cost grows with d
+# faster than the CSR kernel's: at d = 20-40 and n <= 600 it took
+# 1.00-1.21x at fill 0.8 and 0.80-0.98x on a full Laplacian.
 DENSE_MIN_FILL = 0.8
+DENSE_MAX_NODES = 600
 # Pairs per gathered block on the sparse side.  Blocks of gathered rows
 # that stay in cache took the gather-and-dot of 113k pairs at d = 10 from
 # 7.3 ms to 2.8 ms; np.take gathers rows 2-3x faster than fancy indexing.
@@ -534,9 +541,11 @@ class Problem:
         self.density = flat.size / (self.n * self.m)
         self.dense = self.density >= DENSE_MIN_DENSITY
         self._index_pairs(flat)
-        # each Laplacian's product operand: a dense copy when it stores at
-        # least DENSE_MIN_FILL of its entries, else its CSR matrix
-        operands = [L.toarray() if L.nnz >= DENSE_MIN_FILL * L.shape[0] * L.shape[1] else L
+        # each Laplacian's product operand: a dense copy when it has at
+        # most DENSE_MAX_NODES nodes and stores at least DENSE_MIN_FILL of
+        # its entries, else its CSR matrix
+        operands = [L.toarray() if L.shape[0] <= DENSE_MAX_NODES
+                    and L.nnz >= DENSE_MIN_FILL * L.shape[0] * L.shape[1] else L
                     for _, L in self.graph]
         self._dense_graph = [k for k, A in enumerate(operands) if isinstance(A, np.ndarray)]
         # the entries each product reads, all n^2 of a dense copy
@@ -867,8 +876,10 @@ class Problem:
 
     def weight_costs(self, point, weights):
         """The weight phase's cost vector c at ``point``'s factors, as the
-        (alpha, beta, w) blocks: Tr(U^T L U) per user path, Tr(V^T L V) per
-        item path and ``mu`` x the residual sum of squares per relation.
+        (alpha, beta, w) blocks of Python floats: Tr(U^T L U) per user
+        path, Tr(V^T L V) per item path and ``mu`` x the residual sum of
+        squares per relation.  The factors stay frozen through a weight
+        phase, so it reads c once.
 
         ``point`` must hold the trace of every Laplacian (evaluate it with
         ``every_path``), and ``weights`` must pass the Point's checks.  The
@@ -880,16 +891,19 @@ class Problem:
         if any(X is None for X in point.LX):
             raise ValueError("the weight gradient needs the trace of every Laplacian")
         n_user = len(self.laps.user)
-        return point.tr[:n_user], point.tr[n_user:], self.mu * point.rel_ssq
+        return (point.tr[:n_user].tolist(), point.tr[n_user:].tolist(),
+                (self.mu * point.rel_ssq).tolist())
 
-    def weight_gradient(self, point, weights):
+    def weight_gradient(self, costs, theta):
         """Gradient ``c + 2 lam theta`` of J with respect to (alpha, beta,
-        w), with c from :meth:`weight_costs`; a non-finite entry raises
+        w), with ``costs`` the blocks of c from :meth:`weight_costs` and
+        ``theta`` those of the weights, both as lists of Python floats,
+        which give the bits numpy's elementwise arithmetic gives.  Returns
+        the three blocks as lists; a non-finite entry raises
         NumericalError."""
-        lam = self.hp.lam
-        grads = tuple(c + 2.0 * lam * x for c, x in zip(
-            self.weight_costs(point, weights), (weights.alpha, weights.beta, weights.w)))
-        if not np.isfinite(np.concatenate(grads)).all():
+        ridge = 2.0 * self.hp.lam
+        grads = [[c + ridge * x for c, x in zip(*pair)] for pair in zip(costs, theta)]
+        if not all(math.isfinite(g) for grad in grads for g in grad):
             raise NumericalError("non-finite weight gradient")
         return grads
 
@@ -931,7 +945,10 @@ def grad_weights(state, data):
     """Analytic gradient of the objective with respect to (alpha, beta, w);
     with the factors frozen the trace and residual terms are constants.
     The state's Point is first completed with every Laplacian's trace."""
-    return data.weight_gradient(_point(state, data, every_path=True), state.weights)
+    w = state.weights
+    costs = data.weight_costs(_point(state, data, every_path=True), w)
+    theta = (w.alpha.tolist(), w.beta.tolist(), w.w.tolist())
+    return tuple(np.array(g, dtype=np.float64) for g in data.weight_gradient(costs, theta))
 
 
 def _norm(x):
@@ -941,9 +958,12 @@ def _norm(x):
     return math.sqrt(np.einsum("i,i->", x, x))
 
 
-def _rel_change(new, old):
-    denom = _norm(old) + _EPS
-    return _norm(new - old) / denom
+def _rel_change(new, old, scale=None):
+    """||new - old|| / (||old|| + eps); ``scale``, when given, is that
+    denominator, taken once for every ``new`` of the same ``old``."""
+    if scale is None:
+        scale = _norm(old) + _EPS
+    return _norm(new - old) / scale
 
 
 def _weights_rel_change(new, old):
@@ -1030,7 +1050,7 @@ def update_factors(state, data):
         _, dU, dV, scale_U, scale_V = at
         U = model.U - step * dU
         V = model.V - step * dV
-        rel = max(_norm(U - model.U) / scale_U, _norm(V - model.V) / scale_V)
+        rel = max(_rel_change(U, model.U, scale_U), _rel_change(V, model.V, scale_V))
         return (data.evaluate(FactorModel(U, V)), state.weights), rel
 
     return _descend(state, data, propose, "factor")
@@ -1051,25 +1071,21 @@ def update_weights(state, data):
     inactive relations.
 
     The factors stay frozen, so c is read once per phase, through
-    :meth:`Problem.weight_costs`, and each candidate's gradient
-    ``c + 2 lam theta`` is taken in Python floats, with the bits and the
-    non-finite check of :meth:`Problem.weight_gradient`.
+    :meth:`Problem.weight_costs`, and each candidate's gradient comes
+    from :meth:`Problem.weight_gradient` on it.
     """
     if sum(state.weights.counts) == 0:
         return state
     point = _point(state, data, every_path=True)
-    costs = [c.tolist() for c in data.weight_costs(point, state.weights)]
-    ridge = 2.0 * data.hp.lam
+    costs = data.weight_costs(point, state.weights)
 
     def propose(state, eta):
         wts = state.weights
         old = (wts.alpha.tolist(), wts.beta.tolist(), wts.w.tolist())
-        grads = [[c + ridge * x for c, x in zip(*pair)] for pair in zip(costs, old)]
-        if not all(math.isfinite(g) for grad in grads for g in grad):
-            raise NumericalError("non-finite weight gradient")
         # the projected step max(theta - eta * grad, 0) in Python floats,
         # which give the bits numpy's elementwise arithmetic gives
-        new = [[max(x - eta * g, 0.0) for x, g in zip(*pair)] for pair in zip(old, grads)]
+        new = [[max(x - eta * g, 0.0) for x, g in zip(*pair)]
+               for pair in zip(old, data.weight_gradient(costs, old))]
         rel = max(_weights_rel_change(*pair) for pair in zip(new, old))
         return (point, PathWeights(*new)), rel
 

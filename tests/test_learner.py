@@ -713,6 +713,22 @@ def test_closed_form_weight_candidate_matches_objective(side):
 
 
 @pytest.mark.parametrize("side", ["dense", "gather"])
+def test_weight_step_takes_the_gradient_of_grad_weights(side):
+    # the weight phase steps along the gradient grad_weights returns, which
+    # the finite-difference tests check, with numpy's bits
+    ratings, rels, hp, _, state = density_instance(side)
+    problem = build_problem(ratings, rels, hp.with_overrides(max_inner=1))
+    dA, dB, dW = grad_weights(state, problem)
+    before, eta = state.weights, state.weight_step
+    update_weights(state, problem)
+    assert state.weight_steps == 1
+    for got, theta, grad in zip((state.weights.alpha, state.weights.beta, state.weights.w),
+                                (before.alpha, before.beta, before.w), (dA, dB, dW)):
+        assert np.array_equal(got, np.maximum(theta - eta * grad, 0.0))
+        assert not np.array_equal(got, theta)
+
+
+@pytest.mark.parametrize("side", ["dense", "gather"])
 def test_training_bit_identical_on_each_side(side):
     ratings, rels, hp, _, _ = density_instance(side)
     hp = hp.with_overrides(max_outer=4)
@@ -843,7 +859,7 @@ def test_point_is_never_used_under_another_active_set():
     weights = PathWeights(state.weights.alpha, state.weights.beta, [0.6, 0.0])
     problem.activate(weights)
     for use in (problem.value, problem.terms, problem.factor_gradient,
-                problem.weight_gradient):
+                problem.weight_costs):
         with pytest.raises(ValueError, match="active set"):
             use(old, weights)
     # the state's Point is evaluated again on the current set before use
@@ -1058,12 +1074,12 @@ def test_point_that_lacks_a_needed_product_is_refused():
     point = state.point
     needs = PathWeights([0.2, 0.4], [0.3, 0.0], state.weights.w)
     for use in (problem.value, problem.terms, problem.factor_gradient,
-                problem.weight_gradient):
+                problem.weight_costs):
         with pytest.raises(ValueError, match="lacks the Laplacian product"):
             use(point, needs)
     # the weight gradient needs every trace, whatever the weights
     with pytest.raises(ValueError, match="trace of every Laplacian"):
-        problem.weight_gradient(point, state.weights)
+        problem.weight_costs(point, state.weights)
     # a Point whose products cover every nonzero weight is reused as it is
     problem.activate(state.weights)
     assert problem.evaluate(state.model, point) is point
@@ -1328,10 +1344,11 @@ def test_dense_kernel_stays_within_2e_15_of_scipys_product(n, d):
     assert np.abs(out - want).max() <= 2e-15 * np.abs(want).max()
 
 
-def test_laplacians_from_dense_min_fill_take_the_dense_kernel(caplog):
+def test_laplacians_from_dense_min_fill_take_the_dense_kernel(caplog, monkeypatch):
     """A Laplacian that stores just under ``DENSE_MIN_FILL`` of its n x n
     entries keeps the CSR kernel; one that stores that share takes the
-    dense kernel, and the kernel report names it."""
+    dense kernel, and the kernel report names it.  One of more than
+    ``DENSE_MAX_NODES`` nodes keeps the CSR kernel at any fill."""
     import math
 
     import scipy.sparse as sp
@@ -1363,6 +1380,10 @@ def test_laplacians_from_dense_min_fill_take_the_dense_kernel(caplog):
               LaplacianSet(user, [full_laplacian(4, rng)]))
     report = [m for m in caplog.messages if m.startswith("factor kernels")]
     assert len(report) == 1 and report[0].endswith(f"dense Laplacians: {names[1]}, {names[2]}")
+    monkeypatch.setattr(learner, "DENSE_MAX_NODES", n - 1)
+    problem = build_problem(ratings, rels, hp, LaplacianSet(user, [full_laplacian(4, rng)]))
+    problem.close()
+    assert problem._dense_graph == [2]
 
 
 def test_sparse_laplacians_leave_the_kernel_report_as_it_was():
@@ -1373,7 +1394,7 @@ def test_sparse_laplacians_leave_the_kernel_report_as_it_was():
 
 
 def test_full_laplacian_products_independent_of_blas_threads(tmp_path):
-    """A 600-user and a 660-item full Laplacian take the dense kernel, shared
+    """A 600-user and a 560-item full Laplacian take the dense kernel, shared
     with the worker.  OpenBLAS gives ``A @ X`` of these sizes other bytes on
     two threads than on one (not at 640, where its blocks line up), so
     equal bytes show that the kernel stays off BLAS."""
@@ -1389,12 +1410,12 @@ def test_full_laplacian_products_independent_of_blas_threads(tmp_path):
         from hetecf.model import LaplacianSet
 
         rng = np.random.default_rng(0)
-        ratings, rels, hp = random_instance(rng, n=600, m=660, d=10, n_uu=1, n_ii=1,
+        ratings, rels, hp = random_instance(rng, n=600, m=560, d=10, n_uu=1, n_ii=1,
                                             n_ui=0, density=1.0)
         laps = LaplacianSet.from_relation_set(rels)
         problem = learner.build_problem(ratings, rels, hp, laps)
         assert problem._dense_graph == [0, 1], problem._dense_graph
-        model = FactorModel(rng.normal(size=(600, 10)), rng.normal(size=(660, 10)))
+        model = FactorModel(rng.normal(size=(600, 10)), rng.normal(size=(560, 10)))
         point = problem.evaluate(model, every_path=True)
         problem.close()
         print(hashlib.sha256(b"".join(X.tobytes() for X in point.LX)).hexdigest())

@@ -424,7 +424,7 @@ def test_objective_names_overflowing_regularizer():
     with pytest.raises(NumericalError, match="user graph regularizer"):
         problem.value(point, weights)
     with pytest.raises(NumericalError, match="non-finite weight gradient"):
-        problem.weight_gradient(point, weights)
+        problem.weight_gradient(problem.weight_costs(point, weights), ([1.0, 1.0],) * 3)
 
 
 def test_weight_objective_tracks_full_objective_differences():
