@@ -33,32 +33,28 @@ candidate's relative change, are computed once per factor point: a
 rejected candidate leaves the factors and the frozen weights as they
 were.
 
-Worker thread: with two CPUs, a Problem shares its large factor products
-and its gathered entry half with the thread of one :class:`Worker`,
-started on first use and stopped when ``train`` ends; :func:`set_up`
-runs its tasks on another.  Each Laplacian whose product costs at least
-``PARALLEL_MIN_WORK`` multiply-adds (entries read x d: the stored
-entries, or all n x n of a dense copy) is cut once per Problem, at the
-row nearest half its entries, into two row blocks that share its
-operands.  On the gather side, once the distinct
-pairs x d reach the same threshold, the pairs are cut at the
-``_GATHER_CHUNK`` boundary nearest half of them.  For every new Point the
-worker multiplies the second row blocks and then predicts the second
-range of pairs (the logistic value and slope of each), while this thread
-predicts the first range and then multiplies the first blocks; the fit
-gradient's ``G.T @ U`` runs on the worker while this thread computes
-``G @ V``.  It is exact: every output row comes from the same kernel
-over the same entries in the same order as in one block, every gathered
-block is the one a one-thread run takes, the logistic is elementwise, and
-the residuals, traces and sums are taken on this thread after the join,
-so the model's bytes do not depend on the split.  The worker runs scipy
-sparse kernels, row gathers, ``np.einsum`` and ufuncs under the caller's
-``np.errstate``, and never BLAS; the dense side's entry half, whose
-``U @ V.T`` calls BLAS, stays on this thread.  Below the threshold, or
-when ``os.sched_getaffinity`` gives one CPU, the same work runs inline
-and no thread starts.  ``train`` logs one INFO line saying whether the
-kernels ran on two threads, with how many entry halves were split, or
-why not.
+Worker thread: with two CPUs, a Problem shares the work of each new Point
+with the thread of one :class:`Worker`, started on first use and stopped
+when ``train`` ends; :func:`set_up` runs its tasks on another.  Each
+Laplacian whose product costs at least ``PARALLEL_MIN_WORK`` multiply-adds
+(entries read x d: the stored entries, or all n x n of a dense copy) is
+cut once per Problem, at the row nearest half its entries, into two row
+blocks that share its operands.  A Point whose work (distinct pairs x d
+when its entry half is recomputed, plus entries read x d of its new
+products) reaches the same threshold gives :meth:`Worker.share` one list
+of independent tasks: the entry half first, so that it runs on this
+thread, then every row block of each new product.  The dense side's
+entry half calls BLAS through ``U @ V.T``, so that order keeps BLAS off
+the worker, which runs scipy sparse kernels, row gathers, ``np.einsum``
+and ufuncs under the caller's ``np.errstate``.  It is exact: each task
+runs the same kernel over the same operands whichever thread takes it,
+every output row of a product comes from the same kernel over the same
+entries in the same order as in one block, and the traces and sums are
+taken on this thread after the join, so the model's bytes do not depend
+on the split.  Below the threshold, or when ``os.sched_getaffinity``
+gives one CPU, the same tasks run inline and no thread starts.  ``train``
+logs one INFO line saying whether the kernels ran on two threads, or why
+not.
 
 Active set: at the start of each factor phase :meth:`Problem.activate`
 keeps in the entry list only the rating block and the user-item relations
@@ -136,14 +132,15 @@ _EPS = 1e-12
 # grids, from 0.2 up the dense pass is 1.7-3.2x faster there, and on a
 # 200 x 60 grid it is 2.3-8.4x faster at every density.
 DENSE_MIN_DENSITY = 0.2
-# Multiply-adds (entries read x d) from which a factor product, or the
-# gathered entry half (distinct pairs x d), is shared with the worker
-# thread.  Measured in paired training runs at
-# d = 10 on a 2-CPU host with one BLAS thread: splitting a Laplacian
-# product of 144k multiply-adds made a run 19% slower and one of 324k 4.5%
-# slower; 400k broke even; 576k and 1.3M made it 2.8% and 11% faster.  The
-# fit gradient's two products at 1.13M took 0.90x their one-thread time.
-# The threshold sits at twice the break-even.
+# Multiply-adds from which work is shared with the worker thread: both the
+# per-Laplacian threshold from which a product (entries read x d) is cut
+# into row halves, and the per-Point threshold from which a Point's tasks
+# (its entry half's distinct pairs x d, plus its new products' entries
+# read x d) are shared.  Measured in paired training runs at d = 10 on a
+# 2-CPU host with one BLAS thread: splitting a Laplacian product of 144k
+# multiply-adds made a run 19% slower and one of 324k 4.5% slower; 400k
+# broke even; 576k and 1.3M made it 2.8% and 11% faster.  The threshold
+# sits at twice the break-even.
 PARALLEL_MIN_WORK = 1_000_000
 # Share of its n x n entries from which a Laplacian of at most
 # DENSE_MAX_NODES nodes keeps a dense copy, whose products run as a
@@ -510,9 +507,10 @@ class Problem:
     :func:`set_up` returns them; without ``laps``, which only a relation
     set made in memory may leave out, they are assembled from ``rels``.
 
-    With two CPUs, the factor products and the gathered entry half of at
-    least ``PARALLEL_MIN_WORK`` multiply-adds are shared with the thread
-    of a :class:`Worker`, started on first use; :meth:`close` stops it.
+    With two CPUs, the tasks of a Point whose work reaches
+    ``PARALLEL_MIN_WORK`` multiply-adds (its entry half and the row blocks
+    of its new products) are shared with the thread of a :class:`Worker`,
+    started on first use; :meth:`close` stops it.
     """
 
     def __init__(self, ratings, rels, hp, laps=None):
@@ -535,7 +533,6 @@ class Problem:
         self.active = tuple(range(len(self._user_item)))
         self._inactive = ()
         self._worker = Worker()
-        self._entry_splits = 0  # evaluations whose entry half the worker shared
         flat = self._set_entries()
         # dense or gathered products, decided once on every entry
         self.density = flat.size / (self.n * self.m)
@@ -549,20 +546,21 @@ class Problem:
                     for _, L in self.graph]
         self._dense_graph = [k for k, A in enumerate(operands) if isinstance(A, np.ndarray)]
         # the entries each product reads, all n^2 of a dense copy
-        work = [A.size if isinstance(A, np.ndarray) else A.nnz for A in operands]
-        # the largest product, for the report of why none was shared
-        self._largest_work = max(work + [0 if self.dense else flat.size])
+        self._graph_work = [A.size if isinstance(A, np.ndarray) else A.nnz for A in operands]
+        # the first Point's work, the largest, for the report of why none was shared
+        self._largest_work = flat.size + sum(self._graph_work)
         # the row blocks of each Laplacian: its halves when the worker
         # shares its products, else all its rows
         self._blocks = [_row_halves(A) if self._shared(w) else [_row_block(A, 0, A.shape[0])]
-                        for A, w in zip(operands, work)]
+                        for A, w in zip(operands, self._graph_work)]
         # the factor ridge's gradient coefficients 2 lam c_i, as columns
         self._ridge_coefs = (2.0 * hp.lam * self.n_user[:, None],
                              2.0 * hp.lam * self.n_item[:, None])
 
     def _shared(self, work):
-        """Whether a product that reads ``work`` entries of its matrix per
-        factor column is shared with the worker thread."""
+        """Whether work of ``work`` entries read per factor column (a
+        Laplacian's product, or a Point's tasks) is shared with the worker
+        thread."""
         return self._worker.two_threads and work * self.hp.d >= PARALLEL_MIN_WORK
 
     def close(self):
@@ -578,12 +576,13 @@ class Problem:
             split = [name for name, blocks in zip(self._names[0], self._blocks)
                      if len(blocks) > 1]
             return (f"ran on two threads, {self._worker.tasks} tasks on the worker;"
-                    f" entry halves split: {self._entry_splits};"
                     f" Laplacians split by rows: {', '.join(split) or 'none'}{dense}")
         if not self._worker.two_threads:
             return f"ran on one thread: one CPU available{dense}"
-        return (f"ran on one thread: below the threshold (largest product"
-                f" {self._largest_work} entries x d {self.hp.d} < {PARALLEL_MIN_WORK}){dense}")
+        if self._shared(self._largest_work):  # every Point at the threshold had one task
+            return f"ran on one thread: no Point of two tasks reached the threshold{dense}"
+        return (f"ran on one thread: below the threshold (largest Point {self._largest_work}"
+                f" pairs and entries x d {self.hp.d} < {PARALLEL_MIN_WORK}){dense}")
 
     @property
     def graph_products(self):
@@ -626,17 +625,11 @@ class Problem:
         return flat
 
     def _index_pairs(self, flat):
-        """Index the distinct pairs for the dense or the gathered products,
-        and find where the worker takes over the gathered entry half: at
-        the ``_GATHER_CHUNK`` boundary nearest half the pairs, once the
-        pairs x d reach ``PARALLEL_MIN_WORK`` (``_cut`` None otherwise)."""
-        self._cut = None
+        """Index the distinct pairs ``flat`` for the dense or the gathered
+        products."""
         if self.dense:
             self._flat = flat
         else:
-            if self._worker.two_threads and flat.size * self.hp.d >= PARALLEL_MIN_WORK:
-                cut = round(flat.size / (2 * _GATHER_CHUNK)) * _GATHER_CHUNK
-                self._cut = cut if 0 < cut < flat.size else None
             self._pair_rows, self._pair_cols = np.divmod(flat, self.m)
             # CSR indices and indptr of the distinct pairs (sorted
             # row-major), which every fit gradient reuses
@@ -699,35 +692,24 @@ class Problem:
                 raise ValueError("Point lacks the Laplacian product of a nonzero weight")
 
     def _entry_half(self, U, V):
-        """Slopes, residuals and residual sums of the entry list at (U, V)."""
+        """Slopes, residuals and residual sums of the entry list at (U, V):
+        the predictions of one ``U @ V.T`` (BLAS) on the dense side, else
+        gathered ``_GATHER_CHUNK`` pairs at a time, then f and f' of all."""
         if self._whole_grid:
             z = (U @ V.T).ravel()
         elif self.dense:
             z = np.take((U @ V.T).ravel(), self._flat)
         else:
-            p, slope = np.empty(self.n_pairs), np.empty(self.n_pairs)
-            self._predict(U, V, p, slope, 0, self.n_pairs)
-            return self._residuals(p, slope)
-        return self._residuals(*logistic_and_slope(z, (z, np.empty_like(z))))
-
-    def _predict(self, U, V, p, slope, start, end):
-        """Write f(U_i . V_j) into ``p`` and f'(U_i . V_j) into ``slope``
-        for the gathered pairs ``start:end``, where ``start`` is a multiple
-        of ``_GATHER_CHUNK``: every block is the one the whole range has."""
-        for s in range(start, end, _GATHER_CHUNK):
-            block = slice(s, min(s + _GATHER_CHUNK, end))
-            np.einsum(
-                "ij,ij->i",
-                np.take(U, self._pair_rows[block], axis=0),
-                np.take(V, self._pair_cols[block], axis=0),
-                out=p[block],
-            )
-        logistic_and_slope(p[start:end], (p[start:end], slope[start:end]))
-
-    def _residuals(self, p, slope):
-        """The entry half's dict from f and f' of every distinct pair; the
-        block slices and the active relations' indices are fixed with the
-        entry list."""
+            z = np.empty(self.n_pairs)
+            for s in range(0, self.n_pairs, _GATHER_CHUNK):
+                block = slice(s, s + _GATHER_CHUNK)
+                np.einsum(
+                    "ij,ij->i",
+                    np.take(U, self._pair_rows[block], axis=0),
+                    np.take(V, self._pair_cols[block], axis=0),
+                    out=z[block],
+                )
+        p, slope = logistic_and_slope(z, (z, np.empty_like(z)))
         resid = (p if self._in_order else np.take(p, self.pair)) - self.vals
         squares = resid**2
         ssq = [np.add.reduce(squares[block]) for block in self._block_slices]
@@ -744,16 +726,15 @@ class Problem:
         its products, and its entry half when it was evaluated on the
         current entry list.  A ``base`` that lacks nothing is returned.
 
-        Each product ``L @ U`` or ``L @ V`` is written into zeros, block by
-        block, by ``_multiply_rows``, through the Laplacian's dense or CSR
-        kernel: the first row block of every Laplacian on this thread, the
-        second, if it has one, on the worker.
-        With two CPUs, the worker multiplies the second row blocks of the
-        split Laplacians and then, when the gathered entry half is split,
-        predicts its second range of pairs; this thread predicts the first
-        range (or runs the whole entry half, whose dense product may call
-        BLAS) and then multiplies the first blocks.  The residuals, sums
-        and traces are taken here after the join.
+        Its tasks are the entry half, unless ``base`` lends it, and then
+        every row block of each new product ``L @ U`` or ``L @ V``, written
+        into zeros by ``_multiply_rows`` through the Laplacian's dense or
+        CSR kernel.  With two CPUs, once their work (distinct pairs x d for
+        the entry half, entries read x d for the products) reaches
+        ``PARALLEL_MIN_WORK``, they are shared with the worker in that
+        order: this thread takes the first, the entry half, whose dense
+        product may call BLAS.  Otherwise they run here in order.  The
+        traces and the ridge are taken here after the join.
         """
         if base is not None and base.model is not model:
             raise ValueError("base Point is of other factors")
@@ -767,36 +748,16 @@ class Problem:
         tr = base.tr.copy() if base else np.zeros(len(LX))
         for k in new:
             LX[k] = np.zeros((self.graph[k][1].shape[0], U.shape[1]))
-        split = [k for k in new if len(self._blocks[k]) > 1]
-        cut = None if same_entries else self._cut
-        if cut is not None:
-            p, slope = np.empty(self.n_pairs), np.empty(self.n_pairs)
-            self._entry_splits += 1
-
-        def main():
-            entries = None
-            if same_entries:
-                entries = {k: getattr(base, k) for k in ("slope", "resid", "fit", "rel_ssq")}
-            elif cut is None:
-                entries = self._entry_half(U, V)
-            else:
-                self._predict(U, V, p, slope, 0, cut)
-            for k in new:
-                _multiply_rows(self._blocks[k][0], factors[self.graph[k][0]], LX[k])
-            return entries
-
-        def side():
-            for k in split:
-                _multiply_rows(self._blocks[k][1], factors[self.graph[k][0]], LX[k])
-            if cut is not None:
-                self._predict(U, V, p, slope, cut, self.n_pairs)
-
-        if split or cut is not None:
-            entries = self._worker.share([main, side])[0]
+        tasks = [] if same_entries else [functools.partial(self._entry_half, U, V)]
+        tasks += [functools.partial(_multiply_rows, block, factors[self.graph[k][0]], LX[k])
+                  for k in new for block in self._blocks[k]]
+        work = (0 if same_entries else self.n_pairs) + sum(self._graph_work[k] for k in new)
+        if self._shared(work):
+            done = self._worker.share(tasks)
         else:
-            entries = main()
-        if cut is not None:
-            entries = self._residuals(p, slope)
+            done = [task() for task in tasks]
+        entries = ({k: getattr(base, k) for k in ("slope", "resid", "fit", "rel_ssq")}
+                   if same_entries else done[0])
         for k in new:
             on, L = self.graph[k]
             tr[k] = trace_quad(L, factors[on], LX[k])
@@ -860,12 +821,8 @@ class Problem:
             G = sp.csr_array(
                 (g, *self._pattern), shape=(self.n, self.m)
             )
-        if sp.issparse(G) and self._shared(G.nnz):
-            GV, GtU = self._worker.share([lambda: G @ V, lambda: G.T @ U])
-        else:
-            GV, GtU = G @ V, G.T @ U
-        dU = self._ridge_coefs[0] * U + GV
-        dV = self._ridge_coefs[1] * V + GtU
+        dU = self._ridge_coefs[0] * U + G @ V
+        dV = self._ridge_coefs[1] * V + G.T @ U
         for (on, _), c, LX in zip(self.graph, _graph_weights(weights), point.LX):
             if c != 0.0:
                 grad = dV if on else dU

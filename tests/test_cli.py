@@ -947,8 +947,8 @@ def test_worker_thread_leaves_model_and_log_bytes_unchanged(tmp_path, monkeypatc
     else:
         flags, paths, _ = synth_files(tmp_path, SPARSE_SYNTH)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    # small gathered blocks, so that the worker shares the synthetic
-    # network's entry half too, cut off its middle
+    # small gathered blocks, so that the synthetic network's entry half
+    # gathers several of them
     monkeypatch.setattr(learner, "_GATHER_CHUNK", 37)
     runs = {}
     for threshold in (0, math.inf):  # every sparse product on the worker, or none
@@ -966,8 +966,6 @@ def test_worker_thread_leaves_model_and_log_bytes_unchanged(tmp_path, monkeypatc
         runs[threshold] = (model.read_bytes(), rows, report)
     assert runs[0][:2] == runs[math.inf][:2]
     assert len(runs[0][2]) == 1 and runs[0][2][0].startswith("factor kernels ran on two threads")
-    split = re.search(r"; entry halves split: (\d+);", runs[0][2][0])
-    assert split and (int(split[1]) > 0) == (network == "sparse synth"), runs[0][2][0]
     assert len(runs[math.inf][2]) == 1
     assert runs[math.inf][2][0].startswith("factor kernels ran on one thread: below the threshold")
 

@@ -1533,6 +1533,21 @@ def test_one_cpu_starts_no_thread(monkeypatch, caplog):
     assert "factor kernels ran on one thread: one CPU available" in caplog.messages
 
 
+def test_points_of_one_task_start_no_thread(monkeypatch, caplog):
+    """Without Laplacians every Point has one task, its entry half, which
+    runs here at any size; the report does not call that below the
+    threshold."""
+    two_cpus(monkeypatch)
+    monkeypatch.setattr(learner, "ThreadPoolExecutor",
+                        lambda *a, **k: pytest.fail("started a worker thread"))
+    rng = np.random.default_rng(4)
+    ratings, rels, hp = random_instance(rng, n_uu=0, n_ii=0)
+    with caplog.at_level("INFO", logger="hetecf.learner"):
+        train(ratings, rels, hp.with_overrides(max_outer=2))
+    assert ("factor kernels ran on one thread: no Point of two tasks reached the threshold"
+            in caplog.messages)
+
+
 def test_training_stops_its_worker_thread(monkeypatch, caplog):
     import threading
 
@@ -1546,10 +1561,10 @@ def test_training_stops_its_worker_thread(monkeypatch, caplog):
 
 
 @pytest.mark.parametrize("relations", [True, False])
-def test_split_entry_half_gives_the_one_cpu_point(monkeypatch, relations):
+def test_shared_task_list_gives_the_one_cpu_point(monkeypatch, relations):
     """With UI relations the entries repeat pairs (``_in_order`` False);
     with the ratings alone they are the pairs, in order.  Small gathered
-    blocks put the cut off the middle of the pairs."""
+    blocks make the entry half's gather loop run several blocks."""
     import os
 
     from hetecf import synth
@@ -1575,18 +1590,55 @@ def test_split_entry_half_gives_the_one_cpu_point(monkeypatch, relations):
                             raising=False)
         problems[cpus] = build_problem(ratings, rels, hp, inputs.laps)
     one, two = problems[1], problems[2]
-    assert not two.dense and two._in_order == (not relations) and one._cut is None
-    assert two._cut % 29 == 0 and abs(two._cut - two.n_pairs / 2) <= 29 / 2
-    assert two._cut != two.n_pairs / 2
+    assert not two.dense and two._in_order == (not relations)
+    assert two.n_pairs > 2 * 29
     rng = np.random.default_rng(5)
     model = FactorModel(rng.normal(size=(ratings.n, 3)), rng.normal(size=(ratings.m, 3)))
     points = [p.evaluate(model, every_path=True) for p in (one, two)]
     two.close()
-    assert two._entry_splits == 1 and two._worker.tasks > 0
+    assert two._worker.tasks > 0
     for key in ("slope", "resid", "fit", "rel_ssq", "tr"):
         a, b = (getattr(point, key) for point in points)
         assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), key
     assert [X.tobytes() for X in points[0].LX] == [X.tobytes() for X in points[1].LX]
+
+
+@pytest.mark.parametrize("whole_grid", [True, False])
+def test_dense_entry_half_stays_on_this_thread(monkeypatch, whole_grid):
+    """On the dense side the entry half calls BLAS through ``U @ V.T``; as
+    the first task of the Point's list it runs on this thread, even when
+    the worker takes every other task it can, and the worker takes at
+    least one Laplacian block."""
+    import threading
+    import time
+
+    two_cpus(monkeypatch)
+    rng = np.random.default_rng(12)
+    ratings, rels, hp = random_instance(rng, n=12, m=10, d=3, n_ui=0,
+                                        density=1.0 if whole_grid else 0.5)
+    problem = build_problem(ratings, rels, hp)
+    assert problem.dense and problem._whole_grid == whole_grid
+    assert sum(len(blocks) for blocks in problem._blocks) > 2
+    threads = {"entry": [], "blocks": []}
+    entry_half, multiply = problem._entry_half, learner._multiply_rows
+
+    def spy_entry_half(U, V):
+        threads["entry"].append(threading.current_thread().name)
+        return entry_half(U, V)
+
+    def spy_multiply(block, X, out):
+        threads["blocks"].append(threading.current_thread().name)
+        if threading.current_thread() is threading.main_thread():
+            time.sleep(0.05)  # the worker takes every task it can meanwhile
+        multiply(block, X, out)
+
+    monkeypatch.setattr(problem, "_entry_half", spy_entry_half)
+    monkeypatch.setattr(learner, "_multiply_rows", spy_multiply)
+    model = FactorModel(rng.normal(size=(12, 3)), rng.normal(size=(10, 3)))
+    problem.evaluate(model, every_path=True)
+    problem.close()
+    assert threads["entry"] == ["MainThread"]
+    assert any(name.startswith("hetecf-worker") for name in threads["blocks"])
 
 
 def test_worker_tasks_run_under_the_callers_errstate(monkeypatch):
