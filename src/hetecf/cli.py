@@ -172,8 +172,8 @@ def cmd_validate(args):
 
 
 def _prepare_training(args, cfg, graph_tasks=()):
-    """(graph, path groups, ratings, relation set, LaplacianSet, then the
-    result of each callable of ``graph_tasks`` on the graph) of a
+    """(graph, path groups, ratings, relation set with its Laplacians, then
+    the result of each callable of ``graph_tasks`` on the graph) of a
     ``train`` or ``evaluate`` call, set up by ``learner.set_up``."""
     start = time.perf_counter()
     graph = _load_graph_from(args, cfg)
@@ -191,7 +191,7 @@ def _prepare_training(args, cfg, graph_tasks=()):
         load_s, inputs.ratings_seconds, sum(seconds for *_, seconds, _ in inputs.paths),
         inputs.wall_seconds, "two threads" if inputs.two_threads else "one thread",
     )
-    return (graph, groups, inputs.ratings, inputs.rels, inputs.laps, *inputs.results)
+    return (graph, groups, inputs.ratings, inputs.rels, *inputs.results)
 
 
 def cmd_train(args):
@@ -199,13 +199,13 @@ def cmd_train(args):
     model_out = _require(args, cfg, "model_out")
     log_out = _setting(args, cfg, "log_out")
     weights_out = _setting(args, cfg, "weights_out")
-    graph, groups, ratings, rels, laps, ghash = _prepare_training(args, cfg, [content_hash])
+    graph, groups, ratings, rels, ghash = _prepare_training(args, cfg, [content_hash])
     hp = _hyperparams(args, cfg)
     log.info(
         "training: %d users, %d items, %d observed ratings, mu=%g, d=%d",
         ratings.n, ratings.m, ratings.nnz, effective_mu(hp, ratings), hp.d,
     )
-    state = learner.train(ratings, rels, hp, laps)
+    state = learner.train(ratings, rels, hp)
     schema = graph.schema
     source = (graph.source_digest, graph.node_ids[schema.user_type],
               graph.node_ids[schema.item_type])
@@ -232,7 +232,7 @@ def cmd_train(args):
 def cmd_evaluate(args):
     cfg = _load_config(args.config)
     report_out = _setting(args, cfg, "report_out")
-    _, _, ratings, rels, laps = _prepare_training(args, cfg)
+    _, _, ratings, rels = _prepare_training(args, cfg)
     methods = _setting(args, cfg, "methods", list(evaluate_mod.METHODS))
     if isinstance(methods, str):
         methods = [m.strip() for m in methods.split(",") if m.strip()]
@@ -262,7 +262,6 @@ def cmd_evaluate(args):
         trials=trials,
         seed=seed,
         hp=hp,
-        laps=laps,
     )
     print(report.format_table())
     if report_out:

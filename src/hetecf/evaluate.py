@@ -10,7 +10,7 @@ trial sees the same split.
 import csv
 import io
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -21,6 +21,8 @@ from . import learner
 log = logging.getLogger(__name__)
 
 METHODS = ("user_mean", "item_mean", "nmf", "hete_cf")
+# NMF stops once an update lowers its loss by at most this share of it.
+NMF_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -102,7 +104,7 @@ class NMFPredictor:
     """Nonnegative MF fit to the observed entries by multiplicative updates
     (missing entries carry zero weight); predictions are clipped to [0, 1]."""
 
-    def __init__(self, train, d, max_iter=500, tol=1e-6, seed=0):
+    def __init__(self, train, d, max_iter=500, seed=0):
         import scipy.sparse as sp
 
         rng = np.random.default_rng(seed)
@@ -127,7 +129,7 @@ class NMFPredictor:
             loss = float(np.sum((pred - vals) ** 2))
             if loss < best[0]:
                 best = (loss, L.copy(), F.copy())
-            if np.isfinite(prev) and abs(prev - loss) <= tol * max(prev, 1.0):
+            if np.isfinite(prev) and abs(prev - loss) <= NMF_TOL * max(prev, 1.0):
                 break
             prev = loss
         if best[0] < loss:
@@ -145,17 +147,16 @@ class NMFPredictor:
 
 
 class HeteCFPredictor:
-    """Wraps the factor model trained on ``train``; ``laps`` is the
-    LaplacianSet of ``rels`` when the caller has it."""
+    """Wraps the factor model trained on ``train``."""
 
-    def __init__(self, train, rels, hp, laps=None):
-        self.model = learner.train(train, rels, hp, laps).model
+    def __init__(self, train, rels, hp):
+        self.model = learner.train(train, rels, hp).model
 
     def predict(self, users, items):
         return self.model.predict_pairs(users, items)
 
 
-def fit_method(method, train, rels, hp, trial_seed, laps=None):
+def fit_method(method, train, rels, hp, trial_seed):
     if method == "user_mean":
         return MeanPredictor(train, "user")
     if method == "item_mean":
@@ -163,7 +164,7 @@ def fit_method(method, train, rels, hp, trial_seed, laps=None):
     if method == "nmf":
         return NMFPredictor(train, hp.d, seed=trial_seed)
     if method == "hete_cf":
-        return HeteCFPredictor(train, rels, hp.with_overrides(seed=trial_seed), laps)
+        return HeteCFPredictor(train, rels, hp.with_overrides(seed=trial_seed))
     raise ValueError(f"unknown method {method!r}; known: {', '.join(METHODS)}")
 
 
@@ -204,12 +205,7 @@ class MetricReport:
         header = f"{'method':<12} {'fraction':>8} {'d':>4} {'MAE':>18} {'RMSE':>18}"
         lines.append(header)
         lines.append("-" * len(header))
-        keys = []
-        for c in self.cells:
-            k = (c.method, c.fraction, c.d)
-            if k not in keys:
-                keys.append(k)
-        for method, fraction, d in keys:
+        for method, fraction, d in dict.fromkeys((c.method, c.fraction, c.d) for c in self.cells):
             try:
                 a = self.cell(method, fraction, d, "MAE")
                 r = self.cell(method, fraction, d, "RMSE")
@@ -235,14 +231,13 @@ def run_experiment(
     trials=10,
     seed=0,
     hp=None,
-    laps=None,
 ):
     """Full protocol grid: methods x fractions x d x {MAE, RMSE}.
 
     A failing (method, fraction, d, trial) cell is recorded in
     ``report.failures`` and skipped in the aggregates; other methods
-    are unaffected.  ``laps``, the LaplacianSet of ``rels``, is shared by
-    every hete_cf fit; without it, it is built once, before the grid.  If
+    are unaffected.  Every hete_cf fit shares the Laplacians ``rels``
+    carries; a set without them has them built once, before the grid.  If
     that fails, one warning is logged and every hete_cf cell is recorded
     as failed with its message.
     """
@@ -251,9 +246,9 @@ def run_experiment(
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}; known: {', '.join(METHODS)}")
     laps_error = None
-    if laps is None and "hete_cf" in methods and fractions and d_values:
+    if "hete_cf" in methods and fractions and d_values:
         try:
-            laps = LaplacianSet.from_relation_set(rels)
+            rels = replace(rels, laps=LaplacianSet.from_relation_set(rels))
         except Exception as exc:  # noqa: BLE001 - recorded per hete_cf cell
             log.warning("hete_cf failed: no Laplacians for its relation set: %s", exc)
             laps_error = str(exc)
@@ -271,9 +266,7 @@ def run_experiment(
                         continue
                     try:
                         predictor = fit_method(
-                            method, train, rels, hp_d, trial_seed=hp_d.seed + trial,
-                            laps=laps,
-                        )
+                            method, train, rels, hp_d, trial_seed=hp_d.seed + trial)
                         pred = predictor.predict(test.rows, test.cols)
                         scores["MAE"].append(mae(pred, test.vals))
                         scores["RMSE"].append(rmse(pred, test.vals))

@@ -1,7 +1,7 @@
 """Two-phase alternating gradient descent on the unified objective.
 
-:func:`set_up` builds a run's inputs from a graph: the ratings, the
-relation set and its Laplacians.  One :class:`Problem` is built per
+:func:`set_up` builds a run's inputs from a graph: the ratings and the
+relation set, which carries its Laplacians.  One :class:`Problem` is built per
 training run.  It merges the ratings and the user-item relation entries
 into one coefficient-weighted entry list (coefficient 1 for a rating,
 ``mu * w_k`` for an entry of relation k) and holds the Laplacians, mu and
@@ -371,15 +371,15 @@ class Worker:
 
 @dataclass
 class SetUp:
-    """The result of :func:`set_up`.  ``paths`` holds, per declared path in
-    declared order, (group, path, nnz, instance count, seconds, thread):
-    ``nnz`` lists the stored entries of its counts, its similarity and,
-    for a UU or II path, its Laplacian; the seconds and the thread are
-    those of its chain.  ``results`` holds the results of the ``tasks``."""
+    """The result of :func:`set_up`; ``rels`` carries the Laplacians.
+    ``paths`` holds, per declared path in declared order, (group, path,
+    nnz, instance count, seconds, thread): ``nnz`` lists the stored
+    entries of its counts, its similarity and, for a UU or II path, its
+    Laplacian; the seconds and the thread are those of its chain.
+    ``results`` holds the results of the ``tasks``."""
 
     ratings: RatingMatrix
     rels: metapath.RelationSet
-    laps: LaplacianSet
     paths: list
     ratings_seconds: float
     wall_seconds: float
@@ -403,7 +403,7 @@ def set_up(graph, groups, target, tasks=()):
     as a one-thread run, so every similarity, Laplacian and model byte is
     the same.  After the join this thread warns, in declared order, of
     each inert UU or II path.  The relation set keeps no similarity matrix
-    of a UU or II path, only its path: training reads its Laplacian.
+    of a UU or II path, only its path and the Laplacian training reads.
     """
     def timed(task, *args):
         start = time.perf_counter()
@@ -432,19 +432,18 @@ def set_up(graph, groups, target, tasks=()):
         )
     wall_s = time.perf_counter() - start
     chains = dict(zip(order, done))
-    sims = {group: [] for group in metapath.GROUPS}
-    laps = LaplacianSet()
+    sims, laps = ({group: [] for group in metapath.GROUPS} for _ in range(2))
     facts = []
     for k, (group, path) in enumerate(declared):
         (sim, lap, nnz, inert), seconds, thread = chains[k]
         if inert:
             metapath.warn_inert(group, path)
         sims[group].append(sim)
-        if lap is not None:
-            (laps.user if group == "UU" else laps.item).append(lap)
+        laps[group].append(lap)  # None for a UI path
         facts.append((group, path, nnz, estimates[k], seconds, thread))
-    rels = metapath.RelationSet(sims["UU"], sims["II"], sims["UI"])
-    return SetUp(ratings, rels, laps, facts, ratings_s, wall_s, worker.two_threads,
+    rels = metapath.RelationSet(sims["UU"], sims["II"], sims["UI"],
+                                LaplacianSet(laps["UU"], laps["II"]))
+    return SetUp(ratings, rels, facts, ratings_s, wall_s, worker.two_threads,
                  done[len(order):])
 
 
@@ -503,9 +502,9 @@ class Problem:
     :meth:`activate` last ran (every relation before its first call).
     ``graph`` lists every Laplacian, user-user first, with the side it
     multiplies (0 for U, 1 for V), and ``active_graph`` names those whose
-    products each factor candidate computes.  They are ``laps``, as
-    :func:`set_up` returns them; without ``laps``, which only a relation
-    set made in memory may leave out, they are assembled from ``rels``.
+    products each factor candidate computes.  They are those of
+    ``LaplacianSet.from_relation_set(rels)``: the ones ``rels`` carries,
+    else built from its similarities.
 
     With two CPUs, the tasks of a Point whose work reaches
     ``PARALLEL_MIN_WORK`` multiply-adds (its entry half and the row blocks
@@ -513,10 +512,10 @@ class Problem:
     started on first use; :meth:`close` stops it.
     """
 
-    def __init__(self, ratings, rels, hp, laps=None):
+    def __init__(self, ratings, rels, hp):
         self.hp = hp
         self.n, self.m = ratings.n, ratings.m
-        self.laps = LaplacianSet.from_relation_set(rels) if laps is None else laps
+        self.laps = LaplacianSet.from_relation_set(rels)
         self.mu = effective_mu(hp, ratings)
         self.n_user, self.n_item = rating_counts(ratings)
         self._ratings = ratings
@@ -876,10 +875,9 @@ def _graph_weights(weights):
     return weights.alpha.tolist() + weights.beta.tolist()
 
 
-def build_problem(ratings, rels, hp, laps=None):
-    """The Problem of one training run on ``ratings`` and ``rels``, with
-    ``laps`` as in :func:`train`."""
-    return Problem(ratings, rels, hp, laps)
+def build_problem(ratings, rels, hp):
+    """The Problem of one training run on ``ratings`` and ``rels``."""
+    return Problem(ratings, rels, hp)
 
 
 def _point(state, data, every_path=False):
@@ -1063,7 +1061,7 @@ def _run_phase(phase, update, state, data):
     }
 
 
-def train(ratings, rels, hp, laps=None):
+def train(ratings, rels, hp):
     """Alternating two-phase descent; returns the final TrainState.
 
     The returned state carries the model, weights, per-outer-iteration
@@ -1077,22 +1075,21 @@ def train(ratings, rels, hp, laps=None):
     ``converged`` is set on the first outer iteration that accepts a step
     and changes U, V and J each by less than ``outer_tol`` relative to
     the start of the iteration; how the weights move does not count.
-    ``laps`` is the LaplacianSet of ``rels`` that :func:`set_up` returns;
-    a relation set made in memory, which holds every similarity matrix,
-    may leave it out, and the Problem then assembles it.
+    The Laplacians are those ``rels`` carries, as :func:`set_up` fills
+    them; a relation set made in memory without them has them built.
     """
-    data = build_problem(ratings, rels, hp, laps)
+    data = build_problem(ratings, rels, hp)
     try:
-        return _train(data, ratings, rels, hp)
+        return _train(data)
     finally:
         data.close()
         log.info("factor kernels %s", data.kernel_report())
 
 
-def _train(data, ratings, rels, hp):
+def _train(data):
     """The outer loop of :func:`train` on the Problem ``data``."""
-    n_uu, n_ii, n_ui = rels.counts
-    state = init(hp, (ratings.n, ratings.m, n_uu, n_ii, n_ui))
+    hp = data.hp
+    state = init(hp, (data.n, data.m, *data._counts))
     state.j_value = data.value(_point(state, data), state.weights)
     state.j_trace.append(state.j_value)
     for outer in range(1, hp.max_outer + 1):

@@ -328,15 +328,14 @@ def load_path_spec(path, schema):
 
 @dataclass
 class RelationSet:
-    """Similarity matrices per group, the model-side view of the meta-paths."""
+    """Similarity matrices per group, the model-side view of the meta-paths,
+    and ``laps``, their UU and II ``model.LaplacianSet``: ``learner.set_up``
+    fills it and keeps no UU or II matrix; a set made in memory may not."""
 
     user_user: list
     item_item: list
     user_item: list
-
-    @property
-    def counts(self):
-        return (len(self.user_user), len(self.item_item), len(self.user_item))
+    laps: object = None
 
 
 def _symmetric(sim):

@@ -33,6 +33,9 @@ import scipy.sparse as sp
 # Version 3: the path weights are header lists, not npz members.
 MODEL_FORMAT_VERSION = 3
 
+# The largest |S - S^T| entry that :func:`laplacian` accepts as symmetric.
+SYMMETRY_TOL = 1e-9
+
 
 class NumericalError(RuntimeError):
     """A non-finite value surfaced during objective or gradient evaluation."""
@@ -189,15 +192,15 @@ class Hyperparams:
         return replace(self, **{k: v for k, v in kwargs.items() if v is not None})
 
 
-def laplacian(similarity, tol=1e-9):
+def laplacian(similarity):
     """Graph Laplacian L = D - S with D(i,i) = row sum of S.
 
     Accepts a SimilarityMatrix or a raw sparse/dense symmetric matrix;
-    asymmetry beyond ``tol`` (max absolute entry of S - S^T) is an error.
-    A SimilarityMatrix marked ``symmetric`` was checked to equal its
-    transpose exactly when it was built, so its check is skipped.
-    scipy assembles ``diags_array(deg) - S``, which stores no entry
-    equal to 0.
+    asymmetry beyond ``SYMMETRY_TOL`` (max absolute entry of S - S^T) is
+    an error.  A SimilarityMatrix marked ``symmetric`` was checked to
+    equal its transpose exactly when it was built, so its check is
+    skipped.  scipy assembles ``diags_array(deg) - S``, which stores no
+    entry equal to 0.
     """
     S = getattr(similarity, "matrix", similarity)
     S = sp.csr_array(S, dtype=np.float64)
@@ -208,9 +211,9 @@ def laplacian(similarity, tol=1e-9):
         raise ValueError(f"similarity matrix must be square, got {S.shape}")
     if not getattr(similarity, "symmetric", False):
         gap = S - S.T
-        if gap.nnz and np.max(np.abs(gap.data)) > tol:
+        if gap.nnz and np.max(np.abs(gap.data)) > SYMMETRY_TOL:
             raise ValueError(
-                f"similarity matrix asymmetric beyond {tol} "
+                f"similarity matrix asymmetric beyond {SYMMETRY_TOL} "
                 f"(max |S - S^T| = {np.max(np.abs(gap.data)):.3e})"
             )
     deg = np.asarray(S.sum(axis=1)).ravel()
@@ -226,9 +229,13 @@ class LaplacianSet:
 
     @classmethod
     def from_relation_set(cls, rels):
+        """The Laplacians ``rels`` carries, else those of its UU and II
+        similarities; a set with neither is refused."""
+        if rels.laps is not None:
+            return rels.laps
         if any(sim.matrix is None for sim in rels.user_user + rels.item_item):
-            raise ValueError("the relation set holds no user-user or item-item similarity "
-                             "matrix: pass the Laplacians that learner.set_up returned")
+            raise ValueError("the relation set carries no Laplacians and no UU or II similarity "
+                             "matrix: keep the Laplacians that learner.set_up put in it")
         return cls(
             [laplacian(s) for s in rels.user_user],
             [laplacian(s) for s in rels.item_item],

@@ -122,11 +122,11 @@ class TimingRow:
 
 
 def _cell_inputs(spec):
-    """(ratings, relation set, Laplacians, edge count) of one benchmark
-    cell's network."""
+    """(ratings, relation set with its Laplacians, edge count) of one
+    benchmark cell's network."""
     graph = generate(spec)
     inputs = learner.set_up(graph, default_paths(spec.schema), default_target_path(spec.schema))
-    return inputs.ratings, inputs.rels, inputs.laps, sum(m.nnz for m in graph.matrices.values())
+    return inputs.ratings, inputs.rels, sum(m.nnz for m in graph.matrices.values())
 
 
 # Shortest timed sample: a cell whose training run is quicker than this is
@@ -134,13 +134,16 @@ def _cell_inputs(spec):
 # Single runs of ~10 ms vary by up to 1.5x on a shared host.
 MIN_SAMPLE_SECONDS = 0.1
 
+# The d of every cell of the network-size sweep.
+SIZE_SWEEP_D = 10
 
-def _time_training(ratings, rels, laps, hp, runs):
+
+def _time_training(ratings, rels, hp, runs):
     """Mean wall-clock seconds of ``runs`` back-to-back trainings, and the
     last run's accepted step count."""
     t0 = time.perf_counter()
     for _ in range(runs):
-        state = learner.train(ratings, rels, hp, laps)
+        state = learner.train(ratings, rels, hp)
     return (time.perf_counter() - t0) / runs, state.factor_steps + state.weight_steps
 
 
@@ -150,16 +153,15 @@ def scaling_benchmark(
     size_multipliers=(1.0, 1.5, 2.0, 3.0),
     hp=None,
     repeats=3,
-    fixed_d=10,
 ):
     """Two sweeps with fixed iteration caps: time vs d at the base size,
-    then time vs network size at d = ``fixed_d``.
+    then time vs network size at d = ``SIZE_SWEEP_D``.
 
     Returns a list of TimingRow, one per cell, with the median, min and
     max over ``repeats`` samples of the wall-clock time of one training
     run; training cost is linear in d and in the user-item grid size, so
     both sweeps should regress linearly.  A training run starts from its
-    cell's ratings, relation set and Laplacians, which ``learner.set_up``
+    cell's ratings and relation set with Laplacians, which ``learner.set_up``
     builds once per cell, outside the timed runs.  A sample averages
     back-to-back runs lasting at least MIN_SAMPLE_SECONDS (the batch size
     is set by an untimed first run per cell), and the samples go
@@ -174,18 +176,18 @@ def scaling_benchmark(
     )
     cells = []
     for spec, d in [(base_spec, d) for d in d_values] + [
-        (base_spec.scaled(factor), fixed_d) for factor in size_multipliers
+        (base_spec.scaled(factor), SIZE_SWEEP_D) for factor in size_multipliers
     ]:
-        ratings, rels, laps, edges = _cell_inputs(spec)
+        ratings, rels, edges = _cell_inputs(spec)
         hp_cell = hp.with_overrides(d=int(d))
-        first, _ = _time_training(ratings, rels, laps, hp_cell, 1)
+        first, _ = _time_training(ratings, rels, hp_cell, 1)
         runs = max(1, math.ceil(MIN_SAMPLE_SECONDS / max(first, 1e-9)))
-        cells.append((ratings, rels, laps, edges, hp_cell, runs))
+        cells.append((ratings, rels, edges, hp_cell, runs))
     times = [[] for _ in cells]
     iterations = [0] * len(cells)
     for _ in range(repeats):
-        for k, (ratings, rels, laps, _, hp_cell, runs) in enumerate(cells):
-            seconds, iterations[k] = _time_training(ratings, rels, laps, hp_cell, runs)
+        for k, (ratings, rels, _, hp_cell, runs) in enumerate(cells):
+            seconds, iterations[k] = _time_training(ratings, rels, hp_cell, runs)
             times[k].append(seconds)
     return [
         TimingRow(
@@ -198,5 +200,5 @@ def scaling_benchmark(
             seconds_min=float(min(ts)),
             seconds_max=float(max(ts)),
         )
-        for (ratings, _, _, edges, hp_cell, _), ts, its in zip(cells, times, iterations)
+        for (ratings, _, edges, hp_cell, _), ts, its in zip(cells, times, iterations)
     ]

@@ -428,7 +428,7 @@ def test_9_experiment_grid_shape_and_metric_order(capsys):
     )
     report = run_experiment(
         inputs.ratings, inputs.rels, methods=METHODS, fractions=(0.4, 0.6),
-        d_values=(5, 10), trials=10, seed=0, hp=hp, laps=inputs.laps,
+        d_values=(5, 10), trials=10, seed=0, hp=hp,
     )
     expected_cells = len(METHODS) * 2 * 2 * 2
     shape_ok = len(report.cells) == expected_cells and not report.failures

@@ -1041,7 +1041,7 @@ def test_set_up_arrays_match_one_thread_and_the_library_route(tmp_path, monkeypa
     for count in (1, 2):
         _cpus(monkeypatch, count)
         inputs = learner.set_up(graph, groups, target)
-        rels, laps = inputs.rels, inputs.laps
+        rels, laps = inputs.rels, inputs.rels.laps
         outputs[count] = (
             _rating_arrays(inputs.ratings),
             [(str(s.path), s.symmetric, s.matrix) for s in rels.user_user + rels.item_item],

@@ -961,15 +961,15 @@ def test_32_bit_indices_where_pair_keys_need_64(tmp_path):
         "II: Item <-rates- User -rates-> Item\n"
         "UI: User -rates-> Item\n", g.schema)
     inputs = h.set_up(g, groups, h.parse_path("User -rates-> Item", g.schema))
-    ratings, rels, laps = inputs.ratings, inputs.rels, inputs.laps
+    ratings, rels, laps = inputs.ratings, inputs.rels, inputs.rels.laps
     sims = [similarity(g, group, path)[1].matrix for group, path in declared(groups)]
     for matrix in [g.matrices["rates"], *sims, *laps.user, *laps.item,
                    *(sim.matrix for sim in rels.user_item)]:
         assert matrix.indices.dtype == matrix.indptr.dtype == np.int32
     assert ratings.nnz == n + len(users[::5]) and int(ratings.rows.max()) * m > 2**31
     hp = h.Hyperparams(d=2, max_inner=1, max_outer=1)
-    state = learner.train(ratings, rels, hp, laps)
-    data = learner.build_problem(ratings, rels, hp, laps)
+    state = learner.train(ratings, rels, hp)
+    data = learner.build_problem(ratings, rels, hp)
     point = data.evaluate(state.model)
     # the rating block leads the entry list; its predictions are f(U_i . V_j)
     predicted = point.resid[:ratings.nnz] + data.vals[:ratings.nnz]

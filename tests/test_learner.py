@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -639,7 +640,7 @@ def test_halvings_are_the_rejected_candidates_of_both_phases():
     graph = load_graph(*(str(root / cfg[k]) for k in ("nodes", "edges", "schema")))
     groups = load_path_spec(str(root / cfg["paths"]), graph.schema)
     inputs = set_up(graph, groups, parse_path(cfg["target_path"], graph.schema))
-    state = train(inputs.ratings, inputs.rels, Hyperparams(**cfg["hyperparams"]), inputs.laps)
+    state = train(inputs.ratings, inputs.rels, Hyperparams(**cfg["hyperparams"]))
     assert state.factor_rejected > 0
     assert state.halvings == state.factor_rejected + state.weight_rejected
     logged = sum(r["factor_rejected"] + r["weight_rejected"] for r in state.log_rows)
@@ -1219,7 +1220,7 @@ def test_factor_gradient_once_per_factor_point(monkeypatch):
         return descend(state, data, recorded, phase)
 
     monkeypatch.setattr(learner, "_descend", spy)
-    state = train(inputs.ratings, inputs.rels, hp, inputs.laps)
+    state = train(inputs.ratings, inputs.rels, hp)
     candidates = sum(len(p) for p in phases)
     after_rejection = sum(
         1 for p in phases for (acc, _), (acc_next, _) in zip(p, p[1:]) if acc_next == acc
@@ -1367,7 +1368,11 @@ def test_laplacians_from_dense_min_fill_take_the_dense_kernel(caplog, monkeypatc
 
     user = [storing(at - 1), storing(at)]
     assert [L.nnz for L in user] == [at - 1, at]
-    problem = build_problem(ratings, rels, hp, LaplacianSet(user, [full_laplacian(4, rng)]))
+
+    def carrying():
+        return replace(rels, laps=LaplacianSet(user, [full_laplacian(4, rng)]))
+
+    problem = build_problem(ratings, carrying(), hp)
     problem.close()
     assert problem._dense_graph == [1, 2]
     assert [len(blocks[0]) for blocks in problem._blocks] == [6, 4, 4]
@@ -1376,12 +1381,11 @@ def test_laplacians_from_dense_min_fill_take_the_dense_kernel(caplog, monkeypatc
     # the report reaches the log once per training run (these matrices
     # are not Laplacians, so no descent runs on them)
     with caplog.at_level("INFO", logger="hetecf.learner"):
-        train(ratings, rels, hp.with_overrides(max_outer=0),
-              LaplacianSet(user, [full_laplacian(4, rng)]))
+        train(ratings, carrying(), hp.with_overrides(max_outer=0))
     report = [m for m in caplog.messages if m.startswith("factor kernels")]
     assert len(report) == 1 and report[0].endswith(f"dense Laplacians: {names[1]}, {names[2]}")
     monkeypatch.setattr(learner, "DENSE_MAX_NODES", n - 1)
-    problem = build_problem(ratings, rels, hp, LaplacianSet(user, [full_laplacian(4, rng)]))
+    problem = build_problem(ratings, carrying(), hp)
     problem.close()
     assert problem._dense_graph == [2]
 
@@ -1407,13 +1411,11 @@ def test_full_laplacian_products_independent_of_blas_threads(tmp_path):
         import numpy as np
         from conftest import random_instance
         from hetecf import FactorModel, learner
-        from hetecf.model import LaplacianSet
 
         rng = np.random.default_rng(0)
         ratings, rels, hp = random_instance(rng, n=600, m=560, d=10, n_uu=1, n_ii=1,
                                             n_ui=0, density=1.0)
-        laps = LaplacianSet.from_relation_set(rels)
-        problem = learner.build_problem(ratings, rels, hp, laps)
+        problem = learner.build_problem(ratings, rels, hp)
         assert problem._dense_graph == [0, 1], problem._dense_graph
         model = FactorModel(rng.normal(size=(600, 10)), rng.normal(size=(560, 10)))
         point = problem.evaluate(model, every_path=True)
@@ -1467,7 +1469,7 @@ def test_every_laplacian_product_gives_the_bytes_of_scipys(monkeypatch, cpus, in
         L.indices, L.indptr = L.indices.astype(index), L.indptr.astype(index)
     assert laps[0].indptr[3] == laps[0].indptr[2] and laps[1].nnz == 0
     assert laps[2].nnz == n * n
-    problem = build_problem(ratings, rels, hp, LaplacianSet(laps[:3], laps[3:]))
+    problem = build_problem(ratings, replace(rels, laps=LaplacianSet(laps[:3], laps[3:])), hp)
     assert [L.indices.dtype for _, L in problem.graph] == [np.dtype(index)] * 5
     assert [len(blocks) for blocks in problem._blocks] == [cpus] * 5
     assert problem._dense_graph == [2]
@@ -1581,14 +1583,14 @@ def test_shared_task_list_gives_the_one_cpu_point(monkeypatch, relations):
     inputs = set_up(graph, groups, target)
     ratings, rels = inputs.ratings, inputs.rels
     if not relations:
-        rels = RelationSet(rels.user_user, rels.item_item, [])
+        rels = replace(rels, user_item=[])
     hp = Hyperparams(d=3, seed=0)
     monkeypatch.setattr(learner, "PARALLEL_MIN_WORK", 0)
     problems = {}
     for cpus in (1, 2):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, c=cpus: set(range(c)),
                             raising=False)
-        problems[cpus] = build_problem(ratings, rels, hp, inputs.laps)
+        problems[cpus] = build_problem(ratings, rels, hp)
     one, two = problems[1], problems[2]
     assert not two.dense and two._in_order == (not relations)
     assert two.n_pairs > 2 * 29
@@ -1865,8 +1867,9 @@ def test_set_up_warns_and_reports_in_declared_order(monkeypatch, caplog, cpus):
     assert inputs.two_threads == (cpus == 2)
     assert inputs.results == [content_hash(graph)]
     assert [len(n) for n in nnz] == [3, 3, 3, 3, 2, 2]
-    assert [lap.nnz for lap in inputs.laps.user + inputs.laps.item] == [n[2] for n in nnz[:4]]
-    assert inputs.laps.user[0].nnz == inputs.laps.item[0].nnz == 0
+    laps = inputs.rels.laps
+    assert [lap.nnz for lap in laps.user + laps.item] == [n[2] for n in nnz[:4]]
+    assert laps.user[0].nnz == laps.item[0].nnz == 0
 
 
 def test_set_up_relation_set_without_its_laplacians_is_refused(toy_graph, biblio_schema):
@@ -1875,6 +1878,44 @@ def test_set_up_relation_set_without_its_laplacians_is_refused(toy_graph, biblio
     groups = parse_path_spec("UU: Author -writes-> Paper <-writes- Author\n", biblio_schema)
     inputs = set_up(toy_graph, groups,
                     parse_path("Author -writes-> Paper -published_in-> Conf", biblio_schema))
-    with pytest.raises(ValueError, match="pass the Laplacians that learner.set_up returned"):
-        train(inputs.ratings, inputs.rels, Hyperparams(d=2, max_outer=1))
-    assert train(inputs.ratings, inputs.rels, Hyperparams(d=2, max_outer=1), inputs.laps)
+    with pytest.raises(ValueError, match="keep the Laplacians that learner.set_up put in it"):
+        train(inputs.ratings, replace(inputs.rels, laps=None), Hyperparams(d=2, max_outer=1))
+    assert train(inputs.ratings, inputs.rels, Hyperparams(d=2, max_outer=1))
+
+
+def test_set_up_relation_set_trains_and_evaluates_on_its_own_laplacians(
+        monkeypatch, toy_graph, biblio_schema):
+    # the Laplacians travel with set_up's relation set: neither training nor
+    # an experiment on it assembles one again
+    from hetecf import model
+    from hetecf.evaluate import run_experiment
+    from hetecf.metapath import declared, parse_path_spec, similarity
+    from hetecf.model import laplacian
+
+    groups = parse_path_spec("UU: Author -writes-> Paper <-writes- Author\n"
+                             "II: Conf <-published_in- Paper -published_in-> Conf\n",
+                             biblio_schema)
+    inputs = set_up(toy_graph, groups,
+                    parse_path("Author -writes-> Paper -published_in-> Conf", biblio_schema))
+    assert [len(inputs.rels.laps.user), len(inputs.rels.laps.item)] == [1, 1]
+    calls = []
+
+    def counting(sim):
+        calls.append(sim)
+        return laplacian(sim)
+
+    monkeypatch.setattr(model, "laplacian", counting)
+    monkeypatch.setattr(learner, "laplacian", counting)
+    hp = Hyperparams(d=2, max_inner=2, max_outer=1)
+    state = train(inputs.ratings, inputs.rels, hp)
+    report = run_experiment(inputs.ratings, inputs.rels, methods=("hete_cf",), fractions=(0.6,),
+                            d_values=(2,), trials=2, hp=hp)
+    assert calls == []
+    assert state.j_trace and report.failures == []
+    assert len(report.cell("hete_cf", 0.6, 2, "RMSE").values) == 2
+    # the spy sits where Laplacians are built: a set made in memory, whose
+    # similarities are at hand, has one built per UU and II path
+    sims = [similarity(toy_graph, group, path)[1] for group, path in declared(groups)]
+    train(inputs.ratings, RelationSet(sims[:1], sims[1:], []), hp)
+    assert calls == sims
+

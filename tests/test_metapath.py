@@ -470,10 +470,10 @@ def test_set_up_counts_and_symmetry(toy_graph, biblio_schema):
     groups = parse_path_spec(SPEC_TEXT, biblio_schema)
     inputs = set_up(toy_graph, groups, h.parse_path(TARGET, biblio_schema))
     rels = inputs.rels
-    assert rels.counts == (1, 1, 1)
+    assert [len(rels.user_user), len(rels.item_item), len(rels.user_item)] == [1, 1, 1]
     # a UU or II path keeps its Laplacian, which is symmetric as S is
-    for sims, laps, size in ((rels.user_user, inputs.laps.user, 3),
-                             (rels.item_item, inputs.laps.item, 2)):
+    for sims, laps, size in ((rels.user_user, rels.laps.user, 3),
+                             (rels.item_item, rels.laps.item, 2)):
         assert sims[0].matrix is None and sims[0].symmetric
         m = laps[0].toarray()
         assert m.shape == (size, size)
@@ -538,7 +538,7 @@ def _groups_of(schema, texts):
 
 def _assert_matches_reference(graph, groups):
     inputs = set_up(graph, groups, h.parse_path(TARGET, graph.schema))
-    rels, laps = inputs.rels, inputs.laps
+    rels, laps = inputs.rels, inputs.rels.laps
     want = reference_relation_set(graph, groups)
     # set_up keeps no UU or II similarity matrix; similarity gives it
     graph_sims = [similarity(graph, group, path)[1]
@@ -593,7 +593,7 @@ def test_non_palindromic_user_path_is_averaged_and_left_unmarked():
     assert not inputs.rels.user_user[0].symmetric
     averaged = sp.csr_array((raw + raw.T) * 0.5)
     assert _arrays(similarity(g, "UU", path)[1].matrix) == _arrays(averaged)
-    assert _arrays(inputs.laps.user[0]) == _arrays(laplacian(averaged))
+    assert _arrays(inputs.rels.laps.user[0]) == _arrays(laplacian(averaged))
     # unmarked, the raw counts' similarity fails laplacian's own check
     with pytest.raises(ValueError, match="asymmetric"):
         laplacian(SimilarityMatrix(path, raw))
@@ -750,8 +750,8 @@ def test_laplacians_equal_the_checked_route_byte_for_byte(network, tmp_path):
     inputs = set_up(g, groups, h.parse_path(TARGET, g.schema))
     palindromic = 0
     for group, sims, laps, paths in (
-            ("UU", inputs.rels.user_user, inputs.laps.user, groups.user_user),
-            ("II", inputs.rels.item_item, inputs.laps.item, groups.item_item)):
+            ("UU", inputs.rels.user_user, inputs.rels.laps.user, groups.user_user),
+            ("II", inputs.rels.item_item, inputs.rels.laps.item, groups.item_item)):
         for sim, lap, path in zip(sims, laps, paths):
             pc = path_count(g, path)
             palindromic += pc.symmetric

@@ -107,7 +107,7 @@ def test_end_to_end_pipeline_on_synthetic_graph():
     assert ratings.n == 15 and ratings.m == 5
     assert ratings.nnz > 0
     hp = Hyperparams(d=2, max_inner=3, max_outer=2, learn_rate=0.05)
-    state = h.train(ratings, inputs.rels, hp, inputs.laps)
+    state = h.train(ratings, inputs.rels, hp)
     assert state.j_trace[-1] <= state.j_trace[0]
 
 
