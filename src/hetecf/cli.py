@@ -155,12 +155,29 @@ def _number(value, kind, name, minimum=None):
     return number
 
 
-def _numbers(value, kind, name, minimum=None):
-    """A comma list (flag) or JSON list (config) of numbers."""
-    items = str(value).split(",") if isinstance(value, str) else value
-    if not isinstance(items, (list, tuple)):
-        raise CliError(f"{name}: expected a list, got {value!r}")
-    return [_number(x, kind, name, minimum) for x in items if str(x).strip()]
+def _list_setting(args, cfg, name, default, convert):
+    """Setting ``name`` as a list, each entry put through ``convert``: a
+    comma list (flag or config string, blank entries dropped) or a JSON
+    list (config).  Any other value, an empty list and an entry equal to
+    an earlier one once converted are refused."""
+    value = _setting(args, cfg, name, default)
+    if isinstance(value, str):
+        value = [x.strip() for x in value.split(",") if x.strip()]
+    if not isinstance(value, list):
+        raise CliError(f"{name}: expected a comma list or a list, got {value!r}")
+    if not value:
+        raise CliError(f"{name}: the list is empty")
+    items = [convert(x) for x in value]
+    for i, item in enumerate(items):
+        if item in items[:i]:
+            raise CliError(f"{name}: {value[i]!r} repeats an earlier entry")
+    return items
+
+
+def _method(name):
+    if name in evaluate_mod.METHODS:
+        return name
+    raise CliError(f"methods: unknown method {name!r}; known: {', '.join(evaluate_mod.METHODS)}")
 
 
 def cmd_validate(args):
@@ -233,23 +250,13 @@ def cmd_evaluate(args):
     cfg = _load_config(args.config)
     report_out = _setting(args, cfg, "report_out")
     _, _, ratings, rels = _prepare_training(args, cfg)
-    methods = _setting(args, cfg, "methods", list(evaluate_mod.METHODS))
-    if isinstance(methods, str):
-        methods = [m.strip() for m in methods.split(",") if m.strip()]
-    if not isinstance(methods, list):
-        raise CliError(f"methods: expected a comma list or a list, got {methods!r}")
-    if not methods:
-        raise CliError("methods: the list is empty")
-    unknown = [m for m in methods if m not in evaluate_mod.METHODS]
-    if unknown:
-        raise CliError(
-            f"unknown method(s) {', '.join(map(str, unknown))}; "
-            f"known: {', '.join(evaluate_mod.METHODS)}"
-        )
-    fractions = _numbers(_setting(args, cfg, "fractions", [0.4, 0.6]), float, "fractions")
+    methods = _list_setting(args, cfg, "methods", list(evaluate_mod.METHODS), _method)
+    fractions = _list_setting(args, cfg, "fractions", [0.4, 0.6],
+                              lambda x: _number(x, float, "fractions"))
     if not all(0.0 < f < 1.0 for f in fractions):
         raise CliError(f"fractions must lie in (0, 1), got {fractions}")
-    d_values = _numbers(_setting(args, cfg, "d_values", [5, 10]), int, "d_values", 1)
+    d_values = _list_setting(args, cfg, "d_values", [5, 10],
+                             lambda x: _number(x, int, "d_values", 1))
     trials = _number(_setting(args, cfg, "trials", 10), int, "trials", 1)
     seed = _number(_setting(args, cfg, "seed", 0), int, "seed", 0)
     hp = _hyperparams(args, cfg)
@@ -361,7 +368,8 @@ def _parsed_answer(model, header, graph, args, cfg):
     return index, item_ids
 
 
-def _add_graph_flags(p):
+def _add_input_flags(p):
+    p.add_argument("--config")
     p.add_argument("--nodes", help="nodes file (<id>\\t<type> per line)")
     p.add_argument("--edges", help="edges file (<src>\\t<dst>\\t<relation>[\\t<w>])")
     p.add_argument("--schema", help="schema file (nodetype/relation directives)")
@@ -392,13 +400,11 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="parse and validate the graph files")
-    p.add_argument("--config")
-    _add_graph_flags(p)
+    _add_input_flags(p)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("train", help="train a model and write it to disk")
-    p.add_argument("--config")
-    _add_graph_flags(p)
+    _add_input_flags(p)
     p.add_argument("--paths")
     p.add_argument("--target-path", dest="target_path",
                    help="user->item meta-path whose similarities are the ratings")
@@ -409,8 +415,7 @@ def build_parser():
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="run the hold-out protocol grid")
-    p.add_argument("--config")
-    _add_graph_flags(p)
+    _add_input_flags(p)
     p.add_argument("--paths")
     p.add_argument("--target-path", dest="target_path")
     p.add_argument("--methods", help="comma list from: " + ",".join(evaluate_mod.METHODS))
@@ -422,8 +427,7 @@ def build_parser():
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("predict", help="top-k items for one user")
-    p.add_argument("--config")
-    _add_graph_flags(p)
+    _add_input_flags(p)
     p.add_argument("--model")
     p.add_argument("--user")
     p.add_argument("--top-k", dest="top_k", type=int)
@@ -449,10 +453,7 @@ def main(argv=None):
     except NumericalError as exc:
         log.error("numerical failure: %s", exc)
         return EXIT_NUMERICAL
-    except CliError as exc:
-        log.error("%s", exc)
-        return EXIT_INPUT
-    except _INPUT_ERRORS as exc:
+    except (CliError, *_INPUT_ERRORS) as exc:
         log.error("%s", exc)
         return EXIT_INPUT
 

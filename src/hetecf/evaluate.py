@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .graph import RatingMatrix
-from .model import Hyperparams, LaplacianSet, require_integer
+from .model import Hyperparams, LaplacianSet, pair_dots, require_integer
 from . import learner
 
 log = logging.getLogger(__name__)
@@ -119,13 +119,13 @@ class NMFPredictor:
         best = (np.inf, L, F)
         prev = np.inf
         for _ in range(max_iter):
-            pred = np.einsum("ij,ij->i", L[rows], F[cols])
+            pred = pair_dots(L, F, rows, cols)
             P = sp.csr_array((pred, (rows, cols)), shape=(n, m))
             L = L * ((X @ F) / (P @ F + eps))
-            pred = np.einsum("ij,ij->i", L[rows], F[cols])
+            pred = pair_dots(L, F, rows, cols)
             P = sp.csr_array((pred, (rows, cols)), shape=(n, m))
             F = F * ((X.T @ L) / (P.T @ L + eps))
-            pred = np.einsum("ij,ij->i", L[rows], F[cols])
+            pred = pair_dots(L, F, rows, cols)
             loss = float(np.sum((pred - vals) ** 2))
             if loss < best[0]:
                 best = (loss, L.copy(), F.copy())
@@ -140,10 +140,7 @@ class NMFPredictor:
         _, self.L, self.F = best
 
     def predict(self, users, items):
-        users = np.asarray(users, dtype=np.int64)
-        items = np.asarray(items, dtype=np.int64)
-        raw = np.einsum("ij,ij->i", self.L[users], self.F[items])
-        return np.clip(raw, 0.0, 1.0)
+        return np.clip(pair_dots(self.L, self.F, users, items), 0.0, 1.0)
 
 
 class HeteCFPredictor:

@@ -1,6 +1,6 @@
 """Typed heterogeneous graph: schema, ingestion, adjacency, and rating matrices.
 
-File formats (all UTF-8, ``#`` starts a comment, blank lines ignored;
+File formats (all UTF-8, blank and ``#`` lines skipped by ``_content_lines``;
 nodes and edges fields are tab-separated and stripped of surrounding
 whitespace):
 
@@ -356,22 +356,28 @@ def _decode(data, path, first=0):
         ) from None
 
 
+def _content_lines(lines, first=0):
+    """(line number from ``first + 1``, line as it is) of each of ``lines``
+    but the blank ones and those whose first character that is not
+    whitespace is ``#``: the one blank-and-comment rule of the formats."""
+    for number, line in enumerate(lines, start=first + 1):
+        head = line.lstrip()
+        if head and head[0] != "#":
+            yield number, line
+
+
 def _normalise(block, first, path):
     """(records, line of each) for a block of whole lines, each ending in
     ``\\n``, whose first line is line ``first + 1`` of file ``path``.
 
-    ``block`` is decoded as UTF-8 and split into lines.  Blank lines and
-    those whose first character that is not whitespace is ``#`` are
-    dropped; every field of the rest is stripped.  The records are encoded
-    again, one per line.
+    ``block`` is decoded as UTF-8 and split into lines.  The lines of
+    :func:`_content_lines` are kept, each field stripped, and encoded
+    again, one record per line.
     """
-    text = _decode(block, path, first)
     records, lines = [], []
-    for number, line in enumerate(text.split("\n"), start=first + 1):
-        head = line.lstrip()
-        if head and not head.startswith("#"):
-            records.append("\t".join([f.strip() for f in line.split("\t")]) + "\n")
-            lines.append(number)
+    for number, line in _content_lines(_decode(block, path, first).split("\n"), first):
+        records.append("\t".join([f.strip() for f in line.split("\t")]) + "\n")
+        lines.append(number)
     return "".join(records).encode(), np.array(lines, np.intp)
 
 
@@ -693,11 +699,7 @@ def _parse_schema(data, path):
     """
     node_types, relations = [], []
     user_type = item_type = None
-    lines = io.StringIO(_decode(data, path), newline=None)
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _content_lines(io.StringIO(_decode(data, path), newline=None)):
         fields = line.split()
         kind = fields[0]
         if kind == "nodetype":

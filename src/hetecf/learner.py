@@ -18,11 +18,12 @@ of the entries, ``L @ U`` or ``L @ V`` with its trace for each Laplacian
 and the next gradient both read this :class:`Point`, so an accepted
 candidate's gradient gathers no rows again.  The predictions come from
 one dense ``U @ V.T`` when the entries cover at least
-``DENSE_MIN_DENSITY`` of the user-item grid, and from row gathers
-otherwise.  Every Laplacian product has one entry point,
-``_multiply_rows``, called on row blocks fixed once per Problem (all of
-L's rows as one block, or the two halves below when the worker shares the
-product), with one kernel per Laplacian, also fixed once per Problem: a
+``DENSE_MIN_DENSITY`` of the user-item grid, and from the row gathers of
+``model.pair_dots``, which serving shares, otherwise.  Every Laplacian
+product has one entry point, ``_multiply_rows``, called on row blocks
+fixed once per Problem (all of L's rows as one block, or the two halves
+below when the worker shares the product), with one kernel per
+Laplacian, also fixed once per Problem: a
 Laplacian of at most ``DENSE_MAX_NODES`` nodes that stores at least
 ``DENSE_MIN_FILL`` of its n x n entries keeps a dense copy, multiplied by
 a BLAS-free ``np.einsum`` contraction whose cost stays linear in d; every
@@ -115,6 +116,7 @@ from .model import (
     effective_mu,
     laplacian,
     logistic_and_slope,
+    pair_dots,
     rating_counts,
     trace_quad,
 )
@@ -154,10 +156,6 @@ PARALLEL_MIN_WORK = 1_000_000
 # 1.00-1.21x at fill 0.8 and 0.80-0.98x on a full Laplacian.
 DENSE_MIN_FILL = 0.8
 DENSE_MAX_NODES = 600
-# Pairs per gathered block on the sparse side.  Blocks of gathered rows
-# that stay in cache took the gather-and-dot of 113k pairs at d = 10 from
-# 7.3 ms to 2.8 ms; np.take gathers rows 2-3x faster than fancy indexing.
-_GATHER_CHUNK = 8192
 
 
 class DivergenceError(NumericalError):
@@ -693,21 +691,13 @@ class Problem:
     def _entry_half(self, U, V):
         """Slopes, residuals and residual sums of the entry list at (U, V):
         the predictions of one ``U @ V.T`` (BLAS) on the dense side, else
-        gathered ``_GATHER_CHUNK`` pairs at a time, then f and f' of all."""
+        gathered by ``model.pair_dots``, then f and f' of all."""
         if self._whole_grid:
             z = (U @ V.T).ravel()
         elif self.dense:
             z = np.take((U @ V.T).ravel(), self._flat)
         else:
-            z = np.empty(self.n_pairs)
-            for s in range(0, self.n_pairs, _GATHER_CHUNK):
-                block = slice(s, s + _GATHER_CHUNK)
-                np.einsum(
-                    "ij,ij->i",
-                    np.take(U, self._pair_rows[block], axis=0),
-                    np.take(V, self._pair_cols[block], axis=0),
-                    out=z[block],
-                )
+            z = pair_dots(U, V, self._pair_rows, self._pair_cols)
         p, slope = logistic_and_slope(z, (z, np.empty_like(z)))
         resid = (p if self._in_order else np.take(p, self.pair)) - self.vals
         squares = resid**2

@@ -10,7 +10,8 @@ where an arrow is either ``-rel->`` (follow relation ``rel`` forward) or
     Author -writes-> Paper <-writes- Author
 
 A path-set file groups one path per line under ``UU:`` (user-user),
-``II:`` (item-item) or ``UI:`` (user-item) prefixes.
+``II:`` (item-item) or ``UI:`` (user-item) prefixes; it skips blank and
+``#`` lines by the graph files' rule, ``graph._content_lines``.
 
 Similarity matrices are recomputed on every call.  That is not because
 it is cheaper than reading a stored copy: on the ``paths_sparse``
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import GraphFormatError, _decode, adjacency
+from .graph import GraphFormatError, _content_lines, _decode, adjacency
 
 _FORWARD = re.compile(r"-([A-Za-z_]\w*)->")
 _BACKWARD = re.compile(r"<-([A-Za-z_]\w*)-")
@@ -170,14 +171,6 @@ class PathCountMatrix:
     matrix: sp.csr_array
     symmetric: bool = False
 
-    @property
-    def source_type(self):
-        return self.path.source_type
-
-    @property
-    def target_type(self):
-        return self.path.target_type
-
 
 @dataclass
 class SimilarityMatrix:
@@ -291,10 +284,8 @@ def parse_path_spec(text, schema, source=None):
     """Parse a path-set file body into PathGroups (see module docstring),
     split into lines as ``open(path, encoding="utf-8")`` reads them."""
     groups = {g: [] for g in GROUPS}
-    for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
+    for lineno, raw in _content_lines(io.StringIO(text, newline=None)):
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
         head, sep, rest = line.partition(":")
         head = head.strip()
         if not sep or head not in GROUPS:

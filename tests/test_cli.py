@@ -23,6 +23,7 @@ from hetecf import (
     save_graph,
     synth,
 )
+from hetecf import model as model_mod
 from hetecf.cli import main
 from hetecf.model import Hyperparams, ModelFormatError, load_model, save_model
 
@@ -659,6 +660,51 @@ def test_evaluate_rejects_an_empty_method_list(tmp_path, caplog):
     assert caplog.text.count("methods: the list is empty") == 3
 
 
+@pytest.mark.parametrize("name,flag,config,reason", [
+    ("methods", "user_mean,user_mean", ["user_mean", "user_mean"], "repeats an earlier entry"),
+    ("fractions", "0.6,0.60", [0.6, 0.6], "repeats an earlier entry"),
+    ("d_values", "4,4", [4, 4], "repeats an earlier entry"),
+    ("fractions", "", [], "the list is empty"),
+    ("d_values", ",", [], "the list is empty"),
+    ("fractions", None, 0.5, "expected a comma list or a list, got 0.5"),
+    ("d_values", None, {"d": 4}, "expected a comma list or a list"),
+])
+def test_evaluate_refuses_an_empty_or_repeating_list(tmp_path, caplog, name, flag, config,
+                                                      reason):
+    """Each list setting, as a flag and in the config, exits 2 on an empty
+    list, on an entry that repeats an earlier one once converted (each
+    repeat would rerun the same cells and write their report rows
+    twice), and, in the config, on a value that is no list."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({name: config}))
+    common = [*GRAPH_FLAGS, "--paths", str(SAMPLE / "paths.txt"), "--target-path", TARGET,
+              "--trials", "2", *FAST]
+    if name != "methods":
+        common += ["--methods", "user_mean"]
+    runs = [["--config", str(cfg)]]
+    if flag is not None:
+        runs.append([f"--{name.replace('_', '-')}", flag])
+    for extra in runs:
+        caplog.clear()
+        assert main(["evaluate", *extra, *common]) == 2
+        assert f"{name}: " in caplog.text and reason in caplog.text
+
+
+def test_evaluate_takes_a_list_setting_as_a_config_string(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"methods": "user_mean, item_mean,", "fractions": "0.5",
+                               "d_values": [2]}))
+    report_out = tmp_path / "report.csv"
+    assert main(["evaluate", "--config", str(cfg), *GRAPH_FLAGS,
+                 "--paths", str(SAMPLE / "paths.txt"), "--target-path", TARGET,
+                 "--trials", "2", "--report-out", str(report_out), *FAST]) == 0
+    lines = report_out.read_text().strip().splitlines()
+    assert [line.split(",")[:3] for line in lines[1:]] == [
+        ["user_mean", "0.5", "2"], ["user_mean", "0.5", "2"],
+        ["item_mean", "0.5", "2"], ["item_mean", "0.5", "2"],
+    ]
+
+
 # ------------------------------------------------------- config value types
 
 
@@ -949,7 +995,7 @@ def test_worker_thread_leaves_model_and_log_bytes_unchanged(tmp_path, monkeypatc
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     # small gathered blocks, so that the synthetic network's entry half
     # gathers several of them
-    monkeypatch.setattr(learner, "_GATHER_CHUNK", 37)
+    monkeypatch.setattr(model_mod, "_GATHER_CHUNK", 37)
     runs = {}
     for threshold in (0, math.inf):  # every sparse product on the worker, or none
         monkeypatch.setattr(learner, "PARALLEL_MIN_WORK", threshold)

@@ -51,6 +51,38 @@ def test_comments_and_blank_lines_ignored(tmp_path):
     assert g.node_count("Author") == 1
 
 
+@pytest.mark.parametrize("line,kept", [
+    ("", False),
+    ("   ", False),
+    ("\u3000", False),
+    ("#x", False),
+    ("  # x", False),
+    ("\u3000#x", False),
+    ("x#y", True),
+])
+def test_every_text_reader_skips_the_same_lines(tmp_path, line, kept):
+    """The schema, path-spec and nodes readers, the nodes file normalised
+    (none of these lines is plain), each get a good line, the line under
+    test and a bad one.  The first error names line 2 where the line is
+    kept (none of the formats accepts it) and line 3 where it is
+    skipped."""
+    want = 2 if kept else 3
+    nodes, edges, schema = write_dataset(tmp_path, "", "")
+    spec, bad_schema = tmp_path / "paths.txt", tmp_path / "bad_schema.txt"
+    for path, good in [(nodes, "a1\tAuthor"), (spec, "UU: Author -writes-> Paper <-writes- Author"),
+                       (bad_schema, "nodetype Author user")]:
+        pathlib.Path(path).write_bytes(f"{good}\n{line}\nbad\n".encode())
+    readers = [
+        lambda: h.load_schema(str(bad_schema)),
+        lambda: h.load_path_spec(str(spec), h.load_schema(schema)),
+        lambda: h.load_graph(nodes, edges, schema),
+    ]
+    for read in readers:
+        with pytest.raises(GraphFormatError) as err:
+            read()
+        assert err.value.line == want, str(err.value)
+
+
 def test_unknown_node_id_names_id_and_line(tmp_path):
     nodes = "a1\tAuthor\np1\tPaper\nc1\tConf\n"
     edges = "a1\tp1\twrites\na9\tp1\twrites\n"

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import hetecf.learner as learner
+import hetecf.model
 from hetecf import (
     DivergenceError,
     FactorModel,
@@ -671,6 +672,19 @@ def density_instance(side):
         rng.normal(scale=0.5, size=(n, 2)), rng.normal(scale=0.5, size=(m, 2))
     )
     return ratings, rels, hp, problem, state
+
+
+def test_gathered_entry_half_and_serving_share_the_pair_kernel(monkeypatch):
+    """On the gather side the entry half's slopes are f' of the very
+    predictions serving makes for the same pairs, byte for byte; blocks
+    of 7 pairs make the gather run several of them."""
+    monkeypatch.setattr(hetecf.model, "_GATHER_CHUNK", 7)
+    *_, problem, state = density_instance("gather")
+    U, V = state.model.U, state.model.V
+    assert problem.n_pairs > 7
+    slope = problem._entry_half(U, V)["slope"]
+    p = FactorModel(U, V).predict_pairs(problem._pair_rows, problem._pair_cols)
+    assert slope.tobytes() == (p * (1 - p)).tobytes()
 
 
 @pytest.mark.parametrize("side", ["dense", "gather"])
@@ -1572,7 +1586,7 @@ def test_shared_task_list_gives_the_one_cpu_point(monkeypatch, relations):
     from hetecf import synth
     from hetecf.metapath import parse_path_spec
 
-    monkeypatch.setattr(learner, "_GATHER_CHUNK", 29)
+    monkeypatch.setattr(hetecf.model, "_GATHER_CHUNK", 29)
     graph = synth.generate(synth.SynthSpec(
         seed=3, link_prob={"writes": 0.02, "published_in": 0.03, "cites": 0.005}).scaled(2))
     target = parse_path("Author -writes-> Paper -published_in-> Conf", graph.schema)

@@ -24,6 +24,7 @@ from hetecf.model import (
     logistic,
     logistic_and_slope,
     mu_from_density,
+    pair_dots,
     rating_counts,
     trace_quad,
 )
@@ -133,6 +134,21 @@ def test_predict_matches_manual():
     every = model.predict_pairs(rows, cols)
     assert every.shape == (15,)
     assert np.all((every > 0) & (every < 1))
+
+
+@pytest.mark.parametrize("pairs", [0, 1, 7, 8, 23])
+def test_pair_dots_gives_the_bytes_of_one_unchunked_einsum(monkeypatch, pairs):
+    """Blocks of 7 pairs: none, a part block, one whole block, one and a
+    bit, and three whole blocks and a part."""
+    from hetecf import model
+
+    monkeypatch.setattr(model, "_GATHER_CHUNK", 7)
+    rng = np.random.default_rng(5)
+    A, B = rng.normal(size=(6, 5)), rng.normal(size=(9, 5))
+    rows, cols = rng.integers(0, 6, pairs), rng.integers(0, 9, pairs)
+    got = pair_dots(A, B, rows, cols)
+    assert got.shape == (pairs,)
+    assert got.tobytes() == np.einsum("ij,ij->i", A[rows], B[cols]).tobytes()
 
 
 def test_factor_dim_mismatch():
